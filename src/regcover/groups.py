@@ -1,13 +1,21 @@
 """Automorphism groups as explicit permutation sets on darts.
 
-Groups are stored extensionally; subgroup enumeration works on a cached
-multiplication table, so everything downstream (semiregular filtering,
-conjugacy classes, quotients) is cheap at desk scale.
+Groups are stored extensionally.  Each group picks a base once: a short
+list of vertex/dart points whose images tell all of its elements apart.
+A product a*b is then found by looking up a's images of b's base images,
+so the multiplication table is built without composing whole
+permutations.  Subgroup enumeration works in index space over that table:
+every subgroup found keeps a generator tuple, and <S, x> is closed by
+right-multiplying one representative per right coset of S with the
+generators of S plus x only.  The semiregular search builds a partial
+table over the semiregular elements alone, where a product outside that
+set is None.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import GraphError, SizeLimitError
 from .graph import HALVABLE
@@ -170,18 +178,55 @@ class Group:
         return next(i for i, p in enumerate(self.elements) if p.is_identity)
 
     @cached_property
+    def _images(self):
+        """Per element, the images of all points: vertices, then darts."""
+        nv = len(self.graph.vertex_list)
+        return [p.vertex_images + tuple(nv + j for j in p.dart_images)
+                for p in self.elements]
+
+    @cached_property
+    def _base(self):
+        """Points whose images tell all elements apart, picked greedily."""
+        images = self._images
+        keys = [()] * len(images)
+        distinct = 1
+        base = []
+        for point in range(len(images[0])):
+            if distinct == len(images):
+                break
+            trial = [k + (img[point],) for k, img in zip(keys, images)]
+            n = len(set(trial))
+            if n > distinct:
+                base.append(point)
+                keys, distinct = trial, n
+        return tuple(base)
+
+    def _product_table(self, members):
+        """Multiplication table over elements[i] for i in `members`, in
+        positions within `members`; None where a product is not among them.
+
+        (a * b)(p) = a(b(p)), so the base images of a * b are a's images
+        of b's base images, and the base tells the product apart from
+        every other element of the group.
+        """
+        base = self._base
+        if not base:
+            return [(0,)]
+        images = [self._images[i] for i in members]
+        key = itemgetter(*base)
+        position = {key(img): k for k, img in enumerate(images)}.get
+        times = [itemgetter(*[img[p] for p in base]) for img in images]
+        return [tuple([position(b(img)) for b in times]) for img in images]
+
+    @cached_property
     def table(self):
         """table[i][j] = index of elements[i] * elements[j]."""
-        idx = self._index
-        return [
-            tuple(idx[a.compose(b)] for b in self.elements)
-            for a in self.elements
-        ]
+        return self._product_table(range(self.order))
 
     @cached_property
     def inverse_indices(self):
-        idx = self._index
-        return tuple(idx[p.inverse()] for p in self.elements)
+        e = self.identity_index
+        return tuple(row.index(e) for row in self.table)
 
     @cached_property
     def semiregular_flags(self):
@@ -191,14 +236,21 @@ class Group:
         return Group(self.graph, [self.elements[i] for i in indices], verify=False)
 
 
+def _size_limit(phase, seen, max_order, g):
+    """The error for a search that `seen` has taken past `max_order`."""
+    return SizeLimitError(
+        f"{phase}: {seen}, over max_order={max_order} "
+        f"(|V|={g.n_vertices}, {g.n_darts} darts)")
+
+
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     """The full color/type/direction-preserving automorphism group."""
     perms = []
     for vmap, dmap in automorphisms_iter(g):
         perms.append(Permutation.from_maps(g, dmap, vmap))
         if max_order is not None and len(perms) > max_order:
-            raise SizeLimitError(
-                f"automorphism group exceeds the limit of {max_order}")
+            raise _size_limit("automorphism_group",
+                              f"{len(perms)} automorphisms found", max_order, g)
     return Group(g, perms, verify=False)
 
 
@@ -225,63 +277,82 @@ def semiregular_violations(grp):
     return out
 
 
-def _close_indices(table, seed, allowed=None):
-    """Subgroup generated by `seed` in index space; None if it ever leaves
-    `allowed`."""
-    members = set(seed)
-    if allowed is not None and not members <= allowed:
-        return None
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for y in tuple(members):
-                for z in (row[y], table[y][x]):
-                    if z not in members:
-                        if allowed is not None and z not in allowed:
-                            return None
-                        members.add(z)
-                        nxt.append(z)
-        frontier = nxt
+def _close_indices(table, s, gens):
+    """<S, gens> in index space, where S is a subgroup generated by part of
+    `gens`; None if a product leaves the table's elements.
+
+    The result is a union of right cosets S*r, and right-multiplying by a
+    generator g maps S*r onto S*(r*g), so only one representative per
+    coset is multiplied by the generators (Dimino's method).
+    """
+    s = tuple(s)
+    members = set(s)
+    reps = [s[0]]
+    for r in reps:
+        row = table[r]
+        for g in gens:
+            y = row[g]
+            if y is None:
+                return None
+            if y not in members:
+                coset = [table[t][y] for t in s]
+                if None in coset:
+                    return None
+                members.update(coset)
+                reps.append(y)
     return frozenset(members)
 
 
-def _coset_representatives(table, s, n):
-    """One element from each left coset xS other than S itself."""
+def _coset_representatives(table, s):
+    """One element from each left coset xS other than S itself.
+
+    A coset with a product outside a partial table is skipped: any of its
+    members generates, with S, a subgroup that leaves the table too.
+    """
     seen = set(s)
     reps = []
-    for x in range(n):
+    for x, row in enumerate(table):
         if x in seen:
             continue
-        reps.append(x)
-        seen.update(table[x][y] for y in s)
+        coset = [row[y] for y in s]
+        seen.update(coset)
+        if None not in coset:
+            reps.append(x)
     return reps
 
 
-def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
-    """Every subgroup exactly once, by cyclic extension over the mult table.
+def _subgroup_index_sets(table, e, divides=None):
+    """Every subgroup of the table's elements exactly once, by cyclic
+    extension, sorted by order and then by sorted indices.
 
     Elements of one coset of a subgroup generate the same extension, so
-    only coset representatives are tried.
+    only coset representatives are tried.  With `divides`, subgroups whose
+    order does not divide it are neither kept nor extended; every subgroup
+    whose order does divide it is still reached through its own subgroups.
     """
-    if grp.order > max_order:
-        raise SizeLimitError(
-            f"subgroup enumeration limited to groups of order {max_order}")
-    table = grp.table
-    e = grp.identity_index
     trivial = frozenset({e})
-    found = {trivial}
+    gens_of = {trivial: ()}
     queue = [trivial]
     while queue:
         s = queue.pop()
-        for x in _coset_representatives(table, s, grp.order):
-            t = _close_indices(table, s | {x})
-            if t not in found:
-                found.add(t)
-                queue.append(t)
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return [grp.subgroup(s) for s in ordered]
+        gens = gens_of[s]
+        for x in _coset_representatives(table, s):
+            t = _close_indices(table, s, gens + (x,))
+            if (t is None or t in gens_of
+                    or (divides is not None and divides % len(t))):
+                continue
+            gens_of[t] = gens + (x,)
+            queue.append(t)
+    return sorted(gens_of, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
+    """Every subgroup exactly once, by cyclic extension over the mult table."""
+    if grp.order > max_order:
+        raise _size_limit("all_subgroups", f"group order {grp.order}",
+                          max_order, grp.graph)
+    return [grp.subgroup(s)
+            for s in _subgroup_index_sets(grp.table, grp.identity_index)]
 
 
 def conjugacy_classes_of_subgroups(grp, max_order=MAX_GROUP_ORDER):
@@ -320,35 +391,15 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     """All semiregular subgroups of Aut(g), optionally of one given order.
 
     Only semiregular elements can appear in these subgroups, so the lattice
-    search is restricted to that subset of Aut(g).
+    search runs on the partial multiplication table of that subset.
     """
     aut = automorphism_group(g, max_order=max_order)
-    table = aut.table
-    allowed = frozenset(i for i, ok in enumerate(aut.semiregular_flags) if ok)
-    e = aut.identity_index
-    trivial = frozenset({e})
-    found = {trivial}
-    dead = set()
-    queue = [trivial]
-    while queue:
-        s = queue.pop()
-        for x in _coset_representatives(table, s, aut.order):
-            if x not in allowed:
-                continue
-            key = s | {x}
-            if key in dead:
-                continue
-            t = _close_indices(table, key, allowed)
-            if t is None:
-                dead.add(key)
-            elif t not in found:
-                found.add(t)
-                queue.append(t)
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    out = [aut.subgroup(s) for s in ordered]
-    if order is not None:
-        out = [s for s in out if s.order == order]
-    return out
+    members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
+    table = aut._product_table(members)
+    e = members.index(aut.identity_index)
+    found = _subgroup_index_sets(table, e, divides=order)
+    return [aut.subgroup([members[i] for i in s]) for s in found
+            if order is None or len(s) == order]
 
 
 def orbits(grp, domain="vertices"):
@@ -381,8 +432,9 @@ def fix_group(atom, max_order=MAX_GROUP_ORDER):
     for vmap, dmap in automorphisms_iter(g, pinned=pins):
         perms.append(Permutation.from_maps(g, dmap, vmap))
         if max_order is not None and len(perms) > max_order:
-            raise SizeLimitError(
-                f"pointwise boundary stabilizer exceeds {max_order}")
+            raise _size_limit("fix_group",
+                              f"{len(perms)} boundary-fixing automorphisms "
+                              "found", max_order, g)
     return Group(g, perms, verify=False)
 
 

@@ -352,6 +352,5 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     for gamma in semiregular_subgroups(g, order=k, max_order=max_order):
         q = quotient(g, gamma)
         if are_isomorphic(q.result, h) is not None:
-            assert are_isomorphic(quotient(g, gamma).result, h) is not None
             return gamma
     return None

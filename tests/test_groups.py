@@ -2,7 +2,8 @@ import pytest
 
 from regcover.errors import SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
-                               path_graph, prism, star_pendants, theta,
+                               expansion_corpus, icosahedron, path_graph,
+                               petersen, prism, star_pendants, theta,
                                with_pendants)
 from regcover.graph import HALVABLE
 from regcover.groups import (Group, all_subgroups, automorphism_group,
@@ -194,5 +195,141 @@ def test_fix_group_orders():
 
 
 def test_automorphism_group_size_limit():
-    with pytest.raises(SizeLimitError):
+    # each message names the phase, the limit and the size seen
+    with pytest.raises(SizeLimitError) as exc:
         automorphism_group(star_pendants(6))  # 6! = 720 > 200
+    msg = str(exc.value)
+    assert msg.startswith("automorphism_group:")
+    assert "max_order=200" in msg
+    assert "201 automorphisms found" in msg
+    assert "|V|=1, 12 darts" in msg
+
+    with pytest.raises(SizeLimitError) as exc:
+        all_subgroups(automorphism_group(cube()), max_order=40)
+    msg = str(exc.value)
+    assert msg.startswith("all_subgroups:")
+    assert "max_order=40" in msg
+    assert "group order 48" in msg
+    assert "|V|=8, 24 darts" in msg
+
+    (star,) = find_atoms(star_pendants(3))
+    with pytest.raises(SizeLimitError) as exc:
+        fix_group(star, max_order=4)
+    msg = str(exc.value)
+    assert msg.startswith("fix_group:")
+    assert "max_order=4" in msg
+    assert "5 boundary-fixing automorphisms found" in msg
+    assert "|V|=1, 6 darts" in msg
+
+
+# -- differential checks against the all-pairs closure --------------------
+
+def _oracle_close(table, seed, allowed=None):
+    """All-pairs closure: every new element times every member."""
+    members = set(seed)
+    if allowed is not None and not members <= allowed:
+        return None
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for y in tuple(members):
+                for z in (row[y], table[y][x]):
+                    if z not in members:
+                        if allowed is not None and z not in allowed:
+                            return None
+                        members.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return frozenset(members)
+
+
+def _oracle_subgroups(table, e, allowed=None):
+    """Index sets of all subgroups inside `allowed`, by cyclic extension
+    with one element of each left coset, in the order all_subgroups
+    returns them."""
+    trivial = frozenset({e})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        s = queue.pop()
+        seen = set(s)
+        for x in range(len(table)):
+            if x in seen:
+                continue
+            seen.update(table[x][y] for y in s)
+            if allowed is not None and x not in allowed:
+                continue
+            t = _oracle_close(table, s | {x}, allowed)
+            if t is not None and t not in found:
+                found.add(t)
+                queue.append(t)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def _index_sets(aut, subgroups):
+    idx = {p: i for i, p in enumerate(aut.elements)}
+    return [frozenset(idx[p] for p in s) for s in subgroups]
+
+
+def _small_corpus():
+    for name, g in expansion_corpus():
+        aut = automorphism_group(g)
+        if aut.order <= 72:
+            yield name, g, aut
+
+
+def test_table_matches_composition():
+    for name, _, aut in _small_corpus():
+        idx = {p: i for i, p in enumerate(aut.elements)}
+        composed = [tuple(idx[a.compose(b)] for b in aut.elements)
+                    for a in aut.elements]
+        assert aut.table == composed, name
+        assert all(aut.elements[i] == p.inverse()
+                   for p, i in zip(aut.elements, aut.inverse_indices)), name
+
+
+def test_semiregular_partial_table_is_none_off_the_subset():
+    for name, _, aut in _small_corpus():
+        members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
+        position = {aut.elements[i]: k for k, i in enumerate(members)}
+        partial = aut._product_table(members)
+        for k, i in enumerate(members):
+            a = aut.elements[i]
+            for m, j in enumerate(members):
+                product = a.compose(aut.elements[j])
+                assert partial[k][m] == position.get(product), name
+
+
+def test_all_subgroups_match_all_pairs_closure():
+    for name, _, aut in _small_corpus():
+        expected = _oracle_subgroups(aut.table, aut.identity_index)
+        assert _index_sets(aut, all_subgroups(aut)) == expected, name
+
+
+def test_semiregular_subgroups_match_all_pairs_closure():
+    for name, g, aut in _small_corpus():
+        allowed = frozenset(i for i, ok in enumerate(aut.semiregular_flags)
+                            if ok)
+        expected = _oracle_subgroups(aut.table, aut.identity_index, allowed)
+        assert _index_sets(aut, semiregular_subgroups(g)) == expected, name
+        for k in (2, 4):
+            assert (_index_sets(aut, semiregular_subgroups(g, order=k))
+                    == [s for s in expected if len(s) == k]), name
+
+
+def test_petersen_s5_lattice():
+    # S5 has 156 subgroups in 19 conjugacy classes
+    classes = conjugacy_classes_of_subgroups(automorphism_group(petersen()))
+    assert len(classes) == 19
+    assert sum(len(c) for c in classes) == 156
+
+
+@pytest.mark.parametrize("build", [lambda: complete(4), cube, icosahedron])
+def test_platonic_orders_match_sympy(build):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    aut = automorphism_group(build())
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p.dart_images)) for p in aut])
+    assert group.order() == aut.order
