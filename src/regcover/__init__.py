@@ -9,7 +9,7 @@ and a brute-force regular-cover decision, all at desk scale.
 from .atoms import (Atom, PrimitiveClass, atom_symmetry_type,
                     classify_primitive, extended_atom, find_atoms)
 from .blocks import BlockTree, attached_subgraph, block_tree, central_element
-from .errors import GraphError, ParseError, SizeLimitError
+from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .graph import (Graph, GraphBuilder, SubgraphRef, connected_components,
                     degree, normalize, validate, with_halvable_edges)
 from .groups import (Group, Permutation, all_subgroups, automorphism_group,

@@ -268,12 +268,7 @@ def strip_pendant_like(g):
         drop.add(h)
     if not drop:
         return g
-    keep = g.darts - drop
-    return Graph(keep, g.vertices, {h: g.pairing[h] for h in keep},
-                 {h: v for h, v in g.incidence.items() if h in keep},
-                 {h: t for h, t in g.edge_type.items() if h in keep},
-                 {h: c for h, c in g.color.items() if h in keep},
-                 g.tails & keep)
+    return g.restrict(g.darts - drop)
 
 
 def decorated_vertices(g):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 negative decision, 2 input error, 3 size limit.
+Exit codes: 0 success, 1 negative decision, 2 input error, 3 size limit,
+4 internal error (a result failed its own correctness check).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import dot as dotmod
 from . import textfmt
 from .atoms import classify_primitive, find_atoms
 from .blocks import block_tree
-from .errors import GraphError, ParseError, SizeLimitError
+from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .fixtures import expansion_corpus, run_fixture_cases
 from .graph import normalize, validate, with_halvable_edges
 from .groups import automorphism_group, orbits, semiregular_subgroups
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path, args=None):
@@ -341,6 +343,9 @@ def main(argv=None):
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

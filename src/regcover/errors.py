@@ -22,3 +22,14 @@ class ParseError(GraphError):
 
 class SizeLimitError(RuntimeError):
     """Input exceeds a configured desk-scale limit."""
+
+
+class InternalError(RuntimeError):
+    """A result failed its own correctness check: a bug, not bad input."""
+
+
+def size_limit(phase, seen, limit, g, limit_name="max_order"):
+    """The error for a search that `seen` has taken past `limit`."""
+    return SizeLimitError(
+        f"{phase}: {seen}, over {limit_name}={limit} "
+        f"(|V|={g.n_vertices}, {g.n_darts} darts)")

@@ -122,6 +122,24 @@ class Graph:
     def degree(self, v):
         return len(self.darts_at(v))
 
+    def restrict(self, darts, vertices=None):
+        """The graph on a pairing-closed dart subset.
+
+        With `vertices`, only those vertices are kept, and darts at any other
+        vertex become free ends.
+        """
+        darts = frozenset(darts)
+        vertices = self.vertices if vertices is None else frozenset(vertices)
+        return Graph(
+            darts, vertices,
+            {h: self.pairing[h] for h in darts},
+            {h: v for h, v in self.incidence.items()
+             if h in darts and v in vertices},
+            {h: t for h, t in self.edge_type.items() if h in darts},
+            {h: c for h, c in self.color.items() if h in darts},
+            self.tails & darts,
+        )
+
     @property
     def n_vertices(self):
         return len(self.vertices)
@@ -180,16 +198,7 @@ class SubgraphRef:
         for h in self.darts:
             if g.pairing[h] not in self.darts:
                 raise GraphError("dart subset not closed under pairing")
-        incidence = {h: v for h, v in g.incidence.items()
-                     if h in self.darts and v in self.vertices}
-        return Graph(
-            self.darts, self.vertices,
-            {h: g.pairing[h] for h in self.darts},
-            incidence,
-            {h: t for h, t in g.edge_type.items() if h in self.darts},
-            {h: c for h, c in g.color.items() if h in self.darts},
-            self.darts & g.tails,
-        )
+        return g.restrict(self.darts, self.vertices)
 
     def __repr__(self):
         return f"SubgraphRef(darts={len(self.darts)}, vertices={len(self.vertices)})"

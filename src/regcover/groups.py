@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError, size_limit
 from .graph import HALVABLE
 from .iso import automorphisms_iter
 
@@ -236,22 +236,20 @@ class Group:
         return Group(self.graph, [self.elements[i] for i in indices], verify=False)
 
 
-def _size_limit(phase, seen, max_order, g):
-    """The error for a search that `seen` has taken past `max_order`."""
-    return SizeLimitError(
-        f"{phase}: {seen}, over max_order={max_order} "
-        f"(|V|={g.n_vertices}, {g.n_darts} darts)")
+def _automorphisms(g, pinned, phase, what, max_order):
+    """The group of g's automorphisms that agree with `pinned` on vertices."""
+    perms = []
+    for vmap, dmap in automorphisms_iter(g, pinned=pinned):
+        perms.append(Permutation.from_maps(g, dmap, vmap))
+        if max_order is not None and len(perms) > max_order:
+            raise size_limit(phase, f"{len(perms)} {what} found", max_order, g)
+    return Group(g, perms, verify=False)
 
 
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     """The full color/type/direction-preserving automorphism group."""
-    perms = []
-    for vmap, dmap in automorphisms_iter(g):
-        perms.append(Permutation.from_maps(g, dmap, vmap))
-        if max_order is not None and len(perms) > max_order:
-            raise _size_limit("automorphism_group",
-                              f"{len(perms)} automorphisms found", max_order, g)
-    return Group(g, perms, verify=False)
+    return _automorphisms(g, None, "automorphism_group", "automorphisms",
+                          max_order)
 
 
 def count_automorphisms(g, limit=None):
@@ -259,7 +257,8 @@ def count_automorphisms(g, limit=None):
     for _ in automorphisms_iter(g):
         n += 1
         if limit is not None and n > limit:
-            raise SizeLimitError(f"more than {limit} automorphisms")
+            raise size_limit("count_automorphisms", f"{n} automorphisms found",
+                             limit, g, "limit")
     return n
 
 
@@ -349,8 +348,8 @@ def _subgroup_index_sets(table, e, divides=None):
 def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
     """Every subgroup exactly once, by cyclic extension over the mult table."""
     if grp.order > max_order:
-        raise _size_limit("all_subgroups", f"group order {grp.order}",
-                          max_order, grp.graph)
+        raise size_limit("all_subgroups", f"group order {grp.order}",
+                         max_order, grp.graph)
     return [grp.subgroup(s)
             for s in _subgroup_index_sets(grp.table, grp.identity_index)]
 
@@ -426,16 +425,9 @@ def orbits(grp, domain="vertices"):
 
 def fix_group(atom, max_order=MAX_GROUP_ORDER):
     """Automorphisms of an atom fixing its boundary pointwise."""
-    g = atom.as_graph()
-    pins = {b: b for b in atom.boundary}
-    perms = []
-    for vmap, dmap in automorphisms_iter(g, pinned=pins):
-        perms.append(Permutation.from_maps(g, dmap, vmap))
-        if max_order is not None and len(perms) > max_order:
-            raise _size_limit("fix_group",
-                              f"{len(perms)} boundary-fixing automorphisms "
-                              "found", max_order, g)
-    return Group(g, perms, verify=False)
+    return _automorphisms(atom.as_graph(), {b: b for b in atom.boundary},
+                          "fix_group", "boundary-fixing automorphisms",
+                          max_order)
 
 
 def fix_group_order(atom):

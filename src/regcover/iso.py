@@ -9,18 +9,28 @@ The canonical form is the lexicographic minimum of a structural encoding
 over all vertex orderings consistent with iterated partition refinement;
 graphs here are tiny (atoms and quotients), so the plain
 individualization-refinement search is enough.
+
+The isomorphism search reads one item index per graph, built once and
+cached on the graph (`_items`).  It groups every edge and half-edge under
+a key (kind tag, vertices, type, color, tail role) and keeps each vertex's
+own profile (loops, pendants, half-edges) and each adjacent pair's profile.
+Vertex bijections are grown under the refined colors and checked against
+those profiles by lookup.  One loop then extends a vertex bijection to
+darts: each key of g1 is mapped to its image key in g2, the target items
+are permuted, and each item's darts follow one of its allowed ways.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import SizeLimitError
-from .graph import DIRECTED, FREE, HALF, LOOP, PENDANT, STANDARD
+from .errors import InternalError, size_limit
+from .graph import DIRECTED, LOOP, PENDANT, STANDARD
 
 MAX_VERTICES = 24
 
 _TYPE_CODE = {"halvable": 0, "undirected": 1, "directed": 2}
+_FLIP = (0, 2, 1)  # tail role of a standard edge seen from its other end
 
 
 # -- static structure ---------------------------------------------------------
@@ -41,18 +51,6 @@ def _static(g):
         sig[h] = (kind, typ or "", g.color[h], role)
     g._iso_static = sig
     return sig
-
-
-def _free_profile(g):
-    """Multiset of items without any defined endpoint."""
-    out = []
-    for h, k in g.edges:
-        if g.edge_kind(h) == FREE:
-            out.append(("F", g.edge_type[h], g.color[h]))
-    for h in g.halfedges:
-        if g.vertex_of(h) is None:
-            out.append(("G", g.color[h]))
-    return tuple(sorted(out))
 
 
 def _initial_colors(g, marking, ordered_marking):
@@ -151,8 +149,8 @@ def _encode(g, index, marking, ordered_marking):
 def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTICES):
     """Byte string determined exactly by the (marked) isomorphism class."""
     if g.n_vertices > max_vertices:
-        raise SizeLimitError(
-            f"canonical form limited to {max_vertices} vertices, got {g.n_vertices}")
+        raise size_limit("canonical_form", f"{g.n_vertices} vertices",
+                         max_vertices, g, "max_vertices")
     marking = frozenset(marking) if marking else None
     ordered_marking = tuple(ordered_marking) if ordered_marking else None
     key = (marking, ordered_marking)
@@ -192,37 +190,70 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
 
 # -- isomorphism search --------------------------------------------------------
 
-def _pair_profile(g, a, b):
-    out = []
-    for h in g.darts_at(a):
-        k = g.pairing[h]
-        if k != h and g.vertex_of(k) == b and a != b:
-            typ = g.edge_type[h]
-            role = 0
-            if typ == DIRECTED:
-                role = 1 if h in g.tails else 2
-            out.append((typ, g.color[h], role))
-    return tuple(sorted(out))
+def _items(g):
+    """Per-graph item index for the isomorphism search, cached on g.
+
+    groups: {(tag, vertices, type, color, tail role): [darts, ...]}, in key
+        order.  Tags run 0-5 over standard edges, loops, pendant edges,
+        attached half-edges, free edges and free half-edges.  Each item is
+        its dart tuple in role order: (dart at a, dart at b) for a < b,
+        (tail, head), (attached, free), or the lone dart of a half-edge.
+    own: {v: profile of the loops, pendants and half-edges at v}.
+    pair: {(a, b): profile of the standard edges between a != b, as seen
+        from a}.
+    """
+    try:
+        return g._iso_items
+    except AttributeError:
+        pass
+    groups, own, pair = {}, {v: [] for v in g.vertex_list}, {}
+    for h, k in g.edges:
+        kind, typ, c = g.edge_kind(h), g.edge_type[h], g.color[h]
+        if k in g.tails:
+            h, k = k, h
+        u, w = g.vertex_of(h), g.vertex_of(k)
+        if kind == STANDARD:
+            role = 0 if typ != DIRECTED else 1 if u < w else 2
+            if w < u:
+                h, k, u, w = k, h, w, u
+            key = (0, (u, w), typ, c, role)
+            pair.setdefault((u, w), []).append((typ, c, role))
+            pair.setdefault((w, u), []).append((typ, c, _FLIP[role]))
+        elif kind == LOOP:
+            key = (1, (u,), typ, c, 0)
+            own[u].append(("L", typ, c))
+        elif kind == PENDANT:
+            if u is None:
+                h, k, u = k, h, w
+            key = (2, (u,), typ, c, 0)
+            own[u].append(("P", c))
+        else:  # free edge
+            key = (4, (), typ, c, 0)
+        groups.setdefault(key, []).append((h, k))
+    for h in g.halfedges:
+        v = g.vertex_of(h)
+        if v is None:
+            key = (5, (), "", g.color[h], 0)
+        else:
+            key = (3, (v,), "", g.color[h], 0)
+            own[v].append(("H", g.color[h]))
+        groups.setdefault(key, []).append((h,))
+    g._iso_items = (dict(sorted(groups.items())),
+                    {v: tuple(sorted(p)) for v, p in own.items()},
+                    {ab: tuple(sorted(p)) for ab, p in pair.items()})
+    return g._iso_items
 
 
-def _self_profile(g, v):
-    out = []
-    for h in g.darts_at(v):
-        k = g.pairing[h]
-        kind = g.edge_kind(h)
-        if kind == LOOP and h < k:
-            out.append(("L", g.edge_type[h], g.color[h]))
-        elif kind == PENDANT and g.vertex_of(h) is not None:
-            out.append(("P", g.color[h]))
-        elif kind == HALF:
-            out.append(("H", g.color[h]))
-    return tuple(sorted(out))
+def _free_items(groups):
+    return [(key, len(items)) for key, items in groups.items() if not key[1]]
 
 
 def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
     if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
         return
-    if _free_profile(g1) != _free_profile(g2):
+    groups1, own1, pair1 = _items(g1)
+    groups2, own2, pair2 = _items(g2)
+    if _free_items(groups1) != _free_items(groups2):
         return
     init1 = _initial_colors(g1, marking1, ordered1)
     init2 = _initial_colors(g2, marking2, ordered2)
@@ -239,10 +270,10 @@ def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
     assignment = {}
 
     def compatible(v, w):
-        if _self_profile(g1, v) != _self_profile(g2, w):
+        if own1[v] != own2[w]:
             return False
         for v2, w2 in assignment.items():
-            if _pair_profile(g1, v, v2) != _pair_profile(g2, w, w2):
+            if pair1.get((v, v2), ()) != pair2.get((w, w2), ()):
                 return False
         return True
 
@@ -266,156 +297,43 @@ def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
     yield from rec(0)
 
 
-def _edge_record(g, h, k):
-    """(u-side dart, w-side dart) tagged with endpoints for mapping."""
-    return (h, k, g.vertex_of(h), g.vertex_of(k))
-
-
-def _groups_for(g):
-    """Items grouped for dart-level matching under a vertex bijection."""
-    std, loops, pendants, halves, freeedges, freehalves = {}, {}, {}, {}, {}, {}
-    for h, k in g.edges:
-        kind = g.edge_kind(h)
-        typ = g.edge_type[h]
-        c = g.color[h]
-        if kind == STANDARD:
-            u, w = g.vertex_of(h), g.vertex_of(k)
-            tailv = None
-            if typ == DIRECTED:
-                tailv = u if h in g.tails else w
-            a, b = sorted((u, w))
-            rel = 0 if tailv is None else (1 if tailv == a else 2)
-            std.setdefault((a, b, typ, c, rel), []).append((h, k, u, w))
-        elif kind == LOOP:
-            v = g.vertex_of(h)
-            if typ == DIRECTED:
-                pair = (h, k) if h in g.tails else (k, h)
-            else:
-                pair = (h, k)
-            loops.setdefault((v, typ, c), []).append(pair)
-        elif kind == PENDANT:
-            att, out = (h, k) if g.vertex_of(h) is not None else (k, h)
-            pendants.setdefault((g.vertex_of(att), c), []).append((att, out))
-        else:  # FREE
-            if typ == DIRECTED:
-                pair = (h, k) if h in g.tails else (k, h)
-            else:
-                pair = (h, k)
-            freeedges.setdefault((typ, c), []).append(pair)
-    for h in g.halfedges:
-        v = g.vertex_of(h)
-        if v is None:
-            freehalves.setdefault(g.color[h], []).append(h)
-        else:
-            halves.setdefault((v, g.color[h]), []).append(h)
-    return std, loops, pendants, halves, freeedges, freehalves
-
-
 def _dart_variants(g1, g2, vmap):
-    """All dart bijections extending a structure-compatible vertex bijection."""
-    s1 = _groups_for(g1)
-    s2 = _groups_for(g2)
+    """All dart bijections extending a structure-compatible vertex bijection.
+
+    Each group of g1 is matched with the group of g2 under the image of its
+    key; every permutation of the target items is tried, and each item maps
+    its darts along one of its allowed ways (an undirected loop or free
+    edge may also be turned around).
+    """
+    groups2 = _items(g2)[0]
     jobs = []
-
-    def fail():
-        return None
-
-    # standard edges
-    for key, items in sorted(s1[0].items()):
-        a, b, typ, c, rel = key
-        ta, tb = sorted((vmap[a], vmap[b]))
-        trel = rel
-        if rel:
-            tailv = vmap[a if rel == 1 else b]
-            trel = 1 if tailv == ta else 2
-        targets = s2[0].get((ta, tb, typ, c, trel))
+    for (tag, vs, typ, c, role), items in _items(g1)[0].items():
+        image = tuple(vmap[v] for v in vs)
+        if tag == 0 and image[0] > image[1]:
+            image, role, ways = image[::-1], _FLIP[role], ((1, 0),)
+        elif tag in (1, 4) and typ != DIRECTED:
+            ways = ((0, 1), (1, 0))
+        else:
+            ways = (tuple(range(len(items[0]))),)
+        targets = groups2.get((tag, image, typ, c, role))
         if targets is None or len(targets) != len(items):
             return
+        jobs.append((items, targets, ways))
+    dmap = {}
 
-        def pairfn(src, dst, _vmap=vmap):
-            h, k, u, w = src
-            h2, k2, u2, w2 = dst
-            m1 = {h: h2, k: k2} if _vmap[u] == u2 else {h: k2, k: h2}
-            return [m1]
-
-        jobs.append((items, targets, pairfn))
-    # loops
-    for key, items in sorted(s1[1].items()):
-        v, typ, c = key
-        targets = s2[1].get((vmap[v], typ, c))
-        if targets is None or len(targets) != len(items):
-            return
-
-        def pairfn(src, dst, _typ=typ):
-            h, k = src
-            h2, k2 = dst
-            if _typ == DIRECTED:
-                return [{h: h2, k: k2}]
-            return [{h: h2, k: k2}, {h: k2, k: h2}]
-
-        jobs.append((items, targets, pairfn))
-    # pendants
-    for key, items in sorted(s1[2].items()):
-        v, c = key
-        targets = s2[2].get((vmap[v], c))
-        if targets is None or len(targets) != len(items):
-            return
-
-        def pairfn(src, dst):
-            return [{src[0]: dst[0], src[1]: dst[1]}]
-
-        jobs.append((items, targets, pairfn))
-    # attached half-edges
-    for key, items in sorted(s1[3].items()):
-        v, c = key
-        targets = s2[3].get((vmap[v], c))
-        if targets is None or len(targets) != len(items):
-            return
-
-        def pairfn(src, dst):
-            return [{src: dst}]
-
-        jobs.append((items, targets, pairfn))
-    # free edges
-    for key, items in sorted(s1[4].items()):
-        typ, c = key
-        targets = s2[4].get(key)
-        if targets is None or len(targets) != len(items):
-            return
-
-        def pairfn(src, dst, _typ=typ):
-            h, k = src
-            h2, k2 = dst
-            if _typ == DIRECTED:
-                return [{h: h2, k: k2}]
-            return [{h: h2, k: k2}, {h: k2, k: h2}]
-
-        jobs.append((items, targets, pairfn))
-    # free half-edges
-    for key, items in sorted(s1[5].items()):
-        targets = s2[5].get(key)
-        if targets is None or len(targets) != len(items):
-            return
-
-        def pairfn(src, dst):
-            return [{src: dst}]
-
-        jobs.append((items, targets, pairfn))
-
-    def rec(ji, acc):
+    def rec(ji):
         if ji == len(jobs):
-            yield dict(acc)
+            yield dict(dmap)
             return
-        items, targets, pairfn = jobs[ji]
+        items, targets, ways = jobs[ji]
         for perm in itertools.permutations(targets):
-            variant_lists = [pairfn(items[i], perm[i]) for i in range(len(items))]
-            for combo in itertools.product(*variant_lists):
-                acc2 = dict(acc)
-                for part in combo:
-                    acc2.update(part)
-                yield from rec(ji + 1, acc2)
+            for combo in itertools.product(ways, repeat=len(items)):
+                for src, dst, way in zip(items, perm, combo):
+                    for h, i in zip(src, way):
+                        dmap[h] = dst[i]
+                yield from rec(ji + 1)
 
-    yield from rec(0, {})
+    yield from rec(0)
 
 
 def isomorphisms_iter(g1, g2, marking1=None, marking2=None,
@@ -460,15 +378,15 @@ def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTIC
 
     The witness is verified by a direct check before being returned.
     """
-    if g1.n_vertices > max_vertices or g2.n_vertices > max_vertices:
-        raise SizeLimitError(
-            f"isomorphism search limited to {max_vertices} vertices")
+    for g in (g1, g2):
+        if g.n_vertices > max_vertices:
+            raise size_limit("are_isomorphic", f"{g.n_vertices} vertices",
+                             max_vertices, g, "max_vertices")
     if g1 == g2 and frozenset(marking1 or ()) == frozenset(marking2 or ()):
-        ident_v = {v: v for v in g1.vertex_list}
-        ident_d = {h: h for h in g1.dart_list}
-        return ident_d
+        return {h: h for h in g1.dart_list}
     for vmap, dmap in isomorphisms_iter(g1, g2, marking1, marking2):
-        assert verify_isomorphism(g1, g2, vmap, dmap, marking1, marking2)
+        if not verify_isomorphism(g1, g2, vmap, dmap, marking1, marking2):
+            raise InternalError("are_isomorphic: witness failed verification")
         return dmap
     return None
 

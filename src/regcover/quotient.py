@@ -14,12 +14,13 @@ import itertools
 from dataclasses import dataclass
 
 from .atoms import HALVABLE_SYM, ordered_boundary
-from .errors import GraphError
+from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation,
                      semiregular_subgroups, semiregular_violations)
-from .iso import are_isomorphic, automorphisms_iter, canonical_form
+from .iso import (MAX_VERTICES, are_isomorphic, automorphisms_iter,
+                  canonical_form)
 from .reduction import reduction_series
 
 
@@ -75,11 +76,12 @@ def quotient(g, gamma):
                 raise GraphError("non-halvable edge collapsed to a half-edge")
 
     result = Graph(darts, vertices, pairing, incidence, edge_type, color, tails)
-    assert result.n_darts * gamma.order == g.n_darts
-    assert result.n_vertices * gamma.order == g.n_vertices
+    if (result.n_darts * gamma.order != g.n_darts
+            or result.n_vertices * gamma.order != g.n_vertices):
+        raise InternalError("quotient: orbit counts do not match |group|")
     for v in g.vertex_list:
-        images = {dart_rep[h] for h in g.darts_at(v)}
-        assert len(images) == g.degree(v), "projection not locally bijective"
+        if len({dart_rep[h] for h in g.darts_at(v)}) != g.degree(v):
+            raise InternalError("quotient: projection not locally bijective")
     return Quotient(g, gamma, result, dart_rep, vertex_rep)
 
 
@@ -177,15 +179,11 @@ def _substitute(h_next, placements):
     removed = set()
     for site_darts, _, _ in placements:
         removed |= set(site_darts)
-    darts = set(h_next.darts) - removed
+    kept = h_next.restrict(h_next.darts - removed)
     vertices = set(h_next.vertices)
-    pairing = {h: h_next.pairing[h] for h in darts}
-    incidence = {h: v for h, v in h_next.incidence.items() if h in darts}
-    edge_type = {h: t for h, t in h_next.edge_type.items() if h in darts}
-    color = {h: c for h, c in h_next.color.items() if h in darts}
-    tails = set(h_next.tails) & darts
+    pairing, incidence, edge_type, color, tails = {}, {}, {}, {}, set()
 
-    host_ids = darts | vertices | set(h_next.darts)
+    host_ids = set(h_next.darts) | vertices
     for site_darts, piece, attach in placements:
         seed = min(site_darts)
         ns = _namespace(host_ids, set(piece.darts) | set(piece.vertices), seed)
@@ -195,7 +193,6 @@ def _substitute(h_next, placements):
 
         dname = {d: f"{ns}${d}" for d in piece.darts}
         host_ids |= set(dname.values())
-        darts.update(dname.values())
         for d in piece.darts:
             pairing[dname[d]] = dname[piece.pairing[d]]
             color[dname[d]] = piece.color[d]
@@ -212,7 +209,9 @@ def _substitute(h_next, placements):
                 vertices.add(nv)
                 host_ids.add(nv)
 
-    return Graph(darts, vertices, pairing, incidence, edge_type, color, tails)
+    return Graph(kept.darts | set(pairing), vertices, kept.pairing | pairing,
+                 kept.incidence | incidence, kept.edge_type | edge_type,
+                 kept.color | color, kept.tails | tails)
 
 
 def expand_step(h_next, step):
@@ -308,7 +307,6 @@ def all_quotients(g, via="bruteforce", max_order=MAX_GROUP_ORDER,
     """All regular quotients up to isomorphism, sorted by canonical form."""
     require_standard_input(g, "all_quotients")
     if max_vertices is None:
-        from .iso import MAX_VERTICES
         max_vertices = max(MAX_VERTICES, g.n_vertices)
     if via == "bruteforce":
         out = [quotient(g, gamma).result
@@ -334,7 +332,8 @@ def expansion_chain(h_r, series):
         nxt = []
         for h in levels[-1]:
             nxt.extend(expand_step(h, step))
-        levels.append(_dedup_sorted(nxt, max(24, series.graphs[0].n_vertices)))
+        levels.append(_dedup_sorted(
+            nxt, max(MAX_VERTICES, series.graphs[0].n_vertices)))
     return levels
 
 

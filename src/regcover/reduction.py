@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .atoms import (ASYMMETRIC_SYM, HALVABLE_SYM, Atom, PrimitiveClass,
                     classify_primitive, find_atoms, ordered_boundary)
 from .blocks import block_tree
-from .errors import GraphError
+from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, normalize,
                     require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, automorphism_group,
@@ -100,22 +100,13 @@ def reduce_step(g, bt=None):
         removed_darts |= a.ref.darts
         removed_vertices |= a.interior_vertices
 
-    keep = g.darts - removed_darts
-    darts = set(keep)
-    vertices = g.vertices - removed_vertices
-    pairing = {h: g.pairing[h] for h in keep}
-    incidence = {h: v for h, v in g.incidence.items()
-                 if h in keep and v in vertices}
-    edge_type = {h: t for h, t in g.edge_type.items() if h in keep}
-    color_map = {h: c for h, c in g.color.items() if h in keep}
-    tails = set(g.tails & keep)
-
+    kept = g.restrict(g.darts - removed_darts, g.vertices - removed_vertices)
+    pairing, incidence, edge_type, color_map, tails = {}, {}, {}, {}, set()
     replacements = []
     for cls in classes:
         for i, a in enumerate(cls.members):
             name = f"r{cls.color}i{i}"
             d1, d2 = f"{name}.1", f"{name}.2"
-            darts.update((d1, d2))
             pairing[d1], pairing[d2] = d2, d1
             color_map[d1] = color_map[d2] = cls.color
             if a.is_block:
@@ -136,8 +127,10 @@ def reduce_step(g, bt=None):
                 edge_type[d1] = edge_type[d2] = et
                 replacements.append(Replacement(a, cls, (d1, d2), (bu, bv)))
 
-    target = Graph(darts, vertices, pairing, incidence, edge_type,
-                   color_map, tails)
+    target = Graph(kept.darts | set(pairing), kept.vertices,
+                   kept.pairing | pairing, kept.incidence | incidence,
+                   kept.edge_type | edge_type, kept.color | color_map,
+                   kept.tails | tails)
     if target.n_darts >= g.n_darts:
         raise GraphError("reduction step failed to shrink the graph")
     step = ReductionStep(g, target, tuple(classes), tuple(replacements))
@@ -246,7 +239,9 @@ def reduction_epimorphism(step, pi, verify=True):
     out = Permutation.from_maps(t, dmap, vmap)
     if verify:
         from .iso import verify_isomorphism
-        assert verify_isomorphism(t, t, vmap, dmap)
+        if not verify_isomorphism(t, t, vmap, dmap):
+            raise InternalError(
+                "reduction_epimorphism: image is not an automorphism")
     return out
 
 
@@ -256,16 +251,33 @@ class SidecarStep:
     classes: tuple
 
 
+_SIDECAR_FIELDS = ("graph", "boundary", "kind", "symmetry", "color")
+
+
+def _sidecar_list(obj, name, where):
+    value = obj.get(name) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise GraphError(f"{where} needs a list {name!r}")
+    return value
+
+
 def load_sidecar_steps(payload):
     """Rebuild per-level atom classes from a `reduce` JSON sidecar."""
     from .graph import SubgraphRef
     from .textfmt import parse
+    if not isinstance(payload, dict):
+        raise GraphError("sidecar must be a JSON object")
     if payload.get("version") != 1:
         raise GraphError("unsupported sidecar version")
     steps = []
-    for level in payload["levels"]:
+    for level in _sidecar_list(payload, "levels", "sidecar"):
         classes = []
-        for entry in level["classes"]:
+        for entry in _sidecar_list(level, "classes", "sidecar level"):
+            missing = [f for f in _SIDECAR_FIELDS
+                       if not isinstance(entry, dict) or f not in entry]
+            if missing:
+                raise GraphError(
+                    f"sidecar class entry lacks {', '.join(missing)}")
             g = parse(entry["graph"])
             boundary = tuple(entry["boundary"])
             rep = Atom(SubgraphRef(g, g.darts, g.vertices), entry["kind"],

@@ -1,13 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import regcover
+from regcover import iso
 from regcover.cli import main
 from regcover.fixtures import complete, cube, cycle, theta
 from regcover.iso import are_isomorphic
 from regcover.graph import HALVABLE
 from regcover.textfmt import parse_file, write_file
+
+from test_iso import relabel
 
 
 @pytest.fixture
@@ -15,6 +21,7 @@ def files(tmp_path):
     paths = {}
     for name, g in [("cube", cube()), ("k4", complete(4)), ("c6", cycle(6)),
                     ("c4", cycle(4)), ("c3", cycle(3)),
+                    ("cube2", relabel(cube(), 4)),
                     ("theta", theta(2, 2, 2, edge_type=HALVABLE))]:
         p = tmp_path / f"{name}.g"
         write_file(g, str(p))
@@ -43,6 +50,44 @@ def test_iso_exit_codes(files, capsys):
     out = capsys.readouterr().out
     assert "isomorphic" in out and "->" in out
     assert main(["iso", files["cube"], files["k4"]]) == 1
+
+
+def test_failed_witness_check_is_internal_error(files, monkeypatch, capsys):
+    monkeypatch.setattr(iso, "verify_isomorphism", lambda *a, **k: False)
+    assert main(["iso", files["cube"], files["cube2"]]) == 4
+    assert "internal error: are_isomorphic" in capsys.readouterr().err
+
+
+def test_witness_check_runs_under_python_O(files):
+    # the check must not be an assert: run the same failure with -O
+    argv = ["iso", files["cube"], files["cube2"]]
+    script = ("import sys\n"
+              "from regcover import iso\n"
+              "from regcover.cli import main\n"
+              "iso.verify_isomorphism = lambda *a, **k: False\n"
+              f"sys.exit(main({argv!r}))\n")
+    src = os.path.dirname(os.path.dirname(regcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4, run.stderr
+    assert "internal error" in run.stderr
+
+
+@pytest.mark.parametrize("payload, why", [
+    ({"version": 1}, "'levels'"),
+    ([], "JSON object"),
+    ({"version": 1, "levels": [{"classes": [
+        {"boundary": ["u"], "kind": "block", "symmetry": "symmetric",
+         "color": 65536}]}]}, "lacks graph"),
+])
+def test_malformed_sidecar_is_input_error(files, tmp_path, capsys, payload,
+                                          why):
+    side = tmp_path / "bad.reduction.json"
+    side.write_text(json.dumps(payload))
+    assert main(["expand", str(side), files["c3"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sidecar") and why in err
 
 
 def test_aut_output(files, capsys):

@@ -129,6 +129,22 @@ def test_connected_components():
     assert len(comps) == 1 and not comps[0].vertices
 
 
+def test_restrict():
+    b = GraphBuilder().vertex("u").vertex("v").vertex("w")
+    b.edge("d", "u", "v", type="directed", tail="v", color=2)
+    b.edge("e", "v", "w").loop("l", "w").halfedge("h", "u", color=1)
+    g = b.build()
+    kept = {"d.1", "d.2", "e.1", "e.2"}
+    sub = g.restrict(kept)
+    assert sub.vertices == g.vertices and sub.darts == kept
+    assert validate(sub) == [] and sub.tails == {"d.2"}
+    assert sub.color == {"d.1": 2, "d.2": 2, "e.1": 0, "e.2": 0}
+    cut = g.restrict(g.darts, {"u", "v"})
+    assert cut.vertices == {"u", "v"}
+    assert cut.edge_kind("e.1") == "pendant" and cut.edge_kind("l.1") == "free"
+    assert validate(cut) == []
+
+
 names = st.integers(min_value=0, max_value=5)
 
 

@@ -12,6 +12,7 @@ from regcover.groups import (Group, all_subgroups, automorphism_group,
                              is_semiregular, orbits, semiregular_subgroups,
                              semiregular_violations, subgroup_order_histogram)
 from regcover.atoms import find_atoms
+from regcover.iso import are_isomorphic, canonical_form
 
 from helpers import (is_simple, naive_dart_automorphism_count,
                      naive_vertex_automorphism_count)
@@ -220,6 +221,26 @@ def test_automorphism_group_size_limit():
     assert "max_order=4" in msg
     assert "5 boundary-fixing automorphisms found" in msg
     assert "|V|=1, 6 darts" in msg
+
+    with pytest.raises(SizeLimitError) as exc:
+        count_automorphisms(cube(), limit=10)
+    msg = str(exc.value)
+    assert msg.startswith("count_automorphisms:")
+    assert "limit=10" in msg
+    assert "11 automorphisms found" in msg
+    assert "|V|=8, 24 darts" in msg
+    assert count_automorphisms(cube(), limit=48) == 48
+
+    big = cycle(30)
+    for phase, call in (("canonical_form", lambda: canonical_form(big)),
+                        ("are_isomorphic", lambda: are_isomorphic(big, big))):
+        with pytest.raises(SizeLimitError) as exc:
+            call()
+        msg = str(exc.value)
+        assert msg.startswith(f"{phase}:")
+        assert "max_vertices=24" in msg
+        assert "30 vertices" in msg
+        assert "|V|=30, 60 darts" in msg
 
 
 # -- differential checks against the all-pairs closure --------------------

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from regcover.errors import GraphError
+from regcover import iso
+from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
                                expansion_corpus, reduction_showcase,
                                star_pendants, theta, with_pendants)
@@ -108,6 +109,15 @@ def test_epimorphism_identity_and_dart_action():
     # every halvable replacement edge has its darts exchanged
     for h in t.dart_list:
         assert img.dart(h) == t.pairing[h]
+
+
+def test_epimorphism_image_check_is_internal_error(monkeypatch):
+    step = reduce_step(theta(2, 2, 2, edge_type=HALVABLE))
+    ident = automorphism_group(step.source).elements[0]
+    monkeypatch.setattr(iso, "verify_isomorphism", lambda *a, **k: False)
+    with pytest.raises(InternalError, match="reduction_epimorphism"):
+        reduction_epimorphism(step, ident)
+    assert reduction_epimorphism(step, ident, verify=False).is_identity
 
 
 def test_epimorphism_rejects_foreign_permutation():
