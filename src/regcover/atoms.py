@@ -50,11 +50,6 @@ class Atom:
         return self._graph
 
     @property
-    def interior(self):
-        return SubgraphRef(self.ref.parent, self.ref.darts,
-                           self.ref.vertices - frozenset(self.boundary))
-
-    @property
     def interior_vertices(self):
         return self.ref.vertices - frozenset(self.boundary)
 

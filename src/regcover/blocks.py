@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphError
+from .errors import GraphError, InternalError
 from .graph import (LOOP, PENDANT, STANDARD, Graph, SubgraphRef,
                     require_standard_input)
 
@@ -163,7 +163,8 @@ def block_tree(g):
         dfs(root, None)
     finally:
         sys.setrecursionlimit(old)
-    assert not stack
+    if stack:
+        raise InternalError("block_tree: edges left on the DFS stack")
 
     blocks = []
     for comp in blocks_edges:

@@ -231,13 +231,6 @@ def with_pendants(g, vertices, color=0):
                  g.tails)
 
 
-def with_edge_type(g, edge_type):
-    """A copy of g with every 2-dart edge retyped (directions dropped)."""
-    types = {h: edge_type for h in g.edge_type}
-    return Graph(g.darts, g.vertices, g.pairing, g.incidence, types,
-                 g.color, ())
-
-
 def double_edges(g, edge_type=None):
     """Duplicate every standard edge with a parallel copy."""
     darts = set(g.darts)

@@ -82,15 +82,6 @@ class Graph:
     def vertex_of(self, h):
         return self.incidence.get(h)
 
-    def is_halfedge(self, h):
-        return self.pairing[h] == h
-
-    def type_of(self, h):
-        return self.edge_type.get(h)
-
-    def color_of(self, h):
-        return self.color[h]
-
     def is_tail(self, h):
         return h in self.tails
 
@@ -182,16 +173,6 @@ class SubgraphRef:
     parent: Graph
     darts: frozenset
     vertices: frozenset
-
-    @property
-    def boundary_darts(self):
-        """Darts leaving the view: at a kept vertex but not in the subset."""
-        out = []
-        for v in sorted(self.vertices):
-            for h in self.parent.darts_at(v):
-                if h not in self.darts:
-                    out.append(h)
-        return tuple(out)
 
     def to_graph(self):
         g = self.parent

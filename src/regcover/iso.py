@@ -5,19 +5,25 @@ incidence (including definedness), colors, edge types, and the direction of
 directed edges.  Optional boundary markings (sets of one or two vertices, or
 ordered tuples) must be mapped onto each other.
 
-The canonical form is the lexicographic minimum of a structural encoding
-over all vertex orderings consistent with iterated partition refinement;
-graphs here are tiny (atoms and quotients), so the plain
-individualization-refinement search is enough.
+One item index per graph, built once and cached on the graph (`_items`),
+is the only place the search decodes graph structure.  It groups every edge
+and half-edge under a key (kind tag, vertices, type, color, tail role), and
+lists the darts at each vertex by their other end.  It has three readers:
 
-The isomorphism search reads one item index per graph, built once and
-cached on the graph (`_items`).  It groups every edge and half-edge under
-a key (kind tag, vertices, type, color, tail role) and keeps each vertex's
-own profile (loops, pendants, half-edges) and each adjacent pair's profile.
-Vertex bijections are grown under the refined colors and checked against
-those profiles by lookup.  One loop then extends a vertex bijection to
-darts: each key of g1 is mapped to its image key in g2, the target items
-are permuted, and each item's darts follow one of its allowed ways.
+- refinement colors each vertex by the signatures of its darts and the
+  colors at their other ends, until the partition is stable;
+- the canonical form is the lexicographic minimum of an encoding of the
+  item groups over all vertex orders reached by individualization and
+  refinement (graphs here are tiny atoms and quotients, so the plain
+  search is enough);
+- the isomorphism search grows vertex bijections under the refined colors,
+  compares each vertex's own items and the darts between assigned pairs by
+  lookup, then extends a bijection to darts group by group: each key of g1
+  maps to its image key in g2, the target items are permuted, and each
+  item's darts follow one of its allowed ways.
+
+`verify_isomorphism` reads the raw graph, so a witness check does not
+depend on the index.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InternalError, size_limit
-from .graph import DIRECTED, LOOP, PENDANT, STANDARD
+from .graph import DIRECTED, HALF, LOOP, PENDANT, STANDARD
 
 MAX_VERTICES = 24
 
@@ -33,28 +39,77 @@ _TYPE_CODE = {"halvable": 0, "undirected": 1, "directed": 2}
 _FLIP = (0, 2, 1)  # tail role of a standard edge seen from its other end
 
 
-# -- static structure ---------------------------------------------------------
+# -- the item index -----------------------------------------------------------
 
-def _static(g):
-    """Per-dart invariant signature (kind, type, color, direction role)."""
+def _items(g):
+    """Per-graph item index, cached on g as `_iso_items`.
+
+    groups: {(tag, vertices, type, color, tail role): [darts, ...]}, in key
+        order.  Tags run 0-5 over standard edges, loops, pendant edges,
+        attached half-edges, free edges and free half-edges.  Each item is
+        its dart tuple in role order: (dart at a, dart at b) for a < b,
+        (tail, head), (attached, free), or the lone dart of a half-edge.
+        The tail role of a directed standard edge is 1 when the tail is at
+        a, 2 when it is at b.
+    ends: {v: {other end: sorted signatures (kind, type, color, role) of
+        the darts at v}}.  The other end is a vertex (v itself for a loop),
+        -1 for a free end, or -2 for a half-edge; a dart's role is 1 for a
+        tail, 2 for a head, else 0.
+    own: {v: the loops, free ends and half-edges at v, from ends[v]}.
+    """
     try:
-        return g._iso_static
+        return g._iso_items
     except AttributeError:
         pass
-    sig = {}
-    for h in g.dart_list:
-        kind = g.edge_kind(h)
-        typ = g.edge_type.get(h)
-        role = 0
-        if typ == DIRECTED:
-            role = 1 if h in g.tails else 2
-        sig[h] = (kind, typ or "", g.color[h], role)
-    g._iso_static = sig
-    return sig
+    groups, ends = {}, {v: {} for v in g.vertex_list}
 
+    def end(h, v, other, kind, typ, c):
+        role = 0 if typ != DIRECTED else 1 if h in g.tails else 2
+        ends[v].setdefault(other, []).append((kind, typ, c, role))
+
+    for h, k in g.edges:
+        kind, typ, c = g.edge_kind(h), g.edge_type[h], g.color[h]
+        if k in g.tails:
+            h, k = k, h
+        u, w = g.vertex_of(h), g.vertex_of(k)
+        if kind == STANDARD:
+            role = 0 if typ != DIRECTED else 1 if u < w else 2
+            if w < u:
+                h, k, u, w = k, h, w, u
+            key = (0, (u, w), typ, c, role)
+            end(h, u, w, kind, typ, c)
+            end(k, w, u, kind, typ, c)
+        elif kind == LOOP:
+            key = (1, (u,), typ, c, 0)
+            end(h, u, u, kind, typ, c)
+            end(k, u, u, kind, typ, c)
+        elif kind == PENDANT:
+            if u is None:
+                h, k, u = k, h, w
+            key = (2, (u,), typ, c, 0)
+            end(h, u, -1, kind, typ, c)
+        else:  # free edge
+            key = (4, (), typ, c, 0)
+        groups.setdefault(key, []).append((h, k))
+    for h in g.halfedges:
+        v = g.vertex_of(h)
+        if v is None:
+            key = (5, (), "", g.color[h], 0)
+        else:
+            key = (3, (v,), "", g.color[h], 0)
+            end(h, v, -2, HALF, "", g.color[h])
+        groups.setdefault(key, []).append((h,))
+    ends = {v: {o: tuple(sorted(s)) for o, s in m.items()}
+            for v, m in ends.items()}
+    own = {v: (m.get(v), m.get(-1), m.get(-2)) for v, m in ends.items()}
+    g._iso_items = (dict(sorted(groups.items())), ends, own)
+    return g._iso_items
+
+
+# -- refinement ---------------------------------------------------------------
 
 def _initial_colors(g, marking, ordered_marking):
-    static = _static(g)
+    ends = _items(g)[1]
     marked = {}
     if ordered_marking:
         for i, v in enumerate(ordered_marking):
@@ -64,7 +119,7 @@ def _initial_colors(g, marking, ordered_marking):
             marked[v] = 1
     colors = {}
     for v in g.vertex_list:
-        sig = tuple(sorted(static[h] for h in g.darts_at(v)))
+        sig = tuple(sorted(s for sigs in ends[v].values() for s in sigs))
         colors[v] = (marked.get(v, 0), sig)
     return colors
 
@@ -76,7 +131,7 @@ def _refine(graph_colors):
     colors.  Returns list of {vertex: int} with class ids comparable across
     the graphs.
     """
-    statics = [_static(g) for g, _ in graph_colors]
+    all_ends = [_items(g)[1] for g, _ in graph_colors]
 
     def ranked(sig_maps):
         pool = sorted({s for m in sig_maps for s in m.values()})
@@ -86,20 +141,13 @@ def _refine(graph_colors):
     current = ranked([dict(cm) for _, cm in graph_colors])
     while True:
         sig_maps = []
-        for (g, _), colors, static in zip(graph_colors, current, statics):
-            m = {}
-            for v in g.vertex_list:
-                around = []
-                for h in g.darts_at(v):
-                    k = g.pairing[h]
-                    if k == h:
-                        pc = -2  # standalone half-edge
-                    else:
-                        w = g.vertex_of(k)
-                        pc = -1 if w is None else colors[w]
-                    around.append((static[h], pc))
-                m[v] = (colors[v], tuple(sorted(around)))
-            sig_maps.append(m)
+        for ends, colors in zip(all_ends, current):
+            # a free end (-1) or half-edge (-2) keeps its code as its color
+            sig_maps.append({
+                v: (colors[v], tuple(sorted((s, colors.get(o, o))
+                                            for o, sigs in around.items()
+                                            for s in sigs)))
+                for v, around in ends.items()})
         nxt = ranked(sig_maps)
         if nxt == current:
             return current
@@ -109,35 +157,15 @@ def _refine(graph_colors):
 # -- canonical form -----------------------------------------------------------
 
 def _encode(g, index, marking, ordered_marking):
+    """One entry (tag, i, j, type code, color, role) per item; vertices are
+    replaced by their index, and a standard edge's tail role follows."""
     items = []
-    for h, k in g.edges:
-        kind = g.edge_kind(h)
-        t = _TYPE_CODE.get(g.edge_type.get(h), -1)
-        c = g.color[h]
-        if kind == STANDARD:
-            i, j = index[g.vertex_of(h)], index[g.vertex_of(k)]
-            tail = 0
-            if g.edge_type[h] == DIRECTED:
-                ti = index[g.vertex_of(h if h in g.tails else k)]
-                tail = 1 if ti == min(i, j) else 2
-                if i == j:
-                    tail = 1
-            items.append((0, min(i, j), max(i, j), t, c, tail))
-        elif kind == LOOP:
-            items.append((1, index[g.vertex_of(h)], 0, t, c, 0))
-        elif kind == PENDANT:
-            v = g.vertex_of(h)
-            if v is None:
-                v = g.vertex_of(k)
-            items.append((2, index[v], 0, 0, c, 0))
-        else:  # free edge
-            items.append((4, 0, 0, t, c, 0))
-    for h in g.halfedges:
-        v = g.vertex_of(h)
-        if v is None:
-            items.append((5, 0, 0, 0, g.color[h], 0))
-        else:
-            items.append((3, index[v], 0, 0, g.color[h], 0))
+    for (tag, vs, typ, c, role), its in _items(g)[0].items():
+        i, j = [index[v] for v in vs] + [0] * (2 - len(vs))
+        if tag == 0 and i > j:
+            i, j, role = j, i, _FLIP[role]
+        t = _TYPE_CODE.get(typ, -1) if tag in (0, 1, 4) else 0
+        items += [(tag, i, j, t, c, role)] * len(its)
     mark = ()
     if ordered_marking:
         mark = tuple(index[v] for v in ordered_marking)
@@ -190,60 +218,6 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
 
 # -- isomorphism search --------------------------------------------------------
 
-def _items(g):
-    """Per-graph item index for the isomorphism search, cached on g.
-
-    groups: {(tag, vertices, type, color, tail role): [darts, ...]}, in key
-        order.  Tags run 0-5 over standard edges, loops, pendant edges,
-        attached half-edges, free edges and free half-edges.  Each item is
-        its dart tuple in role order: (dart at a, dart at b) for a < b,
-        (tail, head), (attached, free), or the lone dart of a half-edge.
-    own: {v: profile of the loops, pendants and half-edges at v}.
-    pair: {(a, b): profile of the standard edges between a != b, as seen
-        from a}.
-    """
-    try:
-        return g._iso_items
-    except AttributeError:
-        pass
-    groups, own, pair = {}, {v: [] for v in g.vertex_list}, {}
-    for h, k in g.edges:
-        kind, typ, c = g.edge_kind(h), g.edge_type[h], g.color[h]
-        if k in g.tails:
-            h, k = k, h
-        u, w = g.vertex_of(h), g.vertex_of(k)
-        if kind == STANDARD:
-            role = 0 if typ != DIRECTED else 1 if u < w else 2
-            if w < u:
-                h, k, u, w = k, h, w, u
-            key = (0, (u, w), typ, c, role)
-            pair.setdefault((u, w), []).append((typ, c, role))
-            pair.setdefault((w, u), []).append((typ, c, _FLIP[role]))
-        elif kind == LOOP:
-            key = (1, (u,), typ, c, 0)
-            own[u].append(("L", typ, c))
-        elif kind == PENDANT:
-            if u is None:
-                h, k, u = k, h, w
-            key = (2, (u,), typ, c, 0)
-            own[u].append(("P", c))
-        else:  # free edge
-            key = (4, (), typ, c, 0)
-        groups.setdefault(key, []).append((h, k))
-    for h in g.halfedges:
-        v = g.vertex_of(h)
-        if v is None:
-            key = (5, (), "", g.color[h], 0)
-        else:
-            key = (3, (v,), "", g.color[h], 0)
-            own[v].append(("H", g.color[h]))
-        groups.setdefault(key, []).append((h,))
-    g._iso_items = (dict(sorted(groups.items())),
-                    {v: tuple(sorted(p)) for v, p in own.items()},
-                    {ab: tuple(sorted(p)) for ab, p in pair.items()})
-    return g._iso_items
-
-
 def _free_items(groups):
     return [(key, len(items)) for key, items in groups.items() if not key[1]]
 
@@ -251,8 +225,8 @@ def _free_items(groups):
 def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
     if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
         return
-    groups1, own1, pair1 = _items(g1)
-    groups2, own2, pair2 = _items(g2)
+    groups1, ends1, own1 = _items(g1)
+    groups2, ends2, own2 = _items(g2)
     if _free_items(groups1) != _free_items(groups2):
         return
     init1 = _initial_colors(g1, marking1, ordered1)
@@ -272,8 +246,9 @@ def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
     def compatible(v, w):
         if own1[v] != own2[w]:
             return False
+        at1, at2 = ends1[v], ends2[w]
         for v2, w2 in assignment.items():
-            if pair1.get((v, v2), ()) != pair2.get((w, w2), ()):
+            if at1.get(v2) != at2.get(w2):
                 return False
         return True
 

@@ -17,7 +17,7 @@ from .atoms import HALVABLE_SYM, ordered_boundary
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     normalize, require_standard_input)
-from .groups import (MAX_GROUP_ORDER, Group, Permutation,
+from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
                      semiregular_subgroups, semiregular_violations)
 from .iso import (MAX_VERTICES, are_isomorphic, automorphisms_iter,
                   canonical_form)
@@ -42,20 +42,9 @@ def quotient(g, gamma):
         p, why = bad[0]
         raise GraphError(f"group is not semiregular: element {why}")
 
-    dmaps = [p.dart_map() for p in gamma.elements]
-    vmaps = [p.vertex_map() for p in gamma.elements]
-
-    dart_rep, vertex_rep = {}, {}
-    for h in g.dart_list:
-        if h not in dart_rep:
-            orbit = sorted({m[h] for m in dmaps})
-            for x in orbit:
-                dart_rep[x] = orbit[0]
-    for v in g.vertex_list:
-        if v not in vertex_rep:
-            orbit = sorted({m[v] for m in vmaps})
-            for x in orbit:
-                vertex_rep[x] = orbit[0]
+    dart_rep = {x: orbit[0] for orbit in orbits(gamma, "darts") for x in orbit}
+    vertex_rep = {x: orbit[0] for orbit in orbits(gamma, "vertices")
+                  for x in orbit}
 
     darts = sorted(set(dart_rep.values()))
     vertices = sorted(set(vertex_rep.values()))

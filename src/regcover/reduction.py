@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atoms import (ASYMMETRIC_SYM, HALVABLE_SYM, Atom, PrimitiveClass,
+from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
+                    PROPER, STAR_BLOCK, SYMMETRIC_SYM, Atom, PrimitiveClass,
                     classify_primitive, find_atoms, ordered_boundary)
 from .blocks import block_tree
 from .errors import GraphError, InternalError
@@ -261,6 +262,28 @@ def _sidecar_list(obj, name, where):
     return value
 
 
+def _check_sidecar_entry(entry):
+    """Raise GraphError naming the first class entry field of a wrong type."""
+    boundary, color = entry["boundary"], entry["color"]
+    checks = (
+        ("graph", isinstance(entry["graph"], str), "a string"),
+        ("boundary", isinstance(boundary, list) and 1 <= len(boundary) <= 2
+         and all(isinstance(v, str) for v in boundary),
+         "a list of 1-2 vertex names"),
+        ("kind", entry["kind"] in (STAR_BLOCK, NONSTAR_BLOCK, PROPER, DIPOLE),
+         "an atom kind"),
+        ("symmetry",
+         entry["symmetry"] in (HALVABLE_SYM, SYMMETRIC_SYM, ASYMMETRIC_SYM),
+         "a symmetry type"),
+        ("color", isinstance(color, int) and not isinstance(color, bool)
+         and color >= 0, "a non-negative integer"),
+    )
+    for name, ok, what in checks:
+        if not ok:
+            raise GraphError(f"sidecar class entry: {name!r} must be {what}, "
+                             f"not {entry[name]!r}")
+
+
 def load_sidecar_steps(payload):
     """Rebuild per-level atom classes from a `reduce` JSON sidecar."""
     from .graph import SubgraphRef
@@ -278,6 +301,7 @@ def load_sidecar_steps(payload):
             if missing:
                 raise GraphError(
                     f"sidecar class entry lacks {', '.join(missing)}")
+            _check_sidecar_entry(entry)
             g = parse(entry["graph"])
             boundary = tuple(entry["boundary"])
             rep = Atom(SubgraphRef(g, g.darts, g.vertices), entry["kind"],

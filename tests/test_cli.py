@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -74,6 +75,19 @@ def test_witness_check_runs_under_python_O(files):
     assert "internal error" in run.stderr
 
 
+def test_no_bare_assert_in_library():
+    # checks must still run under python -O
+    src = os.path.dirname(regcover.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found
+
+
 @pytest.mark.parametrize("payload, why", [
     ({"version": 1}, "'levels'"),
     ([], "JSON object"),
@@ -88,6 +102,34 @@ def test_malformed_sidecar_is_input_error(files, tmp_path, capsys, payload,
     assert main(["expand", str(side), files["c3"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sidecar") and why in err
+
+
+_GOOD_ENTRY = {"graph": "vertex u\nvertex v\nedge e u v\n",
+               "boundary": ["u", "v"], "kind": "proper",
+               "symmetry": "symmetric", "color": 65536}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("graph", 5),
+    ("boundary", 5),
+    ("boundary", []),
+    ("boundary", ["u", "v", "w"]),
+    ("kind", 5),
+    ("symmetry", []),
+    ("color", "x"),
+    ("color", True),
+    ("color", -1),
+])
+def test_sidecar_field_of_wrong_type_is_input_error(files, tmp_path, capsys,
+                                                    field, value):
+    entry = dict(_GOOD_ENTRY, **{field: value})
+    side = tmp_path / "bad.reduction.json"
+    side.write_text(json.dumps({"version": 1,
+                                "levels": [{"classes": [entry]}]}))
+    assert main(["expand", str(side), files["c3"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sidecar class entry: {field!r} must be")
+    assert "Traceback" not in err
 
 
 def test_aut_output(files, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -373,3 +374,17 @@ def test_isomorphism_sequences_match_reference():
         for got, want in cases:
             assert got == want, name
         assert cases[0][0], name
+
+
+def test_canonical_form_bytes_are_pinned():
+    # sha256 of the plain, set-marked and ordered-marked forms of every
+    # differential graph, as first recorded; a change to the encoding or
+    # to the order of the search shows here
+    digest = hashlib.sha256()
+    for name, g in _differential_graphs():
+        vs = g.vertex_list
+        for form in (canonical_form(g), canonical_form(g, marking=vs[:2]),
+                     canonical_form(g, ordered_marking=(vs[1], vs[0]))):
+            digest.update(form + b"\n")
+    assert digest.hexdigest() == (
+        "1fde12377b8def8791744f65782e5b493bb8164e589db14302d6f10ad6a8a175")
