@@ -10,12 +10,14 @@ vertex with at most one pendant-like item.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .blocks import block_tree, is_pendant_like
 from .errors import GraphError
 from .graph import (LOOP, PENDANT, STANDARD, UNDIRECTED, Graph, SubgraphRef,
-                    is_connected, is_cycle, normalize, require_standard_input)
+                    cached, is_connected, is_cycle, normalize,
+                    require_standard_input)
 from .groups import Permutation
 from .iso import automorphisms_iter, canonical_form
 
@@ -127,13 +129,19 @@ def _block_degree(g, ref, v):
     return sum(1 for h in g.darts_at(v) if h in ref.darts)
 
 
-def find_atoms(g, bt=None):
-    """All atoms of a connected normalized graph, deterministically ordered."""
+def find_atoms(g):
+    """All atoms of a connected normalized graph, deterministically ordered.
+
+    The atoms are found on first use and kept on g.
+    """
+    return list(cached(g, "_atoms", _find_atoms))
+
+
+def _find_atoms(g):
     require_standard_input(g, "find_atoms")
-    if normalize(g) != g:
+    if normalize(g) is not g:
         raise GraphError("find_atoms requires a normalized graph")
-    if bt is None:
-        bt = block_tree(g)
+    bt = block_tree(g)
 
     parts = []  # (ref, kind, boundary)
 
@@ -170,27 +178,22 @@ def find_atoms(g, bt=None):
     for block in bt.blocks:
         if len(block.vertices) < 3:
             continue
-        bverts = sorted(block.vertices)
-        for i in range(len(bverts)):
-            for j in range(i + 1, len(bverts)):
-                a, b = bverts[i], bverts[j]
-                if _block_degree(g, block, a) < 3 or _block_degree(g, block, b) < 3:
+        block_graph = block.to_graph()
+        ends = [v for v in sorted(block.vertices)
+                if _block_degree(g, block, v) >= 3]
+        for a, b in itertools.combinations(ends, 2):
+            if len(_component_vertex_sets(block_graph, {a, b})) < 2:
+                continue
+            for comp in _component_vertex_sets(g, {a, b}):
+                if not comp & block.vertices:
                     continue
-                inner = [v for v in block.vertices if v not in (a, b)]
-                comps_in_block = _component_vertex_sets(
-                    block.to_graph(), {a, b})
-                if len(comps_in_block) < 2:
+                ref = _part_for_component(g, (a, b), comp)
+                if central_ref is not None:
+                    if central_ref.darts <= ref.darts:
+                        continue
+                elif center[1] in comp:
                     continue
-                for comp in _component_vertex_sets(g, {a, b}):
-                    if not (comp & set(inner)):
-                        continue
-                    ref = _part_for_component(g, (a, b), comp)
-                    if central_ref is not None:
-                        if central_ref.darts <= ref.darts:
-                            continue
-                    elif center[1] in comp:
-                        continue
-                    parts.append((ref, PROPER, (a, b)))
+                parts.append((ref, PROPER, (a, b)))
 
     by_pair = {}
     for h, k in g.edges:
@@ -224,7 +227,7 @@ def find_atoms(g, bt=None):
         atoms.append(Atom(ref, kind, boundary))
 
     atoms.sort(key=lambda a: (a.form(), min(a.ref.vertices)))
-    return atoms
+    return tuple(atoms)
 
 
 def _classify_block_part(g, ref, boundary):
@@ -304,19 +307,17 @@ def is_essentially_three_connected(g):
     return is_three_connected(strip_pendant_like(g))
 
 
-def classify_primitive(g, bt=None):
+def classify_primitive(g):
     require_standard_input(g, "classify_primitive")
-    if bt is None:
-        bt = block_tree(g)
-    if find_atoms(g, bt):
-        return PrimitiveClass("not_primitive", None, bt.center[0], False, True)
+    center_kind = block_tree(g).center[0]
+    if find_atoms(g):
+        return PrimitiveClass("not_primitive", None, center_kind, False, True)
 
     core = strip_pendant_like(g)
     deco = decorated_vertices(g)
     n_deco_items = sum(1 for h, k in g.edges
                        if g.edge_kind(h) in (PENDANT, LOOP))
     n_deco_items += sum(1 for h in g.halfedges if g.vertex_of(h) is not None)
-    center_kind = bt.center[0]
 
     if core.n_darts == 0 and core.n_vertices == 1:
         return PrimitiveClass("k1", None, center_kind, bool(deco),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphError, InternalError
-from .graph import (LOOP, PENDANT, STANDARD, Graph, SubgraphRef,
+from .graph import (LOOP, PENDANT, STANDARD, Graph, SubgraphRef, cached,
                     require_standard_input)
 
 
@@ -116,6 +116,11 @@ def is_pendant_like(g, ref):
 
 
 def block_tree(g):
+    """The block tree of g, built on first use and kept on g."""
+    return cached(g, "_block_tree", _block_tree)
+
+
+def _block_tree(g):
     require_standard_input(g, "block_tree")
 
     adj = {v: [] for v in g.vertex_list}
@@ -125,44 +130,33 @@ def block_tree(g):
             adj[u].append((h, w))
             adj[w].append((h, u))  # key both directions by the min dart
 
-    disc, low = {}, {}
-    stack = []
-    blocks_edges = []
-    counter = [0]
-    used = set()
-
-    def dfs(v, parent_key):
-        counter[0] += 1
-        disc[v] = low[v] = counter[0]
-        for key, w in adj[v]:
-            if key == parent_key or key in used:
+    # Tarjan's biconnected components with an explicit DFS stack.  A frame
+    # holds a vertex, its unread edges, and where the tree edge into it sits
+    # on the edge stack; a block is popped when low[v] >= disc[parent].
+    root = g.vertex_list[0]
+    disc, low = {root: 0}, {root: 0}
+    stack, blocks_edges, used = [], [], set()
+    frames = [(root, iter(adj[root]), 0)]
+    while frames:
+        v, unread, mark = frames[-1]
+        for key, w in unread:
+            if key in used:
                 continue
+            used.add(key)
+            stack.append(key)
             if w not in disc:
-                used.add(key)
-                stack.append(key)
-                dfs(w, key)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    comp = []
-                    while True:
-                        e = stack.pop()
-                        comp.append(e)
-                        if e == key:
-                            break
-                    blocks_edges.append(comp)
-            else:
-                used.add(key)
-                stack.append(key)
-                low[v] = min(low[v], disc[w])
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10 * g.n_vertices + 100))
-    try:
-        root = g.vertex_list[0]
-        dfs(root, None)
-    finally:
-        sys.setrecursionlimit(old)
+                disc[w] = low[w] = len(disc)
+                frames.append((w, iter(adj[w]), len(stack) - 1))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    blocks_edges.append(stack[mark:])
+                    del stack[mark:]
     if stack:
         raise InternalError("block_tree: edges left on the DFS stack")
 

@@ -16,10 +16,11 @@ from . import textfmt
 from .atoms import classify_primitive, find_atoms
 from .blocks import block_tree
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
-from .fixtures import expansion_corpus, run_fixture_cases
+from .fixtures import expansion_corpus, run_fixture_cases, run_random_checks
 from .graph import normalize, validate, with_halvable_edges
-from .groups import automorphism_group, orbits, semiregular_subgroups
-from .iso import are_isomorphic
+from .groups import (MAX_GROUP_ORDER, automorphism_group, orbits,
+                     semiregular_subgroups)
+from .iso import MAX_VERTICES, are_isomorphic
 from .quotient import all_quotients, expand_step, regular_cover_test
 from .reduction import load_sidecar_steps, reduction_series
 
@@ -222,8 +223,7 @@ def cmd_dot(args):
 
 def cmd_fixtures(args):
     if args.action == "run":
-        failures = run_fixture_cases()
-        failures += _run_random_checks(args.seed)
+        failures = run_fixture_cases() + run_random_checks(args.seed)
         return EXIT_OK if failures == 0 else EXIT_NO
     outdir = args.dir or os.environ.get("REGCOVER_FIXTURE_DIR") or "fixtures-out"
     os.makedirs(outdir, exist_ok=True)
@@ -234,33 +234,12 @@ def cmd_fixtures(args):
     return EXIT_OK
 
 
-def _run_random_checks(seed, count=20):
-    """Seeded random instances: validation plus atom interior disjointness."""
-    import itertools
-
-    from .fixtures import random_instance
-    bad = 0
-    for i in range(count):
-        g = normalize(random_instance(seed * 10007 + i))
-        problems = validate(g)
-        atoms = find_atoms(g)
-        overlap = any((a.interior_vertices & b.interior_vertices)
-                      or (a.ref.darts & b.ref.darts)
-                      for a, b in itertools.combinations(atoms, 2))
-        if problems or overlap:
-            bad += 1
-    status = "PASS" if bad == 0 else "FAIL"
-    print(f"{status} random-instances [derived] {count} seeded graphs "
-          f"(seed {seed}), {bad} violations")
-    return bad
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="regcover",
         description="Regular graph covers via 3-connected reduction.")
-    ap.add_argument("--max-vertices", type=int, default=24)
-    ap.add_argument("--max-group-order", type=int, default=200)
+    ap.add_argument("--max-vertices", type=int, default=MAX_VERTICES)
+    ap.add_argument("--max-group-order", type=int, default=MAX_GROUP_ORDER)
     ap.add_argument("--halvable-input", action="store_true",
                     help="retype undirected input edges as halvable")
     ap.add_argument("--seed", type=int, default=0,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from .blocks import BlockTree
-from .graph import DIRECTED, FREE, HALVABLE, LOOP, PENDANT, STANDARD, Graph
-from .reduction import ReductionSeries
+from .graph import DIRECTED, FREE, HALVABLE, LOOP, PENDANT, STANDARD
 
 _STYLE = {HALVABLE: "bold", "undirected": "solid", DIRECTED: "solid"}
 
@@ -127,13 +125,3 @@ def reduction_tree_to_dot(series):
     walk(series.tree)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_dot(obj):
-    if isinstance(obj, Graph):
-        return graph_to_dot(obj)
-    if isinstance(obj, BlockTree):
-        return block_tree_to_dot(obj)
-    if isinstance(obj, ReductionSeries):
-        return reduction_tree_to_dot(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} as DOT")

@@ -3,11 +3,12 @@ golden fixture cases used by the CLI `fixtures` subcommand."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, GraphBuilder,
-                    STANDARD)
+                    STANDARD, normalize, validate)
 
 
 def cycle(n, edge_type=UNDIRECTED, color=0):
@@ -557,3 +558,21 @@ def run_fixture_cases(report=print):
             failures += 1
         report(f"{status} {case.name} [{case.provenance}] {msg}")
     return failures
+
+
+def run_random_checks(seed, count=20):
+    """Seeded random instances: validation plus atom interior disjointness."""
+    from .atoms import find_atoms
+    bad = 0
+    for i in range(count):
+        g = normalize(random_instance(seed * 10007 + i))
+        atoms = find_atoms(g)
+        overlap = any((a.interior_vertices & b.interior_vertices)
+                      or (a.ref.darts & b.ref.darts)
+                      for a, b in itertools.combinations(atoms, 2))
+        if validate(g) or overlap:
+            bad += 1
+    status = "PASS" if bad == 0 else "FAIL"
+    print(f"{status} random-instances [derived] {count} seeded graphs "
+          f"(seed {seed}), {bad} violations")
+    return bad

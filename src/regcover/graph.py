@@ -6,7 +6,9 @@ are the pairing orbits of size two; a dart fixed by the pairing is a
 standalone half-edge.  Everything downstream (isomorphism, automorphisms,
 blocks, atoms, reductions, quotients) works on this one structure.
 
-Graphs are immutable after construction; all functions here are pure.
+Graphs are immutable after construction and all functions here are pure.
+Structures derived from a graph (its components here; its block tree,
+atoms and iso index elsewhere) are built once and kept on it by `cached`.
 """
 
 from __future__ import annotations
@@ -389,8 +391,25 @@ def normalize(g):
     )
 
 
+def cached(g, name, build):
+    """`build(g)`, computed on first use and kept on g as attribute `name`.
+
+    Graphs are immutable, so a derived structure stays valid for the graph's
+    lifetime.  The slot is written once: when two threads race to build it,
+    both get the value stored first.
+    """
+    try:
+        return g.__dict__[name]
+    except KeyError:
+        return g.__dict__.setdefault(name, build(g))
+
+
 def connected_components(g):
     """Components as SubgraphRefs; free items each form their own component."""
+    return list(cached(g, "_components", _components))
+
+
+def _components(g):
     parent = {}
 
     def find(x):
@@ -423,7 +442,7 @@ def connected_components(g):
         comps.append(SubgraphRef(g, dd, vv))
     comps.sort(key=lambda c: (min(c.vertices) if c.vertices else "",
                               min(c.darts) if c.darts else ""))
-    return comps
+    return tuple(comps)
 
 
 def is_connected(g):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InternalError, size_limit
-from .graph import DIRECTED, HALF, LOOP, PENDANT, STANDARD
+from .graph import DIRECTED, HALF, LOOP, PENDANT, STANDARD, cached
 
 MAX_VERTICES = 24
 
@@ -42,7 +42,7 @@ _FLIP = (0, 2, 1)  # tail role of a standard edge seen from its other end
 # -- the item index -----------------------------------------------------------
 
 def _items(g):
-    """Per-graph item index, cached on g as `_iso_items`.
+    """Per-graph item index, kept on g as `_iso_items` (see `graph.cached`).
 
     groups: {(tag, vertices, type, color, tail role): [darts, ...]}, in key
         order.  Tags run 0-5 over standard edges, loops, pendant edges,
@@ -57,10 +57,10 @@ def _items(g):
         tail, 2 for a head, else 0.
     own: {v: the loops, free ends and half-edges at v, from ends[v]}.
     """
-    try:
-        return g._iso_items
-    except AttributeError:
-        pass
+    return cached(g, "_iso_items", _index_items)
+
+
+def _index_items(g):
     groups, ends = {}, {v: {} for v in g.vertex_list}
 
     def end(h, v, other, kind, typ, c):
@@ -102,8 +102,7 @@ def _items(g):
     ends = {v: {o: tuple(sorted(s)) for o, s in m.items()}
             for v, m in ends.items()}
     own = {v: (m.get(v), m.get(-1), m.get(-2)) for v, m in ends.items()}
-    g._iso_items = (dict(sorted(groups.items())), ends, own)
-    return g._iso_items
+    return dict(sorted(groups.items())), ends, own
 
 
 # -- refinement ---------------------------------------------------------------

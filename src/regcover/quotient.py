@@ -133,13 +133,15 @@ def atom_quotients(a):
     u, v = a.boundary
     loop_g, merged = _merge_boundary(ag, u, v)
     halves = {}
-    ident = Permutation.identity(ag)
-    for tau in boundary_swapping_involutions(ag, u, v):
-        q = quotient(ag, Group(ag, [ident, tau], verify=False))
-        w = q.vertex_map[u]
-        key = canonical_form(q.result, marking=(w,))
-        if key not in halves:
-            halves[key] = (q.result, w)
+    # only a halvable atom has a semiregular boundary-swapping involution
+    if a.symmetry == HALVABLE_SYM:
+        ident = Permutation.identity(ag)
+        for tau in boundary_swapping_involutions(ag, u, v):
+            q = quotient(ag, Group(ag, [ident, tau], verify=False))
+            w = q.vertex_map[u]
+            key = canonical_form(q.result, marking=(w,))
+            if key not in halves:
+                halves[key] = (q.result, w)
     half_list = tuple(halves[k] for k in sorted(halves))
     return AtomQuotientSet(a, (ag, ordered_boundary(a)), (loop_g, merged),
                            half_list)
@@ -306,31 +308,33 @@ def all_quotients(g, via="bruteforce", max_order=MAX_GROUP_ORDER,
     series = reduction_series(g)
     level = all_quotients(series.graphs[-1], "bruteforce",
                           max_order=max_order, max_vertices=max_vertices)
+    for level in _expanded_levels(level, series, max_vertices):
+        pass
+    return level
+
+
+def _expanded_levels(level, series, max_vertices):
+    """Expand quotients of the primitive graph back down the series,
+    yielding each level deduplicated and sorted by canonical form."""
     for step in reversed(series.steps):
         nxt = []
         for h in level:
             nxt.extend(expand_step(h, step))
         level = _dedup_sorted(nxt, max_vertices)
-    return level
+        yield level
 
 
 def expansion_chain(h_r, series):
     """Expand one primitive quotient down every level; list per level."""
-    levels = [[h_r]]
-    for step in reversed(series.steps):
-        nxt = []
-        for h in levels[-1]:
-            nxt.extend(expand_step(h, step))
-        levels.append(_dedup_sorted(
-            nxt, max(MAX_VERTICES, series.graphs[0].n_vertices)))
-    return levels
+    return [[h_r], *_expanded_levels(
+        [h_r], series, max(MAX_VERTICES, series.graphs[0].n_vertices))]
 
 
 def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     """None, or a semiregular witness group with g/witness isomorphic to h."""
     for name, gr in (("covering graph", g), ("target graph", h)):
         require_standard_input(gr, name)
-        if normalize(gr) != gr:
+        if normalize(gr) is not gr:
             raise GraphError(f"{name} is not normalized")
     if g.n_vertices % h.n_vertices:
         return None

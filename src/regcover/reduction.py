@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
                     PROPER, STAR_BLOCK, SYMMETRIC_SYM, Atom, PrimitiveClass,
                     classify_primitive, find_atoms, ordered_boundary)
-from .blocks import block_tree
 from .errors import GraphError, InternalError
-from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, normalize,
-                    require_standard_input)
+from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, SubgraphRef,
+                    normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, automorphism_group,
                      fix_group_order)
+from .textfmt import parse
 
 COLOR_BASE = 1 << 16   # reduction colors start here
 COLOR_STRIDE = 256     # fresh colors are allocated in blocks of this size
@@ -42,7 +42,6 @@ class AtomClass:
     color: int
     kind: str
     symmetry: str
-    form: bytes                  # boundary-marked canonical form
     rep: Atom
     rep_graph: Graph             # standalone copy of the representative
     rep_boundary: tuple          # ordered; tail-role first for asymmetric
@@ -69,13 +68,11 @@ class ReductionStep:
         return self._by_darts.get(frozenset(dartset))
 
 
-def reduce_step(g, bt=None):
+def reduce_step(g):
     require_standard_input(g, "reduce_step")
-    if normalize(g) != g:
+    if normalize(g) is not g:
         raise GraphError("reduce_step requires a normalized graph")
-    if bt is None:
-        bt = block_tree(g)
-    atoms = find_atoms(g, bt)
+    atoms = find_atoms(g)
     if not atoms:
         raise GraphError("graph is primitive; nothing to reduce")
 
@@ -91,9 +88,9 @@ def reduce_step(g, bt=None):
         members.sort(key=lambda a: (min(a.ref.vertices), min(a.ref.darts)))
         rep = members[0]
         classes.append(AtomClass(
-            color=color, kind=rep.kind, symmetry=rep.symmetry, form=form,
-            rep=rep, rep_graph=rep.as_graph(),
-            rep_boundary=ordered_boundary(rep), members=tuple(members)))
+            color=color, kind=rep.kind, symmetry=rep.symmetry, rep=rep,
+            rep_graph=rep.as_graph(), rep_boundary=ordered_boundary(rep),
+            members=tuple(members)))
 
     removed_darts = set()
     removed_vertices = set()
@@ -162,20 +159,13 @@ class ReductionSeries:
 
 def reduction_series(g):
     require_standard_input(g, "reduction_series")
-    if normalize(g) != g:
+    if normalize(g) is not g:
         raise GraphError("reduction_series requires a normalized graph")
-    graphs = [g]
-    steps = []
-    current = g
-    while True:
-        bt = block_tree(current)
-        if not find_atoms(current, bt):
-            primitive = classify_primitive(current, bt)
-            break
-        step = reduce_step(current, bt)
-        steps.append(step)
-        graphs.append(step.target)
-        current = step.target
+    graphs, steps = [g], []
+    while find_atoms(graphs[-1]):
+        steps.append(reduce_step(graphs[-1]))
+        graphs.append(steps[-1].target)
+    primitive = classify_primitive(graphs[-1])
     tree = _build_tree(graphs, steps)
     return ReductionSeries(tuple(graphs), tuple(steps), primitive, tree)
 
@@ -262,16 +252,22 @@ def _sidecar_list(obj, name, where):
     return value
 
 
-def _check_sidecar_entry(entry):
-    """Raise GraphError naming the first class entry field of a wrong type."""
-    boundary, color = entry["boundary"], entry["color"]
+def _sidecar_class(entry):
+    """The AtomClass of one sidecar class entry; GraphError names the first
+    field holding a wrong value."""
+    boundary, kind, color = entry["boundary"], entry["kind"], entry["color"]
+    g = parse(entry["graph"]) if isinstance(entry["graph"], str) else None
+    vertices = g.vertices if g is not None else ()
+    size = 1 if kind in (STAR_BLOCK, NONSTAR_BLOCK) else 2
     checks = (
-        ("graph", isinstance(entry["graph"], str), "a string"),
-        ("boundary", isinstance(boundary, list) and 1 <= len(boundary) <= 2
-         and all(isinstance(v, str) for v in boundary),
-         "a list of 1-2 vertex names"),
-        ("kind", entry["kind"] in (STAR_BLOCK, NONSTAR_BLOCK, PROPER, DIPOLE),
+        ("graph", g is not None, "a string"),
+        ("kind", kind in (STAR_BLOCK, NONSTAR_BLOCK, PROPER, DIPOLE),
          "an atom kind"),
+        ("boundary", isinstance(boundary, list) and len(boundary) == size
+         and all(isinstance(v, str) and v in vertices for v in boundary)
+         and len(set(boundary)) == size,
+         ("one vertex" if size == 1 else "two distinct vertices")
+         + " of its graph"),
         ("symmetry",
          entry["symmetry"] in (HALVABLE_SYM, SYMMETRIC_SYM, ASYMMETRIC_SYM),
          "a symmetry type"),
@@ -282,12 +278,14 @@ def _check_sidecar_entry(entry):
         if not ok:
             raise GraphError(f"sidecar class entry: {name!r} must be {what}, "
                              f"not {entry[name]!r}")
+    boundary = tuple(boundary)
+    rep = Atom(SubgraphRef(g, g.darts, g.vertices), kind, boundary)
+    return AtomClass(color=color, kind=kind, symmetry=entry["symmetry"],
+                     rep=rep, rep_graph=g, rep_boundary=boundary, members=())
 
 
 def load_sidecar_steps(payload):
     """Rebuild per-level atom classes from a `reduce` JSON sidecar."""
-    from .graph import SubgraphRef
-    from .textfmt import parse
     if not isinstance(payload, dict):
         raise GraphError("sidecar must be a JSON object")
     if payload.get("version") != 1:
@@ -301,15 +299,7 @@ def load_sidecar_steps(payload):
             if missing:
                 raise GraphError(
                     f"sidecar class entry lacks {', '.join(missing)}")
-            _check_sidecar_entry(entry)
-            g = parse(entry["graph"])
-            boundary = tuple(entry["boundary"])
-            rep = Atom(SubgraphRef(g, g.darts, g.vertices), entry["kind"],
-                       boundary)
-            classes.append(AtomClass(
-                color=entry["color"], kind=entry["kind"],
-                symmetry=entry["symmetry"], form=b"", rep=rep, rep_graph=g,
-                rep_boundary=boundary, members=()))
+            classes.append(_sidecar_class(entry))
         steps.append(SidecarStep(tuple(classes)))
     return steps
 

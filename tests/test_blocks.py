@@ -1,10 +1,13 @@
+import sys
+
 import pytest
 
 from regcover.blocks import attached_subgraph, block_tree, central_element
 from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, expansion_corpus,
-                               triangle_chain, with_pendants)
-from regcover.graph import GraphBuilder, normalize
+                               path_graph, random_instance, triangle_chain,
+                               with_pendants)
+from regcover.graph import STANDARD, GraphBuilder, normalize
 from regcover.groups import semiregular_subgroups
 from regcover.iso import are_isomorphic
 
@@ -129,3 +132,31 @@ def test_nontrivial_semiregular_implies_central_block():
 def test_lone_vertex_central_articulation():
     g = GraphBuilder().vertex("v").build()
     assert central_element(g) == ("articulation", "v")
+
+
+def test_block_tree_of_a_long_path_leaves_the_recursion_limit_alone(
+        monkeypatch):
+    def refuse(limit):
+        raise RuntimeError(f"block_tree set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    bt = block_tree(path_graph(3000))
+    assert len(bt.blocks) == 2999
+    assert len(bt.articulations) == 2998
+    assert bt.blocks[bt.center[1]].vertices == {"v1499", "v1500"}
+
+
+def test_blocks_match_networkx_biconnected_components():
+    nx = pytest.importorskip("networkx")
+    graphs = [g for _, g in expansion_corpus()]
+    graphs += [normalize(random_instance(seed)) for seed in range(100)]
+    for g in graphs:
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertex_list)
+        simple.add_edges_from((g.vertex_of(h), g.vertex_of(k))
+                              for h, k in g.edges
+                              if g.edge_kind(h) == STANDARD)
+        ours = {ref.vertices for ref in block_tree(g).blocks
+                if any(g.edge_kind(h) == STANDARD for h in ref.darts)}
+        assert ours == {frozenset(c)
+                        for c in nx.biconnected_components(simple)}

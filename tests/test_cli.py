@@ -119,6 +119,9 @@ _GOOD_ENTRY = {"graph": "vertex u\nvertex v\nedge e u v\n",
     ("color", "x"),
     ("color", True),
     ("color", -1),
+    ("boundary", ["u", "u"]),
+    ("boundary", ["u", "zz"]),
+    ("boundary", ["u"]),
 ])
 def test_sidecar_field_of_wrong_type_is_input_error(files, tmp_path, capsys,
                                                     field, value):

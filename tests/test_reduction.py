@@ -3,6 +3,8 @@ import random
 import pytest
 
 from regcover import iso
+from regcover.atoms import Atom, classify_primitive, find_atoms
+from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
                                expansion_corpus, reduction_showcase,
@@ -222,3 +224,31 @@ def test_orientation_rule_consistent():
     # all three replacement edges directed, all tails at the same vertex
     tails = {t.vertex_of(h) for h in t.tails}
     assert len(tails) == 1
+
+
+def test_components_block_tree_and_atoms_are_built_once_per_graph(
+        monkeypatch):
+    built = []
+    init = Atom.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Atom, "__init__", counting_init)
+    replaced = 0
+    for _, g in expansion_corpus():
+        series = reduction_series(normalize(g))
+        replaced += sum(len(step.replacements) for step in series.steps)
+    assert len(built) == replaced == 71
+
+    g = theta(2, 2, 2)
+    built.clear()
+    atoms = find_atoms(g)
+    assert classify_primitive(g).tag == "not_primitive"
+    step = reduce_step(g)
+    assert len(built) == len(atoms) == len(step.replacements) == 3
+    assert {id(r.atom) for r in step.replacements} == set(map(id, atoms))
+    assert block_tree(g) is block_tree(g)
+    # list results are fresh copies of the kept tuple
+    assert find_atoms(g) == atoms and find_atoms(g) is not atoms
