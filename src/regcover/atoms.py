@@ -41,6 +41,7 @@ class Atom:
         self._graph = None
         self._symmetry = None
         self._form = None
+        self._ordered = None
 
     @property
     def is_block(self):
@@ -61,6 +62,20 @@ class Atom:
             self._form = canonical_form(self.as_graph(), marking=self.boundary)
         return self._form
 
+    def ordered_boundary(self):
+        """Boundary in a canonical order; strict for asymmetric atoms, where
+        the first vertex is the tail role."""
+        if self._ordered is None:
+            self._ordered = self.boundary
+            if len(self.boundary) == 2:
+                u, v = self.boundary
+                g = self.as_graph()
+                fu = canonical_form(g, ordered_marking=(u, v))
+                fv = canonical_form(g, ordered_marking=(v, u))
+                if fv < fu:
+                    self._ordered = (v, u)
+        return self._ordered
+
     @property
     def symmetry(self):
         if self._symmetry is None:
@@ -70,18 +85,6 @@ class Atom:
     def __repr__(self):
         return (f"Atom({self.kind}, boundary={self.boundary}, "
                 f"darts={len(self.ref.darts)})")
-
-
-def ordered_boundary(atom):
-    """Boundary in a canonical order; strict for asymmetric atoms, where
-    the first vertex is the tail role."""
-    if len(atom.boundary) == 1:
-        return atom.boundary
-    u, v = atom.boundary
-    g = atom.as_graph()
-    fu = canonical_form(g, ordered_marking=(u, v))
-    fv = canonical_form(g, ordered_marking=(v, u))
-    return (u, v) if fu <= fv else (v, u)
 
 
 def _component_vertex_sets(g, removed):

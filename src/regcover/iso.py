@@ -14,8 +14,11 @@ lists the darts at each vertex by their other end.  It has three readers:
   colors at their other ends, until the partition is stable;
 - the canonical form is the lexicographic minimum of an encoding of the
   item groups over all vertex orders reached by individualization and
-  refinement (graphs here are tiny atoms and quotients, so the plain
-  search is enough);
+  refinement.  A leaf whose encoding equals the first or the best leaf's
+  gives a vertex automorphism (the map between their orders); a node skips
+  a child in the orbit of an explored child under the automorphisms found
+  so far that fix its individualized prefix, since that subtree is an
+  image of an explored one and holds the same encodings;
 - the isomorphism search grows vertex bijections under the refined colors,
   compares each vertex's own items and the darts between assigned pairs by
   lookup, then extends a bijection to darts group by group: each key of g1
@@ -173,6 +176,19 @@ def _encode(g, index, marking, ordered_marking):
     return (len(index), tuple(sorted(items)), mark)
 
 
+def _orbit_closure(points, maps):
+    """The union of the orbits of `points` under the group the vertex
+    maps generate."""
+    closed, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        for m in maps:
+            if m[x] not in closed:
+                closed.add(m[x])
+                todo.append(m[x])
+    return closed
+
+
 def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTICES):
     """Byte string determined exactly by the (marked) isomorphism class."""
     if g.n_vertices > max_vertices:
@@ -188,7 +204,8 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
         return cache[key]
 
     base = _initial_colors(g, marking, ordered_marking)
-    best = [None]
+    leaves = []  # (encoding, order) of the first leaf and of the best
+    autos = []   # vertex automorphisms found at leaves
 
     def search(forced):
         init = {v: (1, forced.index(v)) if v in forced else (0, base[v])
@@ -203,14 +220,26 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
             order = sorted(g.vertex_list, key=lambda v: colors[v])
             index = {v: i for i, v in enumerate(order)}
             enc = _encode(g, index, marking, ordered_marking)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            if not leaves:
+                leaves.extend([(enc, order)] * 2)
+                return
+            for ref_enc, ref_order in leaves:
+                if enc == ref_enc:
+                    autos.append(dict(zip(ref_order, order)))
+                    return
+            if enc < leaves[1][0]:
+                leaves[1] = (enc, order)
             return
+        explored = set()
         for v in sorted(cells[big[0]]):
+            fixing = [a for a in autos if all(a[u] == u for u in forced)]
+            if v in _orbit_closure(explored, fixing):
+                continue
+            explored.add(v)
             search(forced + (v,))
 
     search(())
-    form = repr(best[0]).encode("ascii")
+    form = repr(leaves[1][0]).encode("ascii")
     cache[key] = form
     return form
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .atoms import HALVABLE_SYM, ordered_boundary
+from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     normalize, require_standard_input)
@@ -143,7 +143,7 @@ def atom_quotients(a):
             if key not in halves:
                 halves[key] = (q.result, w)
     half_list = tuple(halves[k] for k in sorted(halves))
-    return AtomQuotientSet(a, (ag, ordered_boundary(a)), (loop_g, merged),
+    return AtomQuotientSet(a, (ag, a.ordered_boundary()), (loop_g, merged),
                            half_list)
 
 

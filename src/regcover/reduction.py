@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
                     PROPER, STAR_BLOCK, SYMMETRIC_SYM, Atom, PrimitiveClass,
-                    classify_primitive, find_atoms, ordered_boundary)
+                    classify_primitive, find_atoms)
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, SubgraphRef,
                     normalize, require_standard_input)
@@ -89,7 +89,7 @@ def reduce_step(g):
         rep = members[0]
         classes.append(AtomClass(
             color=color, kind=rep.kind, symmetry=rep.symmetry, rep=rep,
-            rep_graph=rep.as_graph(), rep_boundary=ordered_boundary(rep),
+            rep_graph=rep.as_graph(), rep_boundary=rep.ordered_boundary(),
             members=tuple(members)))
 
     removed_darts = set()
@@ -113,7 +113,7 @@ def reduce_step(g):
                 edge_type[d1] = edge_type[d2] = UNDIRECTED
                 replacements.append(Replacement(a, cls, (d1, d2), (u, None)))
             else:
-                bu, bv = ordered_boundary(a)
+                bu, bv = a.ordered_boundary()
                 incidence[d1], incidence[d2] = bu, bv
                 if cls.symmetry == HALVABLE_SYM:
                     et = HALVABLE

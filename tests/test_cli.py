@@ -261,3 +261,18 @@ def test_deterministic_outputs(files, tmp_path):
     write_file(g, str(out1))
     write_file(parse_file(str(out1)), str(out2))
     assert out1.read_text() == out2.read_text()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(regcover.__file__)))
+SCRIPTS = os.path.join(REPO, "scripts")
+
+
+@pytest.mark.parametrize("script", sorted(
+    name for name in os.listdir(SCRIPTS) if name.endswith(".py")))
+def test_script_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    run = subprocess.run([sys.executable, os.path.join(SCRIPTS, script)],
+                         env=env, cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout

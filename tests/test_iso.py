@@ -7,10 +7,11 @@ from hypothesis import given, settings
 
 from regcover import iso
 from regcover.errors import SizeLimitError
-from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
-                               expansion_corpus, path_graph, prism,
-                               random_instance, theta)
-from regcover.graph import Graph, GraphBuilder, normalize
+from regcover.fixtures import (bowtie, book, complete, cube, cycle,
+                               cycle_with_triangles, dipole, expansion_corpus,
+                               path_graph, prism, random_instance, theta,
+                               with_pendants)
+from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
                           isomorphisms_iter, verify_isomorphism)
 
@@ -388,3 +389,66 @@ def test_canonical_form_bytes_are_pinned():
             digest.update(form + b"\n")
     assert digest.hexdigest() == (
         "1fde12377b8def8791744f65782e5b493bb8164e589db14302d6f10ad6a8a175")
+
+
+def _beyond_cap_graphs():
+    """Graphs with |Aut| above 200, where orbit pruning skips the most."""
+    def two_pendants(n):
+        return with_pendants(
+            cycle(n), [f"v{i}" for i in range(n) for _ in range(2)])
+
+    return [theta(*[1] * 7), theta(*[2] * 6), theta(*[1] * 6),
+            theta(*[3] * 5), theta(*[2] * 5, edge_type=HALVABLE), book(5),
+            book(6), cycle_with_triangles(6), dipole([0] * 6),
+            two_pendants(6), two_pendants(8)]
+
+
+def test_beyond_cap_canonical_form_bytes_are_pinned():
+    # sha256 of the plain, set-marked and ordered-marked forms, as recorded
+    # by the search before it pruned by automorphisms
+    digest = hashlib.sha256()
+    for g in _beyond_cap_graphs():
+        vs = g.vertex_list
+        for form in (canonical_form(g), canonical_form(g, marking=vs[:2]),
+                     canonical_form(g, ordered_marking=(vs[1], vs[0]))):
+            digest.update(form + b"\n")
+    assert digest.hexdigest() == (
+        "bde9c79e4001e534a1137baed27c5cdb4896f12038919ffe579063e35d450e71")
+
+
+def _frucht():
+    """Cubic with only the identity automorphism: refinement splits nothing,
+    so no child is pruned and the leaves' encodings all differ."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = ({tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+             | {tuple(sorted((i, (i + s) % 12))) for i, s in enumerate(lcf)})
+    b = GraphBuilder()
+    for i in range(12):
+        b.vertex(f"a{i}")
+    for k, (i, j) in enumerate(sorted(edges)):
+        b.edge(f"e{k}", f"a{i}", f"a{j}")
+    return b.build()
+
+
+@pytest.mark.parametrize("build", [lambda: theta(*[1] * 7),
+                                   lambda: cycle_with_triangles(6), _frucht],
+                         ids=["theta1x7", "C6tri", "frucht"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_canonical_relabel_invariance_under_pruning(build, seed):
+    g = build()
+    assert canonical_form(relabel(g, seed)) == canonical_form(g)
+
+
+def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
+    # each search node refines once; without pruning theta(1^7) takes
+    # thousands of nodes
+    nodes = []
+    refine = iso._refine
+
+    def counting(graph_colors):
+        nodes.append(1)
+        return refine(graph_colors)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    canonical_form(theta(1, 1, 1, 1, 1, 1, 1))
+    assert 0 < len(nodes) <= 100
