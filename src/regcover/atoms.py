@@ -338,19 +338,25 @@ def classify_primitive(g):
     return PrimitiveClass("unrecognized", None, center_kind, bool(deco), False)
 
 
+def boundary_swapping_involutions(ag, u, v):
+    """Semiregular involutions of an atom graph exchanging its boundary."""
+    for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}):
+        p = Permutation.from_maps(ag, dmap, vmap)
+        if p.is_involution and p.semiregularity_violation() is None:
+            yield p
+
+
 def atom_symmetry_type(a):
     """halvable / symmetric / asymmetric, by brute force over boundary swaps."""
     if a.is_block:
         return SYMMETRIC_SYM
     u, v = a.boundary
     ag = a.as_graph()
-    found_swap = False
-    for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}):
-        found_swap = True
-        p = Permutation.from_maps(ag, dmap, vmap)
-        if p.is_involution and p.semiregularity_violation() is None:
-            return HALVABLE_SYM
-    return SYMMETRIC_SYM if found_swap else ASYMMETRIC_SYM
+    if next(boundary_swapping_involutions(ag, u, v), None) is not None:
+        return HALVABLE_SYM
+    if next(automorphisms_iter(ag, pinned={u: v, v: u}), None) is not None:
+        return SYMMETRIC_SYM
+    return ASYMMETRIC_SYM
 
 
 def extended_atom(a):

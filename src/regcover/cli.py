@@ -57,7 +57,7 @@ def cmd_validate(args):
 
 
 def cmd_iso(args):
-    g1, g2 = _read(args.file1), _read(args.file2)
+    g1, g2 = _read(args.file1, args), _read(args.file2, args)
     witness = are_isomorphic(g1, g2, max_vertices=args.max_vertices)
     if witness is None:
         print("not isomorphic")

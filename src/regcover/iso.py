@@ -19,11 +19,16 @@ lists the darts at each vertex by their other end.  It has three readers:
   a child in the orbit of an explored child under the automorphisms found
   so far that fix its individualized prefix, since that subtree is an
   image of an explored one and holds the same encodings;
-- the isomorphism search grows vertex bijections under the refined colors,
-  compares each vertex's own items and the darts between assigned pairs by
-  lookup, then extends a bijection to darts group by group: each key of g1
-  maps to its image key in g2, the target items are permuted, and each
+- the automorphism search grows vertex permutations under the refined
+  colors, compares each vertex's own items and the darts between assigned
+  pairs by lookup, then extends a vertex map to darts group by group: each
+  key maps to its image key, the target items are permuted, and each
   item's darts follow one of its allowed ways.
+
+Two graphs are isomorphic exactly when their canonical forms are equal.
+The map between their best-leaf orders then preserves the encoding, so its
+first dart extension is a witness; the backtracking search only
+enumerates automorphisms.
 
 `verify_isomorphism` reads the raw graph, so a witness check does not
 depend on the index.
@@ -126,31 +131,24 @@ def _initial_colors(g, marking, ordered_marking):
     return colors
 
 
-def _refine(graph_colors):
-    """Jointly refine vertex partitions of several graphs to a stable one.
+def _ranked(colors):
+    """Replace each color by its rank among the distinct colors."""
+    rank = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+    return {v: rank[c] for v, c in colors.items()}
 
-    graph_colors: list of (graph, {vertex: color}) with arbitrary hashable
-    colors.  Returns list of {vertex: int} with class ids comparable across
-    the graphs.
-    """
-    all_ends = [_items(g)[1] for g, _ in graph_colors]
 
-    def ranked(sig_maps):
-        pool = sorted({s for m in sig_maps for s in m.values()})
-        rank = {s: i for i, s in enumerate(pool)}
-        return [{v: rank[s] for v, s in m.items()} for m in sig_maps]
-
-    current = ranked([dict(cm) for _, cm in graph_colors])
+def _refine(g, colors):
+    """Refine a vertex coloring of g (any sortable colors) to the coarsest
+    stable one; returns {vertex: class id}."""
+    ends = _items(g)[1]
+    current = _ranked(colors)
     while True:
-        sig_maps = []
-        for ends, colors in zip(all_ends, current):
-            # a free end (-1) or half-edge (-2) keeps its code as its color
-            sig_maps.append({
-                v: (colors[v], tuple(sorted((s, colors.get(o, o))
-                                            for o, sigs in around.items()
-                                            for s in sigs)))
-                for v, around in ends.items()})
-        nxt = ranked(sig_maps)
+        # a free end (-1) or half-edge (-2) keeps its code as its color
+        nxt = _ranked({
+            v: (current[v], tuple(sorted((s, current.get(o, o))
+                                         for o, sigs in around.items()
+                                         for s in sigs)))
+            for v, around in ends.items()})
         if nxt == current:
             return current
         current = nxt
@@ -194,15 +192,22 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
     if g.n_vertices > max_vertices:
         raise size_limit("canonical_form", f"{g.n_vertices} vertices",
                          max_vertices, g, "max_vertices")
+    return _canonical(g, marking, ordered_marking)[0]
+
+
+def _canonical(g, marking, ordered_marking):
+    """(form bytes, vertex order of the best leaf), kept on g per marking."""
     marking = frozenset(marking) if marking else None
     ordered_marking = tuple(ordered_marking) if ordered_marking else None
+    cache = cached(g, "_iso_canon", lambda g: {})
     key = (marking, ordered_marking)
-    cache = getattr(g, "_iso_canon", None)
-    if cache is None:
-        cache = g._iso_canon = {}
-    if key in cache:
-        return cache[key]
+    if key not in cache:
+        enc, order = _best_leaf(g, marking, ordered_marking)
+        cache[key] = (repr(enc).encode("ascii"), order)
+    return cache[key]
 
+
+def _best_leaf(g, marking, ordered_marking):
     base = _initial_colors(g, marking, ordered_marking)
     leaves = []  # (encoding, order) of the first leaf and of the best
     autos = []   # vertex automorphisms found at leaves
@@ -210,7 +215,7 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
     def search(forced):
         init = {v: (1, forced.index(v)) if v in forced else (0, base[v])
                 for v in g.vertex_list}
-        colors = _refine([(g, init)])[0]
+        colors = _refine(g, init)
         cells = {}
         for v in g.vertex_list:
             if v not in forced:
@@ -239,42 +244,27 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
             search(forced + (v,))
 
     search(())
-    form = repr(leaves[1][0]).encode("ascii")
-    cache[key] = form
-    return form
+    return leaves[1]
 
 
-# -- isomorphism search --------------------------------------------------------
+# -- automorphism search ------------------------------------------------------
 
-def _free_items(groups):
-    return [(key, len(items)) for key, items in groups.items() if not key[1]]
-
-
-def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
-    if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
-        return
-    groups1, ends1, own1 = _items(g1)
-    groups2, ends2, own2 = _items(g2)
-    if _free_items(groups1) != _free_items(groups2):
-        return
-    init1 = _initial_colors(g1, marking1, ordered1)
-    init2 = _initial_colors(g2, marking2, ordered2)
-    colors1, colors2 = _refine([(g1, init1), (g2, init2)])
-    hist1 = sorted(colors1.values())
-    hist2 = sorted(colors2.values())
-    if hist1 != hist2:
-        return
+def _automorphism_vmaps(g, pinned):
+    """Vertex permutations of g that keep refined colors and the items at
+    and between vertices, and send each pinned vertex to its image."""
+    _, ends, own = _items(g)
+    colors = _refine(g, _initial_colors(g, None, None))
     by_color = {}
-    for w in g2.vertex_list:
-        by_color.setdefault(colors2[w], []).append(w)
-    order = sorted(g1.vertex_list, key=lambda v: (colors1[v], v))
+    for w in g.vertex_list:
+        by_color.setdefault(colors[w], []).append(w)
+    order = sorted(g.vertex_list, key=lambda v: (colors[v], v))
     used = set()
     assignment = {}
 
     def compatible(v, w):
-        if own1[v] != own2[w]:
+        if own[v] != own[w]:
             return False
-        at1, at2 = ends1[v], ends2[w]
+        at1, at2 = ends[v], ends[w]
         for v2, w2 in assignment.items():
             if at1.get(v2) != at2.get(w2):
                 return False
@@ -286,7 +276,7 @@ def _vertex_bijections(g1, g2, marking1, marking2, ordered1, ordered2, pinned):
             return
         v = order[i]
         want = pinned.get(v)
-        for w in by_color.get(colors1[v], ()):
+        for w in by_color[colors[v]]:
             if w in used or (want is not None and w != want):
                 continue
             if not compatible(v, w):
@@ -339,15 +329,14 @@ def _dart_variants(g1, g2, vmap):
     yield from rec(0)
 
 
-def isomorphisms_iter(g1, g2, marking1=None, marking2=None,
-                      ordered1=None, ordered2=None, pinned=None):
-    """Yield (vertex_map, dart_map) pairs for every isomorphism g1 -> g2."""
-    pinned = dict(pinned) if pinned else {}
-    for vmap in _vertex_bijections(g1, g2, marking1, marking2,
-                                   ordered1, ordered2, pinned):
-        for dmap in _dart_variants(g1, g2, vmap):
+def automorphisms_iter(g, pinned=None):
+    """Yield (vertex_map, dart_map) for every automorphism of g."""
+    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
+        for dmap in _dart_variants(g, g, vmap):
             yield vmap, dmap
 
+
+# -- isomorphism --------------------------------------------------------------
 
 def verify_isomorphism(g1, g2, vmap, dmap, marking1=None, marking2=None):
     """Direct check that (vmap, dmap) is a marking-respecting isomorphism."""
@@ -379,22 +368,24 @@ def verify_isomorphism(g1, g2, vmap, dmap, marking1=None, marking2=None):
 def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTICES):
     """Return a witness dart map, or None.
 
-    The witness is verified by a direct check before being returned.
+    The graphs are isomorphic exactly when their canonical forms are equal;
+    the witness maps the best-leaf vertex order of g1 onto that of g2 and is
+    verified by a direct check before being returned.
     """
     for g in (g1, g2):
         if g.n_vertices > max_vertices:
             raise size_limit("are_isomorphic", f"{g.n_vertices} vertices",
                              max_vertices, g, "max_vertices")
-    if g1 == g2 and frozenset(marking1 or ()) == frozenset(marking2 or ()):
-        return {h: h for h in g1.dart_list}
-    for vmap, dmap in isomorphisms_iter(g1, g2, marking1, marking2):
-        if not verify_isomorphism(g1, g2, vmap, dmap, marking1, marking2):
-            raise InternalError("are_isomorphic: witness failed verification")
-        return dmap
-    return None
-
-
-def automorphisms_iter(g, pinned=None, marking=None):
-    """Yield (vertex_map, dart_map) for every automorphism of g."""
-    yield from isomorphisms_iter(g, g, marking1=marking, marking2=marking,
-                                 pinned=pinned)
+    if (sorted(_initial_colors(g1, marking1, None).values())
+            != sorted(_initial_colors(g2, marking2, None).values())):
+        return None
+    form1, order1 = _canonical(g1, marking1, None)
+    form2, order2 = _canonical(g2, marking2, None)
+    if form1 != form2:
+        return None
+    vmap = dict(zip(order1, order2))
+    dmap = next(_dart_variants(g1, g2, vmap), None)
+    if dmap is None or not verify_isomorphism(g1, g2, vmap, dmap,
+                                              marking1, marking2):
+        raise InternalError("are_isomorphic: witness failed verification")
+    return dmap

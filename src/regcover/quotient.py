@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .atoms import HALVABLE_SYM
+from .atoms import HALVABLE_SYM, boundary_swapping_involutions
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
                      semiregular_subgroups, semiregular_violations)
-from .iso import (MAX_VERTICES, are_isomorphic, automorphisms_iter,
-                  canonical_form)
+from .iso import MAX_VERTICES, are_isomorphic, canonical_form
 from .reduction import reduction_series
 
 
@@ -94,14 +93,6 @@ def atom_projection_type(a, gamma):
     if half:
         return "half"
     return "loop" if loop else "edge"
-
-
-def boundary_swapping_involutions(ag, u, v):
-    """Semiregular involutions of an atom graph exchanging its boundary."""
-    for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}):
-        p = Permutation.from_maps(ag, dmap, vmap)
-        if p.is_involution and p.semiregularity_violation() is None:
-            yield p
 
 
 @dataclass

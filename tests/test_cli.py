@@ -240,6 +240,17 @@ def test_halvable_input_flag(tmp_path, capsys):
     assert "3 quotients" in capsys.readouterr().out
 
 
+def test_halvable_input_flag_applies_to_iso(tmp_path, capsys):
+    h, u = tmp_path / "h.g", tmp_path / "u.g"
+    h.write_text("vertex a\nvertex b\nedge e a b type=halvable\n")
+    u.write_text("vertex a\nvertex b\nedge e a b\n")
+    assert main(["iso", str(h), str(u)]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+    assert main(["--halvable-input", "iso", str(h), str(u)]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+    assert main(["--halvable-input", "cover", str(h), str(u)]) == 0
+
+
 def test_fixtures_run(capsys):
     assert main(["--seed", "3", "fixtures", "run"]) == 0
     out = capsys.readouterr().out

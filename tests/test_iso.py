@@ -13,7 +13,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                with_pendants)
 from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
-                          isomorphisms_iter, verify_isomorphism)
+                          verify_isomorphism)
 
 from test_graph import graphs
 
@@ -130,7 +130,7 @@ def test_canonical_partition_matches_pairwise_iso():
     for i, g1 in enumerate(fixture_set):
         for g2 in fixture_set[i + 1:]:
             same_form = canonical_form(g1) == canonical_form(g2)
-            same_iso = are_isomorphic(g1, g2) is not None
+            same_iso = any(True for _ in _ref_isomorphisms(g1, g2))
             assert same_form == same_iso
 
 
@@ -167,11 +167,7 @@ def test_canonical_relabel_invariance_random(g):
 @given(graphs())
 def test_witnesses_verify_random(g):
     h = relabel(g, 9)
-    w = are_isomorphic(g, h)
-    assert w is not None
-    for vmap, dmap in isomorphisms_iter(g, h):
-        assert verify_isomorphism(g, h, vmap, dmap)
-        break
+    assert are_isomorphic(g, h) is not None
 
 
 # -- differential check against the per-kind dart matching -----------------
@@ -214,12 +210,35 @@ def _ref_free_profile(g):
     return tuple(sorted(out))
 
 
+def _ref_refine(graph_colors):
+    """Joint refinement of several graphs' vertex colorings, with class ids
+    comparable across the graphs."""
+    all_ends = [iso._items(g)[1] for g, _ in graph_colors]
+
+    def ranked(sig_maps):
+        pool = sorted({s for m in sig_maps for s in m.values()})
+        rank = {s: i for i, s in enumerate(pool)}
+        return [{v: rank[s] for v, s in m.items()} for m in sig_maps]
+
+    current = ranked([dict(cm) for _, cm in graph_colors])
+    while True:
+        nxt = ranked([
+            {v: (colors[v], tuple(sorted((s, colors.get(o, o))
+                                         for o, sigs in around.items()
+                                         for s in sigs)))
+             for v, around in ends.items()}
+            for ends, colors in zip(all_ends, current)])
+        if nxt == current:
+            return current
+        current = nxt
+
+
 def _ref_vertex_bijections(g1, g2, marking1, marking2, pinned):
     if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
         return
     if _ref_free_profile(g1) != _ref_free_profile(g2):
         return
-    colors1, colors2 = iso._refine(
+    colors1, colors2 = _ref_refine(
         [(g1, iso._initial_colors(g1, marking1, None)),
          (g2, iso._initial_colors(g2, marking2, None))])
     if sorted(colors1.values()) != sorted(colors2.values()):
@@ -363,18 +382,47 @@ def test_isomorphism_sequences_match_reference():
     for name, g in _differential_graphs():
         first, last = g.vertex_list[0], g.vertex_list[-1]
         swap = {first: last, last: first}
-        h = relabel(g, 11)
-        image = relabel_vertex(g, 11, first)
         cases = [
             (list(automorphisms_iter(g)), list(_ref_isomorphisms(g, g))),
             (list(automorphisms_iter(g, pinned=swap)),
              list(_ref_isomorphisms(g, g, pinned=swap))),
-            (list(isomorphisms_iter(g, h, (first,), (image,))),
-             list(_ref_isomorphisms(g, h, (first,), (image,)))),
         ]
         for got, want in cases:
             assert got == want, name
         assert cases[0][0], name
+
+
+def _assert_decision_matches_reference(g1, g2, marking1=None, marking2=None):
+    got = are_isomorphic(g1, g2, marking1, marking2) is not None
+    want = any(True for _ in _ref_isomorphisms(g1, g2, marking1, marking2))
+    assert got == want
+
+
+def test_are_isomorphic_matches_reference_on_corpus_pairs():
+    corpus = [g for _, g in expansion_corpus()]
+    n_pairs = 0
+    for g1 in corpus:
+        for g2 in corpus:
+            if (g1.n_vertices, g1.n_darts) != (g2.n_vertices, g2.n_darts):
+                continue
+            n_pairs += 1
+            _assert_decision_matches_reference(g1, g2)
+            if g1.vertex_list:
+                for w in g2.vertex_list:
+                    _assert_decision_matches_reference(
+                        g1, g2, (g1.vertex_list[0],), (w,))
+    assert n_pairs > len(corpus)
+
+
+def test_are_isomorphic_matches_reference_on_relabelled_random():
+    for seed in range(100):
+        g = random_instance(seed)
+        h = relabel(g, seed)
+        _assert_decision_matches_reference(g, h)
+        first = g.vertex_list[0]
+        for v in g.vertex_list:
+            _assert_decision_matches_reference(
+                g, h, (first,), (relabel_vertex(g, seed, v),))
 
 
 def test_canonical_form_bytes_are_pinned():
@@ -436,7 +484,9 @@ def _frucht():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_canonical_relabel_invariance_under_pruning(build, seed):
     g = build()
-    assert canonical_form(relabel(g, seed)) == canonical_form(g)
+    h = relabel(g, seed)
+    assert canonical_form(h) == canonical_form(g)
+    assert are_isomorphic(g, h) is not None
 
 
 def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
@@ -445,10 +495,56 @@ def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
     nodes = []
     refine = iso._refine
 
-    def counting(graph_colors):
+    def counting(g, colors):
         nodes.append(1)
-        return refine(graph_colors)
+        return refine(g, colors)
 
     monkeypatch.setattr(iso, "_refine", counting)
     canonical_form(theta(1, 1, 1, 1, 1, 1, 1))
     assert 0 < len(nodes) <= 100
+
+
+def _from_networkx(nxg):
+    b = GraphBuilder()
+    for v in nxg.nodes:
+        b.vertex(f"n{v}")
+    for k, (u, w) in enumerate(nxg.edges):
+        b.edge(f"e{k}", f"n{u}", f"n{w}")
+    return b.build()
+
+
+def test_are_isomorphic_matches_networkx_on_cubic_graphs():
+    # every vertex of a simple cubic graph gets the same initial color, so
+    # only the canonical forms can tell these pairs apart
+    nx = pytest.importorskip("networkx")
+    lcf = [(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1),  # Frucht
+           (14, [5, -5], 7),                                 # Heawood
+           (16, [5, -5], 8),                                 # Moebius-Kantor
+           (18, [5, 7, -7, 7, -7, -5], 3),                   # Pappus
+           (20, [5, -5, 9, -9], 5),                          # Desargues
+           (20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4], 2),    # dodecahedron
+           (24, [12, 7, -7], 8)]                             # McGee
+    cubic = [nx.LCF_graph(*args) for args in lcf]
+    for n in (12, 14, 16, 18, 20):
+        for seed in range(3):
+            r = nx.random_regular_graph(3, n, seed=seed)
+            if nx.is_connected(r):
+                cubic.append(r)
+    rng = random.Random(7)
+    for r in list(cubic):
+        perm = list(r.nodes)
+        rng.shuffle(perm)
+        cubic.append(nx.relabel_nodes(r, dict(zip(r.nodes, perm))))
+    graphs = [(r, _from_networkx(r)) for r in cubic]
+    positives = negatives = 0
+    for i, (r1, g1) in enumerate(graphs):
+        for r2, g2 in graphs[i + 1:]:
+            if len(r1) != len(r2):
+                continue
+            assert (sorted(iso._initial_colors(g1, None, None).values())
+                    == sorted(iso._initial_colors(g2, None, None).values()))
+            want = nx.is_isomorphic(r1, r2)
+            assert (are_isomorphic(g1, g2) is not None) == want
+            positives += want
+            negatives += not want
+    assert positives >= len(cubic) // 2 and negatives > 0
