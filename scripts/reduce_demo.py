@@ -22,8 +22,8 @@ def main():
     for i, step in enumerate(series.steps):
         print(f"step {i}: {step.source.n_darts} -> {step.target.n_darts} darts")
         for cls in step.classes:
-            print(f"  class color={cls.color}: {cls.kind}, {cls.symmetry}, "
-                  f"{len(cls.members)} atoms")
+            print(f"  class color={cls.color}: {cls.rep.kind}, "
+                  f"{cls.rep.symmetry}, {len(cls.members)} atoms")
     print(f"primitive: {series.primitive.tag}({series.primitive.n})")
     print(f"|Aut(G_1)| = {automorphism_group(series.graphs[-1]).order}, "
           f"|Ker| = {kernel_order(series.steps[0])}")

@@ -6,6 +6,11 @@ non-trivial 2-cut inside a block.  Dipoles are maximal bundles of parallel
 edges between two vertices of degree at least three.  A graph with no atoms
 is primitive: essentially 3-connected, essentially a cycle, K2, or a lone
 vertex with at most one pendant-like item.
+
+An atom's symmetry type is asymmetric when its canonical forms with the
+boundary marked in the two orders differ (no automorphism exchanges the
+boundary), halvable when a boundary-exchanging automorphism is a
+semiregular involution, and symmetric otherwise, as is every block atom.
 """
 
 from __future__ import annotations
@@ -32,25 +37,23 @@ ASYMMETRIC_SYM = "asymmetric"
 
 
 class Atom:
-    """A detected atom: a subgraph view, its kind, and its boundary."""
+    """A detected atom: a subgraph view, its kind, and its boundary.
+
+    Its graph, symmetry type, involutions and quotients are write-once slots
+    on the atom (`graph.cached`); its canonical forms live on its graph.
+    """
 
     def __init__(self, ref, kind, boundary):
         self.ref = ref
         self.kind = kind
         self.boundary = tuple(sorted(boundary))
-        self._graph = None
-        self._symmetry = None
-        self._form = None
-        self._ordered = None
 
     @property
     def is_block(self):
         return self.kind in (STAR_BLOCK, NONSTAR_BLOCK)
 
     def as_graph(self):
-        if self._graph is None:
-            self._graph = self.ref.to_graph()
-        return self._graph
+        return cached(self, "_atom_graph", lambda a: a.ref.to_graph())
 
     @property
     def interior_vertices(self):
@@ -58,29 +61,33 @@ class Atom:
 
     def form(self):
         """Canonical form with the boundary marked setwise."""
-        if self._form is None:
-            self._form = canonical_form(self.as_graph(), marking=self.boundary)
-        return self._form
+        return canonical_form(self.as_graph(), marking=self.boundary)
+
+    def _ordered_forms(self):
+        """Canonical forms with the boundary marked in both orders."""
+        u, v = self.boundary
+        g = self.as_graph()
+        return (canonical_form(g, ordered_marking=(u, v)),
+                canonical_form(g, ordered_marking=(v, u)))
 
     def ordered_boundary(self):
-        """Boundary in a canonical order; strict for asymmetric atoms, where
-        the first vertex is the tail role."""
-        if self._ordered is None:
-            self._ordered = self.boundary
-            if len(self.boundary) == 2:
-                u, v = self.boundary
-                g = self.as_graph()
-                fu = canonical_form(g, ordered_marking=(u, v))
-                fv = canonical_form(g, ordered_marking=(v, u))
-                if fv < fu:
-                    self._ordered = (v, u)
-        return self._ordered
+        """Boundary in a canonical order, the one whose ordered-marked form
+        is smaller; strict for asymmetric atoms, where the first vertex is
+        the tail role."""
+        if len(self.boundary) == 2:
+            fu, fv = self._ordered_forms()
+            if fv < fu:
+                return self.boundary[::-1]
+        return self.boundary
 
     @property
     def symmetry(self):
-        if self._symmetry is None:
-            self._symmetry = atom_symmetry_type(self)
-        return self._symmetry
+        return cached(self, "_symmetry_type", atom_symmetry_type)
+
+    def swap_involutions(self):
+        """The semiregular involutions of the atom graph that exchange its
+        two boundary vertices, from one scan of the boundary swaps."""
+        return cached(self, "_swap_involutions", _swap_involutions)
 
     def __repr__(self):
         return (f"Atom({self.kind}, boundary={self.boundary}, "
@@ -338,25 +345,23 @@ def classify_primitive(g):
     return PrimitiveClass("unrecognized", None, center_kind, bool(deco), False)
 
 
-def boundary_swapping_involutions(ag, u, v):
-    """Semiregular involutions of an atom graph exchanging its boundary."""
-    for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}):
-        p = Permutation.from_maps(ag, dmap, vmap)
-        if p.is_involution and p.semiregularity_violation() is None:
-            yield p
+def _swap_involutions(a):
+    u, v = a.boundary
+    ag = a.as_graph()
+    swaps = (Permutation.from_maps(ag, dmap, vmap)
+             for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}))
+    return tuple(p for p in swaps
+                 if p.is_involution and p.semiregularity_violation() is None)
 
 
 def atom_symmetry_type(a):
-    """halvable / symmetric / asymmetric, by brute force over boundary swaps."""
+    """halvable / symmetric / asymmetric, by the tests in the module doc."""
     if a.is_block:
         return SYMMETRIC_SYM
-    u, v = a.boundary
-    ag = a.as_graph()
-    if next(boundary_swapping_involutions(ag, u, v), None) is not None:
-        return HALVABLE_SYM
-    if next(automorphisms_iter(ag, pinned={u: v, v: u}), None) is not None:
-        return SYMMETRIC_SYM
-    return ASYMMETRIC_SYM
+    fu, fv = a._ordered_forms()
+    if fu != fv:
+        return ASYMMETRIC_SYM
+    return HALVABLE_SYM if a.swap_involutions() else SYMMETRIC_SYM
 
 
 def extended_atom(a):

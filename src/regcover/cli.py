@@ -31,22 +31,22 @@ EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
 
-def _read(path, args=None):
+def _read(path, args):
     try:
         g = textfmt.parse_file(path)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
-    if args is not None and getattr(args, "halvable_input", False):
+    if args.halvable_input:
         g = with_halvable_edges(g)
     return g
 
 
-def _prepared(path, args=None):
+def _prepared(path, args):
     return normalize(_read(path, args))
 
 
 def cmd_validate(args):
-    g = _read(args.file)
+    g = _read(args.file, args)
     problems = validate(g)
     if problems:
         for p in problems:
@@ -89,7 +89,7 @@ def cmd_aut(args):
 
 
 def cmd_blocks(args):
-    g = _read(args.file)
+    g = _read(args.file, args)
     bt = block_tree(g)
     if args.dot:
         print(dotmod.block_tree_to_dot(bt), end="")
@@ -137,11 +137,11 @@ def cmd_reduce(args):
             "level": i,
             "classes": [{
                 "color": cls.color,
-                "kind": cls.kind,
-                "symmetry": cls.symmetry,
-                "boundary": list(cls.rep_boundary),
+                "kind": cls.rep.kind,
+                "symmetry": cls.rep.symmetry,
+                "boundary": list(cls.rep.ordered_boundary()),
                 "members": len(cls.members),
-                "graph": textfmt.serialize(cls.rep_graph),
+                "graph": textfmt.serialize(cls.rep.as_graph()),
             } for cls in step.classes],
         })
     sidecar["primitive"] = series.primitive.tag
@@ -183,7 +183,7 @@ def cmd_expand(args):
     except json.JSONDecodeError as exc:
         raise ParseError(f"sidecar is not valid JSON: {exc}")
     steps = load_sidecar_steps(payload)
-    h = _read(args.quotient)
+    h = _read(args.quotient, args)
     level = args.level if args.level is not None else len(steps)
     if level > len(steps) or level < 1:
         raise GraphError(f"level must be in 1..{len(steps)}")
@@ -216,7 +216,7 @@ def cmd_cover(args):
 
 
 def cmd_dot(args):
-    g = _read(args.file)
+    g = _read(args.file, args)
     print(dotmod.graph_to_dot(g), end="")
     return EXIT_OK
 

@@ -394,9 +394,9 @@ def normalize(g):
 def cached(g, name, build):
     """`build(g)`, computed on first use and kept on g as attribute `name`.
 
-    Graphs are immutable, so a derived structure stays valid for the graph's
-    lifetime.  The slot is written once: when two threads race to build it,
-    both get the value stored first.
+    Graphs and atoms are immutable, so a derived structure stays valid for
+    g's lifetime.  The slot is written once: when two threads race to build
+    it, both get the value stored first.
     """
     try:
         return g.__dict__[name]

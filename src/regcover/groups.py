@@ -252,9 +252,10 @@ def automorphism_group(g, max_order=MAX_GROUP_ORDER):
                           max_order)
 
 
-def count_automorphisms(g, limit=None):
+def count_automorphisms(g, limit=None, pinned=None):
+    """Number of automorphisms that agree with `pinned` on vertices."""
     n = 0
-    for _ in automorphisms_iter(g):
+    for _ in automorphisms_iter(g, pinned=pinned):
         n += 1
         if limit is not None and n > limit:
             raise size_limit("count_automorphisms", f"{n} automorphisms found",
@@ -429,9 +430,3 @@ def fix_group(atom, max_order=MAX_GROUP_ORDER):
                           "fix_group", "boundary-fixing automorphisms",
                           max_order)
 
-
-def fix_group_order(atom):
-    """Order of the pointwise boundary stabilizer, without materializing it."""
-    g = atom.as_graph()
-    pins = {b: b for b in atom.boundary}
-    return sum(1 for _ in automorphisms_iter(g, pinned=pins))

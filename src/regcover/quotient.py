@@ -5,7 +5,8 @@ and darts are the orbits.  An edge whose two darts share an orbit collapses
 to a standalone half-edge (the acting element swaps its darts, so the edge
 is halvable).  Expansion reverses a reduction step on a quotient: colored
 edges, loops and half-edges are replaced by the edge-, loop- and
-half-quotients of the corresponding atom class.
+half-quotients of the corresponding atom class, built once and kept on the
+class representative as a write-once slot (`graph.cached`).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .atoms import HALVABLE_SYM, boundary_swapping_involutions
+from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
-                    normalize, require_standard_input)
+                    cached, normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
                      semiregular_subgroups, semiregular_violations)
 from .iso import MAX_VERTICES, are_isomorphic, canonical_form
@@ -115,8 +116,8 @@ def atom_quotients(a):
     """Edge-, loop- and half-quotients of an atom.
 
     The edge and loop quotients are unique; half-quotients are enumerated
-    over boundary-swapping semiregular involutions, deduplicated up to
-    isomorphism fixing the image of the boundary.
+    over the atom's boundary-swapping semiregular involutions, deduplicated
+    up to isomorphism fixing the image of the boundary.
     """
     ag = a.as_graph()
     if a.is_block:
@@ -127,7 +128,7 @@ def atom_quotients(a):
     # only a halvable atom has a semiregular boundary-swapping involution
     if a.symmetry == HALVABLE_SYM:
         ident = Permutation.identity(ag)
-        for tau in boundary_swapping_involutions(ag, u, v):
+        for tau in a.swap_involutions():
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
             key = canonical_form(q.result, marking=(w,))
@@ -139,11 +140,7 @@ def atom_quotients(a):
 
 
 def _class_quotients(cls):
-    cached = getattr(cls, "_quotients", None)
-    if cached is None:
-        cached = atom_quotients(cls.rep)
-        cls._quotients = cached
-    return cached
+    return cached(cls.rep, "_quotients", atom_quotients)
 
 
 def _namespace(host_ids, piece_ids, seed):
@@ -244,8 +241,7 @@ def expand_step(h_next, step):
         cls = classes.get(c)
         if cls is None:
             continue
-        quots = _class_quotients(cls)
-        if cls.rep.is_block or cls.symmetry != HALVABLE_SYM or not quots.half_quotients:
+        if not _class_quotients(cls).half_quotients:
             raise GraphError(
                 f"colored half-edge of class {c} admits no half-quotient")
         p = h_next.vertex_of(h)

@@ -22,11 +22,13 @@ from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, SubgraphRef,
                     normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, automorphism_group,
-                     fix_group_order)
+                     count_automorphisms)
 from .textfmt import parse
 
 COLOR_BASE = 1 << 16   # reduction colors start here
 COLOR_STRIDE = 256     # fresh colors are allocated in blocks of this size
+_EDGE_TYPE = {HALVABLE_SYM: HALVABLE, SYMMETRIC_SYM: UNDIRECTED,
+              ASYMMETRIC_SYM: DIRECTED}
 
 
 def allocate_colors(g, count):
@@ -39,12 +41,10 @@ def allocate_colors(g, count):
 
 @dataclass
 class AtomClass:
+    """Isomorphic atoms of one step; kind, symmetry type, boundary and
+    quotients are read from the representative."""
     color: int
-    kind: str
-    symmetry: str
     rep: Atom
-    rep_graph: Graph             # standalone copy of the representative
-    rep_boundary: tuple          # ordered; tail-role first for asymmetric
     members: tuple
 
 
@@ -86,11 +86,7 @@ def reduce_step(g):
     for color, form in zip(colors, forms):
         members = by_form[form]
         members.sort(key=lambda a: (min(a.ref.vertices), min(a.ref.darts)))
-        rep = members[0]
-        classes.append(AtomClass(
-            color=color, kind=rep.kind, symmetry=rep.symmetry, rep=rep,
-            rep_graph=rep.as_graph(), rep_boundary=rep.ordered_boundary(),
-            members=tuple(members)))
+        classes.append(AtomClass(color, members[0], tuple(members)))
 
     removed_darts = set()
     removed_vertices = set()
@@ -115,13 +111,9 @@ def reduce_step(g):
             else:
                 bu, bv = a.ordered_boundary()
                 incidence[d1], incidence[d2] = bu, bv
-                if cls.symmetry == HALVABLE_SYM:
-                    et = HALVABLE
-                elif cls.symmetry == ASYMMETRIC_SYM:
-                    et = DIRECTED
+                et = _EDGE_TYPE[cls.rep.symmetry]
+                if et == DIRECTED:
                     tails.add(d1)
-                else:
-                    et = UNDIRECTED
                 edge_type[d1] = edge_type[d2] = et
                 replacements.append(Replacement(a, cls, (d1, d2), (bu, bv)))
 
@@ -254,7 +246,8 @@ def _sidecar_list(obj, name, where):
 
 def _sidecar_class(entry):
     """The AtomClass of one sidecar class entry; GraphError names the first
-    field holding a wrong value."""
+    field holding a wrong value or a symmetry type or ordered boundary that
+    its graph does not give."""
     boundary, kind, color = entry["boundary"], entry["kind"], entry["color"]
     g = parse(entry["graph"]) if isinstance(entry["graph"], str) else None
     vertices = g.vertices if g is not None else ()
@@ -278,10 +271,13 @@ def _sidecar_class(entry):
         if not ok:
             raise GraphError(f"sidecar class entry: {name!r} must be {what}, "
                              f"not {entry[name]!r}")
-    boundary = tuple(boundary)
     rep = Atom(SubgraphRef(g, g.darts, g.vertices), kind, boundary)
-    return AtomClass(color=color, kind=kind, symmetry=entry["symmetry"],
-                     rep=rep, rep_graph=g, rep_boundary=boundary, members=())
+    for name, want in (("symmetry", rep.symmetry),
+                       ("boundary", list(rep.ordered_boundary()))):
+        if entry[name] != want:
+            raise GraphError(f"sidecar class entry: {name!r} must be {want!r} "
+                             f"for its graph, not {entry[name]!r}")
+    return AtomClass(color, rep, ())
 
 
 def load_sidecar_steps(payload):
@@ -313,8 +309,11 @@ def kernel(step, max_order=MAX_GROUP_ORDER):
 
 
 def kernel_order(step):
-    """Product of the boundary stabilizer orders over all replaced atoms."""
+    """Product of the boundary stabilizer orders over all replaced atoms;
+    members of a class have conjugate stabilizers, so one count serves all."""
     out = 1
-    for rep in step.replacements:
-        out *= fix_group_order(rep.atom)
+    for cls in step.classes:
+        pins = {b: b for b in cls.rep.boundary}
+        out *= (count_automorphisms(cls.rep.as_graph(), pinned=pins)
+                ** len(cls.members))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -8,10 +9,16 @@ from regcover.atoms import (atom_symmetry_type, classify_primitive,
                             is_essentially_three_connected)
 from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, dipole,
-                               expansion_corpus, path_graph, star_pendants,
-                               theta, with_pendants)
+                               expansion_corpus, path_graph, random_instance,
+                               star_pendants, theta, with_pendants)
 from regcover.graph import GraphBuilder, HALVABLE, is_cycle, normalize
-from regcover.groups import automorphism_group
+from regcover.groups import Permutation, automorphism_group
+from regcover.iso import automorphisms_iter
+from regcover.quotient import atom_quotients
+from regcover.reduction import reduction_series
+from regcover.textfmt import serialize
+
+from test_iso import _beyond_cap_graphs
 
 
 def test_cube_has_no_atoms():
@@ -192,3 +199,67 @@ def test_dipole_boundary_degrees_and_proper_nonadjacent():
                 ag = a.as_graph()
                 for h in ag.darts_at(u):
                     assert ag.vertex_of(ag.pair(h)) != v, name
+
+
+def _series_graphs():
+    """Normalized corpus, random and beyond-cap graphs."""
+    for _, g in expansion_corpus():
+        yield normalize(g)
+    for seed in range(200):
+        yield normalize(random_instance(seed))
+    for g in _beyond_cap_graphs():
+        yield normalize(g)
+
+
+def _ref_symmetry_type(a):
+    """The symmetry type by brute force: a scan of the boundary swaps for a
+    semiregular involution, then a second search for any swap."""
+    if a.is_block:
+        return "symmetric"
+    u, v = a.boundary
+    ag = a.as_graph()
+    swap = {u: v, v: u}
+    for vmap, dmap in automorphisms_iter(ag, pinned=swap):
+        p = Permutation.from_maps(ag, dmap, vmap)
+        if p.is_involution and p.semiregularity_violation() is None:
+            return "halvable"
+    if next(automorphisms_iter(ag, pinned=swap), None) is not None:
+        return "symmetric"
+    return "asymmetric"
+
+
+def test_symmetry_types_match_brute_force():
+    seen = set()
+    for g in _series_graphs():
+        for gi in reduction_series(g).graphs[:-1]:
+            for a in find_atoms(gi):
+                assert a.symmetry == _ref_symmetry_type(a), a
+                seen.add(a.symmetry)
+    assert seen == {"halvable", "symmetric", "asymmetric"}
+
+
+def test_reduction_classes_are_pinned():
+    # sha256 over every reduction class: color, kind, symmetry type,
+    # ordered boundary, member count and the serialized edge-, loop- and
+    # half-quotients with their image vertices, as recorded while the
+    # symmetry type came from the brute-force swap searches above
+    digest = hashlib.sha256()
+    n = 0
+    for g in _series_graphs():
+        for step in reduction_series(g).steps:
+            for cls in step.classes:
+                a, q = cls.rep, atom_quotients(cls.rep)
+                parts = [str(cls.color), a.kind, a.symmetry,
+                         repr(a.ordered_boundary()), str(len(cls.members)),
+                         serialize(q.edge_quotient[0]),
+                         repr(q.edge_quotient[1])]
+                if q.loop_quotient is not None:
+                    parts += [serialize(q.loop_quotient[0]),
+                              q.loop_quotient[1]]
+                for hg, w in q.half_quotients:
+                    parts += [serialize(hg), w]
+                digest.update("\n".join(parts).encode() + b"\n\n")
+                n += 1
+    assert n == 318
+    assert digest.hexdigest() == (
+        "3300950c0bf53e6b0cd2b39866d5cde7165dd182ebf778db221a408b1c4b335c")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import regcover
-from regcover import iso
+from regcover import cli, iso
 from regcover.cli import main
 from regcover.fixtures import complete, cube, cycle, theta
 from regcover.iso import are_isomorphic
@@ -122,6 +122,10 @@ _GOOD_ENTRY = {"graph": "vertex u\nvertex v\nedge e u v\n",
     ("boundary", ["u", "u"]),
     ("boundary", ["u", "zz"]),
     ("boundary", ["u"]),
+    # values of the right type that the entry's graph does not give
+    ("symmetry", "asymmetric"),
+    ("symmetry", "halvable"),
+    ("boundary", ["v", "u"]),
 ])
 def test_sidecar_field_of_wrong_type_is_input_error(files, tmp_path, capsys,
                                                     field, value):
@@ -249,6 +253,37 @@ def test_halvable_input_flag_applies_to_iso(tmp_path, capsys):
     assert main(["--halvable-input", "iso", str(h), str(u)]) == 0
     assert capsys.readouterr().out == "isomorphic\n"
     assert main(["--halvable-input", "cover", str(h), str(u)]) == 0
+
+
+def test_halvable_input_flag_applies_to_every_reader(tmp_path, monkeypatch,
+                                                    capsys):
+    u = tmp_path / "u.g"
+    u.write_text("vertex a\nvertex b\nedge e a b\n")
+    assert main(["dot", str(u)]) == 0
+    assert "style=solid" in capsys.readouterr().out
+    assert main(["--halvable-input", "dot", str(u)]) == 0
+    assert "style=bold" in capsys.readouterr().out
+
+    types = []
+    for name in ("validate", "block_tree"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, _real=real: (
+            types.append(set(g.edge_type.values())) or _real(g)))
+    assert main(["--halvable-input", "validate", str(u)]) == 0
+    assert main(["--halvable-input", "blocks", str(u)]) == 0
+    assert types == [{HALVABLE}, {HALVABLE}]
+
+    # the uncolored edge f of the quotient file keeps its type through
+    # the expansion
+    side = tmp_path / "s.reduction.json"
+    side.write_text(json.dumps({"version": 1,
+                                "levels": [{"classes": [_GOOD_ENTRY]}]}))
+    q = tmp_path / "q.g"
+    q.write_text("vertex a\nvertex b\nvertex c\n"
+                 "edge e a b color=65536\nedge f b c\n")
+    assert main(["--halvable-input", "expand", str(side), str(q)]) == 0
+    x0 = (tmp_path / "q.x0.g").read_text()
+    assert "edge f b c type=halvable" in x0
 
 
 def test_fixtures_run(capsys):

@@ -192,8 +192,8 @@ def test_expand_halfedge_choices():
     # one colored half-edge of the 2+2 dipole class gives 4 expansions
     host = with_pendants(dipole([0, 0, 1, 1]), ["u", "v"])
     step = reduce_step(host)
-    (cls,) = [c for c in step.classes if c.kind == "dipole"]
-    assert cls.symmetry == "halvable"
+    (cls,) = [c for c in step.classes if c.rep.kind == "dipole"]
+    assert cls.rep.symmetry == "halvable"
     b = GraphBuilder().vertex("w")
     b.halfedge("h", "w", color=cls.color)
     b.pendant("p0", "w").pendant("p1", "w")
@@ -269,7 +269,7 @@ def test_deep_chain_oracle_equivalence():
     g = lens_theta()
     series = reduction_series(g)
     assert series.depth == 4
-    assert [cls.symmetry for step in series.steps
+    assert [cls.rep.symmetry for step in series.steps
             for cls in step.classes] == ["symmetric", "halvable", "halvable",
                                          "halvable"]
     bf = {canonical_form(q, max_vertices=14)
@@ -286,7 +286,7 @@ def test_directed_loop_expansion():
     from regcover.fixtures import antisymmetric_arm_pair
     g = antisymmetric_arm_pair()
     series = reduction_series(g)
-    assert [cls.symmetry for step in series.steps
+    assert [cls.rep.symmetry for step in series.steps
             for cls in step.classes] == ["asymmetric", "halvable"]
     step0 = series.steps[0]
     swap = next(s for s in semiregular_subgroups(step0.target, order=2))

@@ -24,7 +24,7 @@ def test_reduce_theta_to_dipole():
     assert all(t.edge_type[h] == HALVABLE for h in t.edge_type)
     assert len({t.color[h] for h in t.darts}) == 1
     assert len(step.classes) == 1
-    assert step.classes[0].symmetry == "halvable"
+    assert step.classes[0].rep.symmetry == "halvable"
 
 
 def test_reduce_star_collapse():
@@ -63,7 +63,8 @@ def test_showcase_series():
     assert s.depth == 1
     assert s.primitive.tag == "cycle" and s.primitive.n == 8
     step = s.steps[0]
-    assert sorted((c.kind, c.symmetry, len(c.members)) for c in step.classes) == [
+    assert sorted((c.rep.kind, c.rep.symmetry, len(c.members))
+                  for c in step.classes) == [
         ("dipole", "halvable", 4),
         ("nonstar_block", "symmetric", 4),
         ("proper", "asymmetric", 4),
@@ -219,7 +220,7 @@ def test_orientation_rule_consistent():
     g = asymmetric_arm_theta()
     step = reduce_step(g)
     (cls,) = step.classes
-    assert cls.symmetry == "asymmetric"
+    assert cls.rep.symmetry == "asymmetric"
     t = step.target
     # all three replacement edges directed, all tails at the same vertex
     tails = {t.vertex_of(h) for h in t.tails}
