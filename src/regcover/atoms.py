@@ -346,6 +346,8 @@ def classify_primitive(g):
 
 
 def _swap_involutions(a):
+    if a.is_block:
+        return ()  # a single boundary vertex: nothing to exchange
     u, v = a.boundary
     ag = a.as_graph()
     swaps = (Permutation.from_maps(ag, dmap, vmap)

@@ -185,8 +185,8 @@ def cmd_expand(args):
     steps = load_sidecar_steps(payload)
     h = _read(args.quotient, args)
     level = args.level if args.level is not None else len(steps)
-    if level > len(steps) or level < 1:
-        raise GraphError(f"level must be in 1..{len(steps)}")
+    if not 0 <= level <= len(steps):
+        raise GraphError(f"level must be in 0..{len(steps)}")
     current = [h]
     for step in reversed(steps[:level]):
         nxt = []

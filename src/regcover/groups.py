@@ -1,7 +1,12 @@
 """Automorphism groups as explicit permutation sets on darts.
 
+A graph's points are its vertices in `vertex_list` order, then its darts in
+`dart_list` order, numbered from 0.  A permutation is one tuple: the
+point number of each point's image.  Tuples order elements by their vertex
+images first, and the orbits of either domain are closures over points.
+
 Groups are stored extensionally.  Each group picks a base once: a short
-list of vertex/dart points whose images tell all of its elements apart.
+list of points whose images tell all of its elements apart.
 A product a*b is then found by looking up a's images of b's base images,
 so the multiplication table is built without composing whole
 permutations.  Subgroup enumeration works in index space over that table:
@@ -18,108 +23,103 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import GraphError, size_limit
-from .graph import HALVABLE
-from .iso import automorphisms_iter
+from .graph import HALVABLE, cached
+from .iso import automorphisms_iter, orbit_closure
 
 MAX_GROUP_ORDER = 200
 
 
+def point_index(g):
+    """({vertex: point}, {dart: point}) for g's points: its vertices in
+    `vertex_list` order, then its darts in `dart_list` order.  Kept on g as
+    `_points` (see `graph.cached`)."""
+    return cached(g, "_points", _index_points)
+
+
+def _index_points(g):
+    nv = len(g.vertex_list)
+    return ({v: i for i, v in enumerate(g.vertex_list)},
+            {h: nv + i for i, h in enumerate(g.dart_list)})
+
+
 class Permutation:
-    """An automorphism, stored as index tuples over the graph's dart and
-    vertex lists."""
+    """An automorphism, stored as `images`: the point index of the image of
+    each of the graph's points (see `point_index`).  Tuples compare as the
+    vertex images first, then the dart images."""
 
-    __slots__ = ("graph", "dart_images", "vertex_images", "_hash")
+    __slots__ = ("graph", "images", "_hash")
 
-    def __init__(self, graph, dart_images, vertex_images):
+    def __init__(self, graph, images):
         self.graph = graph
-        self.dart_images = tuple(dart_images)
-        self.vertex_images = tuple(vertex_images)
-        self._hash = hash((self.dart_images, self.vertex_images))
+        self.images = tuple(images)
+        self._hash = hash(self.images)
 
     @classmethod
     def from_maps(cls, graph, dart_map, vertex_map):
-        didx = {h: i for i, h in enumerate(graph.dart_list)}
-        vidx = {v: i for i, v in enumerate(graph.vertex_list)}
-        return cls(graph,
-                   tuple(didx[dart_map[h]] for h in graph.dart_list),
-                   tuple(vidx[vertex_map[v]] for v in graph.vertex_list))
+        vidx, didx = point_index(graph)
+        return cls(graph, [vidx[vertex_map[v]] for v in graph.vertex_list]
+                   + [didx[dart_map[h]] for h in graph.dart_list])
 
     @classmethod
     def identity(cls, graph):
-        return cls(graph, range(len(graph.dart_list)),
-                   range(len(graph.vertex_list)))
-
-    def dart(self, h):
-        g = self.graph
-        return g.dart_list[self.dart_images[g.dart_list.index(h)]]
-
-    def vertex(self, v):
-        g = self.graph
-        return g.vertex_list[self.vertex_images[g.vertex_list.index(v)]]
+        return cls(graph, range(len(graph.vertex_list) + len(graph.dart_list)))
 
     def dart_map(self):
         dl = self.graph.dart_list
-        return {dl[i]: dl[j] for i, j in enumerate(self.dart_images)}
+        nv = len(self.graph.vertex_list)
+        return {h: dl[j - nv] for h, j in zip(dl, self.images[nv:])}
 
     def vertex_map(self):
         vl = self.graph.vertex_list
-        return {vl[i]: vl[j] for i, j in enumerate(self.vertex_images)}
+        return {v: vl[j] for v, j in zip(vl, self.images)}
 
     @property
     def is_identity(self):
-        return (all(i == j for i, j in enumerate(self.dart_images))
-                and all(i == j for i, j in enumerate(self.vertex_images)))
+        return all(i == j for i, j in enumerate(self.images))
 
     def compose(self, other):
         """self after other: (self * other)(x) = self(other(x))."""
-        return Permutation(
-            self.graph,
-            tuple(self.dart_images[i] for i in other.dart_images),
-            tuple(self.vertex_images[i] for i in other.vertex_images))
+        images = self.images
+        return Permutation(self.graph, [images[i] for i in other.images])
 
     def inverse(self):
-        di = [0] * len(self.dart_images)
-        vi = [0] * len(self.vertex_images)
-        for i, j in enumerate(self.dart_images):
-            di[j] = i
-        for i, j in enumerate(self.vertex_images):
-            vi[j] = i
-        return Permutation(self.graph, di, vi)
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Permutation(self.graph, inv)
 
     @property
     def is_involution(self):
-        return not self.is_identity and self.compose(self).is_identity
+        images = self.images
+        return (not self.is_identity
+                and all(images[j] == i for i, j in enumerate(images)))
 
     def semiregularity_violation(self):
         """None, or a string explaining the non-trivial stabilizer."""
         if self.is_identity:
             return None
         g = self.graph
-        for i, j in enumerate(self.vertex_images):
+        nv = len(g.vertex_list)
+        for i, j in enumerate(self.images):
             if i == j:
-                return f"fixes vertex {g.vertex_list[i]!r}"
-        for i, j in enumerate(self.dart_images):
-            if i == j:
-                return f"fixes dart {g.dart_list[i]!r}"
-        for i, j in enumerate(self.dart_images):
-            h = g.dart_list[i]
-            if g.dart_list[j] == g.pairing[h] and h != g.pairing[h]:
-                if g.edge_type.get(h) != HALVABLE:
-                    return (f"swaps the darts of non-halvable edge "
-                            f"{h!r}/{g.pairing[h]!r}")
+                if i < nv:
+                    return f"fixes vertex {g.vertex_list[i]!r}"
+                return f"fixes dart {g.dart_list[i - nv]!r}"
+        didx = point_index(g)[1]
+        for h, j in zip(g.dart_list, self.images[nv:]):
+            k = g.pairing[h]
+            if j == didx[k] and h != k and g.edge_type.get(h) != HALVABLE:
+                return f"swaps the darts of non-halvable edge {h!r}/{k!r}"
         return None
 
     def __eq__(self, other):
-        return (isinstance(other, Permutation)
-                and self.dart_images == other.dart_images
-                and self.vertex_images == other.vertex_images)
+        return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return ((self.vertex_images, self.dart_images)
-                < (other.vertex_images, other.dart_images))
+        return self.images < other.images
 
     def __repr__(self):
         return f"Permutation({self.vertex_map()})"
@@ -157,7 +157,7 @@ class Group:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in set(self.elements)
+        return p in self._index
 
     def __eq__(self, other):
         return (isinstance(other, Group) and self.graph is other.graph
@@ -178,16 +178,9 @@ class Group:
         return next(i for i, p in enumerate(self.elements) if p.is_identity)
 
     @cached_property
-    def _images(self):
-        """Per element, the images of all points: vertices, then darts."""
-        nv = len(self.graph.vertex_list)
-        return [p.vertex_images + tuple(nv + j for j in p.dart_images)
-                for p in self.elements]
-
-    @cached_property
     def _base(self):
         """Points whose images tell all elements apart, picked greedily."""
-        images = self._images
+        images = [p.images for p in self.elements]
         keys = [()] * len(images)
         distinct = 1
         base = []
@@ -212,7 +205,7 @@ class Group:
         base = self._base
         if not base:
             return [(0,)]
-        images = [self._images[i] for i in members]
+        images = [self.elements[i].images for i in members]
         key = itemgetter(*base)
         position = {key(img): k for k, img in enumerate(images)}.get
         times = [itemgetter(*[img[p] for p in base]) for img in images]
@@ -406,21 +399,20 @@ def orbits(grp, domain="vertices"):
     """Orbit partition, sorted by smallest member."""
     g = grp.graph
     if domain == "vertices":
-        items = g.vertex_list
-        maps = [p.vertex_map() for p in grp.elements]
+        items, first = g.vertex_list, 0
     elif domain == "darts":
-        items = g.dart_list
-        maps = [p.dart_map() for p in grp.elements]
+        items, first = g.dart_list, len(g.vertex_list)
     else:
         raise GraphError(f"unknown orbit domain {domain!r}")
+    maps = [p.images for p in grp.elements]
     seen = set()
     out = []
-    for x in items:
+    for x in range(first, first + len(items)):
         if x in seen:
             continue
-        orbit = sorted({m[x] for m in maps})
+        orbit = orbit_closure((x,), maps)
         seen.update(orbit)
-        out.append(tuple(orbit))
+        out.append(tuple(sorted(items[i - first] for i in orbit)))
     return tuple(sorted(out))
 
 

@@ -174,9 +174,10 @@ def _encode(g, index, marking, ordered_marking):
     return (len(index), tuple(sorted(items)), mark)
 
 
-def _orbit_closure(points, maps):
-    """The union of the orbits of `points` under the group the vertex
-    maps generate."""
+def orbit_closure(points, maps):
+    """The union of the orbits of `points` under the group the maps
+    generate; a map is anything indexed by point (a dict or an image
+    tuple)."""
     closed, todo = set(points), list(points)
     while todo:
         x = todo.pop()
@@ -238,7 +239,7 @@ def _best_leaf(g, marking, ordered_marking):
         explored = set()
         for v in sorted(cells[big[0]]):
             fixing = [a for a in autos if all(a[u] == u for u in forced)]
-            if v in _orbit_closure(explored, fixing):
+            if v in orbit_closure(explored, fixing):
                 continue
             explored.add(v)
             search(forced + (v,))

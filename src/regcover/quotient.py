@@ -19,7 +19,8 @@ from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
-                     semiregular_subgroups, semiregular_violations)
+                     point_index, semiregular_subgroups,
+                     semiregular_violations)
 from .iso import MAX_VERTICES, are_isomorphic, canonical_form
 from .reduction import reduction_series
 
@@ -78,21 +79,18 @@ def atom_projection_type(a, gamma):
     """How a covering projection treats an atom: edge, loop, or half."""
     if a.is_block:
         return "edge"
-    u, v = a.boundary
-    dartset = a.ref.darts
-    half = False
+    vidx, didx = point_index(gamma.graph)
+    u, v = vidx[a.boundary[0]], vidx[a.boundary[1]]
+    darts = frozenset(didx[h] for h in a.ref.darts)
     loop = False
     for p in gamma.elements:
         if p.is_identity:
             continue
-        dm = p.dart_map()
-        if frozenset(dm[h] for h in dartset) == dartset:
-            half = True
-            break
-        if p.vertex_map()[u] == v:
+        images = p.images
+        if all(images[h] in darts for h in darts):
+            return "half"
+        if images[u] == v:
             loop = True
-    if half:
-        return "half"
     return "loop" if loop else "edge"
 
 

@@ -6,19 +6,21 @@ import pytest
 from regcover.atoms import (atom_symmetry_type, classify_primitive,
                             extended_atom, find_atoms,
                             is_essentially_cycle,
-                            is_essentially_three_connected)
+                            is_essentially_three_connected,
+                            is_three_connected, strip_pendant_like)
 from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, dipole,
                                expansion_corpus, path_graph, random_instance,
                                star_pendants, theta, with_pendants)
-from regcover.graph import GraphBuilder, HALVABLE, is_cycle, normalize
+from regcover.graph import (STANDARD, GraphBuilder, HALVABLE, is_cycle,
+                            normalize)
 from regcover.groups import Permutation, automorphism_group
 from regcover.iso import automorphisms_iter
 from regcover.quotient import atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import serialize
 
-from test_iso import _beyond_cap_graphs
+from test_iso import _beyond_cap_graphs, _from_networkx
 
 
 def test_cube_has_no_atoms():
@@ -36,6 +38,15 @@ def test_star_block_atom():
     assert a.kind == "star_block"
     assert a.boundary == ("c",)
     assert a.symmetry == "symmetric"
+
+
+def test_block_atoms_have_no_swap_involutions():
+    # a block atom has one boundary vertex, so no boundary pair to exchange
+    blocks = [a for _, g in expansion_corpus()
+              for gi in reduction_series(normalize(g)).graphs[:-1]
+              for a in find_atoms(gi) if a.is_block]
+    assert {a.kind for a in blocks} == {"star_block", "nonstar_block"}
+    assert all(a.swap_involutions() == () for a in blocks)
 
 
 def test_decorated_cycle_atoms():
@@ -128,6 +139,27 @@ def test_block_atom_symmetry_errors():
     assert a.symmetry == "symmetric"
     with pytest.raises(GraphError):
         extended_atom(a)
+
+
+def test_is_three_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [strip_pendant_like(normalize(g))
+              for g in [g for _, g in expansion_corpus()]
+              + [random_instance(seed) for seed in range(100)]]
+    graphs += [_from_networkx(r) for r in (
+        nx.petersen_graph(), nx.circular_ladder_graph(4), nx.wheel_graph(6),
+        nx.complete_bipartite_graph(3, 3), nx.ladder_graph(4))]
+    seen = set()
+    for g in graphs:
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertex_list)
+        simple.add_edges_from((g.vertex_of(h), g.vertex_of(k))
+                              for h, k in g.edges
+                              if g.edge_kind(h) == STANDARD)
+        expected = nx.node_connectivity(simple) >= 3
+        assert is_three_connected(g) == expected, g
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_extended_atom():

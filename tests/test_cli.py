@@ -215,6 +215,25 @@ def test_quotients_and_expand_roundtrip(files, capsys):
     assert matched == len(expanded) == 3
 
 
+def test_expand_against_primitive_sidecar(files, capsys):
+    # the cube is primitive: its sidecar has no levels, so the default
+    # level is 0 and the quotient is written unchanged
+    base = files["cube"][:-2]
+    assert main(["reduce", files["cube"]]) == 0
+    with open(base + ".reduction.json", encoding="utf-8") as fh:
+        assert json.load(fh)["levels"] == []
+    assert main(["expand", base + ".reduction.json", files["k4"]]) == 0
+    out = files["k4"][:-2] + ".x0.g"
+    with open(out, encoding="utf-8") as fh, \
+            open(files["k4"], encoding="utf-8") as ref:
+        assert fh.read() == ref.read()
+    assert "1 expansions" in capsys.readouterr().out
+    for level in ("1", "-1"):
+        assert main(["expand", base + ".reduction.json", files["k4"],
+                     "--level", level]) == 2
+        assert "level must be in 0..0" in capsys.readouterr().err
+
+
 def test_dot_outputs(files, capsys, tmp_path):
     assert main(["dot", files["cube"]]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from regcover.errors import SizeLimitError
@@ -5,7 +7,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
                                expansion_corpus, icosahedron, path_graph,
                                petersen, prism, star_pendants, theta,
                                with_pendants)
-from regcover.graph import HALVABLE
+from regcover.graph import HALVABLE, normalize
 from regcover.groups import (Group, all_subgroups, automorphism_group,
                              conjugacy_classes_of_subgroups,
                              count_automorphisms, fix_group, is_semiregular,
@@ -13,9 +15,11 @@ from regcover.groups import (Group, all_subgroups, automorphism_group,
                              semiregular_violations, subgroup_order_histogram)
 from regcover.atoms import find_atoms
 from regcover.iso import are_isomorphic, canonical_form
+from regcover.reduction import reduction_series
 
 from helpers import (is_simple, naive_dart_automorphism_count,
                      naive_vertex_automorphism_count)
+from test_iso import _beyond_cap_graphs
 
 
 def test_platonic_orders():
@@ -351,7 +355,47 @@ def test_petersen_s5_lattice():
 @pytest.mark.parametrize("build", [lambda: complete(4), cube, icosahedron])
 def test_platonic_orders_match_sympy(build):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    aut = automorphism_group(build())
+    g = build()
+    aut = automorphism_group(g)
+    nv = len(g.vertex_list)
     group = combinatorics.PermutationGroup(
-        [combinatorics.Permutation(list(p.dart_images)) for p in aut])
+        [combinatorics.Permutation([j - nv for j in p.images[nv:]])
+         for p in aut])
     assert group.order() == aut.order
+
+
+def _maps(p):
+    return repr((sorted(p.vertex_map().items()), sorted(p.dart_map().items())))
+
+
+def test_group_layer_is_pinned():
+    # sha256 over the corpus: Aut(G) in element order as vertex and dart
+    # maps, orbits on both domains, the semiregular subgroups as element
+    # index sets, the multiplication table and the conjugacy classes of
+    # subgroups where |Aut| <= 72, and the boundary-swapping involutions of
+    # every non-block atom of every reduction level (beyond-cap graphs
+    # included), as recorded while permutations kept two index tuples
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update("\n".join(parts).encode() + b"\n\n")
+
+    corpus = [g for _, g in expansion_corpus()]
+    assert len(corpus) == 49
+    for g in corpus:
+        aut = automorphism_group(g)
+        put(*[_maps(p) for p in aut])
+        put(repr(orbits(aut, "vertices")), repr(orbits(aut, "darts")))
+        put(*[repr(sorted(aut._index[p] for p in s))
+              for s in semiregular_subgroups(g)])
+        if aut.order <= 72:
+            put(repr(aut.table))
+            put(*[repr([sorted(aut._index[p] for p in s) for s in cls])
+                  for cls in conjugacy_classes_of_subgroups(aut)])
+    for g in corpus + _beyond_cap_graphs():
+        for gi in reduction_series(normalize(g)).graphs[:-1]:
+            for a in find_atoms(gi):
+                if not a.is_block:
+                    put(repr(a), *[_maps(p) for p in a.swap_involutions()])
+    assert digest.hexdigest() == (
+        "d3bb8a3cff38d101bd5bb5fc045fa1fecf41f4d34cc5254021a589f51988dcd9")
