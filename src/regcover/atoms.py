@@ -24,7 +24,7 @@ from .graph import (LOOP, PENDANT, STANDARD, UNDIRECTED, Graph, SubgraphRef,
                     cached, is_connected, is_cycle, normalize,
                     require_standard_input)
 from .groups import Permutation
-from .iso import automorphisms_iter, canonical_form
+from .iso import canonical_form, semiregular_involutions_iter
 
 STAR_BLOCK = "star_block"
 NONSTAR_BLOCK = "nonstar_block"
@@ -86,7 +86,8 @@ class Atom:
 
     def swap_involutions(self):
         """The semiregular involutions of the atom graph that exchange its
-        two boundary vertices, from one scan of the boundary swaps."""
+        two boundary vertices, built directly as involutions (see
+        `iso.semiregular_involutions_iter`)."""
         return cached(self, "_swap_involutions", _swap_involutions)
 
     def __repr__(self):
@@ -346,12 +347,18 @@ def classify_primitive(g):
 
 
 def _swap_involutions(a):
+    """The boundary-exchanging semiregular involutions, in the order the
+    automorphism search yields them.  Only fixed-point-free vertex
+    involutions are extended, and only to dart maps that are involutions
+    reversing no non-halvable edge; each one still passes the permutation
+    checks before it is kept."""
     if a.is_block:
         return ()  # a single boundary vertex: nothing to exchange
     u, v = a.boundary
     ag = a.as_graph()
     swaps = (Permutation.from_maps(ag, dmap, vmap)
-             for vmap, dmap in automorphisms_iter(ag, pinned={u: v, v: u}))
+             for vmap, dmap in semiregular_involutions_iter(
+                 ag, pinned={u: v, v: u}))
     return tuple(p for p in swaps
                  if p.is_involution and p.semiregularity_violation() is None)
 

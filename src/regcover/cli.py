@@ -234,12 +234,25 @@ def cmd_fixtures(args):
     return EXIT_OK
 
 
+def _positive(text):
+    """argparse type of a count or a limit: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="regcover",
         description="Regular graph covers via 3-connected reduction.")
-    ap.add_argument("--max-vertices", type=int, default=MAX_VERTICES)
-    ap.add_argument("--max-group-order", type=int, default=MAX_GROUP_ORDER)
+    ap.add_argument("--max-vertices", type=_positive, default=MAX_VERTICES)
+    ap.add_argument("--max-group-order", type=_positive,
+                    default=MAX_GROUP_ORDER)
     ap.add_argument("--halvable-input", action="store_true",
                     help="retype undirected input edges as halvable")
     ap.add_argument("--seed", type=int, default=0,
@@ -258,7 +271,7 @@ def build_parser():
 
     p = sub.add_parser("aut", help="automorphism group order and orbits")
     p.add_argument("file")
-    p.add_argument("--semiregular", type=int, metavar="K",
+    p.add_argument("--semiregular", type=_positive, metavar="K",
                    help="list semiregular subgroups of order K")
     p.set_defaults(fn=cmd_aut)
 

@@ -8,7 +8,7 @@ ordered tuples) must be mapped onto each other.
 One item index per graph, built once and cached on the graph (`_items`),
 is the only place the search decodes graph structure.  It groups every edge
 and half-edge under a key (kind tag, vertices, type, color, tail role), and
-lists the darts at each vertex by their other end.  It has three readers:
+lists the darts at each vertex by their other end.  It has four readers:
 
 - refinement colors each vertex by the signatures of its darts and the
   colors at their other ends, until the partition is stable;
@@ -23,7 +23,13 @@ lists the darts at each vertex by their other end.  It has three readers:
   colors, compares each vertex's own items and the darts between assigned
   pairs by lookup, then extends a vertex map to darts group by group: each
   key maps to its image key, the target items are permuted, and each
-  item's darts follow one of its allowed ways.
+  item's darts follow one of its allowed ways;
+- the involution builder extends a vertex map that is a fixed-point-free
+  involution to the dart maps that are too, reversing no non-halvable
+  edge.  Under such a map the groups come in pairs of image keys: a group
+  that is its own image takes only item involutions, built position by
+  position, and a group whose partner came earlier takes the inverse of
+  the partner's map, so the dart variants that fail are never built.
 
 Two graphs are isomorphic exactly when their canonical forms are equal.
 The map between their best-leaf orders then preserves the encoding, so its
@@ -39,7 +45,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import InternalError, size_limit
-from .graph import DIRECTED, HALF, LOOP, PENDANT, STANDARD, cached
+from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
+                    cached)
 
 MAX_VERTICES = 24
 
@@ -291,13 +298,13 @@ def _automorphism_vmaps(g, pinned):
     yield from rec(0)
 
 
-def _dart_variants(g1, g2, vmap):
-    """All dart bijections extending a structure-compatible vertex bijection.
+def _dart_jobs(g1, g2, vmap):
+    """One (image key, items, target items, ways) job per group of g1, in
+    key order, or None when an image key has no group of equal size in g2.
 
-    Each group of g1 is matched with the group of g2 under the image of its
-    key; every permutation of the target items is tried, and each item maps
-    its darts along one of its allowed ways (an undirected loop or free
-    edge may also be turned around).
+    An item maps its darts along one of its ways: a tuple giving, for each
+    of its darts in role order, the role of the image dart in the target
+    item (an undirected loop or free edge may also be turned around).
     """
     groups2 = _items(g2)[0]
     jobs = []
@@ -309,17 +316,31 @@ def _dart_variants(g1, g2, vmap):
             ways = ((0, 1), (1, 0))
         else:
             ways = (tuple(range(len(items[0]))),)
-        targets = groups2.get((tag, image, typ, c, role))
+        key = (tag, image, typ, c, role)
+        targets = groups2.get(key)
         if targets is None or len(targets) != len(items):
-            return
-        jobs.append((items, targets, ways))
+            return None
+        jobs.append((key, items, targets, ways))
+    return jobs
+
+
+def _dart_variants(g1, g2, vmap):
+    """All dart bijections extending a structure-compatible vertex bijection.
+
+    Each group of g1 is matched with the group of g2 under the image of its
+    key; every permutation of the target items is tried, and each item maps
+    its darts along one of its ways.
+    """
+    jobs = _dart_jobs(g1, g2, vmap)
+    if jobs is None:
+        return
     dmap = {}
 
     def rec(ji):
         if ji == len(jobs):
             yield dict(dmap)
             return
-        items, targets, ways = jobs[ji]
+        _, items, targets, ways = jobs[ji]
         for perm in itertools.permutations(targets):
             for combo in itertools.product(ways, repeat=len(items)):
                 for src, dst, way in zip(items, perm, combo):
@@ -335,6 +356,91 @@ def automorphisms_iter(g, pinned=None):
     for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
         for dmap in _dart_variants(g, g, vmap):
             yield vmap, dmap
+
+
+def semiregular_involutions_iter(g, pinned=None):
+    """Yield (vertex_map, dart_map) for every automorphism of g that agrees
+    with `pinned` and is a fixed-point-free involution reversing no
+    non-halvable edge: the ones `automorphisms_iter` yields that are
+    semiregular involutions, in the same order."""
+    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
+        if all(w != v and vmap[w] == v for v, w in vmap.items()):
+            for dmap in _involution_dart_maps(g, vmap):
+                yield vmap, dmap
+
+
+def _involution_dart_maps(g, vmap):
+    """The dart maps extending the fixed-point-free vertex involution vmap
+    that are fixed-point-free involutions reversing no non-halvable edge,
+    in `_dart_variants` order.
+
+    vmap sends each group's image key back to the group, so each group is
+    its own image or has a partner.  The first of two partners takes every
+    item map and sets the partner's darts to its inverse; the second is
+    then already set.
+    """
+    jobs = _dart_jobs(g, g, vmap)
+    if jobs is None:
+        return
+    position = {key: i for i, key in enumerate(_items(g)[0])}
+    dmap = {}
+
+    def rec(ji):
+        if ji == len(jobs):
+            yield dict(dmap)
+            return
+        image_key, items, targets, ways = jobs[ji]
+        partner = position[image_key]
+        if partner < ji:
+            yield from rec(ji + 1)
+            return
+        if partner == ji:
+            choices = _item_involutions(items, ways,
+                                       image_key[2] == HALVABLE)
+        else:
+            choices = ((perm, combo)
+                       for perm in itertools.permutations(targets)
+                       for combo in itertools.product(ways, repeat=len(items)))
+        for perm, combo in choices:
+            for src, dst, way in zip(items, perm, combo):
+                for h, i in zip(src, way):
+                    dmap[h] = dst[i]
+                    dmap[dst[i]] = h
+            yield from rec(ji + 1)
+
+    yield from rec(0)
+
+
+def _item_involutions(items, ways, halvable):
+    """(item permutation, ways) pairs that make a group's own items swap in
+    pairs, in `_dart_variants` order.  The permutation is built position by
+    position, a position already taken as an earlier item's mate being
+    forced.  An item stays put only by turning its edge around, which
+    needs a halvable edge; two exchanged items take the same way, as every
+    way is its own inverse."""
+    turned = [w for w in ways if all(w[r] != r for r in range(len(w)))]
+    first_mate = 0 if halvable and turned else 1
+    n = len(items)
+    mate = [None] * n
+
+    def involutions(i):
+        if i == n:
+            yield tuple(mate)
+            return
+        if mate[i] is not None:
+            yield from involutions(i + 1)
+            return
+        for j in range(i + first_mate, n):
+            if mate[j] is None:
+                mate[i], mate[j] = j, i
+                yield from involutions(i + 1)
+                mate[i] = mate[j] = None
+
+    for perm in involutions(0):
+        for combo in itertools.product(ways, repeat=n):
+            if all(combo[i] in turned if i == j else combo[i] == combo[j]
+                   for i, j in enumerate(perm)):
+                yield tuple(items[j] for j in perm), combo
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from regcover import iso
 from regcover.atoms import (atom_symmetry_type, classify_primitive,
                             extended_atom, find_atoms,
                             is_essentially_cycle,
@@ -12,10 +13,10 @@ from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, dipole,
                                expansion_corpus, path_graph, random_instance,
                                star_pendants, theta, with_pendants)
-from regcover.graph import (STANDARD, GraphBuilder, HALVABLE, is_cycle,
-                            normalize)
+from regcover.graph import (DIRECTED, STANDARD, GraphBuilder, HALVABLE,
+                            is_cycle, normalize)
 from regcover.groups import Permutation, automorphism_group
-from regcover.iso import automorphisms_iter
+from regcover.iso import automorphisms_iter, semiregular_involutions_iter
 from regcover.quotient import atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import serialize
@@ -243,6 +244,17 @@ def _series_graphs():
         yield normalize(g)
 
 
+def _scanned_involutions(g, pinned):
+    """The semiregular involutions among all automorphisms agreeing with
+    `pinned`, in the order the automorphism search yields them."""
+    out = []
+    for vmap, dmap in automorphisms_iter(g, pinned=pinned):
+        p = Permutation.from_maps(g, dmap, vmap)
+        if p.is_involution and p.semiregularity_violation() is None:
+            out.append((vmap, dmap))
+    return out
+
+
 def _ref_symmetry_type(a):
     """The symmetry type by brute force: a scan of the boundary swaps for a
     semiregular involution, then a second search for any swap."""
@@ -251,10 +263,8 @@ def _ref_symmetry_type(a):
     u, v = a.boundary
     ag = a.as_graph()
     swap = {u: v, v: u}
-    for vmap, dmap in automorphisms_iter(ag, pinned=swap):
-        p = Permutation.from_maps(ag, dmap, vmap)
-        if p.is_involution and p.semiregularity_violation() is None:
-            return "halvable"
+    if _scanned_involutions(ag, swap):
+        return "halvable"
     if next(automorphisms_iter(ag, pinned=swap), None) is not None:
         return "symmetric"
     return "asymmetric"
@@ -268,6 +278,85 @@ def test_symmetry_types_match_brute_force():
                 assert a.symmetry == _ref_symmetry_type(a), a
                 seen.add(a.symmetry)
     assert seen == {"halvable", "symmetric", "asymmetric"}
+
+
+def _decorated_pair():
+    """Two swappable vertices with loop bundles, pendants, attached and
+    free half-edges and free edges: item groups no atom holds."""
+    b = GraphBuilder().vertex("a").vertex("b")
+    b.edge("e", "a", "b", type=HALVABLE)
+    for v in "ab":
+        for i in range(2):
+            b.loop(f"l{v}{i}", v, type=HALVABLE)
+        b.loop(f"d{v}", v, type=DIRECTED)
+        b.pendant(f"p{v}", v)
+        b.halfedge(f"h{v}", v)
+    for i in range(3):
+        b.free(f"f{i}", type=HALVABLE)
+    b.halfedge("x0")
+    b.halfedge("x1")
+    return b.build()
+
+
+def test_involution_builder_matches_filtered_scan():
+    # the same semiregular involutions in the same order as filtering every
+    # automorphism: on each boundary swap of a non-block atom, and on each
+    # vertex pair of the corpus series levels
+    atoms = kept = 0
+    for g in _series_graphs():
+        for gi in reduction_series(g).graphs[:-1]:
+            for a in find_atoms(gi):
+                if a.is_block:
+                    continue
+                u, v = a.boundary
+                ag, swap = a.as_graph(), {u: v, v: u}
+                found = list(semiregular_involutions_iter(ag, pinned=swap))
+                assert found == _scanned_involutions(ag, swap), a
+                atoms += 1
+                kept += len(found)
+    assert (atoms, kept) == (355, 302)
+    levels = [gi for _, g in expansion_corpus()
+              for gi in reduction_series(normalize(g)).graphs]
+    pairs = kept = 0
+    for gi in levels + [_decorated_pair()]:
+        for x, y in itertools.combinations(gi.vertex_list, 2):
+            swap = {x: y, y: x}
+            found = list(semiregular_involutions_iter(gi, pinned=swap))
+            assert found == _scanned_involutions(gi, swap), (gi, swap)
+            pairs += 1
+            kept += len(found)
+    assert (pairs, kept) == (861, 274 + 56)  # corpus levels + decorated pair
+
+
+def test_involution_builder_builds_only_kept_maps(monkeypatch):
+    built = []
+    build = iso._involution_dart_maps
+
+    def counting(g, vmap):
+        for dmap in build(g, vmap):
+            built.append(dmap)
+            yield dmap
+
+    monkeypatch.setattr(iso, "_involution_dart_maps", counting)
+    kept = 0
+    for g in _beyond_cap_graphs():
+        for gi in reduction_series(normalize(g)).graphs[:-1]:
+            for a in find_atoms(gi):
+                kept += len(a.swap_involutions())
+    assert len(built) == kept == 137
+    # theta(1^7): a filtered scan of the class representatives' boundary
+    # swaps looks at 5,041 automorphisms, 5,040 of them on the dipole of 7
+    # parallel edges, whose odd bundle admits no involution to build
+    built.clear()
+    scanned = 0
+    for step in reduction_series(normalize(theta(*[1] * 7))).steps:
+        for cls in step.classes:
+            assert cls.rep.swap_involutions() == ()
+            u, v = cls.rep.boundary
+            scanned += sum(1 for _ in automorphisms_iter(
+                cls.rep.as_graph(), pinned={u: v, v: u}))
+    assert scanned == 5041
+    assert built == []
 
 
 def test_reduction_classes_are_pinned():

@@ -151,6 +151,26 @@ def test_aut_semiregular_listing(files, capsys):
     assert "order 2: 1" in out
 
 
+def test_semiregular_order_one_is_the_trivial_subgroup(files, capsys):
+    assert main(["aut", "--semiregular", "1", files["c6"]]) == 0
+    assert "order 1: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["aut", "--semiregular", "0", "{c6}"], "--semiregular"),
+    (["aut", "--semiregular", "-2", "{c6}"], "--semiregular"),
+    (["aut", "--semiregular", "two", "{c6}"], "--semiregular"),
+    (["--max-group-order", "0", "aut", "{cube}"], "--max-group-order"),
+    (["--max-vertices", "-3", "iso", "{c3}", "{c3}"], "--max-vertices"),
+])
+def test_non_positive_numbers_are_input_errors(files, capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
+
+
 def test_cover_yes_no(files, capsys):
     assert main(["cover", files["cube"], files["k4"]]) == 0
     assert "yes" in capsys.readouterr().out

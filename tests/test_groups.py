@@ -19,7 +19,7 @@ from regcover.reduction import reduction_series
 
 from helpers import (is_simple, naive_dart_automorphism_count,
                      naive_vertex_automorphism_count)
-from test_iso import _beyond_cap_graphs
+from test_iso import _beyond_cap_graphs, _from_networkx
 
 
 def test_platonic_orders():
@@ -45,6 +45,30 @@ def test_naive_dart_oracle_agreement():
               path_graph(2)):
         assert g.n_darts <= 8
         assert count_automorphisms(g) == naive_dart_automorphism_count(g)
+
+
+def test_count_automorphisms_matches_networkx_vf2():
+    # on a simple graph each vertex automorphism extends to exactly one
+    # dart map, so the count is the number of VF2 self-isomorphisms
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    graphs = [nx.petersen_graph(), nx.hypercube_graph(3), nx.wheel_graph(6),
+              nx.complete_bipartite_graph(3, 3), nx.circular_ladder_graph(5),
+              nx.frucht_graph(), nx.path_graph(5), nx.star_graph(4)]
+    for n in range(4, 10):
+        for seed in range(6):
+            r = nx.gnp_random_graph(n, 0.45, seed=100 * n + seed)
+            if nx.is_connected(r):
+                graphs.append(r)
+    assert len(graphs) > 30
+    orders = set()
+    for nxg in graphs:
+        g = _from_networkx(nxg)
+        assert is_simple(g)
+        expected = sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter())
+        assert count_automorphisms(g) == expected, nxg
+        orders.add(expected)
+    assert {1, 2, 48, 120} <= orders
 
 
 def test_group_closure_and_lagrange():
