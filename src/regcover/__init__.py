@@ -14,7 +14,7 @@ from .graph import (Graph, GraphBuilder, SubgraphRef, connected_components,
                     degree, normalize, validate, with_halvable_edges)
 from .groups import (Group, Permutation, all_subgroups, automorphism_group,
                      conjugacy_classes_of_subgroups, count_automorphisms,
-                     fix_group, is_semiregular, orbits, semiregular_subgroups)
+                     is_semiregular, orbits, semiregular_subgroups)
 from .iso import are_isomorphic, canonical_form
 from .quotient import (AtomQuotientSet, Quotient, all_quotients,
                        atom_projection_type, atom_quotients, expand_step,

@@ -5,6 +5,10 @@ A graph's points are its vertices in `vertex_list` order, then its darts in
 point number of each point's image.  Tuples order elements by their vertex
 images first, and the orbits of either domain are closures over points.
 
+`automorphism_group` lists every dart map; `count_automorphisms`, which
+lives next to the item index in `iso`, only multiplies the number of
+choices per item group, so a count never builds a permutation.
+
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
 A product a*b is then found by looking up a's images of b's base images,
@@ -24,7 +28,7 @@ from operator import itemgetter
 
 from .errors import GraphError, size_limit
 from .graph import HALVABLE, cached
-from .iso import automorphisms_iter, orbit_closure
+from .iso import automorphisms_iter, count_automorphisms, orbit_closure
 
 MAX_GROUP_ORDER = 200
 
@@ -229,31 +233,15 @@ class Group:
         return Group(self.graph, [self.elements[i] for i in indices], verify=False)
 
 
-def _automorphisms(g, pinned, phase, what, max_order):
-    """The group of g's automorphisms that agree with `pinned` on vertices."""
-    perms = []
-    for vmap, dmap in automorphisms_iter(g, pinned=pinned):
-        perms.append(Permutation.from_maps(g, dmap, vmap))
-        if max_order is not None and len(perms) > max_order:
-            raise size_limit(phase, f"{len(perms)} {what} found", max_order, g)
-    return Group(g, perms, verify=False)
-
-
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     """The full color/type/direction-preserving automorphism group."""
-    return _automorphisms(g, None, "automorphism_group", "automorphisms",
-                          max_order)
-
-
-def count_automorphisms(g, limit=None, pinned=None):
-    """Number of automorphisms that agree with `pinned` on vertices."""
-    n = 0
-    for _ in automorphisms_iter(g, pinned=pinned):
-        n += 1
-        if limit is not None and n > limit:
-            raise size_limit("count_automorphisms", f"{n} automorphisms found",
-                             limit, g, "limit")
-    return n
+    perms = []
+    for vmap, dmap in automorphisms_iter(g):
+        perms.append(Permutation.from_maps(g, dmap, vmap))
+        if max_order is not None and len(perms) > max_order:
+            raise size_limit("automorphism_group",
+                             f"{len(perms)} automorphisms found", max_order, g)
+    return Group(g, perms, verify=False)
 
 
 def is_semiregular(grp):
@@ -414,11 +402,4 @@ def orbits(grp, domain="vertices"):
         seen.update(orbit)
         out.append(tuple(sorted(items[i - first] for i in orbit)))
     return tuple(sorted(out))
-
-
-def fix_group(atom, max_order=MAX_GROUP_ORDER):
-    """Automorphisms of an atom fixing its boundary pointwise."""
-    return _automorphisms(atom.as_graph(), {b: b for b in atom.boundary},
-                          "fix_group", "boundary-fixing automorphisms",
-                          max_order)
 

@@ -23,7 +23,9 @@ lists the darts at each vertex by their other end.  It has four readers:
   colors, compares each vertex's own items and the darts between assigned
   pairs by lookup, then extends a vertex map to darts group by group: each
   key maps to its image key, the target items are permuted, and each
-  item's darts follow one of its allowed ways;
+  item's darts follow one of its allowed ways.  These choices are
+  independent, so the automorphism count takes, per vertex map, the
+  product over groups of |items|! * |ways|^|items| and lists no dart map;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -43,6 +45,7 @@ depend on the index.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import InternalError, size_limit
 from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
@@ -349,6 +352,27 @@ def _dart_variants(g1, g2, vmap):
                 yield from rec(ji + 1)
 
     yield from rec(0)
+
+
+def count_automorphisms(g, limit=None, pinned=None):
+    """Number of automorphisms of g that agree with `pinned` on vertices.
+
+    A vertex map's dart extensions pick, independently per job of
+    `_dart_jobs`, a permutation of the target items and a way for each
+    item, so they number the product of |items|! * |ways|^|items|; no dart
+    map is built.
+    """
+    n = 0
+    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
+        jobs = _dart_jobs(g, g, vmap)
+        if jobs is None:
+            continue
+        n += math.prod(math.factorial(len(items)) * len(ways) ** len(items)
+                       for _, items, _, ways in jobs)
+        if limit is not None and n > limit:
+            raise size_limit("count_automorphisms", f"{n} automorphisms found",
+                             limit, g, "limit")
+    return n
 
 
 def automorphisms_iter(g, pinned=None):

@@ -316,7 +316,10 @@ def expansion_chain(h_r, series):
 
 
 def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
-    """None, or a semiregular witness group with g/witness isomorphic to h."""
+    """None, or a semiregular witness group with g/witness isomorphic to h.
+
+    Every graph compared has at most |V(g)| vertices, so the isomorphism
+    tests are bounded by that, as `all_quotients` bounds its dedup."""
     for name, gr in (("covering graph", g), ("target graph", h)):
         require_standard_input(gr, name)
         if normalize(gr) is not gr:
@@ -326,8 +329,9 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     k = g.n_vertices // h.n_vertices
     if g.n_darts != k * h.n_darts:
         return None
+    max_vertices = max(MAX_VERTICES, g.n_vertices)
     for gamma in semiregular_subgroups(g, order=k, max_order=max_order):
         q = quotient(g, gamma)
-        if are_isomorphic(q.result, h) is not None:
+        if are_isomorphic(q.result, h, max_vertices=max_vertices) is not None:
             return gamma
     return None

@@ -178,6 +178,14 @@ def test_cover_yes_no(files, capsys):
     assert main(["cover", files["k4"], files["cube"]]) == 1
 
 
+def test_cover_compares_graphs_past_the_vertex_cap(tmp_path, capsys):
+    # every graph `cover` compares has at most |V(G)| vertices
+    p = tmp_path / "c26.g"
+    write_file(cycle(26), str(p))
+    assert main(["--max-vertices", "30", "cover", str(p), str(p)]) == 0
+    assert capsys.readouterr().out.startswith("yes (group order 1)")
+
+
 def test_blocks_and_atoms(files, capsys):
     assert main(["blocks", files["c6"]]) == 0
     assert "center: block" in capsys.readouterr().out

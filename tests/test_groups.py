@@ -2,19 +2,20 @@ import hashlib
 
 import pytest
 
+from regcover import iso
 from regcover.errors import SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
                                expansion_corpus, icosahedron, path_graph,
-                               petersen, prism, star_pendants, theta,
-                               with_pendants)
-from regcover.graph import HALVABLE, normalize
+                               petersen, prism, random_instance, star_pendants,
+                               theta, with_pendants)
+from regcover.graph import HALVABLE, GraphBuilder, normalize
 from regcover.groups import (Group, all_subgroups, automorphism_group,
                              conjugacy_classes_of_subgroups,
-                             count_automorphisms, fix_group, is_semiregular,
+                             count_automorphisms, is_semiregular,
                              orbits, semiregular_subgroups,
                              semiregular_violations, subgroup_order_histogram)
 from regcover.atoms import find_atoms
-from regcover.iso import are_isomorphic, canonical_form
+from regcover.iso import are_isomorphic, automorphisms_iter, canonical_form
 from regcover.reduction import reduction_series
 
 from helpers import (is_simple, naive_dart_automorphism_count,
@@ -69,6 +70,57 @@ def test_count_automorphisms_matches_networkx_vf2():
         assert count_automorphisms(g) == expected, nxg
         orders.add(expected)
     assert {1, 2, 48, 120} <= orders
+
+
+def count_dart_maps(monkeypatch):
+    """A list that grows by one for each dart map `iso._dart_variants`
+    builds from now on."""
+    built = []
+    variants = iso._dart_variants
+
+    def counting(g1, g2, vmap):
+        for dmap in variants(g1, g2, vmap):
+            built.append(1)
+            yield dmap
+
+    monkeypatch.setattr(iso, "_dart_variants", counting)
+    return built
+
+
+def test_count_automorphisms_matches_listing():
+    # the product over item groups equals the number of dart maps listed,
+    # on whole graphs and on atoms pinned on their boundary, pointwise and,
+    # for two boundary vertices, swapped
+    graphs = [g for _, g in expansion_corpus()]
+    graphs += [normalize(random_instance(seed)) for seed in range(200)]
+    cases = [(g, None) for g in graphs]
+    for g in graphs:
+        for a in find_atoms(g):
+            cases.append((a.as_graph(), {b: b for b in a.boundary}))
+            if len(a.boundary) == 2:
+                u, v = a.boundary
+                cases.append((a.as_graph(), {u: v, v: u}))
+    assert len(cases) == 803
+    for g, pinned in cases:
+        listed = sum(1 for _ in automorphisms_iter(g, pinned=pinned))
+        assert count_automorphisms(g, pinned=pinned) == listed, (g, pinned)
+
+
+def test_count_automorphisms_builds_no_dart_map(monkeypatch):
+    # one vertex map whose dart extensions number 48 per bundle of three
+    # loops or free edges (3! orders, 2 ways per item), far too many to list
+    b = GraphBuilder().vertex("a").vertex("b")
+    b.edge("e", "a", "b")
+    for v in "ab":
+        for i in range(3):
+            b.loop(f"l{v}{i}", v, type=HALVABLE)
+    for i in range(3):
+        b.free(f"fh{i}", type=HALVABLE)
+        b.free(f"fu{i}")
+    g = b.build()
+    built = count_dart_maps(monkeypatch)
+    assert count_automorphisms(g, pinned={"a": "b", "b": "a"}) == 48 ** 4
+    assert built == []
 
 
 def test_group_closure_and_lagrange():
@@ -209,19 +261,22 @@ def test_semiregular_orbit_law():
             assert all(len(o) == s.order for o in orbits(s, "darts"))
 
 
-def test_fix_group_orders():
+def _stabilizer_order(atom):
+    return count_automorphisms(atom.as_graph(),
+                               pinned={b: b for b in atom.boundary})
+
+
+def test_boundary_stabilizer_orders():
     (star,) = find_atoms(star_pendants(3))
     assert star.kind == "star_block"
-    assert fix_group(star).order == 6
-    assert count_automorphisms(star.as_graph(),
-                               pinned={b: b for b in star.boundary}) == 6
+    assert _stabilizer_order(star) == 6
 
     arm = find_atoms(theta(1, 1, 1))[0]
-    assert fix_group(arm).order == 1
+    assert _stabilizer_order(arm) == 1
 
     host = with_pendants(dipole([0, 0, 0], ["undirected"] * 3), ["u", "v"])
     dip = next(a for a in find_atoms(host) if a.kind == "dipole")
-    assert fix_group(dip).order == 6
+    assert _stabilizer_order(dip) == 6
 
 
 def test_automorphism_group_size_limit():
@@ -241,15 +296,6 @@ def test_automorphism_group_size_limit():
     assert "max_order=40" in msg
     assert "group order 48" in msg
     assert "|V|=8, 24 darts" in msg
-
-    (star,) = find_atoms(star_pendants(3))
-    with pytest.raises(SizeLimitError) as exc:
-        fix_group(star, max_order=4)
-    msg = str(exc.value)
-    assert msg.startswith("fix_group:")
-    assert "max_order=4" in msg
-    assert "5 boundary-fixing automorphisms found" in msg
-    assert "|V|=1, 6 darts" in msg
 
     with pytest.raises(SizeLimitError) as exc:
         count_automorphisms(cube(), limit=10)

@@ -9,8 +9,8 @@ from regcover import iso
 from regcover.errors import SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                cycle_with_triangles, dipole, expansion_corpus,
-                               path_graph, prism, random_instance, theta,
-                               with_pendants)
+                               path_graph, petersen, prism, random_instance,
+                               theta, with_pendants)
 from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
                           verify_isomorphism)
@@ -502,6 +502,28 @@ def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     canonical_form(theta(1, 1, 1, 1, 1, 1, 1))
     assert 0 < len(nodes) <= 100
+
+
+def test_canonical_search_node_counts_are_pinned(monkeypatch):
+    # pruning by automorphisms that move the individualized prefix finds
+    # the same forms on every graph tried so far but takes fewer nodes
+    # (36, 26, 10, 10, 28, 38, 21), so only the node counts tell it apart
+    nodes = []
+    refine = iso._refine
+
+    def counting(g, colors):
+        nodes.append(1)
+        return refine(g, colors)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    counts = []
+    for build in (lambda: theta(*[1] * 7), lambda: theta(*[2] * 6), cube,
+                  petersen, lambda: book(6), lambda: cycle_with_triangles(6),
+                  lambda: complete(6)):
+        nodes.clear()
+        canonical_form(build())
+        counts.append(len(nodes))
+    assert counts == [86, 46, 14, 19, 58, 42, 41]
 
 
 def _from_networkx(nxg):

@@ -10,10 +10,14 @@ from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
                                expansion_corpus, reduction_showcase,
                                star_pendants, theta, with_pendants)
 from regcover.graph import DIRECTED, HALVABLE, PENDANT, UNDIRECTED, normalize
-from regcover.groups import automorphism_group, semiregular_subgroups
+from regcover.groups import (automorphism_group, count_automorphisms,
+                             semiregular_subgroups)
 from regcover.reduction import (kernel, kernel_order, reduce_step,
                                 reduction_epimorphism, reduction_series)
 from regcover.textfmt import serialize
+
+from test_groups import count_dart_maps
+from test_iso import _beyond_cap_graphs
 
 
 def test_reduce_theta_to_dipole():
@@ -170,6 +174,22 @@ def test_semiregular_restriction_injective_and_semiregular():
                 assert len(imgs) == gamma.order
                 for q in imgs:
                     assert q.semiregularity_violation() is None
+
+
+def test_kernel_orders_give_aut_order_beyond_cap(monkeypatch):
+    # |Aut(G)| = |Aut(G_r)| * the product of the kernel orders, counted
+    # without building a dart map; the orders are perfbench/refs.json's |Aut|
+    series = [reduction_series(normalize(g)) for g in _beyond_cap_graphs()]
+    built = count_dart_maps(monkeypatch)
+    orders = []
+    for s in series:
+        order = count_automorphisms(s.graphs[-1])
+        for step in s.steps:
+            order *= kernel_order(step)
+        orders.append(order)
+    assert orders == [10080, 1440, 1440, 240, 240, 240, 1440, 768, 1440,
+                      768, 4096]
+    assert built == []
 
 
 def test_kernel_examples():
