@@ -24,7 +24,8 @@ from .graph import (LOOP, PENDANT, STANDARD, UNDIRECTED, Graph, SubgraphRef,
                     cached, is_connected, is_cycle, normalize,
                     require_standard_input)
 from .groups import Permutation
-from .iso import canonical_form, semiregular_involutions_iter
+from .iso import (MAX_VERTICES, canonical_form,
+                  semiregular_involutions_iter)
 
 STAR_BLOCK = "star_block"
 NONSTAR_BLOCK = "nonstar_block"
@@ -59,16 +60,24 @@ class Atom:
     def interior_vertices(self):
         return self.ref.vertices - frozenset(self.boundary)
 
+    def _form_bound(self):
+        """The vertex bound of the atom's forms, max(24, |V(atom)|): an
+        atom is no larger than the graph it was cut from, as no quotient
+        is larger than the graph `all_quotients` bounds its dedup by."""
+        return max(MAX_VERTICES, self.as_graph().n_vertices)
+
     def form(self):
         """Canonical form with the boundary marked setwise."""
-        return canonical_form(self.as_graph(), marking=self.boundary)
+        return canonical_form(self.as_graph(), marking=self.boundary,
+                              max_vertices=self._form_bound())
 
     def _ordered_forms(self):
         """Canonical forms with the boundary marked in both orders."""
         u, v = self.boundary
         g = self.as_graph()
-        return (canonical_form(g, ordered_marking=(u, v)),
-                canonical_form(g, ordered_marking=(v, u)))
+        bound = self._form_bound()
+        return (canonical_form(g, ordered_marking=(u, v), max_vertices=bound),
+                canonical_form(g, ordered_marking=(v, u), max_vertices=bound))
 
     def ordered_boundary(self):
         """Boundary in a canonical order, the one whose ordered-marked form

@@ -5,9 +5,13 @@ A graph's points are its vertices in `vertex_list` order, then its darts in
 point number of each point's image.  Tuples order elements by their vertex
 images first, and the orbits of either domain are closures over points.
 
-`automorphism_group` lists every dart map; `count_automorphisms`, which
-lives next to the item index in `iso`, only multiplies the number of
-choices per item group, so a count never builds a permutation.
+`automorphism_group` multiplies out a stabilizer chain: one automorphism
+per coset of each point stabilizer along the vertex search's order, and
+the automorphisms fixing every vertex.  The order, the product of the
+coset counts and the kernel's size, is known before any element is built.
+`count_automorphisms`, which lives next to the item index in `iso`, only
+multiplies the number of choices per item group, so a count never builds
+a permutation either.
 
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
@@ -23,12 +27,15 @@ set is None.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter
 
-from .errors import GraphError, size_limit
+from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached
-from .iso import automorphisms_iter, count_automorphisms, orbit_closure
+from .iso import (count_automorphisms, dart_maps, extension_count,
+                  orbit_closure, stabilizer_chain)
 
 MAX_GROUP_ORDER = 200
 
@@ -44,6 +51,21 @@ def _index_points(g):
     nv = len(g.vertex_list)
     return ({v: i for i, v in enumerate(g.vertex_list)},
             {h: nv + i for i, h in enumerate(g.dart_list)})
+
+
+def _mate_points(g):
+    """Per dart of g, in `dart_list` order, the point of its mate when the
+    two darts form a non-halvable edge, else -1: a permutation reverses
+    such an edge when a dart's image is this point.  Kept on g as
+    `_mate_points` (see `graph.cached`)."""
+    return cached(g, "_mate_points", _index_mates)
+
+
+def _index_mates(g):
+    didx = point_index(g)[1]
+    return tuple(didx[g.pairing[h]]
+                 if g.pairing[h] != h and g.edge_type.get(h) != HALVABLE
+                 else -1 for h in g.dart_list)
 
 
 class Permutation:
@@ -79,7 +101,7 @@ class Permutation:
 
     @property
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def compose(self, other):
         """self after other: (self * other)(x) = self(other(x))."""
@@ -100,20 +122,22 @@ class Permutation:
 
     def semiregularity_violation(self):
         """None, or a string explaining the non-trivial stabilizer."""
-        if self.is_identity:
-            return None
+        images = self.images
+        points = range(len(images))
         g = self.graph
         nv = len(g.vertex_list)
-        for i, j in enumerate(self.images):
-            if i == j:
-                if i < nv:
-                    return f"fixes vertex {g.vertex_list[i]!r}"
-                return f"fixes dart {g.dart_list[i - nv]!r}"
-        didx = point_index(g)[1]
-        for h, j in zip(g.dart_list, self.images[nv:]):
-            k = g.pairing[h]
-            if j == didx[k] and h != k and g.edge_type.get(h) != HALVABLE:
-                return f"swaps the darts of non-halvable edge {h!r}/{k!r}"
+        if any(map(eq, images, points)):
+            if images == tuple(points):
+                return None
+            i = next(compress(points, map(eq, images, points)))
+            if i < nv:
+                return f"fixes vertex {g.vertex_list[i]!r}"
+            return f"fixes dart {g.dart_list[i - nv]!r}"
+        mates = _mate_points(g)
+        if any(map(eq, images[nv:], mates)):
+            h = next(compress(g.dart_list, map(eq, images[nv:], mates)))
+            return (f"swaps the darts of non-halvable edge "
+                    f"{h!r}/{g.pairing[h]!r}")
         return None
 
     def __eq__(self, other):
@@ -234,13 +258,32 @@ class Group:
 
 
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
-    """The full color/type/direction-preserving automorphism group."""
-    perms = []
-    for vmap, dmap in automorphisms_iter(g):
-        perms.append(Permutation.from_maps(g, dmap, vmap))
-        if max_order is not None and len(perms) > max_order:
-            raise size_limit("automorphism_group",
-                             f"{len(perms)} automorphisms found", max_order, g)
+    """The full color/type/direction-preserving automorphism group,
+    multiplied out of its stabilizer chain (see `iso.stabilizer_chain`).
+
+    The order is the product of the transversal sizes, each plus one for
+    the identity, and the kernel's `extension_count`, so a group over
+    `max_order` is refused before any element is built.
+    """
+    transversals, kernel = stabilizer_chain(g)
+    order = (math.prod(len(reps) + 1 for reps in transversals)
+             * extension_count(kernel))
+    if max_order is not None and order > max_order:
+        raise size_limit("automorphism_group", f"{order} automorphisms",
+                         max_order, g)
+    identity = {v: v for v in g.vertex_list}
+    images = [Permutation.from_maps(g, dmap, identity).images
+              for dmap in dart_maps(kernel)]
+    # the elements of G_i = the union of t * G_i+1 over t in T_i and 1,
+    # composed as image tuples: (t * x)[p] = t[x[p]]
+    for reps in reversed(transversals):
+        ts = [Permutation.from_maps(g, dmap, vmap).images
+              for vmap, dmap in reps]
+        images += [tuple(map(t.__getitem__, x)) for t in ts for x in images]
+    perms = {Permutation(g, x) for x in images}
+    if len(perms) != order:
+        raise InternalError(f"automorphism_group: {len(perms)} distinct "
+                            f"products, expected {order}")
     return Group(g, perms, verify=False)
 
 

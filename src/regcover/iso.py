@@ -25,7 +25,11 @@ lists the darts at each vertex by their other end.  It has four readers:
   key maps to its image key, the target items are permuted, and each
   item's darts follow one of its allowed ways.  These choices are
   independent, so the automorphism count takes, per vertex map, the
-  product over groups of |items|! * |ways|^|items| and lists no dart map;
+  product over groups of |items|! * |ways|^|items| and lists no dart map.
+  The stabilizer chain walks the same search along its identity path and,
+  per base vertex and image, descends only to the first vertex map that
+  extends to darts: one coset representative each, from a fraction of the
+  leaves the full listing visits;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -260,45 +264,101 @@ def _best_leaf(g, marking, ordered_marking):
 
 # -- automorphism search ------------------------------------------------------
 
+class _VertexSearch:
+    """Backtracking over the vertex permutations of g that keep refined
+    colors and the items at and between vertices, and send each pinned
+    vertex to its image.  Vertices are assigned in `order`; `assignment`
+    holds the images of a prefix of it, and `used` the images taken."""
+
+    def __init__(self, g, pinned=None):
+        _, self._ends, self._own = _items(g)
+        colors = _refine(g, _initial_colors(g, None, None))
+        by_color = {}
+        for w in g.vertex_list:
+            by_color.setdefault(colors[w], []).append(w)
+        self.order = sorted(g.vertex_list, key=lambda v: (colors[v], v))
+        self._cells = [by_color[colors[v]] for v in self.order]
+        self._pinned = pinned or {}
+        self.assignment = {}
+        self.used = set()
+
+    def images(self, i):
+        """The images order[i] can take next to the assignment of
+        order[:i], in vertex order."""
+        v = self.order[i]
+        want = self._pinned.get(v)
+        own, at1, assignment, used = (self._own, self._ends[v],
+                                      self.assignment, self.used)
+        for w in self._cells[i]:
+            if w in used or (want is not None and w != want):
+                continue
+            if own[v] != own[w]:
+                continue
+            at2 = self._ends[w]
+            if all(at1.get(v2) == at2.get(w2)
+                   for v2, w2 in assignment.items()):
+                yield w
+
+    def leaves(self, i=0):
+        """Yield `assignment` each time it is completed from order[:i];
+        closing the generator restores it to order[:i]."""
+        if i == len(self.order):
+            yield self.assignment
+            return
+        v = self.order[i]
+        for w in self.images(i):
+            self.used.add(w)
+            self.assignment[v] = w
+            try:
+                yield from self.leaves(i + 1)
+            finally:
+                self.used.remove(w)
+                del self.assignment[v]
+
+
 def _automorphism_vmaps(g, pinned):
     """Vertex permutations of g that keep refined colors and the items at
     and between vertices, and send each pinned vertex to its image."""
-    _, ends, own = _items(g)
-    colors = _refine(g, _initial_colors(g, None, None))
-    by_color = {}
-    for w in g.vertex_list:
-        by_color.setdefault(colors[w], []).append(w)
-    order = sorted(g.vertex_list, key=lambda v: (colors[v], v))
-    used = set()
-    assignment = {}
+    for leaf in _VertexSearch(g, pinned).leaves():
+        yield dict(leaf)
 
-    def compatible(v, w):
-        if own[v] != own[w]:
-            return False
-        at1, at2 = ends[v], ends[w]
-        for v2, w2 in assignment.items():
-            if at1.get(v2) != at2.get(w2):
-                return False
-        return True
 
-    def rec(i):
-        if i == len(order):
-            yield dict(assignment)
-            return
-        v = order[i]
-        want = pinned.get(v)
-        for w in by_color[colors[v]]:
-            if w in used or (want is not None and w != want):
+def stabilizer_chain(g):
+    """(transversals, kernel): Aut(g) along the search order v_1 ... v_n.
+
+    transversals[i] holds, as (vertex map, dart map), one automorphism
+    fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i that such
+    automorphisms reach.  It walks the search's identity path; below
+    v_i -> w it descends only to the first complete vertex map with dart
+    jobs, lifted by its first dart map.  kernel is the dart jobs of the
+    identity vertex map: the automorphisms fixing every vertex are its
+    `dart_maps`, `extension_count(kernel)` of them.  Every automorphism is
+    t_1 * ... * t_n * k for exactly one k and one t_i from each
+    transversal or the identity.
+    """
+    search = _VertexSearch(g)
+    assignment, used = search.assignment, search.used
+    transversals = []
+    for i, v in enumerate(search.order):
+        reps = []
+        for w in search.images(i):
+            if w == v:
                 continue
-            if not compatible(v, w):
-                continue
-            used.add(w)
             assignment[v] = w
-            yield from rec(i + 1)
-            used.remove(w)
+            used.add(w)
+            below = search.leaves(i + 1)
+            for leaf in below:
+                jobs = _dart_jobs(g, g, leaf)
+                if jobs is not None:
+                    reps.append((dict(leaf), _first_dart_map(jobs)))
+                    break
+            below.close()
             del assignment[v]
-
-    yield from rec(0)
+            used.remove(w)
+        transversals.append(reps)
+        assignment[v] = v
+        used.add(v)
+    return transversals, _dart_jobs(g, g, assignment)
 
 
 def _dart_jobs(g1, g2, vmap):
@@ -328,15 +388,17 @@ def _dart_jobs(g1, g2, vmap):
 
 
 def _dart_variants(g1, g2, vmap):
-    """All dart bijections extending a structure-compatible vertex bijection.
-
-    Each group of g1 is matched with the group of g2 under the image of its
-    key; every permutation of the target items is tried, and each item maps
-    its darts along one of its ways.
-    """
+    """All dart bijections extending a structure-compatible vertex
+    bijection (see `dart_maps`)."""
     jobs = _dart_jobs(g1, g2, vmap)
-    if jobs is None:
-        return
+    if jobs is not None:
+        yield from dart_maps(jobs)
+
+
+def dart_maps(jobs):
+    """The dart maps of a vertex map's dart jobs: each group of g1 is
+    matched with its image group, every permutation of the target items
+    is tried, and each item maps its darts along one of its ways."""
     dmap = {}
 
     def rec(ji):
@@ -354,21 +416,34 @@ def _dart_variants(g1, g2, vmap):
     yield from rec(0)
 
 
-def count_automorphisms(g, limit=None, pinned=None):
-    """Number of automorphisms of g that agree with `pinned` on vertices.
+def _first_dart_map(jobs):
+    """The first of `dart_maps(jobs)`: each item onto the target item in
+    its own position, along its first way."""
+    dmap = {}
+    for _, items, targets, ways in jobs:
+        for src, dst in zip(items, targets):
+            for h, i in zip(src, ways[0]):
+                dmap[h] = dst[i]
+    return dmap
 
-    A vertex map's dart extensions pick, independently per job of
-    `_dart_jobs`, a permutation of the target items and a way for each
-    item, so they number the product of |items|! * |ways|^|items|; no dart
-    map is built.
-    """
+
+def extension_count(jobs):
+    """The number of `dart_maps(jobs)`: each job picks a permutation of
+    its target items and a way for each item independently, so they
+    number the product of |items|! * |ways|^|items|."""
+    return math.prod(math.factorial(len(items)) * len(ways) ** len(items)
+                     for _, items, _, ways in jobs)
+
+
+def count_automorphisms(g, limit=None, pinned=None):
+    """Number of automorphisms of g that agree with `pinned` on vertices,
+    summed over vertex maps by `extension_count`; no dart map is built."""
     n = 0
     for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
         jobs = _dart_jobs(g, g, vmap)
         if jobs is None:
             continue
-        n += math.prod(math.factorial(len(items)) * len(ways) ** len(items)
-                       for _, items, _, ways in jobs)
+        n += extension_count(jobs)
         if limit is not None and n > limit:
             raise size_limit("count_automorphisms", f"{n} automorphisms found",
                              limit, g, "limit")
@@ -515,7 +590,8 @@ def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTIC
     if form1 != form2:
         return None
     vmap = dict(zip(order1, order2))
-    dmap = next(_dart_variants(g1, g2, vmap), None)
+    jobs = _dart_jobs(g1, g2, vmap)
+    dmap = None if jobs is None else _first_dart_map(jobs)
     if dmap is None or not verify_isomorphism(g1, g2, vmap, dmap,
                                               marking1, marking2):
         raise InternalError("are_isomorphic: witness failed verification")

@@ -369,3 +369,11 @@ def test_script_runs(script, tmp_path):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+def test_reduce_forms_atoms_past_the_vertex_cap(tmp_path, monkeypatch):
+    # theta(26, 26, 26) has 80 vertices and 28-vertex arms; the arms' forms
+    # are bounded by their own size, not by the default cap of 24
+    monkeypatch.chdir(tmp_path)
+    write_file(theta(26, 26, 26), "t26.g")
+    assert main(["--max-vertices", "100", "reduce", "t26.g"]) == 0

@@ -1,15 +1,17 @@
 import hashlib
+import math
 
 import pytest
 
-from regcover import iso
-from regcover.errors import SizeLimitError
+from regcover import groups, iso
+from regcover.errors import InternalError, SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
                                expansion_corpus, icosahedron, path_graph,
                                petersen, prism, random_instance, star_pendants,
                                theta, with_pendants)
 from regcover.graph import HALVABLE, GraphBuilder, normalize
-from regcover.groups import (Group, all_subgroups, automorphism_group,
+from regcover.groups import (Group, Permutation, all_subgroups,
+                             automorphism_group,
                              conjugacy_classes_of_subgroups,
                              count_automorphisms, is_semiregular,
                              orbits, semiregular_subgroups,
@@ -286,7 +288,7 @@ def test_automorphism_group_size_limit():
     msg = str(exc.value)
     assert msg.startswith("automorphism_group:")
     assert "max_order=200" in msg
-    assert "201 automorphisms found" in msg
+    assert "720 automorphisms," in msg  # the exact order, known up front
     assert "|V|=1, 12 darts" in msg
 
     with pytest.raises(SizeLimitError) as exc:
@@ -316,6 +318,75 @@ def test_automorphism_group_size_limit():
         assert "max_vertices=24" in msg
         assert "30 vertices" in msg
         assert "|V|=30, 60 darts" in msg
+
+
+def test_automorphism_group_refuses_before_building(monkeypatch):
+    # the order is the product of the chain's transversal and kernel sizes,
+    # so a group over the limit is refused without one element built
+    built = []
+    init = Permutation.__init__
+
+    def counting(self, graph, images):
+        built.append(1)
+        init(self, graph, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    with pytest.raises(SizeLimitError) as exc:
+        automorphism_group(dipole([0] * 10))
+    assert f"{2 * math.factorial(10)} automorphisms," in str(exc.value)
+    assert built == []
+
+
+def test_beyond_cap_refusals_name_the_order():
+    for g in _beyond_cap_graphs():
+        with pytest.raises(SizeLimitError) as exc:
+            automorphism_group(g)
+        assert f": {count_automorphisms(g)} automorphisms," in str(exc.value)
+
+
+def test_automorphism_group_matches_listing():
+    # the products over the stabilizer chain are exactly the listed maps
+    graphs = [g for _, g in expansion_corpus()]
+    for seed in range(200):
+        graphs += [random_instance(seed), normalize(random_instance(seed))]
+    for g in graphs:
+        listed = sorted({Permutation.from_maps(g, d, v)
+                         for v, d in automorphisms_iter(g)})
+        assert automorphism_group(g, max_order=None).elements == tuple(listed)
+
+
+def test_repeated_products_are_an_internal_error(monkeypatch):
+    # a coset representative listed twice repeats its products, so fewer
+    # distinct elements than the counted order are built
+    chain = iso.stabilizer_chain
+
+    def doubled(g):
+        transversals, kernel = chain(g)
+        transversals[0] = transversals[0] + transversals[0][:1]
+        return transversals, kernel
+
+    monkeypatch.setattr(groups, "stabilizer_chain", doubled)
+    with pytest.raises(InternalError, match="automorphism_group"):
+        automorphism_group(cube())
+
+
+def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
+    # complete vertex maps the chain's search reaches (one `_dart_jobs`
+    # call each), against 24, 48, 120, 120 and 24 in the full listing
+    calls = []
+    jobs = iso._dart_jobs
+
+    def counting(g1, g2, vmap):
+        calls.append(1)
+        return jobs(g1, g2, vmap)
+
+    monkeypatch.setattr(iso, "_dart_jobs", counting)
+    leaves = []
+    for g in (complete(4), cube(), petersen(), icosahedron(), cycle(12)):
+        calls.clear()
+        automorphism_group(g)
+        leaves.append(len(calls))
+    assert leaves == [7, 11, 16, 17, 13]
 
 
 # -- differential checks against the all-pairs closure --------------------

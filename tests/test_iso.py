@@ -157,6 +157,21 @@ def test_every_automorphism_verifies():
         assert n >= 1
 
 
+def test_stabilizer_chain_lifts_by_the_first_dart_map():
+    # a coset representative carries the first dart map of its vertex map,
+    # and fixes the base points before its own
+    for _, g in expansion_corpus():
+        transversals, kernel = iso.stabilizer_chain(g)
+        assert iso._first_dart_map(kernel) == next(iso.dart_maps(kernel))
+        order = iso._VertexSearch(g).order
+        for i, reps in enumerate(transversals):
+            for vmap, dmap in reps:
+                assert dmap == next(iso._dart_variants(g, g, vmap))
+                assert verify_isomorphism(g, g, vmap, dmap)
+                assert all(vmap[v] == v for v in order[:i])
+                assert vmap[order[i]] != order[i]
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_canonical_relabel_invariance_random(g):
