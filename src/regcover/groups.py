@@ -20,9 +20,13 @@ so the multiplication table is built without composing whole
 permutations.  Subgroup enumeration works in index space over that table:
 every subgroup found keeps a generator tuple, and <S, x> is closed by
 right-multiplying one representative per right coset of S with the
-generators of S plus x only.  The semiregular search builds a partial
-table over the semiregular elements alone, where a product outside that
-set is None.
+generators of S plus x only (Dimino's method).  Each S is extended by one
+x per class of elements that give the same <S, x>: the union of the
+double cosets S*x^k*S over k prime to the order of x.  The semiregular
+search builds a partial table over the semiregular elements alone, where
+a product outside that set is None; a class with a None power or product
+is skipped unclosed.  Conjugacy classes of subgroups are orbits under
+conjugation by a greedy generating set of the group, not by every element.
 """
 
 from __future__ import annotations
@@ -327,40 +331,73 @@ def _close_indices(table, s, gens):
     return frozenset(members)
 
 
-def _coset_representatives(table, s):
-    """One element from each left coset xS other than S itself.
+def _cyclic_generators(table, e):
+    """Per element x, the generators x^k of <x>, k prime to the order of
+    x, in order of k; None where a power of x leaves a partial table."""
+    out = []
+    for x in range(len(table)):
+        powers = [x]
+        while powers[-1] not in (e, None):
+            powers.append(table[powers[-1]][x])
+        n = len(powers)
+        out.append(None if powers[-1] is None else
+                   tuple(p for k, p in enumerate(powers, 1)
+                         if math.gcd(k, n) == 1))
+    return out
 
-    A coset with a product outside a partial table is skipped: any of its
-    members generates, with S, a subgroup that leaves the table too.
+
+def _extension_candidates(table, s, generators):
+    """One element x from each class of elements outside S that extend S
+    to the same subgroup, skipping classes that leave a partial table.
+
+    <S, x> = <S, a*x^k*b> for all a, b in S and k prime to the order of x,
+    so x stands for the union of the double cosets S*y*S over the
+    generators y of <x> (see `_cyclic_generators`).  That union is marked
+    as left cosets z*S; `seen` stays a union of left cosets, so z in seen
+    means all of z*S is.  A class with a power or a product outside the
+    table is not returned: every <S, x> it gives leaves the table too.
     """
+    s = tuple(s)
     seen = set(s)
-    reps = []
-    for x, row in enumerate(table):
+    out = []
+    for x in range(len(table)):
         if x in seen:
             continue
-        coset = [row[y] for y in s]
-        seen.update(coset)
-        if None not in coset:
-            reps.append(x)
-    return reps
+        ys = generators[x]
+        live = ys is not None
+        for y in ys or (x,):
+            for a in s:
+                z = table[a][y]
+                if z is None:
+                    live = False
+                elif z not in seen:
+                    coset = [table[z][b] for b in s]
+                    if None in coset:
+                        live = False
+                    seen.update(coset)
+        if live:
+            out.append(x)
+    return out
 
 
 def _subgroup_index_sets(table, e, divides=None):
     """Every subgroup of the table's elements exactly once, by cyclic
     extension, sorted by order and then by sorted indices.
 
-    Elements of one coset of a subgroup generate the same extension, so
-    only coset representatives are tried.  With `divides`, subgroups whose
-    order does not divide it are neither kept nor extended; every subgroup
-    whose order does divide it is still reached through its own subgroups.
+    A subgroup S is extended to <S, x> once per class of elements that
+    give the same extension (see `_extension_candidates`).  With
+    `divides`, subgroups whose order does not divide it are neither kept
+    nor extended; every subgroup whose order does divide it is still
+    reached through a chain of its own subgroups, one element at a time.
     """
+    generators = _cyclic_generators(table, e)
     trivial = frozenset({e})
     gens_of = {trivial: ()}
     queue = [trivial]
     while queue:
         s = queue.pop()
         gens = gens_of[s]
-        for x in _coset_representatives(table, s):
+        for x in _extension_candidates(table, s, generators):
             t = _close_indices(table, s, gens + (x,))
             if (t is None or t in gens_of
                     or (divides is not None and divides % len(t))):
@@ -379,27 +416,49 @@ def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
             for s in _subgroup_index_sets(grp.table, grp.identity_index)]
 
 
-def conjugacy_classes_of_subgroups(grp, max_order=MAX_GROUP_ORDER):
-    """Subgroups grouped into conjugacy classes, deterministically ordered."""
-    subs = all_subgroups(grp, max_order=max_order)
+def _generating_set(grp):
+    """Element indices that generate grp: each element in index order that
+    the earlier ones do not generate."""
     table = grp.table
-    inv = grp.inverse_indices
-    index_sets = [frozenset(grp._index[p] for p in s.elements) for s in subs]
-    seen = {}
+    gens = ()
+    span = frozenset({grp.identity_index})
+    for x in range(grp.order):
+        if x not in span:
+            gens += (x,)
+            span = _close_indices(table, span, gens)
+    if len(span) != grp.order:
+        raise InternalError(f"generating set {gens} closes to {len(span)} "
+                            f"elements, expected {grp.order}")
+    return gens
+
+
+def conjugacy_classes_of_subgroups(grp, max_order=MAX_GROUP_ORDER):
+    """The subgroups of `all_subgroups` grouped into conjugacy classes.
+
+    A class is the orbit of a subgroup under conjugation by a generating
+    set of grp.  Members of a class keep `all_subgroups` order, which
+    within one order is by sorted element indices, and the classes are in
+    the order of their first members.
+    """
+    subs = all_subgroups(grp, max_order=max_order)
+    table, inv, index = grp.table, grp.inverse_indices, grp._index
+    position = {frozenset(index[p] for p in s.elements): i
+                for i, s in enumerate(subs)}
+    # conjugation by g as a map on subgroup positions
+    maps = [[position[frozenset(table[table[g][x]][inv[g]] for x in s)]
+             for s in position]
+            for g in _generating_set(grp)]
+    seen = set()
     classes = []
-    for si, s in enumerate(index_sets):
-        if s in seen:
+    for i in range(len(subs)):
+        if i in seen:
             continue
-        orbit = set()
-        for gidx in range(grp.order):
-            conj = frozenset(table[table[gidx][x]][inv[gidx]] for x in s)
-            orbit.add(conj)
-        cls = sorted(orbit, key=lambda t: tuple(sorted(t)))
-        for member in cls:
-            seen[member] = len(classes)
-        classes.append([grp.subgroup(t) for t in cls])
-    classes.sort(key=lambda c: (c[0].order, tuple(sorted(
-        grp._index[p] for p in c[0].elements))))
+        cls = sorted(orbit_closure((i,), maps))
+        if grp.order % len(cls):
+            raise InternalError(f"conjugacy class of {len(cls)} subgroups "
+                                f"in a group of order {grp.order}")
+        seen.update(cls)
+        classes.append([subs[j] for j in cls])
     return classes
 
 

@@ -447,6 +447,14 @@ def _small_corpus():
             yield name, g, aut
 
 
+def _small_random():
+    for seed in range(200):
+        g = normalize(random_instance(seed))
+        aut = automorphism_group(g, max_order=None)
+        if aut.order <= 72:
+            yield f"random_instance({seed})", g, aut
+
+
 def test_table_matches_composition():
     for name, _, aut in _small_corpus():
         idx = {p: i for i, p in enumerate(aut.elements)}
@@ -470,7 +478,9 @@ def test_semiregular_partial_table_is_none_off_the_subset():
 
 
 def test_all_subgroups_match_all_pairs_closure():
-    for name, _, aut in _small_corpus():
+    cases = list(_small_corpus()) + list(_small_random())
+    assert len(cases) > 200
+    for name, _, aut in cases:
         expected = _oracle_subgroups(aut.table, aut.identity_index)
         assert _index_sets(aut, all_subgroups(aut)) == expected, name
 
@@ -481,9 +491,87 @@ def test_semiregular_subgroups_match_all_pairs_closure():
                             if ok)
         expected = _oracle_subgroups(aut.table, aut.identity_index, allowed)
         assert _index_sets(aut, semiregular_subgroups(g)) == expected, name
-        for k in (2, 4):
+        # every order the search may keep, and 2 and 4 where they are not
+        divisors = {k for k in range(1, aut.order + 1) if aut.order % k == 0}
+        for k in sorted(divisors | {2, 4}):
             assert (_index_sets(aut, semiregular_subgroups(g, order=k))
                     == [s for s in expected if len(s) == k]), name
+
+
+def _reference_conjugacy_classes(aut):
+    """Conjugacy classes of the subgroups as index sets, by conjugating
+    each with every element of the group, in the order
+    conjugacy_classes_of_subgroups returns them."""
+    table, inv = aut.table, aut.inverse_indices
+    seen = set()
+    classes = []
+    for s in _index_sets(aut, all_subgroups(aut)):
+        if s in seen:
+            continue
+        orbit = {frozenset(table[table[g][x]][inv[g]] for x in s)
+                 for g in range(aut.order)}
+        seen.update(orbit)
+        classes.append(sorted(orbit, key=lambda t: tuple(sorted(t))))
+    classes.sort(key=lambda c: (len(c[0]), tuple(sorted(c[0]))))
+    return classes
+
+
+def test_conjugacy_classes_match_conjugation_by_every_element():
+    cases = list(_small_corpus()) + list(_small_random())
+    for build in (petersen, icosahedron):
+        cases.append((build.__name__, None, automorphism_group(build())))
+    for name, _, aut in cases:
+        classes = [_index_sets(aut, cls)
+                   for cls in conjugacy_classes_of_subgroups(aut)]
+        assert classes == _reference_conjugacy_classes(aut), name
+
+
+def test_generating_set_that_does_not_span_is_an_internal_error(monkeypatch):
+    # a closure that adds nothing leaves every element outside the span
+    monkeypatch.setattr(groups, "_close_indices",
+                        lambda table, s, gens: frozenset(s))
+    with pytest.raises(InternalError, match="generating set"):
+        conjugacy_classes_of_subgroups(automorphism_group(cube()))
+
+
+def test_class_size_not_dividing_the_order_is_an_internal_error(monkeypatch):
+    # an orbit closure that also adds S5 itself to every class: the first
+    # class of order-2 subgroups has 10 or 15 members, so 11 or 16 come
+    # out, and neither divides 120
+    closure = groups.orbit_closure
+
+    def padded(points, maps):
+        return closure(points, maps) | {len(maps[0]) - 1}
+
+    monkeypatch.setattr(groups, "orbit_closure", padded)
+    with pytest.raises(InternalError, match="conjugacy class of 1[16] "):
+        conjugacy_classes_of_subgroups(automorphism_group(petersen()))
+
+
+def test_subgroup_closure_counts_are_pinned(monkeypatch):
+    # closures `_close_indices` runs, one per class of elements that extend
+    # a subgroup alike; one per left coset took 4,169 (Petersen), 4,515
+    # (icosahedron) and 1,088 (cube) for all_subgroups, and 53 (cube) and
+    # 155 (icosahedron) for semiregular_subgroups
+    calls = []
+    close = groups._close_indices
+
+    def counting(table, s, gens):
+        calls.append(1)
+        return close(table, s, gens)
+
+    monkeypatch.setattr(groups, "_close_indices", counting)
+    counts = []
+    for build in (petersen, icosahedron, cube):
+        aut = automorphism_group(build())
+        calls.clear()
+        all_subgroups(aut)
+        counts.append(len(calls))
+    for build in (cube, icosahedron):
+        calls.clear()
+        semiregular_subgroups(build())
+        counts.append(len(calls))
+    assert counts == [1257, 1408, 538, 22, 49]
 
 
 def test_petersen_s5_lattice():
