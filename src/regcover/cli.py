@@ -32,10 +32,7 @@ EXIT_INTERNAL = 4
 
 
 def _read(path, args):
-    try:
-        g = textfmt.parse_file(path)
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}")
+    g = textfmt.parse_file(path)
     if args.halvable_input:
         g = with_halvable_edges(g)
     return g
@@ -175,11 +172,9 @@ def cmd_quotients(args):
 
 
 def cmd_expand(args):
+    text = textfmt.read_text(args.sidecar)
     try:
-        with open(args.sidecar, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {args.sidecar}")
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"sidecar is not valid JSON: {exc}")
     steps = load_sidecar_steps(payload)
@@ -226,7 +221,10 @@ def cmd_fixtures(args):
         failures = run_fixture_cases() + run_random_checks(args.seed)
         return EXIT_OK if failures == 0 else EXIT_NO
     outdir = args.dir or os.environ.get("REGCOVER_FIXTURE_DIR") or "fixtures-out"
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise GraphError(f"cannot write to {outdir}: {exc.strerror}")
     for name, g in expansion_corpus():
         path = os.path.join(outdir, f"{name}.g")
         textfmt.write_file(g, path)

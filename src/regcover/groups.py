@@ -162,7 +162,8 @@ class Group:
 
     def __init__(self, graph, perms, verify=True):
         self.graph = graph
-        self.elements = tuple(sorted(set(perms)))
+        # sorted input, as from `subgroup`, costs one comparison an element
+        self.elements = tuple(sorted(dict.fromkeys(perms)))
         if not any(p.is_identity for p in self.elements):
             raise GraphError("group must contain the identity")
         if verify:
@@ -258,7 +259,8 @@ class Group:
         return tuple(p.semiregularity_violation() is None for p in self.elements)
 
     def subgroup(self, indices):
-        return Group(self.graph, [self.elements[i] for i in indices], verify=False)
+        return Group(self.graph, [self.elements[i] for i in sorted(indices)],
+                     verify=False)
 
 
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):

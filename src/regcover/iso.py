@@ -11,7 +11,12 @@ and half-edge under a key (kind tag, vertices, type, color, tail role), and
 lists the darts at each vertex by their other end.  It has four readers:
 
 - refinement colors each vertex by the signatures of its darts and the
-  colors at their other ends, until the partition is stable;
+  colors at their other ends, until the partition is stable.  It works in
+  rounds over the cells in class-id order: after the first round it
+  re-signs only the cells next to a cell that split in the round before,
+  and a cell's id is its position.  A cell with no such neighbour sees
+  its neighbours' ids shift only in order, so it cannot split, and the
+  ids equal those of a pass that re-signs every vertex each round;
 - the canonical form is the lexicographic minimum of an encoding of the
   item groups over all vertex orders reached by individualization and
   refinement.  A leaf whose encoding equals the first or the best leaf's
@@ -153,19 +158,49 @@ def _ranked(colors):
 
 def _refine(g, colors):
     """Refine a vertex coloring of g (any sortable colors) to the coarsest
-    stable one; returns {vertex: class id}."""
+    stable one; returns {vertex: class id}.
+
+    The cells are kept in class-id order, and a round splits each cell by
+    the sorted distinct signatures of its members: (dart signature, color
+    at the other end) for every dart, read from the previous round's ids.
+    A cell's new id is its position.  The first round signs every
+    non-singleton cell; later rounds re-sign only those with a member next
+    to a cell that split in the previous round (a loop makes a vertex its
+    own neighbour).  Any other cell sees only ids of cells that did not
+    split, which shift in order, so its members keep equal signatures and
+    it cannot split.  The result is therefore the coloring a full pass
+    gets by ranking (color, signature) of every vertex each round until
+    no class splits.
+    """
     ends = _items(g)[1]
     current = _ranked(colors)
+    cells = [[] for _ in range(len(set(current.values())))]
+    for v, c in current.items():
+        cells[c].append(v)
+    touched = range(len(cells))
     while True:
-        # a free end (-1) or half-edge (-2) keeps its code as its color
-        nxt = _ranked({
-            v: (current[v], tuple(sorted((s, current.get(o, o))
-                                         for o, sigs in around.items()
-                                         for s in sigs)))
-            for v, around in ends.items()})
-        if nxt == current:
+        split, new_cells, color = [], [], current.get
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and i in touched:
+                by_sig = {}
+                for v in cell:
+                    # a free end (-1) or half-edge (-2) keeps its code
+                    sig = tuple(sorted([(s, color(o, o))
+                                        for o, sigs in ends[v].items()
+                                        for s in sigs]))
+                    by_sig.setdefault(sig, []).append(v)
+                if len(by_sig) > 1:
+                    parts = [by_sig[sig] for sig in sorted(by_sig)]
+                    new_cells += parts
+                    split += parts
+                    continue
+            new_cells.append(cell)
+        if not split:
             return current
-        current = nxt
+        cells = new_cells
+        current = {v: i for i, cell in enumerate(cells) for v in cell}
+        touched = {current[o] for part in split for u in part
+                   for o in ends[u] if o in current}
 
 
 # -- canonical form -----------------------------------------------------------
@@ -223,13 +258,16 @@ def _canonical(g, marking, ordered_marking):
 
 
 def _best_leaf(g, marking, ordered_marking):
-    base = _initial_colors(g, marking, ordered_marking)
+    # forced vertices rank after every base color, in the order forced
+    base = _ranked(_initial_colors(g, marking, ordered_marking))
+    after = len(set(base.values()))
     leaves = []  # (encoding, order) of the first leaf and of the best
     autos = []   # vertex automorphisms found at leaves
 
     def search(forced):
-        init = {v: (1, forced.index(v)) if v in forced else (0, base[v])
-                for v in g.vertex_list}
+        init = dict(base)
+        for i, v in enumerate(forced):
+            init[v] = after + i
         colors = _refine(g, init)
         cells = {}
         for v in g.vertex_list:
@@ -250,9 +288,12 @@ def _best_leaf(g, marking, ordered_marking):
             if enc < leaves[1][0]:
                 leaves[1] = (enc, order)
             return
-        explored = set()
+        explored, fixing, seen = set(), [], 0
         for v in sorted(cells[big[0]]):
-            fixing = [a for a in autos if all(a[u] == u for u in forced)]
+            # automorphisms found since the last child, if they fix forced
+            fixing += [a for a in autos[seen:]
+                       if all(a[u] == u for u in forced)]
+            seen = len(autos)
             if v in orbit_closure(explored, fixing):
                 continue
             explored.add(v)

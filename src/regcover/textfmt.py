@@ -111,9 +111,20 @@ def parse(text):
     return b.build()
 
 
+def read_text(path):
+    """The UTF-8 text of the file at path; ParseError when it is missing,
+    unreadable, a directory or not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})")
+
+
 def parse_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path))
 
 
 def _safe(name):

@@ -46,6 +46,28 @@ def test_missing_file_is_input_error(capsys):
     assert main(["validate", "/nonexistent/file.g"]) == 2
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    p = tmp_path / "latin1.g"
+    p.write_bytes("vertex café\n".encode("latin-1"))
+    assert main(["validate", str(p)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_directory_path_is_input_error(files, tmp_path, capsys):
+    side = tmp_path / "c3.reduction.json"
+    side.write_text(json.dumps({"version": 1, "levels": []}))
+    for argv in (["validate", str(tmp_path)],
+                 ["expand", str(tmp_path), files["c3"]],
+                 ["expand", str(side), str(tmp_path)]):
+        assert main(argv) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+
+def test_fixtures_write_into_a_file_is_input_error(files, capsys):
+    assert main(["fixtures", "write", "--dir", files["c3"]]) == 2
+    assert f"cannot write to {files['c3']}" in capsys.readouterr().err
+
+
 def test_iso_exit_codes(files, capsys):
     assert main(["iso", files["cube"], files["cube"], "--witness"]) == 0
     out = capsys.readouterr().out

@@ -541,6 +541,32 @@ def test_canonical_search_node_counts_are_pinned(monkeypatch):
     assert counts == [86, 46, 14, 19, 58, 42, 41]
 
 
+def test_refine_matches_full_pass_reference(monkeypatch):
+    # every coloring the canonical search and the vertex search refine,
+    # checked against a full pass that re-signs every vertex each round
+    seen = []
+    refine = iso._refine
+
+    def recording(g, colors):
+        seen.append((g, colors))
+        return refine(g, colors)
+
+    monkeypatch.setattr(iso, "_refine", recording)
+    graphs = [g for _, g in _differential_graphs()]
+    graphs += [normalize(g) for _, g in expansion_corpus()]
+    graphs += _beyond_cap_graphs()
+    for g in graphs:
+        vs = g.vertex_list
+        canonical_form(g)
+        canonical_form(g, marking=vs[:2])
+        canonical_form(g, ordered_marking=(vs[1], vs[0]))
+        iso._VertexSearch(g)
+    monkeypatch.undo()
+    assert len(seen) > 10 * len(graphs)
+    for g, colors in seen:
+        assert iso._refine(g, colors) == _ref_refine([(g, colors)])[0]
+
+
 def _from_networkx(nxg):
     b = GraphBuilder()
     for v in nxg.nodes:
