@@ -143,9 +143,8 @@ def cmd_reduce(args):
         })
     sidecar["primitive"] = series.primitive.tag
     side = f"{base}.reduction.json"
-    with open(side, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    textfmt.write_text(side, json.dumps(sidecar, indent=2, sort_keys=True)
+                       + "\n")
     print(f"wrote {side}")
     print(f"levels: {series.depth}, primitive: {series.primitive.tag}")
     return EXIT_OK
@@ -163,10 +162,9 @@ def cmd_quotients(args):
                       "vertices": q.n_vertices,
                       "halfedges": len(q.halfedges)})
         print(f"wrote {out}")
-    with open(f"{base}.quotients.json", "w", encoding="utf-8") as fh:
-        json.dump({"via": args.via, "quotients": index}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    payload = {"via": args.via, "quotients": index}
+    textfmt.write_text(f"{base}.quotients.json",
+                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"{len(qs)} quotients (via {args.via})")
     return EXIT_OK
 
@@ -324,10 +322,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphError as exc:
+    except GraphError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeLimitError as exc:

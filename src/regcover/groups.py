@@ -8,10 +8,10 @@ images first, and the orbits of either domain are closures over points.
 `automorphism_group` multiplies out a stabilizer chain: one automorphism
 per coset of each point stabilizer along the vertex search's order, and
 the automorphisms fixing every vertex.  The order, the product of the
-coset counts and the kernel's size, is known before any element is built.
-`count_automorphisms`, which lives next to the item index in `iso`, only
-multiplies the number of choices per item group, so a count never builds
-a permutation either.
+coset counts and the kernel's size (`iso.chain_order`), is known before
+any element is built.  `count_automorphisms`, which lives next to the item
+index in `iso`, takes its count from the same chain, so a count never
+builds a permutation either.
 
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
@@ -38,7 +38,7 @@ from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached
-from .iso import (count_automorphisms, dart_maps, extension_count,
+from .iso import (chain_order, count_automorphisms, dart_maps,
                   orbit_closure, stabilizer_chain)
 
 MAX_GROUP_ORDER = 200
@@ -267,13 +267,11 @@ def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     """The full color/type/direction-preserving automorphism group,
     multiplied out of its stabilizer chain (see `iso.stabilizer_chain`).
 
-    The order is the product of the transversal sizes, each plus one for
-    the identity, and the kernel's `extension_count`, so a group over
-    `max_order` is refused before any element is built.
+    The order is the chain's `chain_order`, so a group over `max_order`
+    is refused before any element is built.
     """
-    transversals, kernel = stabilizer_chain(g)
-    order = (math.prod(len(reps) + 1 for reps in transversals)
-             * extension_count(kernel))
+    transversals, kernel = chain = stabilizer_chain(g)
+    order = chain_order(chain)
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
                          max_order, g)

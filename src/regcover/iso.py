@@ -13,10 +13,10 @@ lists the darts at each vertex by their other end.  It has four readers:
 - refinement colors each vertex by the signatures of its darts and the
   colors at their other ends, until the partition is stable.  It works in
   rounds over the cells in class-id order: after the first round it
-  re-signs only the cells next to a cell that split in the round before,
-  and a cell's id is its position.  A cell with no such neighbour sees
-  its neighbours' ids shift only in order, so it cannot split, and the
-  ids equal those of a pass that re-signs every vertex each round;
+  re-signs only the cells next to a part, but the largest, of a cell that
+  split in the round before, and a cell's id is its position.  Any other
+  cell sees ids shift only in order or move together, so it cannot
+  split, and the ids equal those of a pass re-signing every vertex;
 - the canonical form is the lexicographic minimum of an encoding of the
   item groups over all vertex orders reached by individualization and
   refinement.  A leaf whose encoding equals the first or the best leaf's
@@ -29,12 +29,12 @@ lists the darts at each vertex by their other end.  It has four readers:
   pairs by lookup, then extends a vertex map to darts group by group: each
   key maps to its image key, the target items are permuted, and each
   item's darts follow one of its allowed ways.  These choices are
-  independent, so the automorphism count takes, per vertex map, the
-  product over groups of |items|! * |ways|^|items| and lists no dart map.
-  The stabilizer chain walks the same search along its identity path and,
-  per base vertex and image, descends only to the first vertex map that
-  extends to darts: one coset representative each, from a fraction of the
-  leaves the full listing visits;
+  independent.  The stabilizer chain walks the same search along its
+  identity path and, per base vertex and image, descends only to the
+  first vertex map that extends to darts: one coset representative each,
+  from a fraction of the leaves the full listing visits.  Counts come
+  from the chain: the product of the coset counts and, per group, of
+  |items|! * |ways|^|items| for the identity map, listing no dart map;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -165,12 +165,13 @@ def _refine(g, colors):
     at the other end) for every dart, read from the previous round's ids.
     A cell's new id is its position.  The first round signs every
     non-singleton cell; later rounds re-sign only those with a member next
-    to a cell that split in the previous round (a loop makes a vertex its
-    own neighbour).  Any other cell sees only ids of cells that did not
-    split, which shift in order, so its members keep equal signatures and
-    it cannot split.  The result is therefore the coloring a full pass
-    gets by ranking (color, signature) of every vertex each round until
-    no class splits.
+    to a part, but the largest, of a cell that split in the previous round
+    (Hopcroft's rule; a loop makes a vertex its own neighbour).  Any other
+    cell sees ids of unsplit cells, which shift in order, and the largest
+    part's id where it saw the whole old cell, so its members keep equal
+    signatures and it cannot split.  The result is therefore the coloring
+    a full pass gets by ranking (color, signature) of every vertex each
+    round until no class splits.
     """
     ends = _items(g)[1]
     current = _ranked(colors)
@@ -192,7 +193,7 @@ def _refine(g, colors):
                 if len(by_sig) > 1:
                     parts = [by_sig[sig] for sig in sorted(by_sig)]
                     new_cells += parts
-                    split += parts
+                    split += sorted(parts, key=len)[:-1]
                     continue
             new_cells.append(cell)
         if not split:
@@ -358,26 +359,25 @@ class _VertexSearch:
 
 
 def _automorphism_vmaps(g, pinned):
-    """Vertex permutations of g that keep refined colors and the items at
-    and between vertices, and send each pinned vertex to its image."""
+    """Copies of the complete vertex maps of `_VertexSearch(g, pinned)`."""
     for leaf in _VertexSearch(g, pinned).leaves():
         yield dict(leaf)
 
 
-def stabilizer_chain(g):
-    """(transversals, kernel): Aut(g) along the search order v_1 ... v_n.
+def stabilizer_chain(g, pinned=None):
+    """(transversals, kernel): along the search order v_1 ... v_n, the
+    automorphisms of g fixing each vertex that `pinned` maps to itself.
 
-    transversals[i] holds, as (vertex map, dart map), one automorphism
-    fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i that such
-    automorphisms reach.  It walks the search's identity path; below
-    v_i -> w it descends only to the first complete vertex map with dart
-    jobs, lifted by its first dart map.  kernel is the dart jobs of the
-    identity vertex map: the automorphisms fixing every vertex are its
-    `dart_maps`, `extension_count(kernel)` of them.  Every automorphism is
-    t_1 * ... * t_n * k for exactly one k and one t_i from each
-    transversal or the identity.
+    transversals[i] holds, as (vertex map, dart map), one such automorphism
+    fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i that they
+    reach.  It walks the search's identity path; below v_i -> w it descends
+    only to the first complete vertex map with dart jobs, lifted by its
+    first dart map.  kernel is the dart jobs of the identity vertex map,
+    whose `dart_maps` are the automorphisms fixing every vertex.  Every
+    such automorphism is t_1 * ... * t_n * k for exactly one k and one t_i
+    from each transversal or the identity.
     """
-    search = _VertexSearch(g)
+    search = _VertexSearch(g, pinned)
     assignment, used = search.assignment, search.used
     transversals = []
     for i, v in enumerate(search.order):
@@ -468,32 +468,31 @@ def _first_dart_map(jobs):
     return dmap
 
 
-def extension_count(jobs):
-    """The number of `dart_maps(jobs)`: each job picks a permutation of
-    its target items and a way for each item independently, so they
-    number the product of |items|! * |ways|^|items|."""
-    return math.prod(math.factorial(len(items)) * len(ways) ** len(items)
-                     for _, items, _, ways in jobs)
+def chain_order(chain):
+    """The order of a `stabilizer_chain`'s group: the product of the
+    transversal sizes, each plus one for the identity, and the number of
+    the kernel's `dart_maps`, |items|! * |ways|^|items| per job."""
+    transversals, kernel = chain
+    return math.prod([len(reps) + 1 for reps in transversals]
+                     + [math.factorial(len(items)) * len(ways) ** len(items)
+                        for _, items, _, ways in kernel])
 
 
-def count_automorphisms(g, limit=None, pinned=None):
-    """Number of automorphisms of g that agree with `pinned` on vertices,
-    summed over vertex maps by `extension_count`; no dart map is built."""
-    n = 0
-    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
-        jobs = _dart_jobs(g, g, vmap)
-        if jobs is None:
-            continue
-        n += extension_count(jobs)
-        if limit is not None and n > limit:
-            raise size_limit("count_automorphisms", f"{n} automorphisms found",
-                             limit, g, "limit")
-    return n
+def count_automorphisms(g, pinned=None):
+    """Number of automorphisms of g that agree with `pinned` on vertices:
+    one coset of the group fixing every pinned vertex, whose `chain_order`
+    it is, or none when no vertex map agreeing with it extends to darts."""
+    fixed = {v: v for v in pinned or ()}
+    if pinned and pinned != fixed and all(
+            _dart_jobs(g, g, vmap) is None
+            for vmap in _automorphism_vmaps(g, pinned)):
+        return 0
+    return chain_order(stabilizer_chain(g, fixed))
 
 
 def automorphisms_iter(g, pinned=None):
     """Yield (vertex_map, dart_map) for every automorphism of g."""
-    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
+    for vmap in _automorphism_vmaps(g, pinned):
         for dmap in _dart_variants(g, g, vmap):
             yield vmap, dmap
 
@@ -503,7 +502,7 @@ def semiregular_involutions_iter(g, pinned=None):
     with `pinned` and is a fixed-point-free involution reversing no
     non-halvable edge: the ones `automorphisms_iter` yields that are
     semiregular involutions, in the same order."""
-    for vmap in _automorphism_vmaps(g, dict(pinned) if pinned else {}):
+    for vmap in _automorphism_vmaps(g, pinned):
         if all(w != v and vmap[w] == v for v, w in vmap.items()):
             for dmap in _involution_dart_maps(g, vmap):
                 yield vmap, dmap

@@ -13,6 +13,7 @@ stabilizers of the replaced atoms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
@@ -310,10 +311,8 @@ def kernel(step, max_order=MAX_GROUP_ORDER):
 
 def kernel_order(step):
     """Product of the boundary stabilizer orders over all replaced atoms;
-    members of a class have conjugate stabilizers, so one count serves all."""
-    out = 1
-    for cls in step.classes:
-        pins = {b: b for b in cls.rep.boundary}
-        out *= (count_automorphisms(cls.rep.as_graph(), pinned=pins)
-                ** len(cls.members))
-    return out
+    members of a class have conjugate stabilizers, so one count serves all,
+    taken from a stabilizer chain (`iso.count_automorphisms`)."""
+    return math.prod(count_automorphisms(c.rep.as_graph(),
+                                         pinned={b: b for b in c.rep.boundary})
+                     ** len(c.members) for c in step.classes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graph import (DIRECTED, EDGE_TYPES, FREE, LOOP, PENDANT, UNDIRECTED,
                     GraphBuilder, STANDARD)
 
@@ -197,6 +197,14 @@ def serialize(g):
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text):
+    """Write text to path as UTF-8; GraphError naming the path if not."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror}")
+
+
 def write_file(g, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(g))
+    write_text(path, serialize(g))

@@ -68,6 +68,26 @@ def test_fixtures_write_into_a_file_is_input_error(files, capsys):
     assert f"cannot write to {files['c3']}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, blocked", [
+    ("quotients", "c3", ".q0.g"),
+    ("quotients", "c3", ".quotients.json"),
+    ("reduce", "theta", ".g1.g"),
+    ("reduce", "theta", ".reduction.json"),
+    ("expand", "c3", ".x0.g"),
+])
+def test_directory_in_an_output_path_is_input_error(files, capsys, command,
+                                                    name, blocked):
+    base = files[name][:-2]
+    argv = [command, files[name]]
+    if command == "expand":
+        assert main(["reduce", files[name]]) == 0
+        argv = [command, base + ".reduction.json", files[name]]
+    os.mkdir(base + blocked)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot write {base + blocked}" in capsys.readouterr().err
+
+
 def test_iso_exit_codes(files, capsys):
     assert main(["iso", files["cube"], files["cube"], "--witness"]) == 0
     out = capsys.readouterr().out
@@ -108,6 +128,28 @@ def test_no_bare_assert_in_library():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_runtime_imports_only_the_standard_library():
+    # import every submodule in a fresh interpreter; each top-level module
+    # it loads must be regcover or part of the standard library
+    script = ("import json, pkgutil, sys\n"
+              "before = set(sys.modules)\n"
+              "import regcover\n"
+              "for m in pkgutil.iter_modules(regcover.__path__):\n"
+              "    __import__('regcover.' + m.name)\n"
+              "loaded = {n.split('.')[0] for n in set(sys.modules) - before}\n"
+              "print(json.dumps(sorted(loaded)))\n")
+    src = os.path.dirname(os.path.dirname(regcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout)
+    assert "regcover" in loaded
+    outside = [n for n in loaded
+               if n != "regcover" and n not in sys.stdlib_module_names]
+    assert not outside
 
 
 @pytest.mark.parametrize("payload, why", [

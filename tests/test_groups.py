@@ -5,10 +5,11 @@ import pytest
 
 from regcover import groups, iso
 from regcover.errors import InternalError, SizeLimitError
-from regcover.fixtures import (bowtie, book, complete, cube, cycle, dipole,
-                               expansion_corpus, icosahedron, path_graph,
-                               petersen, prism, random_instance, star_pendants,
-                               theta, with_pendants)
+from regcover.fixtures import (bowtie, book, complete, cube, cycle,
+                               cycle_with_triangles, dipole, expansion_corpus,
+                               icosahedron, path_graph, petersen, prism,
+                               random_instance, star_pendants, theta,
+                               with_pendants)
 from regcover.graph import HALVABLE, GraphBuilder, normalize
 from regcover.groups import (Group, Permutation, all_subgroups,
                              automorphism_group,
@@ -299,15 +300,6 @@ def test_automorphism_group_size_limit():
     assert "group order 48" in msg
     assert "|V|=8, 24 darts" in msg
 
-    with pytest.raises(SizeLimitError) as exc:
-        count_automorphisms(cube(), limit=10)
-    msg = str(exc.value)
-    assert msg.startswith("count_automorphisms:")
-    assert "limit=10" in msg
-    assert "11 automorphisms found" in msg
-    assert "|V|=8, 24 darts" in msg
-    assert count_automorphisms(cube(), limit=48) == 48
-
     big = cycle(30)
     for phase, call in (("canonical_form", lambda: canonical_form(big)),
                         ("are_isomorphic", lambda: are_isomorphic(big, big))):
@@ -387,6 +379,27 @@ def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
         automorphism_group(g)
         leaves.append(len(calls))
     assert leaves == [7, 11, 16, 17, 13]
+
+
+def test_count_automorphisms_walks_the_chain_only(monkeypatch):
+    # a count reaches only the chain's leaves (one `_dart_jobs` call
+    # each), not the 24, 48, 120, 120 and 24 vertex maps of a full walk
+    calls = []
+    jobs = iso._dart_jobs
+
+    def counting(g1, g2, vmap):
+        calls.append(1)
+        return jobs(g1, g2, vmap)
+
+    monkeypatch.setattr(iso, "_dart_jobs", counting)
+    leaves = []
+    for g in (complete(4), cube(), petersen(), icosahedron(), cycle(12)):
+        calls.clear()
+        count_automorphisms(g)
+        leaves.append(len(calls))
+    assert leaves == [7, 11, 16, 17, 13]
+    assert count_automorphisms(cycle_with_triangles(6)) == 768
+    assert count_automorphisms(theta(2, 2, 2, 2, 2, 2)) == 1440
 
 
 # -- differential checks against the all-pairs closure --------------------
