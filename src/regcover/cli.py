@@ -31,6 +31,14 @@ EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
 
+def _write_all(listed, unlisted=()):
+    """Write every (path, text) pair of both lists or none, then print the
+    paths of `listed`."""
+    textfmt.write_texts([*listed, *unlisted])
+    for path, _ in listed:
+        print(f"wrote {path}")
+
+
 def _read(path, args):
     g = textfmt.parse_file(path)
     if args.halvable_input:
@@ -126,10 +134,9 @@ def cmd_reduce(args):
         return EXIT_OK
     base, _ = os.path.splitext(args.file)
     sidecar = {"version": 1, "levels": []}
+    outputs = []
     for i, step in enumerate(series.steps):
-        out = f"{base}.g{i + 1}.g"
-        textfmt.write_file(step.target, out)
-        print(f"wrote {out}")
+        outputs.append((f"{base}.g{i + 1}.g", textfmt.serialize(step.target)))
         sidecar["levels"].append({
             "level": i,
             "classes": [{
@@ -142,10 +149,9 @@ def cmd_reduce(args):
             } for cls in step.classes],
         })
     sidecar["primitive"] = series.primitive.tag
-    side = f"{base}.reduction.json"
-    textfmt.write_text(side, json.dumps(sidecar, indent=2, sort_keys=True)
-                       + "\n")
-    print(f"wrote {side}")
+    outputs.append((f"{base}.reduction.json",
+                    json.dumps(sidecar, indent=2, sort_keys=True) + "\n"))
+    _write_all(outputs)
     print(f"levels: {series.depth}, primitive: {series.primitive.tag}")
     return EXIT_OK
 
@@ -154,17 +160,16 @@ def cmd_quotients(args):
     g = _prepared(args.file, args)
     qs = all_quotients(g, via=args.via, max_order=args.max_group_order)
     base, _ = os.path.splitext(args.file)
-    index = []
+    outputs, index = [], []
     for i, q in enumerate(qs):
         out = f"{base}.q{i}.g"
-        textfmt.write_file(q, out)
+        outputs.append((out, textfmt.serialize(q)))
         index.append({"file": os.path.basename(out),
                       "vertices": q.n_vertices,
                       "halfedges": len(q.halfedges)})
-        print(f"wrote {out}")
     payload = {"via": args.via, "quotients": index}
-    textfmt.write_text(f"{base}.quotients.json",
-                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_all(outputs, [(f"{base}.quotients.json",
+                          json.dumps(payload, indent=2, sort_keys=True) + "\n")])
     print(f"{len(qs)} quotients (via {args.via})")
     return EXIT_OK
 
@@ -187,10 +192,8 @@ def cmd_expand(args):
             nxt.extend(expand_step(hh, step))
         current = nxt
     base, _ = os.path.splitext(args.quotient)
-    for i, hh in enumerate(current):
-        out = f"{base}.x{i}.g"
-        textfmt.write_file(hh, out)
-        print(f"wrote {out}")
+    _write_all([(f"{base}.x{i}.g", textfmt.serialize(hh))
+                for i, hh in enumerate(current)])
     print(f"{len(current)} expansions")
     return EXIT_OK
 
@@ -223,10 +226,8 @@ def cmd_fixtures(args):
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise GraphError(f"cannot write to {outdir}: {exc.strerror}")
-    for name, g in expansion_corpus():
-        path = os.path.join(outdir, f"{name}.g")
-        textfmt.write_file(g, path)
-        print(f"wrote {path}")
+    _write_all([(os.path.join(outdir, f"{name}.g"), textfmt.serialize(g))
+                for name, g in expansion_corpus()])
     return EXIT_OK
 
 

@@ -25,8 +25,16 @@ x per class of elements that give the same <S, x>: the union of the
 double cosets S*x^k*S over k prime to the order of x.  The semiregular
 search builds a partial table over the semiregular elements alone, where
 a product outside that set is None; a class with a None power or product
-is skipped unclosed.  Conjugacy classes of subgroups are orbits under
+is skipped unclosed.  Asked for one order k, it keeps only the elements
+whose cycles divide k.  Conjugacy classes of subgroups are orbits under
 conjugation by a greedy generating set of the group, not by every element.
+
+Conjugate semiregular subgroups give isomorphic quotients, so the quotient
+layer takes one subgroup per class (`semiregular_class_representatives`).
+That class is an orbit under conjugation by the stabilizer chain's
+generators (`chain_generators`), on subgroups named by their elements'
+images on the group's base, and it is closed only when the next subgroup
+is asked for.
 """
 
 from __future__ import annotations
@@ -259,8 +267,51 @@ class Group:
         return tuple(p.semiregularity_violation() is None for p in self.elements)
 
     def subgroup(self, indices):
-        return Group(self.graph, [self.elements[i] for i in sorted(indices)],
-                     verify=False)
+        """The group of elements[i] for i in `indices`.  It keeps this
+        group's `_base`, which tells its elements apart too, so elements
+        of all subgroups have names in one scheme (see `_element_name`)."""
+        sub = Group(self.graph, [self.elements[i] for i in sorted(indices)],
+                    verify=False)
+        sub._base = self._base
+        return sub
+
+
+def _chain(g):
+    """`iso.stabilizer_chain(g)`, kept on g as `_chain` (see
+    `graph.cached`), so the group and its generators read one walk."""
+    return cached(g, "_chain", stabilizer_chain)
+
+
+def chain_generators(g):
+    """Image tuples of automorphisms that generate Aut(g): the stabilizer
+    chain's coset representatives and, for each kernel job, the
+    transposition of its first two items, the cycle of all its items, and
+    its first item turned along its second way when it has one.  The
+    kernel fixes every vertex and permutes each job's items, each along
+    one of its ways, independently: Sym(items) wreath the ways, which the
+    three moves generate."""
+    transversals, kernel = _chain(g)
+    identity = {v: v for v in g.vertex_list}
+    gens = [Permutation.from_maps(g, dmap, vmap).images
+            for reps in transversals for vmap, dmap in reps]
+    for _, items, _, ways in kernel:
+        n = len(items)
+        moves = []  # (item, target item, way) per moved item
+        if n > 1:
+            moves.append([(items[0], items[1], ways[0]),
+                          (items[1], items[0], ways[0])])
+        if n > 2:
+            moves.append([(items[i], items[i - n + 1], ways[0])
+                          for i in range(n)])
+        if len(ways) > 1:
+            moves.append([(items[0], items[0], ways[1])])
+        for move in moves:
+            dmap = {h: h for h in g.dart_list}
+            for src, dst, way in move:
+                for h, i in zip(src, way):
+                    dmap[h] = dst[i]
+            gens.append(Permutation.from_maps(g, dmap, identity).images)
+    return gens
 
 
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
@@ -270,7 +321,7 @@ def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     The order is the chain's `chain_order`, so a group over `max_order`
     is refused before any element is built.
     """
-    transversals, kernel = chain = stabilizer_chain(g)
+    transversals, kernel = chain = _chain(g)
     order = chain_order(chain)
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
@@ -470,19 +521,107 @@ def subgroup_order_histogram(classes):
     return hist
 
 
+def _cycle_length(images):
+    """The length of point 0's cycle under a permutation's images."""
+    n, x = 1, images[0]
+    while x:
+        n, x = n + 1, images[x]
+    return n
+
+
 def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     """All semiregular subgroups of Aut(g), optionally of one given order.
 
     Only semiregular elements can appear in these subgroups, so the lattice
-    search runs on the partial multiplication table of that subset.
+    search runs on the partial multiplication table of that subset.  In a
+    semiregular group every point's cycle under an element has the
+    element's order, so with `order` the table keeps only the elements
+    whose cycle through point 0 divides it.  Indices map back in order,
+    so the subgroups keep their order.
     """
     aut = automorphism_group(g, max_order=max_order)
-    members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
+    elements = aut.elements
+    members = range(aut.order)
+    if order is not None and elements[0].images:
+        members = [i for i in members
+                   if order % _cycle_length(elements[i].images) == 0]
+    members = [i for i in members
+               if elements[i].semiregularity_violation() is None]
     table = aut._product_table(members)
     e = members.index(aut.identity_index)
     found = _subgroup_index_sets(table, e, divides=order)
     return [aut.subgroup([members[i] for i in s]) for s in found
             if order is None or len(s) == order]
+
+
+def _element_name(images, base):
+    """An element's images on a base: its name among the group's elements."""
+    return tuple([images[b] for b in base])
+
+
+class _Conjugation:
+    """Conjugation by one automorphism t, x -> t * x * t^-1, as a map on
+    subgroups given as frozensets of element names (see `orbit_closure`).
+    `images` maps each name to the element's whole image tuple."""
+
+    __slots__ = ("t", "at", "images")
+
+    def __init__(self, t, base, images):
+        inverse = [0] * len(t)
+        for i, j in enumerate(t):
+            inverse[j] = i
+        # (t * x * t^-1)(b) = t(x(t^-1(b)))
+        self.t, self.at, self.images = t, [inverse[b] for b in base], images
+
+    def __getitem__(self, names):
+        t, at, images = self.t, self.at, self.images
+        try:
+            return frozenset(tuple([t[x[p]] for p in at])
+                             for x in map(images.__getitem__, names))
+        except KeyError:
+            raise InternalError("a conjugate of a semiregular subgroup "
+                                "has an element outside every listed one")
+
+
+def semiregular_class_representatives(g, order=None,
+                                      max_order=MAX_GROUP_ORDER):
+    """Yield the first subgroup of each conjugacy class of
+    `semiregular_subgroups(g, order)`, in that list's order.
+
+    Conjugate subgroups give isomorphic quotients: if S' = t*S*t^-1, then t
+    maps g/S onto g/S'.  A class is the orbit of a subgroup, as the set of
+    its elements' names (images on the group's base), under conjugation by
+    `chain_generators(g)`.  Its members have one order, so they are
+    adjacent in the list.  A class is closed only when the caller asks for
+    the next subgroup and that one has the same order, so a caller that
+    stops at the first subgroup conjugates nothing.
+    """
+    subs = semiregular_subgroups(g, order=order, max_order=max_order)
+    seen, maps = set(), None
+    for i, s in enumerate(subs):
+        first = i == 0 or subs[i - 1].order != s.order
+        last = i + 1 == len(subs) or subs[i + 1].order != s.order
+        if first and last:
+            yield s
+            continue
+        base = s._base
+        names = frozenset(_element_name(p.images, base) for p in s)
+        if names in seen:
+            continue
+        yield s
+        if last:
+            continue
+        if maps is None:
+            images = {_element_name(p.images, base): p.images
+                      for p in dict.fromkeys(p for sub in subs for p in sub)}
+            maps = [_Conjugation(t, base, images)
+                    for t in chain_generators(g)]
+            aut_order = chain_order(_chain(g))
+        cls = orbit_closure((names,), maps)
+        if aut_order % len(cls):
+            raise InternalError(f"conjugacy class of {len(cls)} semiregular "
+                                f"subgroups in a group of order {aut_order}")
+        seen |= cls
 
 
 def orbits(grp, domain="vertices"):

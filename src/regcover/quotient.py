@@ -7,6 +7,13 @@ is halvable).  Expansion reverses a reduction step on a quotient: colored
 edges, loops and half-edges are replaced by the edge-, loop- and
 half-quotients of the corresponding atom class, built once and kept on the
 class representative as a write-once slot (`graph.cached`).
+
+Conjugate subgroups give isomorphic quotients, so the bruteforce route and
+the cover decision build one quotient per conjugacy class of semiregular
+subgroups: the first of each class in `semiregular_subgroups` order.  The
+first subgroup with a given quotient is the first of its class, so the
+kept representatives and the returned witness are those of a pass over
+every subgroup.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
-                     point_index, semiregular_subgroups,
+                     point_index, semiregular_class_representatives,
                      semiregular_violations)
 from .iso import MAX_VERTICES, are_isomorphic, canonical_form
 from .reduction import reduction_series
@@ -280,13 +287,16 @@ def _dedup_sorted(graphs, max_vertices):
 
 def all_quotients(g, via="bruteforce", max_order=MAX_GROUP_ORDER,
                   max_vertices=None):
-    """All regular quotients up to isomorphism, sorted by canonical form."""
+    """All regular quotients up to isomorphism, sorted by canonical form;
+    the bruteforce route builds one per conjugacy class of semiregular
+    subgroups."""
     require_standard_input(g, "all_quotients")
     if max_vertices is None:
         max_vertices = max(MAX_VERTICES, g.n_vertices)
     if via == "bruteforce":
         out = [quotient(g, gamma).result
-               for gamma in semiregular_subgroups(g, max_order=max_order)]
+               for gamma in semiregular_class_representatives(
+                   g, max_order=max_order)]
         return _dedup_sorted(out, max_vertices)
     if via != "reduction":
         raise GraphError(f"unknown route {via!r}")
@@ -316,7 +326,9 @@ def expansion_chain(h_r, series):
 
 
 def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
-    """None, or a semiregular witness group with g/witness isomorphic to h.
+    """None, or a semiregular witness group with g/witness isomorphic to h:
+    the first such subgroup of order |V(g)|/|V(h)|, trying the first of
+    each conjugacy class only.
 
     Every graph compared has at most |V(g)| vertices, so the isomorphism
     tests are bounded by that, as `all_quotients` bounds its dedup."""
@@ -330,7 +342,8 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     if g.n_darts != k * h.n_darts:
         return None
     max_vertices = max(MAX_VERTICES, g.n_vertices)
-    for gamma in semiregular_subgroups(g, order=k, max_order=max_order):
+    for gamma in semiregular_class_representatives(g, order=k,
+                                                   max_order=max_order):
         q = quotient(g, gamma)
         if are_isomorphic(q.result, h, max_vertices=max_vertices) is not None:
             return gamma

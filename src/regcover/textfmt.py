@@ -14,6 +14,9 @@ parse(serialize(g)) reproduces every parsed graph exactly.
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 import re
 
 from .errors import GraphError, ParseError
@@ -197,14 +200,40 @@ def serialize(g):
     return "\n".join(lines) + "\n"
 
 
-def write_text(path, text):
-    """Write text to path as UTF-8; GraphError naming the path if not."""
+def write_texts(pairs):
+    """Write each (path, text) pair as UTF-8, all or none.
+
+    Every path is checked first, and each text goes to a temporary file
+    next to its path; the temporaries are renamed onto the paths only once
+    all are written.  A failure raises GraphError naming the path and
+    removes the temporaries, so a blocked path leaves no new file behind.
+    """
+    pairs = list(pairs)
+    for path, _ in pairs:
+        if os.path.isdir(path):
+            raise GraphError(f"cannot write {path}: "
+                             f"{os.strerror(errno.EISDIR)}")
+    temps = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise GraphError(f"cannot write {path}: {exc.strerror}")
+        for path, text in pairs:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "x", encoding="utf-8") as fh:
+                    temps.append(tmp)
+                    fh.write(text)
+            except OSError as exc:
+                raise GraphError(f"cannot write {path}: {exc.strerror}")
+        for tmp, (path, _) in zip(temps, pairs):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise GraphError(f"cannot write {path}: {exc.strerror}")
+    except GraphError:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def write_file(g, path):
-    write_text(path, serialize(g))
+    write_texts([(path, serialize(g))])

@@ -88,6 +88,34 @@ def test_directory_in_an_output_path_is_input_error(files, capsys, command,
     assert f"cannot write {base + blocked}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, blocked", [
+    ("quotients", "c6", ".q2.g"),
+    ("quotients", "c6", ".quotients.json"),
+    ("reduce", "theta", ".reduction.json"),
+    ("expand", "theta", ".x1.g"),
+])
+def test_blocked_output_leaves_no_file_behind(files, capsys, command, name,
+                                              blocked):
+    # every output is written or none: the files before the blocked one,
+    # and the temporaries, are gone when the command exits
+    base = files[name][:-2]
+    argv = [command, files[name]]
+    if command == "expand":
+        # the first quotient of the primitive graph expands in two ways
+        assert main(["reduce", files[name]]) == 0
+        assert main(["quotients", base + ".g2.g"]) == 0
+        argv = [command, base + ".reduction.json", base + ".g2.q0.g"]
+        base += ".g2.q0"
+    os.mkdir(base + blocked)
+    folder = os.listdir(os.path.dirname(base))
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot write {base + blocked}" in err
+    assert "wrote" not in out
+    assert sorted(os.listdir(os.path.dirname(base))) == sorted(folder)
+
+
 def test_iso_exit_codes(files, capsys):
     assert main(["iso", files["cube"], files["cube"], "--witness"]) == 0
     out = capsys.readouterr().out

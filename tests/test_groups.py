@@ -234,6 +234,13 @@ def test_order_one_semiregular():
     assert len(subs) == 1 and subs[0].is_trivial
 
 
+def test_graph_without_points_has_only_the_trivial_subgroup():
+    # the order filter reads point 0's cycle, and this graph has no points
+    g = GraphBuilder().build()
+    assert [s.order for s in semiregular_subgroups(g, order=1)] == [1]
+    assert semiregular_subgroups(g, order=2) == []
+
+
 def test_orbits():
     g = cycle(5)
     aut = automorphism_group(g)
@@ -511,14 +518,17 @@ def test_semiregular_subgroups_match_all_pairs_closure():
                     == [s for s in expected if len(s) == k]), name
 
 
-def _reference_conjugacy_classes(aut):
-    """Conjugacy classes of the subgroups as index sets, by conjugating
-    each with every element of the group, in the order
+def _reference_conjugacy_classes(aut, subgroups=None):
+    """Conjugacy classes of the subgroups (of all of them, or of a list of
+    subgroups closed under conjugation) as index sets, by conjugating each
+    with every element of the group, in the order
     conjugacy_classes_of_subgroups returns them."""
     table, inv = aut.table, aut.inverse_indices
     seen = set()
     classes = []
-    for s in _index_sets(aut, all_subgroups(aut)):
+    if subgroups is None:
+        subgroups = all_subgroups(aut)
+    for s in _index_sets(aut, subgroups):
         if s in seen:
             continue
         orbit = {frozenset(table[table[g][x]][inv[g]] for x in s)
@@ -537,6 +547,72 @@ def test_conjugacy_classes_match_conjugation_by_every_element():
         classes = [_index_sets(aut, cls)
                    for cls in conjugacy_classes_of_subgroups(aut)]
         assert classes == _reference_conjugacy_classes(aut), name
+
+
+def test_class_representatives_are_the_first_of_each_class():
+    # the first member of each class of conjugation by every element, in
+    # the order of `semiregular_subgroups`, with and without an order
+    cases = [(name, g) for name, g in expansion_corpus()]
+    cases += [(f"random_instance({seed})", normalize(random_instance(seed)))
+              for seed in range(200)]
+    checked = 0
+    for name, g in cases:
+        try:
+            aut = automorphism_group(g)
+        except SizeLimitError:
+            continue
+        subs = semiregular_subgroups(g)
+        firsts = [cls[0] for cls in _reference_conjugacy_classes(aut, subs)]
+        reps = list(groups.semiregular_class_representatives(g))
+        assert _index_sets(aut, reps) == firsts, name
+        for k in sorted({s.order for s in subs} | {4}):
+            reps = groups.semiregular_class_representatives(g, order=k)
+            assert _index_sets(aut, reps) == [
+                s for s in firsts if len(s) == k], (name, k)
+        checked += 1
+    assert checked > 200
+
+
+def test_chain_generators_generate_the_group():
+    # sympy's Schreier-Sims order of the generated group is the chain's
+    # order, also where a kernel job has three or more items to permute
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    graphs += [normalize(random_instance(seed)) for seed in range(200)]
+    for g in graphs:
+        n = len(g.vertex_list) + len(g.dart_list)
+        gens = [combinatorics.Permutation(list(t))
+                for t in groups.chain_generators(g)]
+        group = combinatorics.PermutationGroup(
+            gens or [combinatorics.Permutation(n - 1)])
+        assert group.order() == iso.chain_order(iso.stabilizer_chain(g))
+
+
+def test_conjugacy_class_not_dividing_the_order_is_an_internal_error(
+        monkeypatch):
+    # an orbit closure that also adds two made-up subgroups to every class:
+    # the first class of cube's semiregular subgroups of order 2 has 3
+    # members, so 5 come out, and 5 does not divide 48
+    closure = groups.orbit_closure
+
+    def padded(points, maps):
+        return closure(points, maps) | {frozenset({"a"}), frozenset({"b"})}
+
+    monkeypatch.setattr(groups, "orbit_closure", padded)
+    with pytest.raises(InternalError, match="conjugacy class of "):
+        list(groups.semiregular_class_representatives(cube(), order=2))
+
+
+def test_conjugate_outside_the_listed_subgroups_is_an_internal_error(
+        monkeypatch):
+    # conjugating by a vertex swap that is no automorphism of the cube
+    # leaves the semiregular elements
+    g = cube()
+    swap = list(range(len(g.vertex_list) + len(g.dart_list)))
+    swap[0], swap[1] = 1, 0
+    monkeypatch.setattr(groups, "chain_generators", lambda g: [tuple(swap)])
+    with pytest.raises(InternalError, match="outside every listed one"):
+        list(groups.semiregular_class_representatives(g, order=2))
 
 
 def test_generating_set_that_does_not_span_is_an_internal_error(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -452,6 +453,33 @@ def test_canonical_form_bytes_are_pinned():
             digest.update(form + b"\n")
     assert digest.hexdigest() == (
         "1fde12377b8def8791744f65782e5b493bb8164e589db14302d6f10ad6a8a175")
+
+
+def test_pruning_maps_fix_the_individualized_prefix(monkeypatch):
+    # a node of the canonical search skips a child in the orbit of an
+    # explored one only under automorphisms that fix its individualized
+    # prefix pointwise: those map the explored subtree onto the skipped one
+    closure = iso.orbit_closure
+    maps_checked = []
+
+    def checking(points, maps):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "search"
+        forced = caller.f_locals["forced"]
+        for m in maps:
+            assert all(m[u] == u for u in forced), forced
+        maps_checked.append(len(maps))
+        return closure(points, maps)
+
+    monkeypatch.setattr(iso, "orbit_closure", checking)
+    for name, g in _differential_graphs():
+        vs = g.vertex_list
+        canonical_form(g)
+        canonical_form(g, marking=vs[:2])
+        canonical_form(g, ordered_marking=(vs[1], vs[0]))
+    for g in _beyond_cap_graphs():
+        canonical_form(g)
+    assert sum(maps_checked) > 1000
 
 
 def _beyond_cap_graphs():

@@ -1,10 +1,14 @@
+import importlib
+
 import pytest
 
+from regcover import groups
 from regcover.atoms import Atom, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError
 from regcover.fixtures import (complete, cube, cycle, dipole,
-                               star_pendants, theta, with_pendants)
+                               expansion_corpus, star_pendants, theta,
+                               with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
                             is_cycle, is_path_with_two_halfedges, normalize)
 from regcover.groups import Group, automorphism_group, semiregular_subgroups
@@ -327,3 +331,65 @@ def test_regular_cover_examples():
     assert regular_cover_test(complete(4), cube()) is None
     assert regular_cover_test(cycle(6), cycle(4)) is None
     assert regular_cover_test(cycle(6), cycle(3)) is not None
+
+
+def test_all_quotients_builds_one_quotient_per_class(monkeypatch):
+    # quotient() calls per corpus graph, (bruteforce, reduction); the
+    # reduction route's include its atoms' half-quotients.  One call per
+    # semiregular subgroup made 275 and 257 in all (cubeh 40, C4double 21
+    # and 7, icosa 22, petersen 7); one per conjugacy class makes 137 and 160
+    module = importlib.import_module("regcover.quotient")
+    build = module.quotient
+    calls = []
+
+    def counting(g, gamma):
+        calls.append(1)
+        return build(g, gamma)
+
+    monkeypatch.setattr(module, "quotient", counting)
+    got = {}
+    for name, g in expansion_corpus():
+        got[name] = []
+        for via in ("bruteforce", "reduction"):
+            calls.clear()
+            all_quotients(g, via=via)
+            got[name].append(len(calls))
+        got[name] = tuple(got[name])
+    assert got == {
+        "C2": (2, 2), "C3": (2, 2), "C4": (3, 3), "C5": (2, 2), "C6": (4, 4),
+        "C7": (2, 2), "C8": (4, 4), "C4h": (5, 5), "C6h": (6, 6),
+        "C8h": (7, 7), "C6dir": (4, 4), "theta111": (1, 1),
+        "theta222": (1, 1), "theta222h": (3, 7), "theta122": (1, 1),
+        "theta1111h": (2, 5), "K4": (1, 1), "cube": (6, 6), "cubeh": (15, 15),
+        "K33": (2, 2), "prism3": (2, 2), "prism5": (2, 2), "petersen": (2, 2),
+        "ladder3": (1, 1), "bowtie": (1, 1), "chain3": (1, 1),
+        "book2": (1, 1), "book3": (1, 1), "book3h": (1, 1), "C6pend": (4, 4),
+        "C8altpend": (3, 3), "C4twopend": (1, 1), "C4opppend": (2, 2),
+        "K4pend": (1, 1), "D3": (3, 6), "D3u": (1, 1), "D4": (4, 12),
+        "D22": (5, 6), "D3pend": (1, 1), "C4double": (5, 6),
+        "C3doubleh": (2, 4), "subdivcube": (1, 1), "asymtheta": (1, 1),
+        "C4loops": (3, 3), "C4loopsh": (5, 5), "thetaloops": (1, 1),
+        "C4tri": (3, 3), "asymloop": (2, 3), "icosa": (4, 4)}
+
+
+def test_cover_found_on_the_first_try_conjugates_nothing(monkeypatch):
+    conjugated = []
+    conjugate = groups._Conjugation.__getitem__
+
+    def counting(self, names):
+        conjugated.append(names)
+        return conjugate(self, names)
+
+    monkeypatch.setattr(groups._Conjugation, "__getitem__", counting)
+    g = cube()
+    subs = semiregular_subgroups(g, order=2)
+    first = canonical_form(quotient(g, subs[0]).result)
+    later = next(s for s in subs
+                 if canonical_form(quotient(g, s).result) != first)
+    assert regular_cover_test(g, normalize(quotient(g, subs[0]).result)) \
+        == subs[0]
+    assert conjugated == []
+    # a later class is reached after closing the first one's
+    assert regular_cover_test(g, normalize(quotient(g, later).result)) \
+        == later
+    assert conjugated
