@@ -19,7 +19,7 @@ from .iso import are_isomorphic, canonical_form
 from .quotient import (AtomQuotientSet, Quotient, all_quotients,
                        atom_projection_type, atom_quotients, expand_step,
                        quotient, regular_cover_test)
-from .reduction import (ReductionSeries, ReductionStep, kernel, kernel_order,
+from .reduction import (ReductionSeries, ReductionStep, kernel_order,
                         reduce_step, reduction_epimorphism, reduction_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,9 +18,9 @@ from .blocks import block_tree
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .fixtures import expansion_corpus, run_fixture_cases, run_random_checks
 from .graph import normalize, validate, with_halvable_edges
-from .groups import (MAX_GROUP_ORDER, automorphism_group, orbits,
+from .groups import (MAX_GROUP_ORDER, _chain, chain_generators, orbits,
                      semiregular_subgroups)
-from .iso import MAX_VERTICES, are_isomorphic
+from .iso import MAX_VERTICES, are_isomorphic, chain_order
 from .quotient import all_quotients, expand_step, regular_cover_test
 from .reduction import load_sidecar_steps, reduction_series
 
@@ -85,10 +85,9 @@ def cmd_aut(args):
             for p in s.elements:
                 print(f"  {p.vertex_map()}")
         return EXIT_OK
-    grp = automorphism_group(g, max_order=args.max_group_order)
-    print(f"automorphism group order: {grp.order}")
+    print(f"automorphism group order: {chain_order(_chain(g))}")
     print("vertex orbits:")
-    for orb in orbits(grp, "vertices"):
+    for orb in orbits(g, chain_generators(g)):
         print("  " + " ".join(orb))
     return EXIT_OK
 

@@ -1,4 +1,5 @@
-"""Automorphism groups as explicit permutation sets on darts.
+"""Automorphism groups: read off a stabilizer chain, or listed as
+permutation sets on darts where a subgroup search needs every element.
 
 A graph's points are its vertices in `vertex_list` order, then its darts in
 `dart_list` order, numbered from 0.  A permutation is one tuple: the
@@ -11,7 +12,9 @@ the automorphisms fixing every vertex.  The order, the product of the
 coset counts and the kernel's size (`iso.chain_order`), is known before
 any element is built.  `count_automorphisms`, which lives next to the item
 index in `iso`, takes its count from the same chain, so a count never
-builds a permutation either.
+builds a permutation either.  `chain_generators` reads a generating set
+off that chain, and `orbits` closes points under any image tuples, so the
+order and the orbits of Aut(g) need no listing.
 
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
@@ -624,23 +627,22 @@ def semiregular_class_representatives(g, order=None,
         seen |= cls
 
 
-def orbits(grp, domain="vertices"):
-    """Orbit partition, sorted by smallest member."""
-    g = grp.graph
+def orbits(g, generators, domain="vertices"):
+    """Orbit partition of g's vertices or darts under the group generated
+    by `generators`, image tuples over g's points (see `point_index`),
+    sorted by smallest member."""
     if domain == "vertices":
         items, first = g.vertex_list, 0
     elif domain == "darts":
         items, first = g.dart_list, len(g.vertex_list)
     else:
         raise GraphError(f"unknown orbit domain {domain!r}")
-    maps = [p.images for p in grp.elements]
     seen = set()
     out = []
     for x in range(first, first + len(items)):
         if x in seen:
             continue
-        orbit = orbit_closure((x,), maps)
+        orbit = orbit_closure((x,), generators)
         seen.update(orbit)
         out.append(tuple(sorted(items[i - first] for i in orbit)))
     return tuple(sorted(out))
-

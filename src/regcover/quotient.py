@@ -50,8 +50,10 @@ def quotient(g, gamma):
         p, why = bad[0]
         raise GraphError(f"group is not semiregular: element {why}")
 
-    dart_rep = {x: orbit[0] for orbit in orbits(gamma, "darts") for x in orbit}
-    vertex_rep = {x: orbit[0] for orbit in orbits(gamma, "vertices")
+    gens = [p.images for p in gamma]
+    dart_rep = {x: orbit[0] for orbit in orbits(g, gens, "darts")
+                for x in orbit}
+    vertex_rep = {x: orbit[0] for orbit in orbits(g, gens, "vertices")
                   for x in orbit}
 
     darts = sorted(set(dart_rep.values()))

@@ -7,14 +7,16 @@ import sys
 import pytest
 
 import regcover
-from regcover import cli, iso
+from regcover import cli, groups, iso
 from regcover.cli import main
-from regcover.fixtures import complete, cube, cycle, theta
+from regcover.errors import InternalError
+from regcover.fixtures import complete, cube, cycle, expansion_corpus, theta
+from regcover.groups import automorphism_group, chain_generators, orbits
 from regcover.iso import are_isomorphic
-from regcover.graph import HALVABLE
+from regcover.graph import HALVABLE, normalize
 from regcover.textfmt import parse_file, write_file
 
-from test_iso import relabel
+from test_iso import _beyond_cap_graphs, relabel
 
 
 @pytest.fixture
@@ -23,7 +25,8 @@ def files(tmp_path):
     for name, g in [("cube", cube()), ("k4", complete(4)), ("c6", cycle(6)),
                     ("c4", cycle(4)), ("c3", cycle(3)),
                     ("cube2", relabel(cube(), 4)),
-                    ("theta", theta(2, 2, 2, edge_type=HALVABLE))]:
+                    ("theta", theta(2, 2, 2, edge_type=HALVABLE)),
+                    ("theta7", theta(*[1] * 7))]:
         p = tmp_path / f"{name}.g"
         write_file(g, str(p))
         paths[name] = str(p)
@@ -235,6 +238,85 @@ def test_aut_output(files, capsys):
     assert main(["aut", files["k4"]]) == 0
     out = capsys.readouterr().out
     assert "order: 24" in out
+    # plain aut has no group cap
+    assert main(["aut", files["theta7"]]) == 0
+    assert capsys.readouterr().out.startswith(
+        "automorphism group order: 10080\n")
+
+
+def _aut_stdout(order, vertex_orbits):
+    return "".join([f"automorphism group order: {order}\nvertex orbits:\n"]
+                   + [f"  {' '.join(orb)}\n" for orb in vertex_orbits])
+
+
+def test_aut_matches_the_listed_group(tmp_path, capsys):
+    # over the corpus, as written and normalized: the order and the vertex
+    # orbits of the multiplied-out group
+    for name, g in expansion_corpus():
+        for variant, h in (("raw", g), ("normalized", normalize(g))):
+            path = str(tmp_path / f"{name}.{variant}.g")
+            write_file(h, path)
+            h = parse_file(path)
+            aut = automorphism_group(h, max_order=None)
+            want = _aut_stdout(aut.order,
+                               orbits(h, [p.images for p in aut]))
+            assert main(["aut", path]) == 0
+            assert capsys.readouterr().out == want, (name, variant)
+
+
+def test_aut_beyond_the_group_cap(tmp_path, capsys):
+    # the orders are perfbench/refs.json's |Aut|; the vertex orbits are
+    # sympy's orbits of the group the chain's generators generate
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    orders = []
+    for i, g in enumerate(_beyond_cap_graphs()):
+        path = str(tmp_path / f"g{i}.g")
+        write_file(g, path)
+        assert main(["aut", path]) == 0
+        head, _, *rows = capsys.readouterr().out.splitlines()
+        orders.append(int(head.rsplit(" ", 1)[1]))
+        g = parse_file(path)
+        vl = g.vertex_list
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(t[:len(vl)]))
+             for t in chain_generators(g)])
+        assert [tuple(row.split()) for row in rows] == sorted(
+            tuple(sorted(vl[x] for x in orb)) for orb in group.orbits())
+    assert orders == [10080, 1440, 1440, 240, 240, 240, 1440, 768, 1440,
+                      768, 4096]
+
+
+def test_aut_walks_one_chain_and_lists_no_group(files, monkeypatch):
+    calls = []
+    walk = iso.stabilizer_chain
+
+    def counting(g, pinned=None):
+        calls.append(g)
+        return walk(g, pinned)
+
+    def refuse(*args, **kwargs):
+        raise InternalError("aut listed the group")
+
+    monkeypatch.setattr(iso, "stabilizer_chain", counting)
+    monkeypatch.setattr(groups, "stabilizer_chain", counting)
+    monkeypatch.setattr(groups, "automorphism_group", refuse)
+    for name in ("k4", "theta", "theta7"):
+        calls.clear()
+        assert main(["aut", files[name]]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["aut", "--semiregular", "2", "{theta7}"],
+    ["quotients", "{theta7}"],
+    ["cover", "{theta7}", "{theta7}"],
+])
+def test_group_cap_exits_3(files, capsys, argv):
+    # |Aut(theta(1x7))| = 10080
+    assert main([a.format(**files) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith(
+        "size limit: automorphism_group: 10080 automorphisms, "
+        "over max_order=200")
 
 
 def test_aut_semiregular_listing(files, capsys):

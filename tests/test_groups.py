@@ -241,16 +241,21 @@ def test_graph_without_points_has_only_the_trivial_subgroup():
     assert semiregular_subgroups(g, order=2) == []
 
 
+def _images(grp):
+    """A group's elements as image tuples, the generators `orbits` takes."""
+    return [p.images for p in grp]
+
+
 def test_orbits():
     g = cycle(5)
     aut = automorphism_group(g)
     trivial = Group(g, [aut.elements[aut.identity_index]], verify=False)
-    assert len(orbits(trivial, "vertices")) == 5
+    assert len(orbits(g, _images(trivial), "vertices")) == 5
 
     g6 = cycle(6)
     (s,) = semiregular_subgroups(g6, order=2)
-    assert all(len(o) == 2 for o in orbits(s, "vertices"))
-    assert len(orbits(s, "vertices")) == 3
+    assert all(len(o) == 2 for o in orbits(g6, _images(s), "vertices"))
+    assert len(orbits(g6, _images(s), "vertices")) == 3
 
 
 def test_cube_antipodal_orbits():
@@ -260,15 +265,16 @@ def test_cube_antipodal_orbits():
         v: format(7 - int(v, 2), "03b") for v in g.vertex_list})
     assert anti.semiregularity_violation() is None
     grp = Group(g, [aut.elements[aut.identity_index], anti], verify=True)
-    vorbs = orbits(grp, "vertices")
+    vorbs = orbits(g, _images(grp), "vertices")
     assert len(vorbs) == 4 and all(len(o) == 2 for o in vorbs)
 
 
 def test_semiregular_orbit_law():
     for g in (cycle(6), cube(), theta(2, 2, 2, edge_type=HALVABLE)):
         for s in semiregular_subgroups(g):
-            assert all(len(o) == s.order for o in orbits(s, "vertices"))
-            assert all(len(o) == s.order for o in orbits(s, "darts"))
+            gens = _images(s)
+            assert all(len(o) == s.order for o in orbits(g, gens, "vertices"))
+            assert all(len(o) == s.order for o in orbits(g, gens, "darts"))
 
 
 def _stabilizer_order(atom):
@@ -703,7 +709,8 @@ def test_group_layer_is_pinned():
     for g in corpus:
         aut = automorphism_group(g)
         put(*[_maps(p) for p in aut])
-        put(repr(orbits(aut, "vertices")), repr(orbits(aut, "darts")))
+        put(repr(orbits(g, _images(aut), "vertices")),
+            repr(orbits(g, _images(aut), "darts")))
         put(*[repr(sorted(aut._index[p] for p in s))
               for s in semiregular_subgroups(g)])
         if aut.order <= 72:
