@@ -29,12 +29,17 @@ lists the darts at each vertex by their other end.  It has four readers:
   pairs by lookup, then extends a vertex map to darts group by group: each
   key maps to its image key, the target items are permuted, and each
   item's darts follow one of its allowed ways.  These choices are
-  independent.  The stabilizer chain walks the same search along its
-  identity path and, per base vertex and image, descends only to the
-  first vertex map that extends to darts: one coset representative each,
-  from a fraction of the leaves the full listing visits.  Counts come
-  from the chain: the product of the coset counts and, per group, of
-  |items|! * |ways|^|items| for the identity map, listing no dart map;
+  independent.  A candidate image is checked against its own items and
+  its neighbours among the images taken, in O(deg).  The stabilizer
+  chain walks the same search along its identity path, deepest base
+  vertex first, and closes each base vertex's orbit under the
+  automorphisms found at its level and below by composing them
+  (Schreier-Sims).  It descends only for an image outside that orbit, to
+  the first vertex map that extends to darts, and each such map is a new
+  generator: one descent per generator, not per coset representative.
+  Counts come from the chain: the product of the orbit sizes and, per
+  group, of |items|! * |ways|^|items| for the identity map, listing no
+  dart map;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -326,19 +331,24 @@ class _VertexSearch:
 
     def images(self, i):
         """The images order[i] can take next to the assignment of
-        order[:i], in vertex order."""
+        order[:i], in vertex order.  A candidate w must carry v's own items
+        and, among the images taken, be next to exactly the images of v's
+        assigned neighbours, by the same darts: O(deg) per candidate."""
         v = self.order[i]
         want = self._pinned.get(v)
-        own, at1, assignment, used = (self._own, self._ends[v],
-                                      self.assignment, self.used)
+        own, ends, assignment, used = (self._own, self._ends,
+                                       self.assignment, self.used)
+        mapped = {assignment[u]: sigs for u, sigs in ends[v].items()
+                  if u in assignment}
+        n = len(mapped)
         for w in self._cells[i]:
             if w in used or (want is not None and w != want):
                 continue
             if own[v] != own[w]:
                 continue
-            at2 = self._ends[w]
-            if all(at1.get(v2) == at2.get(w2)
-                   for v2, w2 in assignment.items()):
+            at = ends[w]
+            if (all(at.get(x) == sigs for x, sigs in mapped.items())
+                    and sum(o in used for o in at) == n):
                 yield w
 
     def leaves(self, i=0):
@@ -370,20 +380,31 @@ def stabilizer_chain(g, pinned=None):
 
     transversals[i] holds, as (vertex map, dart map), one such automorphism
     fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i that they
-    reach.  It walks the search's identity path; below v_i -> w it descends
-    only to the first complete vertex map with dart jobs, lifted by its
-    first dart map.  kernel is the dart jobs of the identity vertex map,
-    whose `dart_maps` are the automorphisms fixing every vertex.  Every
-    such automorphism is t_1 * ... * t_n * k for exactly one k and one t_i
-    from each transversal or the identity.
+    reach, in vertex order.  The levels are walked deepest first, each with
+    the identity on v_1 ... v_i-1, so the automorphisms found below level i
+    are known there.  The orbit of v_i under them is closed by composing
+    maps; the search descends below v_i -> w only for a candidate w outside
+    it, to the first complete vertex map with dart jobs, lifted by its first
+    dart map, and each one it finds is a new generator that the orbit is
+    closed under again (Schreier-Sims).  kernel is the dart jobs of the
+    identity vertex map, whose `dart_maps` are the automorphisms fixing
+    every vertex.  Every such automorphism is t_1 * ... * t_n * k for
+    exactly one k and one t_i from each transversal or the identity.
     """
     search = _VertexSearch(g, pinned)
     assignment, used = search.assignment, search.used
-    transversals = []
-    for i, v in enumerate(search.order):
-        reps = []
+    identity = {v: v for v in search.order}
+    assignment.update(identity)
+    used.update(search.order)
+    one = (identity, {h: h for h in g.darts})
+    gens, transversals = [], []
+    for i in reversed(range(len(search.order))):
+        v = search.order[i]
+        del assignment[v]
+        used.remove(v)
+        reps = {v: one}
         for w in search.images(i):
-            if w == v:
+            if w in reps:
                 continue
             assignment[v] = w
             used.add(w)
@@ -391,15 +412,35 @@ def stabilizer_chain(g, pinned=None):
             for leaf in below:
                 jobs = _dart_jobs(g, g, leaf)
                 if jobs is not None:
-                    reps.append((dict(leaf), _first_dart_map(jobs)))
+                    gens.append((dict(leaf), _first_dart_map(jobs)))
+                    _close_orbit(reps, gens)
                     break
             below.close()
             del assignment[v]
             used.remove(w)
-        transversals.append(reps)
-        assignment[v] = v
-        used.add(v)
-    return transversals, _dart_jobs(g, g, assignment)
+        transversals.append([reps[w] for w in search._cells[i]
+                             if w in reps and w != v])
+    return transversals[::-1], _dart_jobs(g, g, identity)
+
+
+def _close_orbit(reps, gens):
+    """Close {point: (vertex map, dart map) sending the base point there}
+    under the maps in `gens`, adding s * reps[x] for each new point s(x)."""
+    todo = list(reps)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = s[0][x]
+            if y not in reps:
+                reps[y] = _compose(s, reps[x])
+                todo.append(y)
+
+
+def _compose(a, b):
+    """The automorphism a * b, (a * b)(x) = a(b(x)), of two (vertex map,
+    dart map) pairs."""
+    return ({x: a[0][y] for x, y in b[0].items()},
+            {h: a[1][k] for h, k in b[1].items()})
 
 
 def _dart_jobs(g1, g2, vmap):

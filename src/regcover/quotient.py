@@ -19,6 +19,7 @@ every subgroup.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .atoms import HALVABLE_SYM
@@ -327,10 +328,27 @@ def expansion_chain(h_r, series):
         [h_r], series, max(MAX_VERTICES, series.graphs[0].n_vertices))]
 
 
+def _local_profiles(g):
+    """{profile: number of g's vertices with it}, where a vertex's profile
+    is the sorted (color, is-tail) pairs of its darts.  Kept on g as
+    `_profiles` (see `graph.cached`)."""
+    return cached(g, "_profiles", lambda g: Counter(
+        tuple(sorted((g.color[h], h in g.tails) for h in g.darts_at(v)))
+        for v in g.vertex_list))
+
+
 def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     """None, or a semiregular witness group with g/witness isomorphic to h:
-    the first such subgroup of order |V(g)|/|V(h)|, trying the first of
+    the first such subgroup of order k = |V(g)|/|V(h)|, trying the first of
     each conjugacy class only.
+
+    A covering projection is locally bijective and keeps dart colors and
+    tails, so g has k times as many vertices of each profile as h (see
+    `_local_profiles`).  A pair that fails this, or the vertex and dart
+    counts, is refused before Aut(g) is built.  Edge kinds and types are
+    not compared, since an edge may fold onto a loop, or a halvable one
+    onto a half-edge.  For k = 1 the answer is the trivial group exactly
+    when g is isomorphic to h, and no group is built.
 
     Every graph compared has at most |V(g)| vertices, so the isomorphism
     tests are bounded by that, as `all_quotients` bounds its dedup."""
@@ -343,7 +361,14 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     k = g.n_vertices // h.n_vertices
     if g.n_darts != k * h.n_darts:
         return None
+    if _local_profiles(g) != {p: k * n
+                              for p, n in _local_profiles(h).items()}:
+        return None
     max_vertices = max(MAX_VERTICES, g.n_vertices)
+    if k == 1:
+        if are_isomorphic(g, h, max_vertices=max_vertices) is None:
+            return None
+        return Group(g, [Permutation.identity(g)], verify=False)
     for gamma in semiregular_class_representatives(g, order=k,
                                                    max_order=max_order):
         q = quotient(g, gamma)

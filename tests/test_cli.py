@@ -10,13 +10,19 @@ import regcover
 from regcover import cli, groups, iso
 from regcover.cli import main
 from regcover.errors import InternalError
-from regcover.fixtures import complete, cube, cycle, expansion_corpus, theta
+from regcover.fixtures import (complete, cube, cycle, expansion_corpus,
+                               k33, prism, theta, with_pendants)
 from regcover.groups import automorphism_group, chain_generators, orbits
 from regcover.iso import are_isomorphic
 from regcover.graph import HALVABLE, normalize
 from regcover.textfmt import parse_file, write_file
 
 from test_iso import _beyond_cap_graphs, relabel
+
+
+def _two_pendants(n):
+    """An n-cycle with two pendant edges at each vertex."""
+    return with_pendants(cycle(n), [f"v{i}" for i in range(n) for _ in (0, 1)])
 
 
 @pytest.fixture
@@ -26,7 +32,9 @@ def files(tmp_path):
                     ("c4", cycle(4)), ("c3", cycle(3)),
                     ("cube2", relabel(cube(), 4)),
                     ("theta", theta(2, 2, 2, edge_type=HALVABLE)),
-                    ("theta7", theta(*[1] * 7))]:
+                    ("theta7", theta(*[1] * 7)),
+                    ("c8pend", _two_pendants(8)),
+                    ("c4pend", _two_pendants(4))]:
         p = tmp_path / f"{name}.g"
         write_file(g, str(p))
         paths[name] = str(p)
@@ -306,17 +314,42 @@ def test_aut_walks_one_chain_and_lists_no_group(files, monkeypatch):
         assert len(calls) == 1
 
 
+# |Aut| of the graphs whose group is refused: theta(1x7), and the 8-cycle
+# with two pendants per vertex, which passes the count and profile checks
+# as a double cover of the 4-cycle with two pendants per vertex
+_CAPPED = {"{theta7}": 10080, "{c8pend}": 4096}
+
+
 @pytest.mark.parametrize("argv", [
     ["aut", "--semiregular", "2", "{theta7}"],
     ["quotients", "{theta7}"],
-    ["cover", "{theta7}", "{theta7}"],
+    ["cover", "{c8pend}", "{c4pend}"],
 ])
 def test_group_cap_exits_3(files, capsys, argv):
-    # |Aut(theta(1x7))| = 10080
+    order = _CAPPED[next(a for a in argv if a in _CAPPED)]
     assert main([a.format(**files) for a in argv]) == 3
     assert capsys.readouterr().err.startswith(
-        "size limit: automorphism_group: 10080 automorphisms, "
+        f"size limit: automorphism_group: {order} automorphisms, "
         "over max_order=200")
+
+
+def test_cover_of_an_isomorphic_graph_builds_no_group(files, tmp_path,
+                                                      monkeypatch, capsys):
+    # for |V(G)| = |V(H)| the trivial group is the answer once G is
+    # isomorphic to H, so theta(1x7), whose group is over the cap, covers
+    # itself; K3,3 and the 3-prism pass every count but are not isomorphic
+    def refuse(*args, **kwargs):
+        raise InternalError("cover built Aut(G)")
+
+    monkeypatch.setattr(groups, "automorphism_group", refuse)
+    assert main(["cover", files["theta7"], files["theta7"]]) == 0
+    assert capsys.readouterr().out.startswith("yes (group order 1)")
+    assert main(["cover", files["cube"], files["cube2"]]) == 0
+    paths = []
+    for name, g in (("k33", k33()), ("prism3", prism(3))):
+        paths.append(str(tmp_path / f"{name}.g"))
+        write_file(g, paths[-1])
+    assert main(["cover", *paths]) == 1
 
 
 def test_aut_semiregular_listing(files, capsys):

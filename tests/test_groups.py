@@ -377,7 +377,9 @@ def test_repeated_products_are_an_internal_error(monkeypatch):
 
 def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
     # complete vertex maps the chain's search reaches (one `_dart_jobs`
-    # call each), against 24, 48, 120, 120 and 24 in the full listing
+    # call each, the kernel's included), against 24, 48, 120, 120 and 24
+    # in the full listing and 7, 11, 16, 17 and 13 with one descent per
+    # coset representative: orbit pruning descends once per generator
     calls = []
     jobs = iso._dart_jobs
 
@@ -391,12 +393,13 @@ def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
         calls.clear()
         automorphism_group(g)
         leaves.append(len(calls))
-    assert leaves == [7, 11, 16, 17, 13]
+    assert leaves == [4, 4, 4, 4, 3]
 
 
 def test_count_automorphisms_walks_the_chain_only(monkeypatch):
     # a count reaches only the chain's leaves (one `_dart_jobs` call
     # each), not the 24, 48, 120, 120 and 24 vertex maps of a full walk
+    # (7, 11, 16, 17 and 13 before orbit pruning)
     calls = []
     jobs = iso._dart_jobs
 
@@ -410,9 +413,29 @@ def test_count_automorphisms_walks_the_chain_only(monkeypatch):
         calls.clear()
         count_automorphisms(g)
         leaves.append(len(calls))
-    assert leaves == [7, 11, 16, 17, 13]
+    assert leaves == [4, 4, 4, 4, 3]
     assert count_automorphisms(cycle_with_triangles(6)) == 768
     assert count_automorphisms(theta(2, 2, 2, 2, 2, 2)) == 1440
+
+
+def test_stabilizer_chain_search_node_counts_are_pinned(monkeypatch):
+    # `_VertexSearch.images` calls of one chain walk: with orbit pruning
+    # the search descends only below images outside the orbit found so
+    # far, against 62,310 and 16,049 with one descent per image
+    calls = []
+    images = iso._VertexSearch.images
+
+    def counting(self, i):
+        calls.append(1)
+        return images(self, i)
+
+    monkeypatch.setattr(iso._VertexSearch, "images", counting)
+    nodes = []
+    for g in (cycle_with_triangles(6), theta(2, 2, 2, 2, 2, 2)):
+        calls.clear()
+        iso.stabilizer_chain(g)
+        nodes.append(len(calls))
+    assert nodes == [15278, 8584]
 
 
 # -- differential checks against the all-pairs closure --------------------

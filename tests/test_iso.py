@@ -159,18 +159,70 @@ def test_every_automorphism_verifies():
 
 
 def test_stabilizer_chain_lifts_by_the_first_dart_map():
-    # a coset representative carries the first dart map of its vertex map,
-    # and fixes the base points before its own
-    for _, g in expansion_corpus():
-        transversals, kernel = iso.stabilizer_chain(g)
+    # the kernel's first dart map is the one `dart_maps` lists first.  A
+    # coset representative is a product of the automorphisms the search
+    # found, each lifted by its first dart map, so the product need not
+    # carry its own vertex map's first dart map; it fixes the base points
+    # before its own and moves its own.  Under the cap, the images of
+    # level i are exactly the orbit of its base point among the listed
+    # automorphisms fixing the base points before it, in vertex order.
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    for seed in range(200):
+        graphs += [random_instance(seed), normalize(random_instance(seed))]
+    for g in graphs:
+        chain = transversals, kernel = iso.stabilizer_chain(g)
         assert iso._first_dart_map(kernel) == next(iso.dart_maps(kernel))
         order = iso._VertexSearch(g).order
         for i, reps in enumerate(transversals):
             for vmap, dmap in reps:
-                assert dmap == next(iso._dart_variants(g, g, vmap))
                 assert verify_isomorphism(g, g, vmap, dmap)
                 assert all(vmap[v] == v for v in order[:i])
                 assert vmap[order[i]] != order[i]
+        if iso.chain_order(chain) > 200:
+            continue
+        listed = [vmap for vmap, _ in automorphisms_iter(g)]
+        for i, reps in enumerate(transversals):
+            orbit = {vmap[order[i]] for vmap in listed
+                     if all(vmap[v] == v for v in order[:i])}
+            assert [vmap[order[i]] for vmap, _ in reps] == sorted(
+                orbit - {order[i]})
+
+
+def test_vertex_search_images_match_the_whole_assignment_check(monkeypatch):
+    # the neighbour-only check admits exactly the candidates that agree
+    # with every assigned pair (v2 -> w2) on the darts between them, at
+    # every node of the full listing and of the chain's walk.  Some
+    # candidates next to every image of v's assigned neighbours are
+    # rejected only for another neighbour among the images taken.
+    images = iso._VertexSearch.images
+    rejected = []
+
+    def checked(self, i):
+        got = list(images(self, i))
+        v, ends, assignment = self.order[i], self._ends, self.assignment
+        free = [w for w in self._cells[i]
+                if w not in self.used
+                and self._pinned.get(v, w) == w
+                and self._own[v] == self._own[w]]
+        want = [w for w in free
+                if all(ends[v].get(v2) == ends[w].get(w2)
+                       for v2, w2 in assignment.items())]
+        assert got == want
+        rejected.append(sum(
+            all(ends[w].get(assignment[u]) == sigs
+                for u, sigs in ends[v].items() if u in assignment)
+            for w in free) - len(want))
+        return iter(got)
+
+    monkeypatch.setattr(iso._VertexSearch, "images", checked)
+    graphs = [g for _, g in expansion_corpus()]
+    graphs += [random_instance(seed) for seed in range(100)]
+    for g in graphs:
+        for _ in automorphisms_iter(g):
+            pass
+    for g in _beyond_cap_graphs():
+        iso.stabilizer_chain(g)
+    assert sum(rejected) > 500
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,11 +7,12 @@ from regcover.atoms import Atom, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError
 from regcover.fixtures import (complete, cube, cycle, dipole,
-                               expansion_corpus, star_pendants, theta,
-                               with_pendants)
+                               expansion_corpus, random_instance,
+                               star_pendants, theta, with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
                             is_cycle, is_path_with_two_halfedges, normalize)
-from regcover.groups import Group, automorphism_group, semiregular_subgroups
+from regcover.groups import (Group, automorphism_group, count_automorphisms,
+                             semiregular_subgroups)
 from regcover.iso import are_isomorphic, canonical_form
 from regcover.quotient import (all_quotients, atom_projection_type,
                                atom_quotients, expand_step, expansion_chain,
@@ -332,6 +333,66 @@ def test_regular_cover_examples():
     assert regular_cover_test(cycle(6), cycle(4)) is None
     assert regular_cover_test(cycle(6), cycle(3)) is not None
 
+
+def test_every_quotient_passes_the_profile_check():
+    # a covering projection keeps each vertex's (color, is-tail) profile,
+    # so g has k times as many vertices of each profile as its quotient,
+    # as written and as `regular_cover_test` sees the pair, normalized
+    profiles = importlib.import_module("regcover.quotient")._local_profiles
+    checked = 0
+    for _, g in expansion_corpus():
+        for q in all_quotients(g):
+            for a, b in ((g, q), (normalize(g), normalize(q))):
+                k = a.n_vertices // b.n_vertices
+                assert profiles(a) == {p: k * n
+                                       for p, n in profiles(b).items()}
+                checked += 1
+    assert checked > 250
+
+
+def _cover_pairs():
+    """(G, H) pairs, both normalized, with |Aut(G)| under the cap: every
+    corpus graph over every corpus quotient, and each of 200 random graphs
+    over its own quotients and those of the next seed's graph."""
+    corpus = [normalize(g) for _, g in expansion_corpus()]
+    targets = {}
+    for g in corpus:
+        for q in all_quotients(g):
+            targets.setdefault(canonical_form(q), normalize(q))
+    pairs = [(g, h) for g in corpus for h in targets.values()]
+    for seed in range(200):
+        g = normalize(random_instance(seed))
+        if count_automorphisms(g) > 200:
+            continue
+        pairs += [(g, normalize(q)) for src in (g, random_instance(seed + 1))
+                  for q in all_quotients(src, max_order=None)]
+    return pairs
+
+
+def test_profile_refusal_changes_no_decision(monkeypatch):
+    # the profile check only refuses pairs that the subgroup search would
+    # refuse too: without it, every decision and witness is the same
+    module = importlib.import_module("regcover.quotient")
+    profiles = module._local_profiles
+    pairs = _cover_pairs()
+
+    def decisions():
+        out = []
+        for g, h in pairs:
+            w = regular_cover_test(g, h)
+            out.append(None if w is None else w.elements)
+        return out
+
+    want = decisions()
+    monkeypatch.setattr(module, "_local_profiles", lambda g: {})
+    assert decisions() == want
+    refused = [(g, h) for g, h in pairs
+               if g.n_darts * h.n_vertices == h.n_darts * g.n_vertices
+               and g.n_vertices % h.n_vertices == 0
+               and profiles(g) != {p: g.n_vertices // h.n_vertices * n
+                                   for p, n in profiles(h).items()}]
+    assert sum(w is not None for w in want) > 300
+    assert len(refused) > 100
 
 def test_all_quotients_builds_one_quotient_per_class(monkeypatch):
     # quotient() calls per corpus graph, (bruteforce, reduction); the
