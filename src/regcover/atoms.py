@@ -7,6 +7,13 @@ edges between two vertices of degree at least three.  A graph with no atoms
 is primitive: essentially 3-connected, essentially a cycle, K2, or a lone
 vertex with at most one pendant-like item.
 
+Proper atoms and the 3-connectivity test both need a graph's 2-cuts: the
+pairs {a, b} of vertices of degree three or more whose removal disconnects
+the rest through standard edges.  They come from one depth-first search
+per such vertex a, which finds the articulation points of G - a and the
+number of pieces each leaves (`_cut_pairs`), not from one search per
+pair.
+
 An atom's symmetry type is asymmetric when its canonical forms with the
 boundary marked in the two orders differ (no automorphism exchanges the
 boundary), halvable when a boundary-exchanging automorphism is a
@@ -15,7 +22,6 @@ semiregular involution, and symmetric otherwise, as is every block atom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .blocks import block_tree, is_pendant_like
@@ -104,35 +110,103 @@ class Atom:
                 f"darts={len(self.ref.darts)})")
 
 
-def _component_vertex_sets(g, removed):
-    """Components of g minus a vertex set, via standard edges."""
-    alive = [v for v in g.vertex_list if v not in removed]
-    adj = {v: set() for v in alive}
+def _standard_adjacency(g):
+    """{vertex: sorted neighbours through standard edges}, kept on g as
+    `_standard_adjacency` (see `graph.cached`)."""
+    return cached(g, "_standard_adjacency", _index_adjacency)
+
+
+def _index_adjacency(g):
+    adj = {v: set() for v in g.vertex_list}
     for h, k in g.edges:
         if g.edge_kind(h) == STANDARD:
             u, w = g.vertex_of(h), g.vertex_of(k)
-            if u in adj and w in adj:
-                adj[u].add(w)
-                adj[w].add(u)
-    seen = set()
+            adj[u].add(w)
+            adj[w].add(u)
+    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+
+def _component_vertex_sets(g, removed):
+    """Components of g minus a vertex set, via standard edges."""
+    adj = _standard_adjacency(g)
+    seen = set(removed)
     comps = []
-    for v in alive:
+    for v in g.vertex_list:
         if v in seen:
             continue
-        comp = {v}
-        frontier = [v]
         seen.add(v)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        comp = {v}
+        stack = [v]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
         comps.append(comp)
     return comps
+
+
+def _cut_pairs(g):
+    """The 2-cuts of g between vertices of degree at least three: pairs
+    (a, b), a < b, whose removal leaves the other vertices in two or more
+    components through standard edges.  Only such pairs cut out proper
+    atoms, and a 3-connected graph has no other vertices.  Kept on g as
+    `_cut_pairs` (see `graph.cached`)."""
+    return cached(g, "_cut_pairs", _find_cut_pairs)
+
+
+def _find_cut_pairs(g):
+    # g - {a, b} has n - 1 + pieces[b] components, where n counts those
+    # of g - a and pieces[b] those that b's own component falls into
+    # without b (0 when b is alone in it)
+    ends = [v for v in g.vertex_list if g.degree(v) >= 3]
+    if len(ends) < 2:
+        return frozenset()
+    adj = _standard_adjacency(g)
+    pairs = []
+    for i, a in enumerate(ends[:-1]):
+        n, pieces = _pieces_without(adj, g.vertex_list, a)
+        pairs += [(a, b) for b in ends[i + 1:] if n - 1 + pieces[b] >= 2]
+    return frozenset(pairs)
+
+
+def _pieces_without(adj, verts, a):
+    """(n, pieces) for the graph of `adj` minus vertex a: its number of
+    components, and per vertex b the number of components that b's
+    component falls into when b is removed.  One depth-first search with
+    Tarjan's low points: a child subtree whose low point does not reach
+    above b is cut off by b, and a non-root b also keeps its parent's
+    side."""
+    disc, low, pieces = {}, {}, {}
+    n = 0
+    for root in verts:
+        if root == a or root in disc:
+            continue
+        n += 1
+        disc[root] = low[root] = len(disc)
+        pieces[root] = 0
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, unread = frames[-1]
+            for w in unread:
+                if w == a:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                    continue
+                disc[w] = low[w] = len(disc)
+                pieces[w] = 1
+                frames.append((w, iter(adj[w])))
+                break
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        pieces[u] += 1
+    return n, pieces
 
 
 def _part_for_component(g, cut, comp):
@@ -143,10 +217,6 @@ def _part_for_component(g, cut, comp):
             darts.add(h)
             darts.add(g.pairing[h])
     return SubgraphRef(g, frozenset(darts), frozenset(comp) | frozenset(cut))
-
-
-def _block_degree(g, ref, v):
-    return sum(1 for h in g.darts_at(v) if h in ref.darts)
 
 
 def find_atoms(g):
@@ -198,12 +268,7 @@ def _find_atoms(g):
     for block in bt.blocks:
         if len(block.vertices) < 3:
             continue
-        block_graph = block.to_graph()
-        ends = [v for v in sorted(block.vertices)
-                if _block_degree(g, block, v) >= 3]
-        for a, b in itertools.combinations(ends, 2):
-            if len(_component_vertex_sets(block_graph, {a, b})) < 2:
-                continue
+        for a, b in sorted(_cut_pairs(block.to_graph())):
             for comp in _component_vertex_sets(g, {a, b}):
                 if not comp & block.vertices:
                     continue
@@ -310,13 +375,7 @@ def is_three_connected(g):
         return False
     if any(g.degree(v) < 3 for v in g.vertex_list):
         return False
-    verts = g.vertex_list
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            comps = _component_vertex_sets(g, {verts[i], verts[j]})
-            if len(comps) > 1:
-                return False
-    return True
+    return not _cut_pairs(g)
 
 
 def is_essentially_cycle(g):

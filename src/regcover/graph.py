@@ -410,36 +410,34 @@ def connected_components(g):
 
 
 def _components(g):
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in g.vertex_list:
-        parent[("v", v)] = ("v", v)
-    for h in g.dart_list:
-        parent[("d", h)] = ("d", h)
-    for h in g.dart_list:
-        union(("d", h), ("d", g.pairing[h]))
-        v = g.vertex_of(h)
-        if v is not None:
-            union(("d", h), ("v", v))
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
+    """Walk from each unseen vertex through its darts and their mates;
+    the darts left over are free edges and free half-edges, one component
+    per edge."""
+    at, pairing, incidence = g._darts_at, g.pairing, g.incidence
+    seen_v, seen_d = set(), set()
     comps = []
-    for members in groups.values():
-        dd = frozenset(x for kind, x in members if kind == "d")
-        vv = frozenset(x for kind, x in members if kind == "v")
-        comps.append(SubgraphRef(g, dd, vv))
+    for v in g.vertex_list:
+        if v in seen_v:
+            continue
+        vv, dd = {v}, set()
+        stack = [v]
+        while stack:
+            for h in at[stack.pop()]:
+                k = pairing[h]
+                dd.add(h)
+                dd.add(k)
+                w = incidence.get(k)
+                if w is not None and w not in vv:
+                    vv.add(w)
+                    stack.append(w)
+        seen_v |= vv
+        seen_d |= dd
+        comps.append(SubgraphRef(g, frozenset(dd), frozenset(vv)))
+    for h in g.dart_list:
+        if h not in seen_d:
+            edge = frozenset((h, pairing[h]))
+            seen_d |= edge
+            comps.append(SubgraphRef(g, edge, frozenset()))
     comps.sort(key=lambda c: (min(c.vertices) if c.vertices else "",
                               min(c.darts) if c.darts else ""))
     return tuple(comps)

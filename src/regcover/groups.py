@@ -16,6 +16,10 @@ builds a permutation either.  `chain_generators` reads a generating set
 off that chain, and `orbits` closes points under any image tuples, so the
 order and the orbits of Aut(g) need no listing.
 
+`semiregular_subgroups` lists no Aut(g): it reads the chain's products
+as image tuples, keeps the semiregular ones, and builds a `Group` only for
+each subgroup it returns.
+
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
 A product a*b is then found by looking up a's images of b's base images,
@@ -29,8 +33,10 @@ double cosets S*x^k*S over k prime to the order of x.  The semiregular
 search builds a partial table over the semiregular elements alone, where
 a product outside that set is None; a class with a None power or product
 is skipped unclosed.  Asked for one order k, it keeps only the elements
-whose cycles divide k.  Conjugacy classes of subgroups are orbits under
-conjugation by a greedy generating set of the group, not by every element.
+whose cycles divide k, and it extends no subgroup of order k, as no larger
+one has an order dividing k.  Conjugacy classes of subgroups are orbits
+under conjugation by a greedy generating set of the group, not by every
+element.
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
 layer takes one subgroup per class (`semiregular_class_representatives`).
@@ -83,6 +89,25 @@ def _index_mates(g):
                  else -1 for h in g.dart_list)
 
 
+def _violating_point(images, nv, mates):
+    """None when the permutation `images` is the identity, or fixes no
+    point and reverses no non-halvable edge (`mates`, see `_mate_points`);
+    else the first point it fixes or, with none fixed, the first dart it
+    maps onto its mate.  `nv` is the number of vertex points."""
+    points = range(len(images))
+    i = next(compress(points, map(eq, images, points)), None)
+    if i is not None:
+        return None if i == 0 and images == tuple(points) else i
+    return next(compress(points[nv:], map(eq, images[nv:], mates)), None)
+
+
+def _map_images(g, dart_map, vertex_map):
+    """The image tuple of the automorphism given by its two maps."""
+    vidx, didx = point_index(g)
+    return tuple([vidx[vertex_map[v]] for v in g.vertex_list]
+                 + [didx[dart_map[h]] for h in g.dart_list])
+
+
 class Permutation:
     """An automorphism, stored as `images`: the point index of the image of
     each of the graph's points (see `point_index`).  Tuples compare as the
@@ -97,9 +122,7 @@ class Permutation:
 
     @classmethod
     def from_maps(cls, graph, dart_map, vertex_map):
-        vidx, didx = point_index(graph)
-        return cls(graph, [vidx[vertex_map[v]] for v in graph.vertex_list]
-                   + [didx[dart_map[h]] for h in graph.dart_list])
+        return cls(graph, _map_images(graph, dart_map, vertex_map))
 
     @classmethod
     def identity(cls, graph):
@@ -138,22 +161,18 @@ class Permutation:
     def semiregularity_violation(self):
         """None, or a string explaining the non-trivial stabilizer."""
         images = self.images
-        points = range(len(images))
         g = self.graph
         nv = len(g.vertex_list)
-        if any(map(eq, images, points)):
-            if images == tuple(points):
-                return None
-            i = next(compress(points, map(eq, images, points)))
-            if i < nv:
-                return f"fixes vertex {g.vertex_list[i]!r}"
-            return f"fixes dart {g.dart_list[i - nv]!r}"
-        mates = _mate_points(g)
-        if any(map(eq, images[nv:], mates)):
-            h = next(compress(g.dart_list, map(eq, images[nv:], mates)))
+        i = _violating_point(images, nv, _mate_points(g))
+        if i is None:
+            return None
+        if images[i] != i:
+            h = g.dart_list[i - nv]
             return (f"swaps the darts of non-halvable edge "
                     f"{h!r}/{g.pairing[h]!r}")
-        return None
+        if i < nv:
+            return f"fixes vertex {g.vertex_list[i]!r}"
+        return f"fixes dart {g.dart_list[i - nv]!r}"
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -166,6 +185,37 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.vertex_map()})"
+
+
+def _greedy_base(images):
+    """Points whose images tell all the image tuples apart, picked
+    greedily: each point, in order, that tells more of them apart."""
+    distinct = 1
+    base = []
+    for point in range(len(images[0])):
+        if distinct == len(images):
+            break
+        n = len(set(map(itemgetter(*base, point), images)))
+        if n > distinct:
+            base.append(point)
+            distinct = n
+    return tuple(base)
+
+
+def _product_table(images, base):
+    """Multiplication table over the image tuples, by their positions;
+    None where a product is not among them.  `base` tells apart the
+    elements of a group that holds the tuples, products included.
+
+    (a * b)(p) = a(b(p)), so the base images of a * b are a's images of
+    b's base images.
+    """
+    if not base:
+        return [(0,)]
+    key = itemgetter(*base)
+    position = {key(img): k for k, img in enumerate(images)}.get
+    times = [itemgetter(*[img[p] for p in base]) for img in images]
+    return [tuple([position(b(img)) for b in times]) for img in images]
 
 
 class Group:
@@ -223,42 +273,12 @@ class Group:
 
     @cached_property
     def _base(self):
-        """Points whose images tell all elements apart, picked greedily."""
-        images = [p.images for p in self.elements]
-        keys = [()] * len(images)
-        distinct = 1
-        base = []
-        for point in range(len(images[0])):
-            if distinct == len(images):
-                break
-            trial = [k + (img[point],) for k, img in zip(keys, images)]
-            n = len(set(trial))
-            if n > distinct:
-                base.append(point)
-                keys, distinct = trial, n
-        return tuple(base)
-
-    def _product_table(self, members):
-        """Multiplication table over elements[i] for i in `members`, in
-        positions within `members`; None where a product is not among them.
-
-        (a * b)(p) = a(b(p)), so the base images of a * b are a's images
-        of b's base images, and the base tells the product apart from
-        every other element of the group.
-        """
-        base = self._base
-        if not base:
-            return [(0,)]
-        images = [self.elements[i].images for i in members]
-        key = itemgetter(*base)
-        position = {key(img): k for k, img in enumerate(images)}.get
-        times = [itemgetter(*[img[p] for p in base]) for img in images]
-        return [tuple([position(b(img)) for b in times]) for img in images]
+        return _greedy_base([p.images for p in self.elements])
 
     @cached_property
     def table(self):
         """table[i][j] = index of elements[i] * elements[j]."""
-        return self._product_table(range(self.order))
+        return _product_table([p.images for p in self.elements], self._base)
 
     @cached_property
     def inverse_indices(self):
@@ -295,7 +315,7 @@ def chain_generators(g):
     three moves generate."""
     transversals, kernel = _chain(g)
     identity = {v: v for v in g.vertex_list}
-    gens = [Permutation.from_maps(g, dmap, vmap).images
+    gens = [_map_images(g, dmap, vmap)
             for reps in transversals for vmap, dmap in reps]
     for _, items, _, ways in kernel:
         n = len(items)
@@ -313,13 +333,13 @@ def chain_generators(g):
             for src, dst, way in move:
                 for h, i in zip(src, way):
                     dmap[h] = dst[i]
-            gens.append(Permutation.from_maps(g, dmap, identity).images)
+            gens.append(_map_images(g, dmap, identity))
     return gens
 
 
-def automorphism_group(g, max_order=MAX_GROUP_ORDER):
-    """The full color/type/direction-preserving automorphism group,
-    multiplied out of its stabilizer chain (see `iso.stabilizer_chain`).
+def _aut_images(g, max_order):
+    """The elements of Aut(g) as a set of image tuples: its stabilizer
+    chain multiplied out (see `iso.stabilizer_chain`).
 
     The order is the chain's `chain_order`, so a group over `max_order`
     is refused before any element is built.
@@ -330,19 +350,25 @@ def automorphism_group(g, max_order=MAX_GROUP_ORDER):
         raise size_limit("automorphism_group", f"{order} automorphisms",
                          max_order, g)
     identity = {v: v for v in g.vertex_list}
-    images = [Permutation.from_maps(g, dmap, identity).images
-              for dmap in dart_maps(kernel)]
+    images = [_map_images(g, dmap, identity) for dmap in dart_maps(kernel)]
     # the elements of G_i = the union of t * G_i+1 over t in T_i and 1,
     # composed as image tuples: (t * x)[p] = t[x[p]]
     for reps in reversed(transversals):
-        ts = [Permutation.from_maps(g, dmap, vmap).images
-              for vmap, dmap in reps]
+        ts = [_map_images(g, dmap, vmap) for vmap, dmap in reps]
         images += [tuple(map(t.__getitem__, x)) for t in ts for x in images]
-    perms = {Permutation(g, x) for x in images}
-    if len(perms) != order:
-        raise InternalError(f"automorphism_group: {len(perms)} distinct "
+    distinct = set(images)
+    if len(distinct) != order:
+        raise InternalError(f"automorphism_group: {len(distinct)} distinct "
                             f"products, expected {order}")
-    return Group(g, perms, verify=False)
+    return distinct
+
+
+def automorphism_group(g, max_order=MAX_GROUP_ORDER):
+    """The full color/type/direction-preserving automorphism group,
+    multiplied out of its stabilizer chain (see `_aut_images`)."""
+    return Group(g, [Permutation(g, x)
+                     for x in sorted(_aut_images(g, max_order))],
+                 verify=False)
 
 
 def is_semiregular(grp):
@@ -443,6 +469,8 @@ def _subgroup_index_sets(table, e, divides=None):
     `divides`, subgroups whose order does not divide it are neither kept
     nor extended; every subgroup whose order does divide it is still
     reached through a chain of its own subgroups, one element at a time.
+    A subgroup of order `divides` is kept but not extended, as no larger
+    subgroup has an order that divides it.
     """
     generators = _cyclic_generators(table, e)
     trivial = frozenset({e})
@@ -457,7 +485,8 @@ def _subgroup_index_sets(table, e, divides=None):
                     or (divides is not None and divides % len(t))):
                 continue
             gens_of[t] = gens + (x,)
-            queue.append(t)
+            if len(t) != divides:
+                queue.append(t)
     return sorted(gens_of, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -536,25 +565,34 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     """All semiregular subgroups of Aut(g), optionally of one given order.
 
     Only semiregular elements can appear in these subgroups, so the lattice
-    search runs on the partial multiplication table of that subset.  In a
-    semiregular group every point's cycle under an element has the
+    search runs on the partial multiplication table of that subset, read
+    off the image tuples of the chain's products with no listed Aut(g).
+    In a semiregular group every point's cycle under an element has the
     element's order, so with `order` the table keeps only the elements
-    whose cycle through point 0 divides it.  Indices map back in order,
-    so the subgroups keep their order.
+    whose cycle through point 0 divides it.  The elements are sorted as
+    in Aut(g) and named on Aut(g)'s base, so the subgroups, and their
+    order, are those the listed group gives; only the subgroups returned
+    are built as groups.
     """
-    aut = automorphism_group(g, max_order=max_order)
-    elements = aut.elements
-    members = range(aut.order)
-    if order is not None and elements[0].images:
-        members = [i for i in members
-                   if order % _cycle_length(elements[i].images) == 0]
-    members = [i for i in members
-               if elements[i].semiregularity_violation() is None]
-    table = aut._product_table(members)
-    e = members.index(aut.identity_index)
-    found = _subgroup_index_sets(table, e, divides=order)
-    return [aut.subgroup([members[i] for i in s]) for s in found
-            if order is None or len(s) == order]
+    images = _aut_images(g, max_order)
+    members = images
+    if order is not None and len(g.vertex_list) + len(g.dart_list):
+        members = [x for x in members if order % _cycle_length(x) == 0]
+    nv, mates = len(g.vertex_list), _mate_points(g)
+    members = sorted(x for x in members
+                     if _violating_point(x, nv, mates) is None)
+    base = _greedy_base(list(images))
+    table = _product_table(members, base)
+    e = members.index(tuple(range(len(members[0]))))
+    found = [s for s in _subgroup_index_sets(table, e, divides=order)
+             if order is None or len(s) == order]
+    perms = {i: Permutation(g, members[i]) for i in set().union(*found)}
+    subs = []
+    for s in found:
+        sub = Group(g, [perms[i] for i in sorted(s)], verify=False)
+        sub._base = base
+        subs.append(sub)
+    return subs
 
 
 def _element_name(images, base):

@@ -2,7 +2,7 @@
 
 import itertools
 
-from regcover.graph import DIRECTED, STANDARD
+from regcover.graph import DIRECTED, STANDARD, SubgraphRef
 
 
 def naive_dart_automorphism_count(g, cap=50000):
@@ -85,3 +85,72 @@ def naive_vertex_automorphism_count(g):
         if ok:
             count += 1
     return count
+
+
+def union_find_components(g):
+    """Components by union-find over vertex and dart keys, in the order of
+    `graph.connected_components`."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for v in g.vertex_list:
+        parent[("v", v)] = ("v", v)
+    for h in g.dart_list:
+        parent[("d", h)] = ("d", h)
+    for h in g.dart_list:
+        union(("d", h), ("d", g.pairing[h]))
+        v = g.vertex_of(h)
+        if v is not None:
+            union(("d", h), ("v", v))
+    groups = {}
+    for key in parent:
+        groups.setdefault(find(key), []).append(key)
+    comps = []
+    for members in groups.values():
+        dd = frozenset(x for kind, x in members if kind == "d")
+        vv = frozenset(x for kind, x in members if kind == "v")
+        comps.append(SubgraphRef(g, dd, vv))
+    comps.sort(key=lambda c: (min(c.vertices) if c.vertices else "",
+                              min(c.darts) if c.darts else ""))
+    return tuple(comps)
+
+
+def brute_force_cut_pairs(g):
+    """Pairs (a, b), a < b, of g's vertices of degree at least three whose
+    removal leaves the others in two or more components through standard
+    edges, one search per pair."""
+    adj = {v: set() for v in g.vertex_list}
+    for h, k in g.edges:
+        if g.edge_kind(h) == STANDARD:
+            u, w = g.vertex_of(h), g.vertex_of(k)
+            adj[u].add(w)
+            adj[w].add(u)
+    out = set()
+    ends = [v for v in g.vertex_list if g.degree(v) >= 3]
+    for a, b in itertools.combinations(ends, 2):
+        seen = {a, b}
+        comps = 0
+        for v in g.vertex_list:
+            if v in seen:
+                continue
+            comps += 1
+            seen.add(v)
+            frontier = [v]
+            while frontier:
+                x = frontier.pop()
+                for y in adj[x] - seen:
+                    seen.add(y)
+                    frontier.append(y)
+        if comps > 1:
+            out.add((a, b))
+    return frozenset(out)

@@ -3,12 +3,13 @@ import itertools
 
 import pytest
 
-from regcover import iso
+from regcover import atoms, iso
 from regcover.atoms import (atom_symmetry_type, classify_primitive,
                             extended_atom, find_atoms,
                             is_essentially_cycle,
                             is_essentially_three_connected,
                             is_three_connected, strip_pendant_like)
+from regcover.blocks import block_tree
 from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, dipole,
                                expansion_corpus, path_graph, random_instance,
@@ -21,6 +22,7 @@ from regcover.quotient import atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import serialize
 
+from helpers import brute_force_cut_pairs
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -161,6 +163,42 @@ def test_is_three_connected_matches_networkx():
         assert is_three_connected(g) == expected, g
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_cut_pairs_match_brute_force():
+    # one search per vertex finds the same 2-cuts as one per pair, also
+    # where removing the first vertex already disconnects the graph
+    graphs = [g for _, g in expansion_corpus()]
+    graphs += [normalize(random_instance(seed)) for seed in range(300)]
+    graphs += [block.to_graph() for g in list(graphs)
+               for block in block_tree(g).blocks]
+    assert len(graphs) > 900
+    # two K4s sharing vertex a, so g - a has two components, and K4 with
+    # a vertex b tied to its vertex a by three parallel edges, so b is
+    # alone in g - a
+    two_k4, tied = GraphBuilder(), GraphBuilder()
+    for v in "apqrxyz":
+        two_k4.vertex(v)
+    for i, (u, w) in enumerate(itertools.chain(
+            itertools.combinations("apqr", 2),
+            itertools.combinations("axyz", 2))):
+        two_k4.edge(f"e{i}", u, w)
+    for v in "abpqr":
+        tied.vertex(v)
+    for i, (u, w) in enumerate(itertools.combinations("apqr", 2)):
+        tied.edge(f"e{i}", u, w)
+    for i in range(3):
+        tied.edge(f"t{i}", "a", "b")
+    two_k4, tied = two_k4.build(), tied.build()
+    assert atoms._cut_pairs(two_k4) == {("a", v) for v in "pqrxyz"}
+    assert atoms._cut_pairs(tied) == {("a", v) for v in "pqr"}
+    graphs += [two_k4, tied]
+    found = 0
+    for g in graphs:
+        expected = brute_force_cut_pairs(g)
+        assert atoms._cut_pairs(g) == expected, g
+        found += bool(expected)
+    assert found > 150
 
 
 def test_extended_atom():

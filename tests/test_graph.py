@@ -1,10 +1,19 @@
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcover.errors import GraphError
-from regcover.fixtures import cube, cycle, path_graph
+from regcover.fixtures import (cube, cycle, expansion_corpus, path_graph,
+                               random_instance)
 from regcover.graph import (GraphBuilder, connected_components, degree,
                             normalize, validate, Graph)
+from regcover.textfmt import parse
+
+from helpers import union_find_components
+
+REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def test_validate_single_vertex():
@@ -129,6 +138,24 @@ def test_connected_components():
     assert len(comps) == 1 and not comps[0].vertices
 
 
+def test_components_match_union_find():
+    # the dart walk gives the union-find components in the same order,
+    # lone vertices and free items included
+    b = GraphBuilder().vertex("a").vertex("b").vertex("c").vertex("z")
+    b.edge("e", "a", "b").pendant("p", "c").loop("l", "z")
+    b.free("f").halfedge("h", None).halfedge("k", "b")
+    graphs = [b.build(), GraphBuilder().vertex("x").vertex("y").build()]
+    graphs += [g for _, g in expansion_corpus()]
+    for seed in range(200):
+        graphs += [random_instance(seed), normalize(random_instance(seed))]
+    pool = json.loads(REFS.read_text())["cover"]["pool"]
+    graphs += [parse(text) for text in pool.values()]
+    for g in graphs:
+        assert connected_components(g) == list(union_find_components(g)), g
+    assert [len(c.vertices) for c in connected_components(graphs[0])] == [
+        0, 0, 2, 1, 1]
+
+
 def test_restrict():
     b = GraphBuilder().vertex("u").vertex("v").vertex("w")
     b.edge("d", "u", "v", type="directed", tail="v", color=2)
@@ -192,3 +219,9 @@ def test_builder_output_always_validates(g):
 @given(graphs())
 def test_dart_count_law(g):
     assert g.n_darts == 2 * g.n_edges + len(g.halfedges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_components_match_union_find_on_drawn_graphs(g):
+    assert connected_components(g) == list(union_find_components(g))

@@ -371,8 +371,10 @@ def test_repeated_products_are_an_internal_error(monkeypatch):
         return transversals, kernel
 
     monkeypatch.setattr(groups, "stabilizer_chain", doubled)
-    with pytest.raises(InternalError, match="automorphism_group"):
-        automorphism_group(cube())
+    for call in (automorphism_group, semiregular_subgroups,
+                 lambda g: semiregular_subgroups(g, order=2)):
+        with pytest.raises(InternalError, match="automorphism_group"):
+            call(cube())
 
 
 def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
@@ -518,7 +520,8 @@ def test_semiregular_partial_table_is_none_off_the_subset():
     for name, _, aut in _small_corpus():
         members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
         position = {aut.elements[i]: k for k, i in enumerate(members)}
-        partial = aut._product_table(members)
+        partial = groups._product_table(
+            [aut.elements[i].images for i in members], aut._base)
         for k, i in enumerate(members):
             a = aut.elements[i]
             for m, j in enumerate(members):
@@ -535,7 +538,9 @@ def test_all_subgroups_match_all_pairs_closure():
 
 
 def test_semiregular_subgroups_match_all_pairs_closure():
-    for name, g, aut in _small_corpus():
+    cases = list(_small_corpus()) + list(_small_random())
+    assert len(cases) > 200
+    for name, g, aut in cases:
         allowed = frozenset(i for i, ok in enumerate(aut.semiregular_flags)
                             if ok)
         expected = _oracle_subgroups(aut.table, aut.identity_index, allowed)
@@ -690,6 +695,62 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
         semiregular_subgroups(build())
         counts.append(len(calls))
     assert counts == [1257, 1408, 538, 22, 49]
+
+
+def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
+    # closures `_close_indices` runs for `semiregular_subgroups(g, order=k)`:
+    # a subgroup of order k is not extended, as no larger subgroup has an
+    # order dividing k (the cube at order 2 took 7 when it was)
+    calls = []
+    close = groups._close_indices
+
+    def counting(table, s, gens):
+        calls.append(1)
+        return close(table, s, gens)
+
+    monkeypatch.setattr(groups, "_close_indices", counting)
+    counts = []
+    for build, k in ((cube, 2), (cube, 4), (icosahedron, 6),
+                     (lambda: cycle(12), 12)):
+        calls.clear()
+        semiregular_subgroups(build(), order=k)
+        counts.append(len(calls))
+    assert counts == [4, 22, 41, 12]
+
+
+def test_semiregular_subgroups_list_no_group(monkeypatch):
+    # the search reads the chain's products as image tuples: no Aut(g) is
+    # listed, and only the elements of the subgroups returned are wrapped
+    def refuse(*args, **kwargs):
+        raise InternalError("semiregular_subgroups listed the group")
+
+    built = []
+    init = Permutation.__init__
+
+    def counting(self, graph, images):
+        built.append(tuple(images))
+        init(self, graph, images)
+
+    expected = {}
+    for build in (cube, petersen, icosahedron):
+        g = build()
+        expected[build] = (
+            automorphism_group(g).order,
+            [[p.images for p in s] for k in (None, 2, 3)
+             for s in semiregular_subgroups(g, order=k)])
+    monkeypatch.setattr(groups, "automorphism_group", refuse)
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    for build, (order, listed) in expected.items():
+        for k in (None, 2, 3):
+            g = build()
+            built.clear()
+            subs = semiregular_subgroups(g, order=k)
+            assert all(s.order < order for s in subs)
+            assert sorted(built) == sorted({x for s in subs for x in
+                                            (p.images for p in s)})
+        subs = [[p.images for p in s] for k in (None, 2, 3)
+                for s in semiregular_subgroups(build(), order=k)]
+        assert subs == listed
 
 
 def test_petersen_s5_lattice():
