@@ -265,10 +265,10 @@ def _find_atoms(g):
             parts.append((SubgraphRef(g, darts, frozenset((c,))), "block", (c,)))
 
     central_ref = bt.central_block_ref()
-    for block in bt.blocks:
+    for i, block in enumerate(bt.blocks):
         if len(block.vertices) < 3:
             continue
-        for a, b in sorted(_cut_pairs(block.to_graph())):
+        for a, b in sorted(_cut_pairs(bt.block_graph(i))):
             for comp in _component_vertex_sets(g, {a, b}):
                 if not comp & block.vertices:
                     continue
@@ -388,11 +388,20 @@ def is_essentially_three_connected(g):
 
 def classify_primitive(g):
     require_standard_input(g, "classify_primitive")
-    center_kind = block_tree(g).center[0]
+    bt = block_tree(g)
+    center_kind = bt.center[0]
     if find_atoms(g):
         return PrimitiveClass("not_primitive", None, center_kind, False, True)
 
-    core = strip_pendant_like(g)
+    # when the standard edges form one block, it holds every vertex of the
+    # connected g, so its graph is the stripped graph, and `_find_atoms`
+    # has searched its 2-cuts
+    blocks = [i for i, ref in enumerate(bt.blocks)
+              if not is_pendant_like(g, ref)]
+    if len(blocks) == 1:
+        core = bt.block_graph(blocks[0])
+    else:
+        core = strip_pendant_like(g)
     deco = decorated_vertices(g)
     n_deco_items = sum(1 for h, k in g.edges
                        if g.edge_kind(h) in (PENDANT, LOOP))

@@ -71,6 +71,11 @@ class BlockTree:
                 vertices |= ref.vertices
         return SubgraphRef(self.graph, frozenset(darts), frozenset(vertices))
 
+    def block_graph(self, i):
+        """The graph of blocks[i], built on first use and kept on its ref
+        (see `graph.cached`), so what is cached on that graph is too."""
+        return cached(self.blocks[i], "_graph", SubgraphRef.to_graph)
+
     def central_block_ref(self):
         if self.center[0] != "block":
             return None

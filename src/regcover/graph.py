@@ -404,6 +404,19 @@ def cached(g, name, build):
         return g.__dict__.setdefault(name, build(g))
 
 
+def point_index(g):
+    """({vertex: point}, {dart: point}) for g's points: its vertices in
+    `vertex_list` order, then its darts in `dart_list` order, from 0.
+    Kept on g as `_points` (see `cached`)."""
+    return cached(g, "_points", _index_points)
+
+
+def _index_points(g):
+    nv = len(g.vertex_list)
+    return ({v: i for i, v in enumerate(g.vertex_list)},
+            {h: nv + i for i, h in enumerate(g.dart_list)})
+
+
 def connected_components(g):
     """Components as SubgraphRefs; free items each form their own component."""
     return list(cached(g, "_components", _components))

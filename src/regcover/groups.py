@@ -1,10 +1,10 @@
 """Automorphism groups: read off a stabilizer chain, or listed as
 permutation sets on darts where a subgroup search needs every element.
 
-A graph's points are its vertices in `vertex_list` order, then its darts in
-`dart_list` order, numbered from 0.  A permutation is one tuple: the
-point number of each point's image.  Tuples order elements by their vertex
-images first, and the orbits of either domain are closures over points.
+A permutation is one tuple over the graph's points (`graph.point_index`):
+the point number of each point's image, as the stabilizer chain builds
+it.  Tuples order elements by their vertex images first, and the orbits
+of either domain are closures over points.
 
 `automorphism_group` multiplies out a stabilizer chain: one automorphism
 per coset of each point stabilizer along the vertex search's order, and
@@ -13,8 +13,8 @@ coset counts and the kernel's size (`iso.chain_order`), is known before
 any element is built.  `count_automorphisms`, which lives next to the item
 index in `iso`, takes its count from the same chain, so a count never
 builds a permutation either.  `chain_generators` reads a generating set
-off that chain, and `orbits` closes points under any image tuples, so the
-order and the orbits of Aut(g) need no listing.
+off that chain as it is, and `orbits` closes points under any image
+tuples, so the order and the orbits of Aut(g) need no listing.
 
 `semiregular_subgroups` lists no Aut(g): it reads the chain's products
 as image tuples, keeps the semiregular ones, and builds a `Group` only for
@@ -54,24 +54,11 @@ from itertools import compress
 from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
-from .graph import HALVABLE, cached
-from .iso import (chain_order, count_automorphisms, dart_maps,
-                  orbit_closure, stabilizer_chain)
+from .graph import HALVABLE, cached, point_index
+from .iso import (_map_images, chain_order, count_automorphisms,
+                  kernel_images, orbit_closure, stabilizer_chain)
 
 MAX_GROUP_ORDER = 200
-
-
-def point_index(g):
-    """({vertex: point}, {dart: point}) for g's points: its vertices in
-    `vertex_list` order, then its darts in `dart_list` order.  Kept on g as
-    `_points` (see `graph.cached`)."""
-    return cached(g, "_points", _index_points)
-
-
-def _index_points(g):
-    nv = len(g.vertex_list)
-    return ({v: i for i, v in enumerate(g.vertex_list)},
-            {h: nv + i for i, h in enumerate(g.dart_list)})
 
 
 def _mate_points(g):
@@ -99,13 +86,6 @@ def _violating_point(images, nv, mates):
     if i is not None:
         return None if i == 0 and images == tuple(points) else i
     return next(compress(points[nv:], map(eq, images[nv:], mates)), None)
-
-
-def _map_images(g, dart_map, vertex_map):
-    """The image tuple of the automorphism given by its two maps."""
-    vidx, didx = point_index(g)
-    return tuple([vidx[vertex_map[v]] for v in g.vertex_list]
-                 + [didx[dart_map[h]] for h in g.dart_list])
 
 
 class Permutation:
@@ -314,9 +294,9 @@ def chain_generators(g):
     one of its ways, independently: Sym(items) wreath the ways, which the
     three moves generate."""
     transversals, kernel = _chain(g)
-    identity = {v: v for v in g.vertex_list}
-    gens = [_map_images(g, dmap, vmap)
-            for reps in transversals for vmap, dmap in reps]
+    gens = [t for reps in transversals for t in reps]
+    didx = point_index(g)[1]
+    one = range(len(g.vertex_list) + len(g.dart_list))
     for _, items, _, ways in kernel:
         n = len(items)
         moves = []  # (item, target item, way) per moved item
@@ -329,11 +309,11 @@ def chain_generators(g):
         if len(ways) > 1:
             moves.append([(items[0], items[0], ways[1])])
         for move in moves:
-            dmap = {h: h for h in g.dart_list}
+            images = list(one)
             for src, dst, way in move:
                 for h, i in zip(src, way):
-                    dmap[h] = dst[i]
-            gens.append(_map_images(g, dmap, identity))
+                    images[didx[h]] = didx[dst[i]]
+            gens.append(tuple(images))
     return gens
 
 
@@ -349,13 +329,11 @@ def _aut_images(g, max_order):
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
                          max_order, g)
-    identity = {v: v for v in g.vertex_list}
-    images = [_map_images(g, dmap, identity) for dmap in dart_maps(kernel)]
+    images = kernel_images(g, kernel)
     # the elements of G_i = the union of t * G_i+1 over t in T_i and 1,
     # composed as image tuples: (t * x)[p] = t[x[p]]
     for reps in reversed(transversals):
-        ts = [_map_images(g, dmap, vmap) for vmap, dmap in reps]
-        images += [tuple(map(t.__getitem__, x)) for t in ts for x in images]
+        images += [tuple(map(t.__getitem__, x)) for t in reps for x in images]
     distinct = set(images)
     if len(distinct) != order:
         raise InternalError(f"automorphism_group: {len(distinct)} distinct "

@@ -37,9 +37,10 @@ lists the darts at each vertex by their other end.  It has four readers:
   (Schreier-Sims).  It descends only for an image outside that orbit, to
   the first vertex map that extends to darts, and each such map is a new
   generator: one descent per generator, not per coset representative.
-  Counts come from the chain: the product of the orbit sizes and, per
-  group, of |items|! * |ways|^|items| for the identity map, listing no
-  dart map;
+  Generators and representatives are image tuples over g's points
+  (`graph.point_index`), composed as tuples.  Counts come from the chain:
+  the product of the orbit sizes and, per group, of |items|! *
+  |ways|^|items| for the identity map, listing no dart map;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -63,7 +64,7 @@ import math
 
 from .errors import InternalError, size_limit
 from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
-                    cached)
+                    cached, point_index)
 
 MAX_VERTICES = 24
 
@@ -378,33 +379,35 @@ def stabilizer_chain(g, pinned=None):
     """(transversals, kernel): along the search order v_1 ... v_n, the
     automorphisms of g fixing each vertex that `pinned` maps to itself.
 
-    transversals[i] holds, as (vertex map, dart map), one such automorphism
-    fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i that they
-    reach, in vertex order.  The levels are walked deepest first, each with
+    transversals[i] holds, as an image tuple over g's points (see
+    `graph.point_index`), one such automorphism fixing v_1 ... v_i-1 and
+    sending v_i to w for each w != v_i that they reach, in point order,
+    which is vertex order.  The levels are walked deepest first, each with
     the identity on v_1 ... v_i-1, so the automorphisms found below level i
     are known there.  The orbit of v_i under them is closed by composing
-    maps; the search descends below v_i -> w only for a candidate w outside
-    it, to the first complete vertex map with dart jobs, lifted by its first
-    dart map, and each one it finds is a new generator that the orbit is
-    closed under again (Schreier-Sims).  kernel is the dart jobs of the
-    identity vertex map, whose `dart_maps` are the automorphisms fixing
-    every vertex.  Every such automorphism is t_1 * ... * t_n * k for
-    exactly one k and one t_i from each transversal or the identity.
+    tuples; the search descends below v_i -> w only for a candidate w
+    outside it, to the first complete vertex map with dart jobs, lifted by
+    its first dart map, and each one it finds is a new generator that the
+    orbit is closed under again (Schreier-Sims).  kernel is the dart jobs
+    of the identity vertex map, whose `dart_maps` are the automorphisms
+    fixing every vertex.  Every such automorphism is t_1 * ... * t_n * k
+    for exactly one k and one t_i from each transversal or the identity.
     """
     search = _VertexSearch(g, pinned)
     assignment, used = search.assignment, search.used
     identity = {v: v for v in search.order}
     assignment.update(identity)
     used.update(search.order)
-    one = (identity, {h: h for h in g.darts})
+    point = point_index(g)[0]
+    one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
     gens, transversals = [], []
     for i in reversed(range(len(search.order))):
         v = search.order[i]
         del assignment[v]
         used.remove(v)
-        reps = {v: one}
+        reps = {point[v]: one}
         for w in search.images(i):
-            if w in reps:
+            if point[w] in reps:
                 continue
             assignment[v] = w
             used.add(w)
@@ -412,35 +415,40 @@ def stabilizer_chain(g, pinned=None):
             for leaf in below:
                 jobs = _dart_jobs(g, g, leaf)
                 if jobs is not None:
-                    gens.append((dict(leaf), _first_dart_map(jobs)))
+                    gens.append(_map_images(g, _first_dart_map(jobs), leaf))
                     _close_orbit(reps, gens)
                     break
             below.close()
             del assignment[v]
             used.remove(w)
-        transversals.append([reps[w] for w in search._cells[i]
-                             if w in reps and w != v])
+        transversals.append([reps[x] for x in sorted(reps) if x != point[v]])
     return transversals[::-1], _dart_jobs(g, g, identity)
 
 
 def _close_orbit(reps, gens):
-    """Close {point: (vertex map, dart map) sending the base point there}
-    under the maps in `gens`, adding s * reps[x] for each new point s(x)."""
+    """Close {point: image tuple sending the base point there} under the
+    tuples in `gens`, adding s * reps[x] = s[reps[x][p]] at each new s[x]."""
     todo = list(reps)
     while todo:
         x = todo.pop()
         for s in gens:
-            y = s[0][x]
+            y = s[x]
             if y not in reps:
-                reps[y] = _compose(s, reps[x])
+                reps[y] = tuple(map(s.__getitem__, reps[x]))
                 todo.append(y)
 
 
-def _compose(a, b):
-    """The automorphism a * b, (a * b)(x) = a(b(x)), of two (vertex map,
-    dart map) pairs."""
-    return ({x: a[0][y] for x, y in b[0].items()},
-            {h: a[1][k] for h, k in b[1].items()})
+def _map_images(g, dart_map, vertex_map):
+    """The image tuple of the automorphism given by its two maps."""
+    vidx, didx = point_index(g)
+    return tuple([vidx[vertex_map[v]] for v in g.vertex_list]
+                 + [didx[dart_map[h]] for h in g.dart_list])
+
+
+def kernel_images(g, kernel):
+    """The image tuples of a chain kernel's `dart_maps`."""
+    identity = {v: v for v in g.vertex_list}
+    return [_map_images(g, dmap, identity) for dmap in dart_maps(kernel)]
 
 
 def _dart_jobs(g1, g2, vmap):

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
-                    cached, normalize, require_standard_input)
+                    cached, normalize, point_index, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
-                     point_index, semiregular_class_representatives,
-                     semiregular_violations)
-from .iso import MAX_VERTICES, are_isomorphic, canonical_form
+                     semiregular_class_representatives, semiregular_violations)
+from .iso import (MAX_VERTICES, are_isomorphic, canonical_form,
+                  verify_isomorphism)
 from .reduction import reduction_series
 
 
@@ -351,7 +351,10 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     when g is isomorphic to h, and no group is built.
 
     Every graph compared has at most |V(g)| vertices, so the isomorphism
-    tests are bounded by that, as `all_quotients` bounds its dedup."""
+    tests are bounded by that, as `all_quotients` bounds its dedup.  Each
+    non-identity element of a witness is checked against the raw graph
+    before it is returned, as neither `quotient` nor the group layer would
+    catch a product of the stabilizer chain that is no automorphism."""
     for name, gr in (("covering graph", g), ("target graph", h)):
         require_standard_input(gr, name)
         if normalize(gr) is not gr:
@@ -373,5 +376,10 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
                                                    max_order=max_order):
         q = quotient(g, gamma)
         if are_isomorphic(q.result, h, max_vertices=max_vertices) is not None:
+            if not all(verify_isomorphism(g, g, p.vertex_map(), p.dart_map())
+                       for p in gamma if not p.is_identity):
+                raise InternalError("regular_cover_test: a witness element "
+                                    "is not an automorphism of the "
+                                    "covering graph")
             return gamma
     return None

@@ -18,9 +18,9 @@ from regcover.graph import (DIRECTED, STANDARD, GraphBuilder, HALVABLE,
                             is_cycle, normalize)
 from regcover.groups import Permutation, automorphism_group
 from regcover.iso import automorphisms_iter, semiregular_involutions_iter
-from regcover.quotient import atom_quotients
+from regcover.quotient import all_quotients, atom_quotients
 from regcover.reduction import reduction_series
-from regcover.textfmt import serialize
+from regcover.textfmt import parse, serialize
 
 from helpers import brute_force_cut_pairs
 from test_iso import _beyond_cap_graphs, _from_networkx
@@ -199,6 +199,32 @@ def test_cut_pairs_match_brute_force():
         assert atoms._cut_pairs(g) == expected, g
         found += bool(expected)
     assert found > 150
+
+
+def test_a_primitive_level_searches_its_2_cuts_once(monkeypatch):
+    # `_find_cut_pairs` calls and repeats of a search made earlier in the
+    # same op, per corpus pass of all_quotients by both routes on freshly
+    # parsed graphs.  `classify_primitive` tests the block graph that
+    # `_find_atoms` searched, so no 3-connectivity test searches again:
+    # 63 calls with 11 repeats before.  The 2 left are blocks that
+    # reappear at the next reduction level as new graph objects.
+    find, seen, calls, repeats = atoms._find_cut_pairs, set(), [], []
+
+    def counting(g):
+        key = (tuple(g.vertex_list), tuple(sorted(
+            (g.vertex_of(h), g.vertex_of(k)) for h, k in g.edges)))
+        calls.append(key)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return find(g)
+
+    monkeypatch.setattr(atoms, "_find_cut_pairs", counting)
+    for _, g in expansion_corpus():
+        for via in ("bruteforce", "reduction"):
+            seen.clear()
+            all_quotients(normalize(parse(serialize(g))), via=via)
+    assert (len(calls), len(repeats)) == (54, 2)
 
 
 def test_extended_atom():

@@ -12,7 +12,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                with_pendants)
 from regcover.graph import HALVABLE, GraphBuilder, normalize
 from regcover.groups import (Group, Permutation, all_subgroups,
-                             automorphism_group,
+                             automorphism_group, chain_generators,
                              conjugacy_classes_of_subgroups,
                              count_automorphisms, is_semiregular,
                              orbits, semiregular_subgroups,
@@ -808,3 +808,17 @@ def test_group_layer_is_pinned():
                     put(repr(a), *[_maps(p) for p in a.swap_involutions()])
     assert digest.hexdigest() == (
         "d3bb8a3cff38d101bd5bb5fc045fa1fecf41f4d34cc5254021a589f51988dcd9")
+
+
+def test_chain_generators_are_pinned():
+    # sha256 of `chain_generators(g)` over the corpus, 200 random seeds raw
+    # and normalized, and the beyond-cap graphs, as recorded while the
+    # chain kept its representatives as (vertex map, dart map) pairs
+    digest = hashlib.sha256()
+    graphs = [g for _, g in expansion_corpus()]
+    for seed in range(200):
+        graphs += [random_instance(seed), normalize(random_instance(seed))]
+    for g in graphs + _beyond_cap_graphs():
+        digest.update(repr(chain_generators(g)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "adb8d57f2ab089b941e5eda8b5cc5a3a6ee8d2efa31e2a65db1b23d190648f6d")

@@ -13,6 +13,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                path_graph, petersen, prism, random_instance,
                                theta, with_pendants)
 from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
+from regcover.groups import Permutation
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
                           verify_isomorphism)
 
@@ -166,6 +167,7 @@ def test_stabilizer_chain_lifts_by_the_first_dart_map():
     # before its own and moves its own.  Under the cap, the images of
     # level i are exactly the orbit of its base point among the listed
     # automorphisms fixing the base points before it, in vertex order.
+    # Representatives are image tuples, read through `Permutation`.
     graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
     for seed in range(200):
         graphs += [random_instance(seed), normalize(random_instance(seed))]
@@ -173,18 +175,21 @@ def test_stabilizer_chain_lifts_by_the_first_dart_map():
         chain = transversals, kernel = iso.stabilizer_chain(g)
         assert iso._first_dart_map(kernel) == next(iso.dart_maps(kernel))
         order = iso._VertexSearch(g).order
+        vmaps = [[Permutation(g, t).vertex_map() for t in reps]
+                 for reps in transversals]
         for i, reps in enumerate(transversals):
-            for vmap, dmap in reps:
-                assert verify_isomorphism(g, g, vmap, dmap)
+            for t, vmap in zip(reps, vmaps[i]):
+                assert verify_isomorphism(g, g, vmap,
+                                          Permutation(g, t).dart_map())
                 assert all(vmap[v] == v for v in order[:i])
                 assert vmap[order[i]] != order[i]
         if iso.chain_order(chain) > 200:
             continue
         listed = [vmap for vmap, _ in automorphisms_iter(g)]
-        for i, reps in enumerate(transversals):
+        for i in range(len(transversals)):
             orbit = {vmap[order[i]] for vmap in listed
                      if all(vmap[v] == v for v in order[:i])}
-            assert [vmap[order[i]] for vmap, _ in reps] == sorted(
+            assert [vmap[order[i]] for vmap in vmaps[i]] == sorted(
                 orbit - {order[i]})
 
 

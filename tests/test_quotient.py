@@ -1,7 +1,11 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import regcover
 from regcover import groups
 from regcover.atoms import Atom, find_atoms
 from regcover.blocks import block_tree
@@ -11,9 +15,10 @@ from regcover.fixtures import (complete, cube, cycle, dipole,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
                             is_cycle, is_path_with_two_halfedges, normalize)
-from regcover.groups import (Group, automorphism_group, count_automorphisms,
+from regcover.groups import (Group, Permutation, automorphism_group,
+                             count_automorphisms, is_semiregular,
                              semiregular_subgroups)
-from regcover.iso import are_isomorphic, canonical_form
+from regcover.iso import are_isomorphic, canonical_form, verify_isomorphism
 from regcover.quotient import (all_quotients, atom_projection_type,
                                atom_quotients, expand_step, expansion_chain,
                                quotient, regular_cover_test)
@@ -367,6 +372,64 @@ def _cover_pairs():
         pairs += [(g, normalize(q)) for src in (g, random_instance(seed + 1))
                   for q in all_quotients(src, max_order=None)]
     return pairs
+
+
+def _color_swapping_cover():
+    """(g, h, group): the 4-cycle v0 v1 v2 v3 with each edge doubled in
+    colors 0 and 1, the dipole it covers, and a group whose involution
+    turns the cycle by two but swaps colors on the edges v0v1 and v2v3.
+    The involution is semiregular and no automorphism, yet g modulo it is
+    still that dipole: its orbit representatives a and c keep one edge of
+    each color."""
+    b = GraphBuilder()
+    for v in ("v0", "v1", "v2", "v3"):
+        b.vertex(v)
+    for name, u, w, color in (("a", "v0", "v1", 0), ("c", "v0", "v1", 1),
+                              ("b", "v2", "v3", 1), ("d", "v2", "v3", 0),
+                              ("e1", "v1", "v2", 0), ("f1", "v1", "v2", 1),
+                              ("e3", "v3", "v0", 0), ("f3", "v3", "v0", 1)):
+        b.edge(name, u, w, color=color)
+    g = b.build()
+    h = GraphBuilder().vertex("x").vertex("y")
+    for i in range(4):
+        h.edge(f"e{i}", "x", "y", color=i % 2)
+    swap = dict(zip("ab", "ba")) | dict(zip("cd", "dc")) | {
+        "e1": "e3", "e3": "e1", "f1": "f3", "f3": "f1"}
+    p = Permutation.from_maps(
+        g, {d: f"{swap[d[:-2]]}{d[-2:]}" for d in g.darts},
+        {"v0": "v2", "v2": "v0", "v1": "v3", "v3": "v1"})
+    return g, h.build(), Group(g, [Permutation.identity(g), p],
+                               verify=False)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_witness_that_is_no_automorphism_is_an_internal_error(flags):
+    # the chain's products are not trusted: a semiregular non-automorphism
+    # patched in as the first class representative passes `quotient` and
+    # the isomorphism test, and only the raw-graph check refuses it, also
+    # under python -O
+    g, h, bad = _color_swapping_cover()
+    assert is_semiregular(bad) and regular_cover_test(g, h) is not None
+    assert not verify_isomorphism(g, g, bad.elements[1].vertex_map(),
+                                  bad.elements[1].dart_map())
+    script = ("import importlib\n"
+              "from regcover.errors import InternalError\n"
+              "from test_quotient import _color_swapping_cover\n"
+              "g, h, bad = _color_swapping_cover()\n"
+              "module = importlib.import_module('regcover.quotient')\n"
+              "module.semiregular_class_representatives = "
+              "lambda *a, **k: iter([bad])\n"
+              "try:\n"
+              "    module.regular_cover_test(g, h)\n"
+              "except InternalError as e:\n"
+              "    print(e)\n")
+    src = os.path.dirname(os.path.dirname(regcover.__file__))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    run = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("regular_cover_test: a witness element")
 
 
 def test_profile_refusal_changes_no_decision(monkeypatch):
