@@ -23,7 +23,16 @@ lists the darts at each vertex by their other end.  It has four readers:
   gives a vertex automorphism (the map between their orders); a node skips
   a child in the orbit of an explored child under the automorphisms found
   so far that fix its individualized prefix, since that subtree is an
-  image of an explored one and holds the same encodings;
+  image of an explored one and holds the same encodings.  A leaf that
+  repeats the first leaf at its depth returns the search to where its path
+  left the first path (McKay & Piperno's first-path rule): forced vertices
+  take the last class ids in the order forced, so the automorphism sends
+  the first path onto the current one position by position, fixes their
+  common prefix, and maps the explored child of the first path there onto
+  the current one.  Every leaf skipped repeats an encoding met earlier, so
+  the first leaf with the least encoding, the form and its order, stay
+  those of the search without the return; the nodes of theta(1^7), the
+  cube and Petersen go 86/14/19 -> 36/10/10;
 - the automorphism search grows vertex permutations under the refined
   colors, compares each vertex's own items and the darts between assigned
   pairs by lookup, then extends a vertex map to darts group by group: each
@@ -270,8 +279,11 @@ def _best_leaf(g, marking, ordered_marking):
     after = len(set(base.values()))
     leaves = []  # (encoding, order) of the first leaf and of the best
     autos = []   # vertex automorphisms found at leaves
+    first = []   # the first leaf's individualized vertices
 
     def search(forced):
+        """Explore the node that individualized `forced`; returns the depth
+        to go back to when a leaf below repeated the first leaf, else None."""
         init = dict(base)
         for i, v in enumerate(forced):
             init[v] = after + i
@@ -287,14 +299,23 @@ def _best_leaf(g, marking, ordered_marking):
             enc = _encode(g, index, marking, ordered_marking)
             if not leaves:
                 leaves.extend([(enc, order)] * 2)
-                return
-            for ref_enc, ref_order in leaves:
+                first.extend(forced)
+                return None
+            for i, (ref_enc, ref_order) in enumerate(leaves):
                 if enc == ref_enc:
                     autos.append(dict(zip(ref_order, order)))
-                    return
+                    if i == 0 and len(forced) == len(first):
+                        # the map sends first[j] to forced[j]: below their
+                        # common prefix, this path's subtree is the image
+                        # of the first path's, so go back there
+                        k = 0
+                        while first[k] == forced[k]:
+                            k += 1
+                        return k
+                    return None
             if enc < leaves[1][0]:
                 leaves[1] = (enc, order)
-            return
+            return None
         explored, fixing, seen = set(), [], 0
         for v in sorted(cells[big[0]]):
             # automorphisms found since the last child, if they fix forced
@@ -304,7 +325,10 @@ def _best_leaf(g, marking, ordered_marking):
             if v in orbit_closure(explored, fixing):
                 continue
             explored.add(v)
-            search(forced + (v,))
+            back = search(forced + (v,))
+            if back is not None and back < len(forced):
+                return back
+        return None
 
     search(())
     return leaves[1]

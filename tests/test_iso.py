@@ -16,6 +16,8 @@ from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
 from regcover.groups import Permutation
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
                           verify_isomorphism)
+from regcover.quotient import all_quotients
+from regcover.textfmt import parse, serialize
 
 from test_graph import graphs
 
@@ -605,9 +607,10 @@ def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
 
 
 def test_canonical_search_node_counts_are_pinned(monkeypatch):
-    # pruning by automorphisms that move the individualized prefix finds
-    # the same forms on every graph tried so far but takes fewer nodes
-    # (36, 26, 10, 10, 28, 38, 21), so only the node counts tell it apart
+    # returning to the first path gives the node counts that pruning by
+    # automorphisms moving the individualized prefix gives without it, so
+    # test_pruning_maps_fix_the_individualized_prefix, not this pin,
+    # catches that unsound variant
     nodes = []
     refine = iso._refine
 
@@ -623,7 +626,7 @@ def test_canonical_search_node_counts_are_pinned(monkeypatch):
         nodes.clear()
         canonical_form(build())
         counts.append(len(nodes))
-    assert counts == [86, 46, 14, 19, 58, 42, 41]
+    assert counts == [36, 26, 10, 10, 28, 38, 21]
 
 
 def test_refine_matches_full_pass_reference(monkeypatch):
@@ -645,11 +648,124 @@ def test_refine_matches_full_pass_reference(monkeypatch):
         canonical_form(g)
         canonical_form(g, marking=vs[:2])
         canonical_form(g, ordered_marking=(vs[1], vs[0]))
+        canonical_form(g, marking=vs[-2:])
+        canonical_form(g, ordered_marking=(vs[-1], vs[0]))
         iso._VertexSearch(g)
     monkeypatch.undo()
     assert len(seen) > 10 * len(graphs)
     for g, colors in seen:
         assert iso._refine(g, colors) == _ref_refine([(g, colors)])[0]
+
+
+def _ref_best_leaf(g, marking, ordered_marking):
+    """The canonical search without the return to the first path: every
+    child outside the orbits of the explored ones, under the automorphisms
+    that fix the node's individualized prefix, is explored."""
+    base = iso._ranked(iso._initial_colors(g, marking, ordered_marking))
+    after = len(set(base.values()))
+    leaves, autos = [], []
+
+    def search(forced):
+        init = dict(base)
+        for i, v in enumerate(forced):
+            init[v] = after + i
+        colors = iso._refine(g, init)
+        cells = {}
+        for v in g.vertex_list:
+            if v not in forced:
+                cells.setdefault(colors[v], []).append(v)
+        big = sorted(c for c, vs in cells.items() if len(vs) > 1)
+        if not big:
+            order = sorted(g.vertex_list, key=lambda v: colors[v])
+            index = {v: i for i, v in enumerate(order)}
+            enc = iso._encode(g, index, marking, ordered_marking)
+            if not leaves:
+                leaves.extend([(enc, order)] * 2)
+                return
+            for ref_enc, ref_order in leaves:
+                if enc == ref_enc:
+                    autos.append(dict(zip(ref_order, order)))
+                    return
+            if enc < leaves[1][0]:
+                leaves[1] = (enc, order)
+            return
+        explored = set()
+        for v in sorted(cells[big[0]]):
+            fixing = [a for a in autos if all(a[u] == u for u in forced)]
+            if v in iso.orbit_closure(explored, fixing):
+                continue
+            explored.add(v)
+            search(forced + (v,))
+
+    search(())
+    enc, order = leaves[1]
+    return repr(enc).encode("ascii"), order
+
+
+def _read(g):
+    """g as a command reads it back from its serialized text."""
+    return normalize(parse(serialize(g)))
+
+
+def _random_regular(d, n, seed):
+    """A simple d-regular graph on n vertices from the pairing model,
+    drawing again until no loop or parallel edge forms."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [i for i in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i:i + 2]))
+                 for i in range(0, len(stubs), 2)}
+        if len(edges) == len(stubs) // 2 and all(i != j for i, j in edges):
+            break
+    b = GraphBuilder()
+    for i in range(n):
+        b.vertex(f"a{i}")
+    for k, (i, j) in enumerate(sorted(edges)):
+        b.edge(f"e{k}", f"a{i}", f"a{j}")
+    return b.build()
+
+
+def test_return_to_the_first_path_keeps_forms_and_orders():
+    # the leaves the return skips repeat encodings found earlier, so the
+    # first leaf with the least encoding, its form and its order, stay.
+    # Refinement splits no regular graph, so their searches go deepest:
+    # a return one level too shallow loses the best leaf on some of them
+    graphs = [g for _, g in _differential_graphs()] + _beyond_cap_graphs()
+    for g in [g for _, g in expansion_corpus()] + _beyond_cap_graphs():
+        graphs += [parse(serialize(q))
+                   for q in all_quotients(_read(g), via="reduction")]
+    graphs += [_random_regular(d, n, seed)
+               for d, n in ((3, 8), (3, 10), (3, 12), (4, 9), (4, 11))
+               for seed in range(10)]
+    cases = 0
+    for g in graphs:
+        vs = g.vertex_list
+        for marking, ordered in ((None, None), (vs[:2], None),
+                                 (vs[-2:], None), (None, (vs[-1], vs[0]))):
+            want = _ref_best_leaf(g, marking, ordered)
+            assert iso._canonical(g, marking, ordered) == want
+            cases += 1
+    assert cases > 2600
+
+
+def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
+    # the refinements the canonical search makes in one reduction-route
+    # pass over the beyond-cap graphs, read back from text as the
+    # benchmark reads them
+    nodes = []
+    refine = iso._refine
+
+    def counting(g, colors):
+        if sys._getframe(1).f_code.co_name == "search":
+            nodes.append(1)
+        return refine(g, colors)
+
+    graphs = [_read(g) for g in _beyond_cap_graphs()]
+    monkeypatch.setattr(iso, "_refine", counting)
+    for g in graphs:
+        all_quotients(g, via="reduction")
+    assert len(nodes) == 843
 
 
 def _from_networkx(nxg):
