@@ -424,8 +424,8 @@ def classify_primitive(g):
 
 
 def _swap_involutions(a):
-    """The boundary-exchanging semiregular involutions, in the order the
-    automorphism search yields them.  Only fixed-point-free vertex
+    """The boundary-exchanging semiregular involutions, in the order
+    `iso.automorphisms_iter` lists them.  Only fixed-point-free vertex
     involutions are extended, and only to dart maps that are involutions
     reversing no non-halvable edge; each one still passes the permutation
     checks before it is kept."""

@@ -7,8 +7,8 @@ it.  Tuples order elements by their vertex images first, and the orbits
 of either domain are closures over points.
 
 `automorphism_group` multiplies out a stabilizer chain: one automorphism
-per coset of each point stabilizer along the vertex search's order, and
-the automorphisms fixing every vertex.  The order, the product of the
+per coset of each point stabilizer along the canonical search's first
+path, and the automorphisms fixing every vertex.  The order, the product of the
 coset counts and the kernel's size (`iso.chain_order`), is known before
 any element is built.  `count_automorphisms`, which lives next to the item
 index in `iso`, takes its count from the same chain, so a count never
@@ -281,7 +281,7 @@ class Group:
 
 def _chain(g):
     """`iso.stabilizer_chain(g)`, kept on g as `_chain` (see
-    `graph.cached`), so the group and its generators read one walk."""
+    `graph.cached`), so the group and its generators read one chain."""
     return cached(g, "_chain", stabilizer_chain)
 
 

@@ -33,23 +33,25 @@ lists the darts at each vertex by their other end.  It has four readers:
   the first leaf with the least encoding, the form and its order, stay
   those of the search without the return; the nodes of theta(1^7), the
   cube and Petersen go 86/14/19 -> 36/10/10;
-- the automorphism search grows vertex permutations under the refined
-  colors, compares each vertex's own items and the darts between assigned
-  pairs by lookup, then extends a vertex map to darts group by group: each
-  key maps to its image key, the target items are permuted, and each
-  item's darts follow one of its allowed ways.  These choices are
-  independent.  A candidate image is checked against its own items and
-  its neighbours among the images taken, in O(deg).  The stabilizer
-  chain walks the same search along its identity path, deepest base
-  vertex first, and closes each base vertex's orbit under the
-  automorphisms found at its level and below by composing them
-  (Schreier-Sims).  It descends only for an image outside that orbit, to
-  the first vertex map that extends to darts, and each such map is a new
-  generator: one descent per generator, not per coset representative.
-  Generators and representatives are image tuples over g's points
-  (`graph.point_index`), composed as tuples.  Counts come from the chain:
-  the product of the orbit sizes and, per group, of |items|! *
-  |ways|^|items| for the identity map, listing no dart map;
+- the stabilizer chain is read off the canonical search.  Its base is the
+  first path, and the orbit of each base vertex is closed under the
+  automorphisms found at leaves that fix the base vertices before it,
+  composed as image tuples over g's points (`graph.point_index`); a map
+  is lifted to darts, by its first dart map, only when it extends the
+  orbit (Schreier-Sims).  A first-path child is skipped only as the image
+  of an explored one under automorphisms fixing the prefix, and an
+  explored child in the orbit leads to a leaf repeating the first leaf,
+  so the orbits are complete; with the base individualized, refinement is
+  discrete, so the automorphisms fixing it fix every vertex.  Counts come
+  from the chain: the product of the orbit sizes and, per group, of
+  |items|! * |ways|^|items| for the identity map, listing no dart map.
+  The automorphisms agreeing with a vertex map `pinned` are one coset:
+  the map between the best-leaf orders with its vertices and with their
+  images marked in order, times the chain of the pinned vertices, empty
+  when those two forms differ.  A listed vertex map extends to darts
+  group by group: each key maps to its image key, the target items are
+  permuted, and each item's darts follow one of its allowed ways, choices
+  that are independent;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
   edge.  Under such a map the groups come in pairs of image keys: a group
@@ -59,8 +61,9 @@ lists the darts at each vertex by their other end.  It has four readers:
 
 Two graphs are isomorphic exactly when their canonical forms are equal.
 The map between their best-leaf orders then preserves the encoding, so its
-first dart extension is a witness; the backtracking search only
-enumerates automorphisms.
+first dart extension is a witness.  The canonical search is the only
+backtracking search: isomorphisms, groups, counts and listings all read
+it.
 
 `verify_isomorphism` reads the raw graph, so a witness check does not
 depend on the index.
@@ -79,6 +82,7 @@ MAX_VERTICES = 24
 
 _TYPE_CODE = {"halvable": 0, "undirected": 1, "directed": 2}
 _FLIP = (0, 2, 1)  # tail role of a standard edge seen from its other end
+_ONE_WAY = {1: ((0,),), 2: ((0, 1),)}  # item size: its darts kept in place
 
 
 # -- the item index -----------------------------------------------------------
@@ -97,7 +101,14 @@ def _items(g):
         the darts at v}}.  The other end is a vertex (v itself for a loop),
         -1 for a free end, or -2 for a half-edge; a dart's role is 1 for a
         tail, 2 for a head, else 0.
-    own: {v: the loops, free ends and half-edges at v, from ends[v]}.
+    sigs: {v: the sorted signatures of all darts at v}, v's initial color.
+    codes: {v: (code, other end) per dart at v}.  The code is the rank of
+        the dart's signature among g's times n + 2, plus 2, so the code
+        plus the other end's class id (or its -1 or -2) orders darts as
+        (signature, id) pairs do.
+    encoding: the groups as `_encode` reads them: (a, b, type code, color,
+        role, count) per standard edge group, (tag, vertex, ...) per group
+        at one vertex, and the entries of the groups at no vertex.
     """
     return cached(g, "_iso_items", _index_items)
 
@@ -141,16 +152,37 @@ def _index_items(g):
             key = (3, (v,), "", g.color[h], 0)
             end(h, v, -2, HALF, "", g.color[h])
         groups.setdefault(key, []).append((h,))
-    ends = {v: {o: tuple(sorted(s)) for o, s in m.items()}
-            for v, m in ends.items()}
-    own = {v: (m.get(v), m.get(-1), m.get(-2)) for v, m in ends.items()}
-    return dict(sorted(groups.items())), ends, own
+    rank = {s: i for i, s in enumerate(sorted(
+        {s for m in ends.values() for ss in m.values() for s in ss}))}
+    k = len(ends) + 2
+    sigs, codes = {}, {}
+    for v, m in ends.items():
+        mine = []
+        for o, ss in m.items():
+            ss.sort()
+            m[o] = tuple(ss)
+            mine += ss
+        mine.sort()
+        sigs[v] = tuple(mine)
+        codes[v] = tuple((rank[s] * k + 2, o)
+                         for o, ss in m.items() for s in ss)
+    groups = dict(sorted(groups.items()))
+    edges, ones, rest = [], [], []
+    for (tag, vs, typ, c, role), its in groups.items():
+        t = _TYPE_CODE.get(typ, -1) if tag in (0, 1, 4) else 0
+        if tag == 0:
+            edges.append((*vs, t, c, role, len(its)))
+        elif vs:
+            ones.append((tag, *vs, t, c, role, len(its)))
+        else:
+            rest += [(tag, 0, 0, t, c, role)] * len(its)
+    return groups, ends, sigs, codes, (edges, ones, rest)
 
 
 # -- refinement ---------------------------------------------------------------
 
 def _initial_colors(g, marking, ordered_marking):
-    ends = _items(g)[1]
+    sigs = _items(g)[2]
     marked = {}
     if ordered_marking:
         for i, v in enumerate(ordered_marking):
@@ -158,11 +190,7 @@ def _initial_colors(g, marking, ordered_marking):
     elif marking:
         for v in marking:
             marked[v] = 1
-    colors = {}
-    for v in g.vertex_list:
-        sig = tuple(sorted(s for sigs in ends[v].values() for s in sigs))
-        colors[v] = (marked.get(v, 0), sig)
-    return colors
+    return {v: (marked.get(v, 0), sigs[v]) for v in g.vertex_list}
 
 
 def _ranked(colors):
@@ -188,11 +216,12 @@ def _refine(g, colors):
     a full pass gets by ranking (color, signature) of every vertex each
     round until no class splits.
     """
-    ends = _items(g)[1]
-    current = _ranked(colors)
-    cells = [[] for _ in range(len(set(current.values())))]
-    for v, c in current.items():
-        cells[c].append(v)
+    _, ends, _, codes, _ = _items(g)
+    rank = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+    cells, current = [[] for _ in rank], {}
+    for v, c in colors.items():
+        current[v] = i = rank[c]
+        cells[i].append(v)
     touched = range(len(cells))
     while True:
         split, new_cells, color = [], [], current.get
@@ -201,9 +230,8 @@ def _refine(g, colors):
                 by_sig = {}
                 for v in cell:
                     # a free end (-1) or half-edge (-2) keeps its code
-                    sig = tuple(sorted([(s, color(o, o))
-                                        for o, sigs in ends[v].items()
-                                        for s in sigs]))
+                    sig = tuple(sorted([c + color(o, o)
+                                        for c, o in codes[v]]))
                     by_sig.setdefault(sig, []).append(v)
                 if len(by_sig) > 1:
                     parts = [by_sig[sig] for sig in sorted(by_sig)]
@@ -224,13 +252,14 @@ def _refine(g, colors):
 def _encode(g, index, marking, ordered_marking):
     """One entry (tag, i, j, type code, color, role) per item; vertices are
     replaced by their index, and a standard edge's tail role follows."""
-    items = []
-    for (tag, vs, typ, c, role), its in _items(g)[0].items():
-        i, j = [index[v] for v in vs] + [0] * (2 - len(vs))
-        if tag == 0 and i > j:
-            i, j, role = j, i, _FLIP[role]
-        t = _TYPE_CODE.get(typ, -1) if tag in (0, 1, 4) else 0
-        items += [(tag, i, j, t, c, role)] * len(its)
+    edges, ones, rest = _items(g)[4]
+    items = list(rest)
+    for a, b, t, c, role, n in edges:
+        i, j = index[a], index[b]
+        items += [(0, i, j, t, c, role) if i < j
+                  else (0, j, i, t, c, _FLIP[role])] * n
+    for tag, a, t, c, role, n in ones:
+        items += [(tag, index[a], 0, t, c, role)] * n
     mark = ()
     if ordered_marking:
         mark = tuple(index[v] for v in ordered_marking)
@@ -262,14 +291,15 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
 
 
 def _canonical(g, marking, ordered_marking):
-    """(form bytes, vertex order of the best leaf), kept on g per marking."""
+    """(form bytes, vertex order of the best leaf, first path, vertex
+    automorphisms found), kept on g per marking."""
     marking = frozenset(marking) if marking else None
     ordered_marking = tuple(ordered_marking) if ordered_marking else None
     cache = cached(g, "_iso_canon", lambda g: {})
     key = (marking, ordered_marking)
     if key not in cache:
-        enc, order = _best_leaf(g, marking, ordered_marking)
-        cache[key] = (repr(enc).encode("ascii"), order)
+        (enc, order), first, autos = _best_leaf(g, marking, ordered_marking)
+        cache[key] = (repr(enc).encode("ascii"), order, tuple(first), autos)
     return cache[key]
 
 
@@ -289,14 +319,12 @@ def _best_leaf(g, marking, ordered_marking):
             init[v] = after + i
         colors = _refine(g, init)
         cells = {}
-        for v in g.vertex_list:
-            if v not in forced:
-                cells.setdefault(colors[v], []).append(v)
-        big = sorted(c for c, vs in cells.items() if len(vs) > 1)
-        if not big:
-            order = sorted(g.vertex_list, key=lambda v: colors[v])
-            index = {v: i for i, v in enumerate(order)}
-            enc = _encode(g, index, marking, ordered_marking)
+        for v, c in colors.items():
+            cells.setdefault(c, []).append(v)
+        if len(cells) == len(colors):
+            # discrete: each vertex's class id is its position
+            order = sorted(colors, key=colors.get)
+            enc = _encode(g, colors, marking, ordered_marking)
             if not leaves:
                 leaves.extend([(enc, order)] * 2)
                 first.extend(forced)
@@ -317,12 +345,15 @@ def _best_leaf(g, marking, ordered_marking):
                 leaves[1] = (enc, order)
             return None
         explored, fixing, seen = set(), [], 0
-        for v in sorted(cells[big[0]]):
+        # forced vertices are singletons: the target is the first cell of
+        # two or more vertices
+        target = min(c for c, vs in cells.items() if len(vs) > 1)
+        for v in sorted(cells[target]):
             # automorphisms found since the last child, if they fix forced
             fixing += [a for a in autos[seen:]
                        if all(a[u] == u for u in forced)]
             seen = len(autos)
-            if v in orbit_closure(explored, fixing):
+            if fixing and v in orbit_closure(explored, fixing):
                 continue
             explored.add(v)
             back = search(forced + (v,))
@@ -331,122 +362,46 @@ def _best_leaf(g, marking, ordered_marking):
         return None
 
     search(())
-    return leaves[1]
+    return leaves[1], first, autos
 
 
-# -- automorphism search ------------------------------------------------------
+# -- automorphism groups -------------------------------------------------------
 
-class _VertexSearch:
-    """Backtracking over the vertex permutations of g that keep refined
-    colors and the items at and between vertices, and send each pinned
-    vertex to its image.  Vertices are assigned in `order`; `assignment`
-    holds the images of a prefix of it, and `used` the images taken."""
+def stabilizer_chain(g, fixed=()):
+    """(transversals, kernel): the automorphisms of g fixing each vertex
+    of `fixed`, read off the canonical search that marks `fixed` in order
+    (see the module docstring for why it is complete).
 
-    def __init__(self, g, pinned=None):
-        _, self._ends, self._own = _items(g)
-        colors = _refine(g, _initial_colors(g, None, None))
-        by_color = {}
-        for w in g.vertex_list:
-            by_color.setdefault(colors[w], []).append(w)
-        self.order = sorted(g.vertex_list, key=lambda v: (colors[v], v))
-        self._cells = [by_color[colors[v]] for v in self.order]
-        self._pinned = pinned or {}
-        self.assignment = {}
-        self.used = set()
-
-    def images(self, i):
-        """The images order[i] can take next to the assignment of
-        order[:i], in vertex order.  A candidate w must carry v's own items
-        and, among the images taken, be next to exactly the images of v's
-        assigned neighbours, by the same darts: O(deg) per candidate."""
-        v = self.order[i]
-        want = self._pinned.get(v)
-        own, ends, assignment, used = (self._own, self._ends,
-                                       self.assignment, self.used)
-        mapped = {assignment[u]: sigs for u, sigs in ends[v].items()
-                  if u in assignment}
-        n = len(mapped)
-        for w in self._cells[i]:
-            if w in used or (want is not None and w != want):
-                continue
-            if own[v] != own[w]:
-                continue
-            at = ends[w]
-            if (all(at.get(x) == sigs for x, sigs in mapped.items())
-                    and sum(o in used for o in at) == n):
-                yield w
-
-    def leaves(self, i=0):
-        """Yield `assignment` each time it is completed from order[:i];
-        closing the generator restores it to order[:i]."""
-        if i == len(self.order):
-            yield self.assignment
-            return
-        v = self.order[i]
-        for w in self.images(i):
-            self.used.add(w)
-            self.assignment[v] = w
-            try:
-                yield from self.leaves(i + 1)
-            finally:
-                self.used.remove(w)
-                del self.assignment[v]
-
-
-def _automorphism_vmaps(g, pinned):
-    """Copies of the complete vertex maps of `_VertexSearch(g, pinned)`."""
-    for leaf in _VertexSearch(g, pinned).leaves():
-        yield dict(leaf)
-
-
-def stabilizer_chain(g, pinned=None):
-    """(transversals, kernel): along the search order v_1 ... v_n, the
-    automorphisms of g fixing each vertex that `pinned` maps to itself.
-
-    transversals[i] holds, as an image tuple over g's points (see
-    `graph.point_index`), one such automorphism fixing v_1 ... v_i-1 and
-    sending v_i to w for each w != v_i that they reach, in point order,
-    which is vertex order.  The levels are walked deepest first, each with
-    the identity on v_1 ... v_i-1, so the automorphisms found below level i
-    are known there.  The orbit of v_i under them is closed by composing
-    tuples; the search descends below v_i -> w only for a candidate w
-    outside it, to the first complete vertex map with dart jobs, lifted by
-    its first dart map, and each one it finds is a new generator that the
-    orbit is closed under again (Schreier-Sims).  kernel is the dart jobs
-    of the identity vertex map, whose `dart_maps` are the automorphisms
-    fixing every vertex.  Every such automorphism is t_1 * ... * t_n * k
-    for exactly one k and one t_i from each transversal or the identity.
+    Along the search's first path v_1 ... v_m, transversals[i] holds, as
+    image tuples over g's points (see `graph.point_index`), one
+    automorphism fixing v_1 ... v_i-1 and sending v_i to w for each w != v_i
+    they reach, in point order.  kernel is the dart jobs of the identity
+    vertex map, whose `dart_maps` fix every vertex.  Every automorphism
+    fixing `fixed` is t_1 * ... * t_m * k for exactly one k and one t_i
+    from each transversal or the identity.
     """
-    search = _VertexSearch(g, pinned)
-    assignment, used = search.assignment, search.used
-    identity = {v: v for v in search.order}
-    assignment.update(identity)
-    used.update(search.order)
+    first, autos = _canonical(g, None, tuple(fixed or ()) or None)[2:]
     point = point_index(g)[0]
-    one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
-    gens, transversals = [], []
-    for i in reversed(range(len(search.order))):
-        v = search.order[i]
-        del assignment[v]
-        used.remove(v)
-        reps = {point[v]: one}
-        for w in search.images(i):
-            if point[w] in reps:
-                continue
-            assignment[v] = w
-            used.add(w)
-            below = search.leaves(i + 1)
-            for leaf in below:
-                jobs = _dart_jobs(g, g, leaf)
-                if jobs is not None:
-                    gens.append(_map_images(g, _first_dart_map(jobs), leaf))
+    vertices = g.vertex_list
+    one = tuple(range(len(vertices) + len(g.dart_list)))
+    lifted = {}  # position in autos: image tuple
+    live = range(len(autos))  # positions of the autos fixing the prefix
+    transversals = []
+    for v in first:
+        orbit = orbit_closure((v,), [autos[j] for j in live])
+        reps, gens = {point[v]: one}, []
+        while len(reps) < len(orbit):
+            for j in live:
+                a = autos[j]
+                if any(point[a[vertices[x]]] not in reps for x in reps):
+                    if j not in lifted:
+                        lifted[j] = _map_images(
+                            g, _first_dart_map(_dart_jobs(g, g, a)), a)
+                    gens.append(lifted[j])
                     _close_orbit(reps, gens)
-                    break
-            below.close()
-            del assignment[v]
-            used.remove(w)
         transversals.append([reps[x] for x in sorted(reps) if x != point[v]])
-    return transversals[::-1], _dart_jobs(g, g, identity)
+        live = [j for j in live if autos[j][v] == v]
+    return transversals, _dart_jobs(g, g, {v: v for v in vertices})
 
 
 def _close_orbit(reps, gens):
@@ -485,14 +440,15 @@ def _dart_jobs(g1, g2, vmap):
     """
     groups2 = _items(g2)[0]
     jobs = []
+    image_of = vmap.__getitem__
     for (tag, vs, typ, c, role), items in _items(g1)[0].items():
-        image = tuple(vmap[v] for v in vs)
+        image = tuple(map(image_of, vs))
         if tag == 0 and image[0] > image[1]:
             image, role, ways = image[::-1], _FLIP[role], ((1, 0),)
         elif tag in (1, 4) and typ != DIRECTED:
             ways = ((0, 1), (1, 0))
         else:
-            ways = (tuple(range(len(items[0]))),)
+            ways = _ONE_WAY[len(items[0])]
         key = (tag, image, typ, c, role)
         targets = groups2.get(key)
         if targets is None or len(targets) != len(items):
@@ -551,20 +507,53 @@ def chain_order(chain):
                         for _, items, _, ways in kernel])
 
 
+def _coset_shift(g, pinned):
+    """(fixed, shift): the vertices `pinned` maps, in its order, and a
+    vertex automorphism of g that agrees with it, the map between the
+    best-leaf orders with `fixed` and with its images marked in order;
+    shift is None when those two forms differ, so that none agrees."""
+    fixed = tuple(pinned or ())
+    form, order = _canonical(g, None, fixed or None)[:2]
+    form2, order2 = _canonical(g, None,
+                               tuple(pinned[v] for v in fixed) or None)[:2]
+    return fixed, dict(zip(order, order2)) if form == form2 else None
+
+
 def count_automorphisms(g, pinned=None):
     """Number of automorphisms of g that agree with `pinned` on vertices:
     one coset of the group fixing every pinned vertex, whose `chain_order`
-    it is, or none when no vertex map agreeing with it extends to darts."""
-    fixed = {v: v for v in pinned or ()}
-    if pinned and pinned != fixed and all(
-            _dart_jobs(g, g, vmap) is None
-            for vmap in _automorphism_vmaps(g, pinned)):
-        return 0
-    return chain_order(stabilizer_chain(g, fixed))
+    it is, or none when no automorphism maps the pinned vertices, marked in
+    order, onto their images (see `_coset_shift`)."""
+    fixed, shift = _coset_shift(g, pinned)
+    return 0 if shift is None else chain_order(stabilizer_chain(g, fixed))
+
+
+def _automorphism_vmaps(g, pinned):
+    """The vertex maps of the automorphisms of g that agree with `pinned`:
+    shift * h over the vertex parts h of the stabilizer chain of the
+    pinned vertices (see `_coset_shift`), each once, lexicographic in the
+    point order of the images along the vertices sorted by (refined
+    color, vertex)."""
+    fixed, shift = _coset_shift(g, pinned)
+    if shift is None:
+        return []
+    point, vertices = point_index(g)[0], g.vertex_list
+    # the vertex parts of the chain's products, as in groups._aut_images
+    parts = [tuple(range(len(vertices)))]
+    for reps in reversed(stabilizer_chain(g, fixed)[0]):
+        parts += [tuple(map(t.__getitem__, x)) for t in reps for x in parts]
+    to = [point[shift[v]] for v in vertices]
+    maps = [[to[p] for p in x] for x in parts]
+    colors = _refine(g, _initial_colors(g, None, None))
+    along = [point[v] for v in sorted(vertices, key=lambda v: (colors[v], v))]
+    maps.sort(key=lambda m: [m[p] for p in along])
+    return [dict(zip(vertices, map(vertices.__getitem__, m))) for m in maps]
 
 
 def automorphisms_iter(g, pinned=None):
-    """Yield (vertex_map, dart_map) for every automorphism of g."""
+    """Yield (vertex_map, dart_map) for every automorphism of g that agrees
+    with `pinned`: each vertex map of `_automorphism_vmaps` with its
+    `dart_maps`, in order."""
     for vmap in _automorphism_vmaps(g, pinned):
         for dmap in _dart_variants(g, g, vmap):
             yield vmap, dmap
@@ -574,7 +563,8 @@ def semiregular_involutions_iter(g, pinned=None):
     """Yield (vertex_map, dart_map) for every automorphism of g that agrees
     with `pinned` and is a fixed-point-free involution reversing no
     non-halvable edge: the ones `automorphisms_iter` yields that are
-    semiregular involutions, in the same order."""
+    semiregular involutions, in the same order.  Only the vertex maps of
+    the pinned coset that are fixed-point-free involutions are extended."""
     for vmap in _automorphism_vmaps(g, pinned):
         if all(w != v and vmap[w] == v for v, w in vmap.items()):
             for dmap in _involution_dart_maps(g, vmap):
@@ -698,8 +688,8 @@ def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTIC
     if (sorted(_initial_colors(g1, marking1, None).values())
             != sorted(_initial_colors(g2, marking2, None).values())):
         return None
-    form1, order1 = _canonical(g1, marking1, None)
-    form2, order2 = _canonical(g2, marking2, None)
+    form1, order1 = _canonical(g1, marking1, None)[:2]
+    form2, order2 = _canonical(g2, marking2, None)[:2]
     if form1 != form2:
         return None
     vmap = dict(zip(order1, order2))

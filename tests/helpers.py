@@ -2,6 +2,7 @@
 
 import itertools
 
+from regcover import iso
 from regcover.graph import DIRECTED, STANDARD, SubgraphRef
 
 
@@ -154,3 +155,209 @@ def brute_force_cut_pairs(g):
         if comps > 1:
             out.add((a, b))
     return frozenset(out)
+
+
+# -- reference isomorphism search ---------------------------------------------
+# A backtracking search over vertex bijections that checks every assigned
+# pair by its own dart profile and extends each bijection to darts per edge
+# kind, sharing only the initial colors and the item index with `iso`.
+
+def _ref_pair_profile(g, a, b):
+    out = []
+    for h in g.darts_at(a):
+        k = g.pairing[h]
+        if k != h and g.vertex_of(k) == b and a != b:
+            typ = g.edge_type[h]
+            role = 0
+            if typ == "directed":
+                role = 1 if h in g.tails else 2
+            out.append((typ, g.color[h], role))
+    return tuple(sorted(out))
+
+
+def _ref_self_profile(g, v):
+    out = []
+    for h in g.darts_at(v):
+        k = g.pairing[h]
+        kind = g.edge_kind(h)
+        if kind == "loop" and h < k:
+            out.append(("L", g.edge_type[h], g.color[h]))
+        elif kind == "pendant" and g.vertex_of(h) is not None:
+            out.append(("P", g.color[h]))
+        elif kind == "half":
+            out.append(("H", g.color[h]))
+    return tuple(sorted(out))
+
+
+def _ref_free_profile(g):
+    out = []
+    for h, k in g.edges:
+        if g.edge_kind(h) == "free":
+            out.append(("F", g.edge_type[h], g.color[h]))
+    for h in g.halfedges:
+        if g.vertex_of(h) is None:
+            out.append(("G", g.color[h]))
+    return tuple(sorted(out))
+
+
+def ref_refine(graph_colors):
+    """Joint refinement of several graphs' vertex colorings, with class ids
+    comparable across the graphs."""
+    all_ends = [iso._items(g)[1] for g, _ in graph_colors]
+
+    def ranked(sig_maps):
+        pool = sorted({s for m in sig_maps for s in m.values()})
+        rank = {s: i for i, s in enumerate(pool)}
+        return [{v: rank[s] for v, s in m.items()} for m in sig_maps]
+
+    current = ranked([dict(cm) for _, cm in graph_colors])
+    while True:
+        nxt = ranked([
+            {v: (colors[v], tuple(sorted((s, colors.get(o, o))
+                                         for o, sigs in around.items()
+                                         for s in sigs)))
+             for v, around in ends.items()}
+            for ends, colors in zip(all_ends, current)])
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def _ref_vertex_bijections(g1, g2, marking1, marking2, pinned):
+    if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
+        return
+    if _ref_free_profile(g1) != _ref_free_profile(g2):
+        return
+    colors1, colors2 = ref_refine(
+        [(g1, iso._initial_colors(g1, marking1, None)),
+         (g2, iso._initial_colors(g2, marking2, None))])
+    if sorted(colors1.values()) != sorted(colors2.values()):
+        return
+    by_color = {}
+    for w in g2.vertex_list:
+        by_color.setdefault(colors2[w], []).append(w)
+    order = sorted(g1.vertex_list, key=lambda v: (colors1[v], v))
+    used, assignment = set(), {}
+
+    def compatible(v, w):
+        if _ref_self_profile(g1, v) != _ref_self_profile(g2, w):
+            return False
+        return all(_ref_pair_profile(g1, v, v2) == _ref_pair_profile(g2, w, w2)
+                   for v2, w2 in assignment.items())
+
+    def rec(i):
+        if i == len(order):
+            yield dict(assignment)
+            return
+        v = order[i]
+        want = pinned.get(v)
+        for w in by_color.get(colors1[v], ()):
+            if w in used or (want is not None and w != want):
+                continue
+            if not compatible(v, w):
+                continue
+            used.add(w)
+            assignment[v] = w
+            yield from rec(i + 1)
+            used.remove(w)
+            del assignment[v]
+
+    yield from rec(0)
+
+
+def _ref_groups(g):
+    std, loops, pendants, halves, freeedges, freehalves = ({} for _ in range(6))
+    for h, k in g.edges:
+        kind, typ, c = g.edge_kind(h), g.edge_type[h], g.color[h]
+        directed = typ == "directed"
+        if kind == "standard":
+            u, w = g.vertex_of(h), g.vertex_of(k)
+            tailv = (u if h in g.tails else w) if directed else None
+            a, b = sorted((u, w))
+            rel = 0 if tailv is None else (1 if tailv == a else 2)
+            std.setdefault((a, b, typ, c, rel), []).append((h, k, u, w))
+        elif kind == "loop":
+            pair = (k, h) if directed and h not in g.tails else (h, k)
+            loops.setdefault((g.vertex_of(h), typ, c), []).append(pair)
+        elif kind == "pendant":
+            att, out = (h, k) if g.vertex_of(h) is not None else (k, h)
+            pendants.setdefault((g.vertex_of(att), c), []).append((att, out))
+        else:
+            pair = (k, h) if directed and h not in g.tails else (h, k)
+            freeedges.setdefault((typ, c), []).append(pair)
+    for h in g.halfedges:
+        v = g.vertex_of(h)
+        if v is None:
+            freehalves.setdefault(g.color[h], []).append(h)
+        else:
+            halves.setdefault((v, g.color[h]), []).append(h)
+    return std, loops, pendants, halves, freeedges, freehalves
+
+
+def _ref_dart_variants(g1, g2, vmap):
+    s1, s2 = _ref_groups(g1), _ref_groups(g2)
+    jobs = []
+
+    def both_ways(src, dst, typ):
+        h, k = src
+        h2, k2 = dst
+        if typ == "directed":
+            return [{h: h2, k: k2}]
+        return [{h: h2, k: k2}, {h: k2, k: h2}]
+
+    for kind in range(6):
+        for key, items in sorted(s1[kind].items()):
+            if kind == 0:
+                a, b, typ, c, rel = key
+                ta, tb = sorted((vmap[a], vmap[b]))
+                if rel:
+                    rel = 1 if vmap[a if rel == 1 else b] == ta else 2
+                tkey = (ta, tb, typ, c, rel)
+                fn = (lambda s, d: [{s[0]: d[0], s[1]: d[1]}
+                                    if vmap[s[2]] == d[2]
+                                    else {s[0]: d[1], s[1]: d[0]}])
+            elif kind == 1:
+                tkey = (vmap[key[0]],) + key[1:]
+                fn = lambda s, d, t=key[1]: both_ways(s, d, t)
+            elif kind == 2:
+                tkey = (vmap[key[0]], key[1])
+                fn = lambda s, d: [{s[0]: d[0], s[1]: d[1]}]
+            elif kind == 3:
+                tkey = (vmap[key[0]], key[1])
+                fn = lambda s, d: [{s: d}]
+            elif kind == 4:
+                tkey = key
+                fn = lambda s, d, t=key[0]: both_ways(s, d, t)
+            else:
+                tkey = key
+                fn = lambda s, d: [{s: d}]
+            targets = s2[kind].get(tkey)
+            if targets is None or len(targets) != len(items):
+                return
+            jobs.append((items, targets, fn))
+
+    def rec(ji, acc):
+        if ji == len(jobs):
+            yield dict(acc)
+            return
+        items, targets, fn = jobs[ji]
+        for perm in itertools.permutations(targets):
+            variants = [fn(items[i], perm[i]) for i in range(len(items))]
+            for combo in itertools.product(*variants):
+                acc2 = dict(acc)
+                for part in combo:
+                    acc2.update(part)
+                yield from rec(ji + 1, acc2)
+
+    yield from rec(0, {})
+
+
+def ref_isomorphisms(g1, g2, marking1=None, marking2=None, pinned=None):
+    """Yield (vertex map, dart map) for every isomorphism from g1 to g2
+    that respects the markings and agrees with `pinned`: vertex maps
+    lexicographic along g1's vertices sorted by (refined color, vertex),
+    each with its dart maps."""
+    for vmap in _ref_vertex_bijections(g1, g2, marking1, marking2,
+                                       pinned or {}):
+        for dmap in _ref_dart_variants(g1, g2, vmap):
+            yield vmap, dmap

@@ -22,7 +22,7 @@ from regcover.quotient import all_quotients, atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import parse, serialize
 
-from helpers import brute_force_cut_pairs
+from helpers import brute_force_cut_pairs, ref_isomorphisms
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -310,9 +310,10 @@ def _series_graphs():
 
 def _scanned_involutions(g, pinned):
     """The semiregular involutions among all automorphisms agreeing with
-    `pinned`, in the order the automorphism search yields them."""
+    `pinned` that the reference search lists, in its order, which is the
+    order of `automorphisms_iter`."""
     out = []
-    for vmap, dmap in automorphisms_iter(g, pinned=pinned):
+    for vmap, dmap in ref_isomorphisms(g, g, pinned=pinned):
         p = Permutation.from_maps(g, dmap, vmap)
         if p.is_involution and p.semiregularity_violation() is None:
             out.append((vmap, dmap))
@@ -329,7 +330,7 @@ def _ref_symmetry_type(a):
     swap = {u: v, v: u}
     if _scanned_involutions(ag, swap):
         return "halvable"
-    if next(automorphisms_iter(ag, pinned=swap), None) is not None:
+    if next(ref_isomorphisms(ag, ag, pinned=swap), None) is not None:
         return "symmetric"
     return "asymmetric"
 

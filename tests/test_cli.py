@@ -294,13 +294,25 @@ def test_aut_beyond_the_group_cap(tmp_path, capsys):
                       768, 4096]
 
 
+def test_aut_on_a_101_cycle(tmp_path, capsys):
+    # the stabilizer chain is read off the canonical search, which takes
+    # a few refinements on a long cycle: order 2n and one vertex orbit
+    path = str(tmp_path / "c101.g")
+    write_file(cycle(101), path)
+    assert main(["aut", path]) == 0
+    head, title, *rows = capsys.readouterr().out.splitlines()
+    assert head == "automorphism group order: 202"
+    assert title == "vertex orbits:"
+    assert len(rows) == 1 and len(rows[0].split()) == 101
+
+
 def test_aut_walks_one_chain_and_lists_no_group(files, monkeypatch):
     calls = []
     walk = iso.stabilizer_chain
 
-    def counting(g, pinned=None):
+    def counting(g, fixed=()):
         calls.append(g)
-        return walk(g, pinned)
+        return walk(g, fixed)
 
     def refuse(*args, **kwargs):
         raise InternalError("aut listed the group")

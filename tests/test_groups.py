@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -18,11 +19,11 @@ from regcover.groups import (Group, Permutation, all_subgroups,
                              orbits, semiregular_subgroups,
                              semiregular_violations, subgroup_order_histogram)
 from regcover.atoms import find_atoms
-from regcover.iso import are_isomorphic, automorphisms_iter, canonical_form
+from regcover.iso import are_isomorphic, canonical_form
 from regcover.reduction import reduction_series
 
 from helpers import (is_simple, naive_dart_automorphism_count,
-                     naive_vertex_automorphism_count)
+                     naive_vertex_automorphism_count, ref_isomorphisms)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -90,10 +91,23 @@ def count_dart_maps(monkeypatch):
     return built
 
 
+def count_refinements(monkeypatch):
+    """A list that grows by one for each `iso._refine` call from now on."""
+    nodes = []
+    refine = iso._refine
+
+    def counting(g, colors):
+        nodes.append(1)
+        return refine(g, colors)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    return nodes
+
+
 def test_count_automorphisms_matches_listing():
-    # the product over item groups equals the number of dart maps listed,
-    # on whole graphs and on atoms pinned on their boundary, pointwise and,
-    # for two boundary vertices, swapped
+    # the chain's count equals the number of isomorphisms the reference
+    # search lists, on whole graphs and on atoms pinned on their boundary,
+    # pointwise and, for two boundary vertices, swapped
     graphs = [g for _, g in expansion_corpus()]
     graphs += [normalize(random_instance(seed)) for seed in range(200)]
     cases = [(g, None) for g in graphs]
@@ -105,7 +119,7 @@ def test_count_automorphisms_matches_listing():
                 cases.append((a.as_graph(), {u: v, v: u}))
     assert len(cases) == 803
     for g, pinned in cases:
-        listed = sum(1 for _ in automorphisms_iter(g, pinned=pinned))
+        listed = sum(1 for _ in ref_isomorphisms(g, g, pinned=pinned))
         assert count_automorphisms(g, pinned=pinned) == listed, (g, pinned)
 
 
@@ -350,13 +364,14 @@ def test_beyond_cap_refusals_name_the_order():
 
 
 def test_automorphism_group_matches_listing():
-    # the products over the stabilizer chain are exactly the listed maps
+    # the products over the stabilizer chain are exactly the maps the
+    # reference search lists
     graphs = [g for _, g in expansion_corpus()]
     for seed in range(200):
         graphs += [random_instance(seed), normalize(random_instance(seed))]
     for g in graphs:
         listed = sorted({Permutation.from_maps(g, d, v)
-                         for v, d in automorphisms_iter(g)})
+                         for v, d in ref_isomorphisms(g, g)})
         assert automorphism_group(g, max_order=None).elements == tuple(listed)
 
 
@@ -378,10 +393,10 @@ def test_repeated_products_are_an_internal_error(monkeypatch):
 
 
 def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
-    # complete vertex maps the chain's search reaches (one `_dart_jobs`
-    # call each, the kernel's included), against 24, 48, 120, 120 and 24
-    # in the full listing and 7, 11, 16, 17 and 13 with one descent per
-    # coset representative: orbit pruning descends once per generator
+    # `_dart_jobs` calls of one group: the automorphisms the chain lifts,
+    # one per orbit-extending map the canonical search found, and the
+    # kernel's, against 24, 48, 120, 120 and 24 in the full listing and 7,
+    # 11, 16, 17 and 13 with one descent per coset representative
     calls = []
     jobs = iso._dart_jobs
 
@@ -399,9 +414,9 @@ def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
 
 
 def test_count_automorphisms_walks_the_chain_only(monkeypatch):
-    # a count reaches only the chain's leaves (one `_dart_jobs` call
-    # each), not the 24, 48, 120, 120 and 24 vertex maps of a full walk
-    # (7, 11, 16, 17 and 13 before orbit pruning)
+    # a count lifts only the chain's generators and the kernel (one
+    # `_dart_jobs` call each), not the 24, 48, 120, 120 and 24 vertex
+    # maps of a full walk (7, 11, 16, 17 and 13 before orbit pruning)
     calls = []
     jobs = iso._dart_jobs
 
@@ -421,23 +436,69 @@ def test_count_automorphisms_walks_the_chain_only(monkeypatch):
 
 
 def test_stabilizer_chain_search_node_counts_are_pinned(monkeypatch):
-    # `_VertexSearch.images` calls of one chain walk: with orbit pruning
-    # the search descends only below images outside the orbit found so
-    # far, against 62,310 and 16,049 with one descent per image
-    calls = []
-    images = iso._VertexSearch.images
-
-    def counting(self, i):
-        calls.append(1)
-        return images(self, i)
-
-    monkeypatch.setattr(iso._VertexSearch, "images", counting)
-    nodes = []
+    # refinements of one chain, each a node of the canonical search it is
+    # read off, on graphs with |Aut| of 768 and 1,440
+    nodes = count_refinements(monkeypatch)
+    counts = []
     for g in (cycle_with_triangles(6), theta(2, 2, 2, 2, 2, 2)):
-        calls.clear()
+        nodes.clear()
         iso.stabilizer_chain(g)
-        nodes.append(len(calls))
-    assert nodes == [15278, 8584]
+        counts.append(len(nodes))
+    assert counts == [38, 26]
+
+
+@pytest.mark.parametrize("name, order, refinements", [
+    ("C101", 202, 6), ("C200", 400, 6), ("C6tri", 768, 38),
+    ("CFI(K4)", 192, 16), ("Z6-cover of K4", 12, 10)])
+def test_count_automorphisms_at_scale(name, order, refinements, monkeypatch):
+    # long cycles, a CFI graph and a voltage cover, where a search without
+    # refinement backtracks far: the count is networkx VF2++'s, and its
+    # cost is bounded by the refinements of the canonical search the chain
+    # is read off, not by wall time
+    nx = pytest.importorskip("networkx")
+    g = _scale_graphs()[name]
+    nodes = count_refinements(monkeypatch)
+    assert count_automorphisms(g) == order
+    assert len(nodes) == refinements
+    nxg = nx.Graph([(g.vertex_of(h), g.vertex_of(k)) for h, k in g.edges])
+    assert sum(1 for _ in nx.vf2pp_all_isomorphisms(nxg, nxg)) == order
+
+
+def _scale_graphs():
+    """Two long cycles, the cycle of six triangles, the Cai-Furer-Immerman
+    graph over K4 (40 vertices) and a Z6 voltage cover of K4 (24)."""
+    k4 = list(itertools.combinations(range(4), 2))
+    cfi = []
+    for v in range(4):
+        ends = [e for e in k4 if v in e]
+        # a middle vertex per even subset of v's edges, joined to the end
+        # vertex (v, e, 1) for e in the subset and (v, e, 0) otherwise
+        for subset in [()] + list(itertools.combinations(ends, 2)):
+            cfi += [(("m", v, subset), ("a", v, e, int(e in subset)))
+                    for e in ends]
+    cfi += [(("a", u, (u, w), i), ("a", w, (u, w), i))
+            for u, w in k4 for i in (0, 1)]
+    voltage = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 2,
+               (2, 3): 3}
+    cover = [((u, i), (w, (i + a) % 6))
+             for (u, w), a in voltage.items() for i in range(6)]
+    return {"C101": cycle(101), "C200": cycle(200),
+            "C6tri": cycle_with_triangles(6), "CFI(K4)": _simple_graph(cfi),
+            "Z6-cover of K4": _simple_graph(cover)}
+
+
+def _simple_graph(edges):
+    """The graph with these edges between hashable vertex names."""
+    names = {}
+    for edge in edges:
+        for x in edge:
+            names.setdefault(x, f"n{len(names)}")
+    b = GraphBuilder()
+    for name in names.values():
+        b.vertex(name)
+    for k, (u, w) in enumerate(edges):
+        b.edge(f"e{k}", names[u], names[w])
+    return b.build()
 
 
 # -- differential checks against the all-pairs closure --------------------
@@ -812,8 +873,10 @@ def test_group_layer_is_pinned():
 
 def test_chain_generators_are_pinned():
     # sha256 of `chain_generators(g)` over the corpus, 200 random seeds raw
-    # and normalized, and the beyond-cap graphs, as recorded while the
-    # chain kept its representatives as (vertex map, dart map) pairs
+    # and normalized, and the beyond-cap graphs, as recorded when the
+    # chain was first read off the canonical search's first path; the
+    # groups they generate are checked by
+    # test_chain_generators_generate_the_group
     digest = hashlib.sha256()
     graphs = [g for _, g in expansion_corpus()]
     for seed in range(200):
@@ -821,4 +884,4 @@ def test_chain_generators_are_pinned():
     for g in graphs + _beyond_cap_graphs():
         digest.update(repr(chain_generators(g)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "adb8d57f2ab089b941e5eda8b5cc5a3a6ee8d2efa31e2a65db1b23d190648f6d")
+        "39aa5718c730b8d6aa241950d38de79498665040d71445165d61c8aba583eb00")
