@@ -55,8 +55,9 @@ from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached, point_index
-from .iso import (_map_images, chain_order, count_automorphisms,
-                  kernel_images, orbit_closure, stabilizer_chain)
+from .iso import (_map_images, chain_order, chain_products,
+                  count_automorphisms, kernel_images, orbit_closure,
+                  stabilizer_chain)
 
 MAX_GROUP_ORDER = 200
 
@@ -329,12 +330,7 @@ def _aut_images(g, max_order):
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
                          max_order, g)
-    images = kernel_images(g, kernel)
-    # the elements of G_i = the union of t * G_i+1 over t in T_i and 1,
-    # composed as image tuples: (t * x)[p] = t[x[p]]
-    for reps in reversed(transversals):
-        images += [tuple(map(t.__getitem__, x)) for t in reps for x in images]
-    distinct = set(images)
+    distinct = set(chain_products(transversals, kernel_images(g, kernel)))
     if len(distinct) != order:
         raise InternalError(f"automorphism_group: {len(distinct)} distinct "
                             f"products, expected {order}")

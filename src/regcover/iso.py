@@ -404,6 +404,15 @@ def stabilizer_chain(g, fixed=()):
     return transversals, _dart_jobs(g, g, {v: v for v in vertices})
 
 
+def chain_products(transversals, images):
+    """t_1 * ... * t_m * x for each x in `images` and each t_i from
+    transversal i or the identity, composed as image tuples: (t * x)[p] =
+    t[x[p]].  `images` may hold vertex parts only."""
+    for reps in reversed(transversals):
+        images += [tuple(map(t.__getitem__, x)) for t in reps for x in images]
+    return images
+
+
 def _close_orbit(reps, gens):
     """Close {point: image tuple sending the base point there} under the
     tuples in `gens`, adding s * reps[x] = s[reps[x][p]] at each new s[x]."""
@@ -538,10 +547,8 @@ def _automorphism_vmaps(g, pinned):
     if shift is None:
         return []
     point, vertices = point_index(g)[0], g.vertex_list
-    # the vertex parts of the chain's products, as in groups._aut_images
-    parts = [tuple(range(len(vertices)))]
-    for reps in reversed(stabilizer_chain(g, fixed)[0]):
-        parts += [tuple(map(t.__getitem__, x)) for t in reps for x in parts]
+    parts = chain_products(stabilizer_chain(g, fixed)[0],
+                           [tuple(range(len(vertices)))])
     to = [point[shift[v]] for v in vertices]
     maps = [[to[p] for p in x] for x in parts]
     colors = _refine(g, _initial_colors(g, None, None))
