@@ -30,8 +30,7 @@ from .graph import (LOOP, PENDANT, STANDARD, UNDIRECTED, Graph, SubgraphRef,
                     cached, is_connected, is_cycle, normalize,
                     require_standard_input)
 from .groups import Permutation
-from .iso import (MAX_VERTICES, canonical_form,
-                  semiregular_involutions_iter)
+from .iso import canonical_form, semiregular_involutions_iter
 
 STAR_BLOCK = "star_block"
 NONSTAR_BLOCK = "nonstar_block"
@@ -47,7 +46,9 @@ class Atom:
     """A detected atom: a subgraph view, its kind, and its boundary.
 
     Its graph, symmetry type, involutions and quotients are write-once slots
-    on the atom (`graph.cached`); its canonical forms live on its graph.
+    on the atom (`graph.cached`); its canonical forms live on its graph and
+    carry no vertex cap, as an atom is no larger than the graph it is cut
+    from.
     """
 
     def __init__(self, ref, kind, boundary):
@@ -66,24 +67,17 @@ class Atom:
     def interior_vertices(self):
         return self.ref.vertices - frozenset(self.boundary)
 
-    def _form_bound(self):
-        """The vertex bound of the atom's forms, max(24, |V(atom)|): an
-        atom is no larger than the graph it was cut from, as no quotient
-        is larger than the graph `all_quotients` bounds its dedup by."""
-        return max(MAX_VERTICES, self.as_graph().n_vertices)
-
     def form(self):
         """Canonical form with the boundary marked setwise."""
         return canonical_form(self.as_graph(), marking=self.boundary,
-                              max_vertices=self._form_bound())
+                              max_vertices=None)
 
     def _ordered_forms(self):
         """Canonical forms with the boundary marked in both orders."""
         u, v = self.boundary
         g = self.as_graph()
-        bound = self._form_bound()
-        return (canonical_form(g, ordered_marking=(u, v), max_vertices=bound),
-                canonical_form(g, ordered_marking=(v, u), max_vertices=bound))
+        return (canonical_form(g, ordered_marking=(u, v), max_vertices=None),
+                canonical_form(g, ordered_marking=(v, u), max_vertices=None))
 
     def ordered_boundary(self):
         """Boundary in a canonical order, the one whose ordered-marked form

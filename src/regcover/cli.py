@@ -246,9 +246,13 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="regcover",
         description="Regular graph covers via 3-connected reduction.")
-    ap.add_argument("--max-vertices", type=_positive, default=MAX_VERTICES)
+    ap.add_argument("--max-vertices", type=_positive, default=MAX_VERTICES,
+                    help="vertex cap of the iso command's inputs "
+                         "(default %(default)s)")
     ap.add_argument("--max-group-order", type=_positive,
-                    default=MAX_GROUP_ORDER)
+                    default=MAX_GROUP_ORDER,
+                    help="cap on the group listed by aut --semiregular, "
+                         "quotients and cover (default %(default)s)")
     ap.add_argument("--halvable-input", action="store_true",
                     help="retype undirected input edges as halvable")
     ap.add_argument("--seed", type=int, default=0,

@@ -283,8 +283,12 @@ def orbit_closure(points, maps):
 
 
 def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTICES):
-    """Byte string determined exactly by the (marked) isomorphism class."""
-    if g.n_vertices > max_vertices:
+    """Byte string determined exactly by the (marked) isomorphism class.
+
+    `max_vertices` caps the input size; None means no cap, which is what
+    the library's own comparisons pass, as none of their graphs is larger
+    than the input graph."""
+    if max_vertices is not None and g.n_vertices > max_vertices:
         raise size_limit("canonical_form", f"{g.n_vertices} vertices",
                          max_vertices, g, "max_vertices")
     return _canonical(g, marking, ordered_marking)[0]
@@ -686,10 +690,11 @@ def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTIC
 
     The graphs are isomorphic exactly when their canonical forms are equal;
     the witness maps the best-leaf vertex order of g1 onto that of g2 and is
-    verified by a direct check before being returned.
+    verified by a direct check before being returned.  `max_vertices`
+    caps both inputs as in `canonical_form`; None means no cap.
     """
     for g in (g1, g2):
-        if g.n_vertices > max_vertices:
+        if max_vertices is not None and g.n_vertices > max_vertices:
             raise size_limit("are_isomorphic", f"{g.n_vertices} vertices",
                              max_vertices, g, "max_vertices")
     if (sorted(_initial_colors(g1, marking1, None).values())

@@ -28,8 +28,7 @@ from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, point_index, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
                      semiregular_class_representatives, semiregular_violations)
-from .iso import (MAX_VERTICES, are_isomorphic, canonical_form,
-                  verify_isomorphism)
+from .iso import are_isomorphic, canonical_form, verify_isomorphism
 from .reduction import reduction_series
 
 
@@ -139,7 +138,7 @@ def atom_quotients(a):
         for tau in a.swap_involutions():
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
-            key = canonical_form(q.result, marking=(w,))
+            key = canonical_form(q.result, marking=(w,), max_vertices=None)
             if key not in halves:
                 halves[key] = (q.result, w)
     half_list = tuple(halves[k] for k in sorted(halves))
@@ -279,62 +278,58 @@ def expand_step(h_next, step):
     return out
 
 
-def _dedup_sorted(graphs, max_vertices):
+def _dedup_sorted(graphs):
     seen = {}
     for g in graphs:
-        key = canonical_form(g, max_vertices=max_vertices)
+        key = canonical_form(g, max_vertices=None)
         if key not in seen:
             seen[key] = g
     return [seen[k] for k in sorted(seen)]
 
 
-def all_quotients(g, via="bruteforce", max_order=MAX_GROUP_ORDER,
-                  max_vertices=None):
+def all_quotients(g, via="bruteforce", max_order=MAX_GROUP_ORDER):
     """All regular quotients up to isomorphism, sorted by canonical form;
     the bruteforce route builds one per conjugacy class of semiregular
-    subgroups."""
+    subgroups.  `max_order` caps the group listed; no vertex cap applies,
+    as no quotient, atom or half-quotient compared is larger than g."""
     require_standard_input(g, "all_quotients")
-    if max_vertices is None:
-        max_vertices = max(MAX_VERTICES, g.n_vertices)
     if via == "bruteforce":
         out = [quotient(g, gamma).result
                for gamma in semiregular_class_representatives(
                    g, max_order=max_order)]
-        return _dedup_sorted(out, max_vertices)
+        return _dedup_sorted(out)
     if via != "reduction":
         raise GraphError(f"unknown route {via!r}")
     series = reduction_series(g)
     level = all_quotients(series.graphs[-1], "bruteforce",
-                          max_order=max_order, max_vertices=max_vertices)
-    for level in _expanded_levels(level, series, max_vertices):
+                          max_order=max_order)
+    for level in _expanded_levels(level, series):
         pass
     return level
 
 
-def _expanded_levels(level, series, max_vertices):
+def _expanded_levels(level, series):
     """Expand quotients of the primitive graph back down the series,
     yielding each level deduplicated and sorted by canonical form."""
     for step in reversed(series.steps):
         nxt = []
         for h in level:
             nxt.extend(expand_step(h, step))
-        level = _dedup_sorted(nxt, max_vertices)
+        level = _dedup_sorted(nxt)
         yield level
 
 
 def expansion_chain(h_r, series):
     """Expand one primitive quotient down every level; list per level."""
-    return [[h_r], *_expanded_levels(
-        [h_r], series, max(MAX_VERTICES, series.graphs[0].n_vertices))]
+    return [[h_r], *_expanded_levels([h_r], series)]
 
 
 def _local_profiles(g):
     """{profile: number of g's vertices with it}, where a vertex's profile
-    is the sorted (color, is-tail) pairs of its darts.  Kept on g as
-    `_profiles` (see `graph.cached`)."""
-    return cached(g, "_profiles", lambda g: Counter(
+    is the sorted (color, is-tail) pairs of its darts."""
+    return Counter(
         tuple(sorted((g.color[h], h in g.tails) for h in g.darts_at(v)))
-        for v in g.vertex_list))
+        for v in g.vertex_list)
 
 
 def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
@@ -350,11 +345,11 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     onto a half-edge.  For k = 1 the answer is the trivial group exactly
     when g is isomorphic to h, and no group is built.
 
-    Every graph compared has at most |V(g)| vertices, so the isomorphism
-    tests are bounded by that, as `all_quotients` bounds its dedup.  Each
-    non-identity element of a witness is checked against the raw graph
-    before it is returned, as neither `quotient` nor the group layer would
-    catch a product of the stabilizer chain that is no automorphism."""
+    No vertex cap applies, since g is the largest graph compared;
+    `max_order` caps the group listed.  Each non-identity element of a
+    witness is checked against the raw graph before it is returned, as
+    neither `quotient` nor the group layer would catch a product of the
+    stabilizer chain that is no automorphism."""
     for name, gr in (("covering graph", g), ("target graph", h)):
         require_standard_input(gr, name)
         if normalize(gr) is not gr:
@@ -367,15 +362,14 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     if _local_profiles(g) != {p: k * n
                               for p, n in _local_profiles(h).items()}:
         return None
-    max_vertices = max(MAX_VERTICES, g.n_vertices)
     if k == 1:
-        if are_isomorphic(g, h, max_vertices=max_vertices) is None:
+        if are_isomorphic(g, h, max_vertices=None) is None:
             return None
         return Group(g, [Permutation.identity(g)], verify=False)
     for gamma in semiregular_class_representatives(g, order=k,
                                                    max_order=max_order):
         q = quotient(g, gamma)
-        if are_isomorphic(q.result, h, max_vertices=max_vertices) is not None:
+        if are_isomorphic(q.result, h, max_vertices=None) is not None:
             if not all(verify_isomorphism(g, g, p.vertex_map(), p.dart_map())
                        for p in gamma if not p.is_identity):
                 raise InternalError("regular_cover_test: a witness element "

@@ -169,6 +169,42 @@ def test_no_bare_assert_in_library():
     assert not found
 
 
+def test_vertex_cap_only_at_public_entry_points():
+    # the library's own comparisons pass max_vertices=None; only iso's
+    # defaults and the CLI's --max-vertices read MAX_VERTICES
+    src = os.path.dirname(regcover.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name in ("iso.py", "cli.py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                fname = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if fname in ("canonical_form", "are_isomorphic") and not any(
+                        kw.arg == "max_vertices"
+                        and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is None for kw in node.keywords):
+                    found.append(f"{name}:{node.lineno} {fname}")
+            elif (isinstance(node, ast.Name) and node.id == "MAX_VERTICES"
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "MAX_VERTICES"
+                  or isinstance(node, ast.alias)
+                  and node.name == "MAX_VERTICES"):
+                found.append(f"{name}:{node.lineno} MAX_VERTICES")
+    assert not found
+
+
+def test_help_names_the_commands_each_cap_reaches():
+    text = " ".join(cli.build_parser().format_help().split())
+    assert "vertex cap of the iso command's inputs (default 24)" in text
+    assert ("cap on the group listed by aut --semiregular, quotients and "
+            "cover (default 200)") in text
+
+
 def test_runtime_imports_only_the_standard_library():
     # import every submodule in a fresh interpreter; each top-level module
     # it loads must be regcover or part of the standard library

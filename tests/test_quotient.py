@@ -14,7 +14,8 @@ from regcover.fixtures import (complete, cube, cycle, dipole,
                                expansion_corpus, random_instance,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
-                            is_cycle, is_path_with_two_halfedges, normalize)
+                            is_cycle, is_path_with_two_halfedges, normalize,
+                            with_halvable_edges)
 from regcover.groups import (Group, Permutation, automorphism_group,
                              count_automorphisms, is_semiregular,
                              semiregular_subgroups)
@@ -283,10 +284,21 @@ def test_deep_chain_oracle_equivalence():
             for cls in step.classes] == ["symmetric", "halvable", "halvable",
                                          "halvable"]
     bf = {canonical_form(q, max_vertices=14)
-          for q in all_quotients(g, "bruteforce", max_vertices=14)}
+          for q in all_quotients(g, "bruteforce")}
     red = {canonical_form(q, max_vertices=14)
-           for q in all_quotients(g, "reduction", max_vertices=14)}
+           for q in all_quotients(g, "reduction")}
     assert bf == red
+
+
+def test_reduction_route_has_no_vertex_cap_on_atom_quotients():
+    # the half-quotients of the 25-vertex atoms are compared past the
+    # public cap of 24; the library's own comparisons carry no bound
+    g = normalize(with_halvable_edges(theta(48, 48, 48)))
+    bf = all_quotients(g, "bruteforce")
+    red = all_quotients(g, "reduction")
+    assert [q.n_vertices for q in red] == [146, 73, 73]
+    assert ([canonical_form(q, max_vertices=None) for q in bf]
+            == [canonical_form(q, max_vertices=None) for q in red])
 
 
 def test_directed_loop_expansion():
