@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .blocks import block_tree, is_pendant_like
 from .errors import GraphError
-from .graph import (LOOP, PENDANT, STANDARD, UNDIRECTED, Graph, SubgraphRef,
+from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, SubgraphRef,
                     cached, is_connected, is_cycle, normalize,
                     require_standard_input)
 from .groups import Permutation
@@ -348,20 +348,6 @@ def strip_pendant_like(g):
     return g.restrict(g.darts - drop)
 
 
-def decorated_vertices(g):
-    out = set()
-    for h, k in g.edges:
-        if g.edge_kind(h) in (PENDANT, LOOP):
-            v = g.vertex_of(h)
-            if v is None:
-                v = g.vertex_of(k)
-            out.add(v)
-    for h in g.halfedges:
-        if g.vertex_of(h) is not None:
-            out.add(g.vertex_of(h))
-    return out
-
-
 def is_three_connected(g):
     if g.n_vertices < 4 or not is_connected(g):
         return False
@@ -389,17 +375,16 @@ def classify_primitive(g):
 
     # when the standard edges form one block, it holds every vertex of the
     # connected g, so its graph is the stripped graph, and `_find_atoms`
-    # has searched its 2-cuts
-    blocks = [i for i, ref in enumerate(bt.blocks)
-              if not is_pendant_like(g, ref)]
+    # has searched its 2-cuts; the other blocks are the decorations
+    pendant_like = [is_pendant_like(g, ref) for ref in bt.blocks]
+    blocks = [i for i, p in enumerate(pendant_like) if not p]
     if len(blocks) == 1:
         core = bt.block_graph(blocks[0])
     else:
         core = strip_pendant_like(g)
-    deco = decorated_vertices(g)
-    n_deco_items = sum(1 for h, k in g.edges
-                       if g.edge_kind(h) in (PENDANT, LOOP))
-    n_deco_items += sum(1 for h in g.halfedges if g.vertex_of(h) is not None)
+    deco = {v for ref, p in zip(bt.blocks, pendant_like) if p
+            for v in ref.vertices}
+    n_deco_items = sum(pendant_like)
 
     if core.n_darts == 0 and core.n_vertices == 1:
         return PrimitiveClass("k1", None, center_kind, bool(deco),
@@ -448,19 +433,5 @@ def extended_atom(a):
     """A proper atom with the extra boundary edge uv added."""
     if a.kind != PROPER:
         raise GraphError("extended atom is defined for proper atoms only")
-    g = a.as_graph()
-    u, v = a.boundary
-    name = "plus"
-    while f"{name}.1" in g.darts:
-        name += "x"
-    d1, d2 = f"{name}.1", f"{name}.2"
-    pairing = dict(g.pairing)
-    pairing[d1], pairing[d2] = d2, d1
-    incidence = dict(g.incidence)
-    incidence[d1], incidence[d2] = u, v
-    edge_type = dict(g.edge_type)
-    edge_type[d1] = edge_type[d2] = UNDIRECTED
-    color = dict(g.color)
-    color[d1] = color[d2] = 0
-    return Graph(g.darts | {d1, d2}, g.vertices, pairing, incidence,
-                 edge_type, color, g.tails)
+    b = GraphBuilder(a.as_graph())
+    return b.edge(b.fresh("plus"), *a.boundary).build()

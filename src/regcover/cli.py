@@ -18,9 +18,9 @@ from .blocks import block_tree
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .fixtures import expansion_corpus, run_fixture_cases, run_random_checks
 from .graph import normalize, validate, with_halvable_edges
-from .groups import (MAX_GROUP_ORDER, _chain, chain_generators, orbits,
+from .groups import (MAX_GROUP_ORDER, chain_generators, orbits,
                      semiregular_subgroups)
-from .iso import MAX_VERTICES, are_isomorphic, chain_order
+from .iso import MAX_VERTICES, are_isomorphic, count_automorphisms
 from .quotient import all_quotients, expand_step, regular_cover_test
 from .reduction import load_sidecar_steps, reduction_series
 
@@ -85,7 +85,7 @@ def cmd_aut(args):
             for p in s.elements:
                 print(f"  {p.vertex_map()}")
         return EXIT_OK
-    print(f"automorphism group order: {chain_order(_chain(g))}")
+    print(f"automorphism group order: {count_automorphisms(g)}")
     print("vertex orbits:")
     for orb in orbits(g, chain_generators(g)):
         print("  " + " ".join(orb))

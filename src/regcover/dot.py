@@ -8,13 +8,17 @@ _STYLE = {HALVABLE: "bold", "undirected": "solid", DIRECTED: "solid"}
 
 
 def _quote(s):
-    return '"' + str(s).replace('"', r'\"') + '"'
+    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_to_dot(g):
-    lines = ["digraph G {", "  edge [dir=none];", "  node [shape=circle];"]
-    for v in g.vertex_list:
-        lines.append(f"  {_quote(v)};")
+    return _graph_dot(g, [f"  {_quote(v)};" for v in g.vertex_list])
+
+
+def _graph_dot(g, vertex_lines):
+    """The DOT text of g with the given line per vertex of `vertex_list`."""
+    lines = ["digraph G {", "  edge [dir=none];", "  node [shape=circle];",
+             *vertex_lines]
     anon = [0]
 
     def stub():
@@ -61,19 +65,16 @@ def atoms_to_dot(g, atoms):
         for v in a.interior_vertices:
             interior[v] = i
         boundary.update(a.boundary)
-    base = graph_to_dot(g).splitlines()
-    out = [base[0], base[1], base[2]]
-    for line in base[3:]:
-        v = line.strip().rstrip(";").strip('"')
+    lines = []
+    for v in g.vertex_list:
         if v in interior:
-            out.append(f"  {_quote(v)} [style=filled, fillcolor=gray80, "
-                       f"xlabel=\"atom {interior[v]}\"];")
-            continue
-        if v in boundary:
-            out.append(f"  {_quote(v)} [shape=doublecircle];")
-            continue
-        out.append(line)
-    return "\n".join(out) + "\n"
+            lines.append(f"  {_quote(v)} [style=filled, fillcolor=gray80, "
+                         f"xlabel=\"atom {interior[v]}\"];")
+        elif v in boundary:
+            lines.append(f"  {_quote(v)} [shape=doublecircle];")
+        else:
+            lines.append(f"  {_quote(v)};")
+    return _graph_dot(g, lines)
 
 
 def block_tree_to_dot(bt):

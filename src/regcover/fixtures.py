@@ -7,8 +7,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, GraphBuilder,
-                    STANDARD, normalize, validate)
+from .graph import (DIRECTED, HALVABLE, UNDIRECTED, GraphBuilder, STANDARD,
+                    normalize, validate)
 
 
 def cycle(n, edge_type=UNDIRECTED, color=0):
@@ -213,46 +213,24 @@ def book(k, edge_type=UNDIRECTED):
 
 def with_pendants(g, vertices, color=0):
     """A copy of g with one extra pendant edge at each listed vertex."""
-    darts = set(g.darts)
-    pairing = dict(g.pairing)
-    incidence = dict(g.incidence)
-    edge_type = dict(g.edge_type)
-    colors = dict(g.color)
+    b = GraphBuilder(g)
     for i, v in enumerate(vertices):
-        name = f"pp{i}"
-        while f"{name}.1" in darts:
-            name += "x"
-        d1, d2 = f"{name}.1", f"{name}.2"
-        darts.update((d1, d2))
-        pairing[d1], pairing[d2] = d2, d1
-        incidence[d1] = str(v)
-        edge_type[d1] = edge_type[d2] = UNDIRECTED
-        colors[d1] = colors[d2] = color
-    return Graph(darts, g.vertices, pairing, incidence, edge_type, colors,
-                 g.tails)
+        b.pendant(b.fresh(f"pp{i}"), v, color=color)
+    return b.build()
 
 
-def double_edges(g, edge_type=None):
-    """Duplicate every standard edge with a parallel copy."""
-    darts = set(g.darts)
-    pairing = dict(g.pairing)
-    incidence = dict(g.incidence)
-    types = dict(g.edge_type)
-    colors = dict(g.color)
+def double_edges(g):
+    """Duplicate every standard edge with a parallel copy of the same type,
+    color and direction."""
+    b = GraphBuilder(g)
     for i, (h, k) in enumerate(g.edges):
         if g.edge_kind(h) != STANDARD:
             continue
-        name = f"dd{i}"
-        d1, d2 = f"{name}.1", f"{name}.2"
-        darts.update((d1, d2))
-        pairing[d1], pairing[d2] = d2, d1
-        incidence[d1] = g.vertex_of(h)
-        incidence[d2] = g.vertex_of(k)
-        t = edge_type or g.edge_type[h]
-        types[d1] = types[d2] = t
-        types[h] = types[k] = t
-        colors[d1] = colors[d2] = g.color[h]
-    return Graph(darts, g.vertices, pairing, incidence, types, colors, g.tails)
+        u, w = g.vertex_of(h), g.vertex_of(k)
+        tail = u if h in g.tails else w if k in g.tails else None
+        b.edge(b.fresh(f"dd{i}"), u, w, type=g.edge_type[h],
+               color=g.color[h], tail=tail)
+    return b.build()
 
 
 def subdivided_cube():
@@ -380,23 +358,10 @@ def reduction_showcase():
 
 def with_loops(g, vertices, edge_type=UNDIRECTED, color=0):
     """A copy of g with one extra loop at each listed vertex."""
-    darts = set(g.darts)
-    pairing = dict(g.pairing)
-    incidence = dict(g.incidence)
-    types = dict(g.edge_type)
-    colors = dict(g.color)
+    b = GraphBuilder(g)
     for i, v in enumerate(vertices):
-        name = f"ll{i}"
-        while f"{name}.1" in darts:
-            name += "x"
-        d1, d2 = f"{name}.1", f"{name}.2"
-        darts.update((d1, d2))
-        pairing[d1], pairing[d2] = d2, d1
-        incidence[d1] = incidence[d2] = str(v)
-        types[d1] = types[d2] = edge_type
-        colors[d1] = colors[d2] = color
-    return Graph(darts, g.vertices, pairing, incidence, types, colors,
-                 g.tails)
+        b.loop(b.fresh(f"ll{i}"), v, type=edge_type, color=color)
+    return b.build()
 
 
 def expansion_corpus():
@@ -440,7 +405,7 @@ def expansion_corpus():
     add("D22", dipole([0, 0, 1, 1]))
     add("D3pend", with_pendants(dipole([0, 0, 0], [UNDIRECTED] * 3), ["u", "v"]))
     add("C4double", double_edges(cycle(4)))
-    add("C3doubleh", double_edges(cycle(3), edge_type=HALVABLE))
+    add("C3doubleh", double_edges(cycle(3, HALVABLE)))
     add("subdivcube", subdivided_cube())
     add("asymtheta", asymmetric_arm_theta())
     add("C4loops", with_loops(cycle(4), [f"v{i}" for i in range(4)]))

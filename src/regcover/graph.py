@@ -7,6 +7,10 @@ standalone half-edge.  Everything downstream (isomorphism, automorphisms,
 blocks, atoms, reductions, quotients) works on this one structure.
 
 Graphs are immutable after construction and all functions here are pure.
+An edited graph is built from the one it edits: `Graph.restrict` drops
+items and vertices, and a `GraphBuilder` seeded with a base graph adds
+items under names from `GraphBuilder.fresh`, so new darts never take the
+name of a dart the base keeps.
 Structures derived from a graph (its components here; its block tree,
 atoms and iso index elsewhere) are built once and kept on it by `cached`.
 """
@@ -192,11 +196,17 @@ class GraphBuilder:
 
     Item names become dart names `<name>.1` / `<name>.2`; vertex and item
     identifiers are coerced to strings.
+
+    With a `base` graph, building starts from the base's vertices and darts
+    and keeps them unchanged: `build` returns the base with the new items
+    added.  A name is refused when the base already has either of its
+    darts; `fresh(name)` gives the first of name, name + "x", name + "xx",
+    ... that is free, which is how every edited graph names its new items.
     """
 
-    def __init__(self):
-        self._vertices = []
-        self._vseen = set()
+    def __init__(self, base=None):
+        self._base = base if base is not None else Graph((), (), {}, {}, {}, {})
+        self._vseen = set(self._base.vertices)
         self._items = {}
 
     def vertex(self, name):
@@ -204,12 +214,23 @@ class GraphBuilder:
         if name in self._vseen:
             raise GraphError(f"duplicate vertex {name!r}")
         self._vseen.add(name)
-        self._vertices.append(name)
         return self
+
+    def _taken(self, name):
+        darts = self._base.darts
+        return (name in self._items or f"{name}.1" in darts
+                or f"{name}.2" in darts)
+
+    def fresh(self, name):
+        """The first free item name of name, name + "x", name + "xx", ..."""
+        name = str(name)
+        while self._taken(name):
+            name += "x"
+        return name
 
     def _claim(self, name):
         name = str(name)
-        if name in self._items:
+        if self._taken(name):
             raise GraphError(f"duplicate item name {name!r}")
         return name
 
@@ -263,7 +284,10 @@ class GraphBuilder:
             raise GraphError(f"edge {name!r}: tail must be one of its ends")
 
     def build(self):
-        darts, pairing, incidence, edge_type, color, tails = set(), {}, {}, {}, {}, set()
+        g = self._base
+        darts, tails = set(g.darts), set(g.tails)
+        pairing, incidence = dict(g.pairing), dict(g.incidence)
+        edge_type, color = dict(g.edge_type), dict(g.color)
         for name in sorted(self._items):
             kind, u, v, typ, col, tail = self._items[name]
             col = int(col)
@@ -369,7 +393,6 @@ def normalize(g):
     if len(comps) != 1:
         raise GraphError("normalize requires a connected graph")
     drop_vertices = set()
-    drop_incidence = set()
     for v in g.vertex_list:
         hs = g.darts_at(v)
         if len(hs) != 1:
@@ -381,14 +404,9 @@ def normalize(g):
         if g.n_vertices == 2 and g.degree(other) == 1:
             continue  # K2
         drop_vertices.add(v)
-        drop_incidence.add(h)
     if not drop_vertices:
         return g
-    return Graph(
-        g.darts, g.vertices - drop_vertices, g.pairing,
-        {h: v for h, v in g.incidence.items() if h not in drop_incidence},
-        g.edge_type, g.color, g.tails,
-    )
+    return g.restrict(g.darts, g.vertices - drop_vertices)
 
 
 def cached(g, name, build):

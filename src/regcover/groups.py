@@ -280,12 +280,6 @@ class Group:
         return sub
 
 
-def _chain(g):
-    """`iso.stabilizer_chain(g)`, kept on g as `_chain` (see
-    `graph.cached`), so the group and its generators read one chain."""
-    return cached(g, "_chain", stabilizer_chain)
-
-
 def chain_generators(g):
     """Image tuples of automorphisms that generate Aut(g): the stabilizer
     chain's coset representatives and, for each kernel job, the
@@ -294,7 +288,7 @@ def chain_generators(g):
     kernel fixes every vertex and permutes each job's items, each along
     one of its ways, independently: Sym(items) wreath the ways, which the
     three moves generate."""
-    transversals, kernel = _chain(g)
+    transversals, kernel = stabilizer_chain(g)
     gens = [t for reps in transversals for t in reps]
     didx = point_index(g)[1]
     one = range(len(g.vertex_list) + len(g.dart_list))
@@ -325,7 +319,7 @@ def _aut_images(g, max_order):
     The order is the chain's `chain_order`, so a group over `max_order`
     is refused before any element is built.
     """
-    transversals, kernel = chain = _chain(g)
+    transversals, kernel = chain = stabilizer_chain(g)
     order = chain_order(chain)
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
@@ -631,7 +625,7 @@ def semiregular_class_representatives(g, order=None,
                       for p in dict.fromkeys(p for sub in subs for p in sub)}
             maps = [_Conjugation(t, base, images)
                     for t in chain_generators(g)]
-            aut_order = chain_order(_chain(g))
+            aut_order = chain_order(stabilizer_chain(g))
         cls = orbit_closure((names,), maps)
         if aut_order % len(cls):
             raise InternalError(f"conjugacy class of {len(cls)} semiregular "

@@ -374,7 +374,8 @@ def _best_leaf(g, marking, ordered_marking):
 def stabilizer_chain(g, fixed=()):
     """(transversals, kernel): the automorphisms of g fixing each vertex
     of `fixed`, read off the canonical search that marks `fixed` in order
-    (see the module docstring for why it is complete).
+    (see the module docstring for why it is complete).  Kept on g per
+    `fixed`, as the search is (see `graph.cached`).
 
     Along the search's first path v_1 ... v_m, transversals[i] holds, as
     image tuples over g's points (see `graph.point_index`), one
@@ -384,7 +385,15 @@ def stabilizer_chain(g, fixed=()):
     fixing `fixed` is t_1 * ... * t_m * k for exactly one k and one t_i
     from each transversal or the identity.
     """
-    first, autos = _canonical(g, None, tuple(fixed or ()) or None)[2:]
+    fixed = tuple(fixed or ())
+    chains = cached(g, "_iso_chains", lambda g: {})
+    if fixed not in chains:
+        chains[fixed] = _read_chain(g, fixed)
+    return chains[fixed]
+
+
+def _read_chain(g, fixed):
+    first, autos = _canonical(g, None, fixed or None)[2:]
     point = point_index(g)[0]
     vertices = g.vertex_list
     one = tuple(range(len(vertices) + len(g.dart_list)))

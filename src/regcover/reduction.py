@@ -22,8 +22,8 @@ from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
                     PROPER, STAR_BLOCK, SYMMETRIC_SYM, Atom, PrimitiveClass,
                     classify_primitive, find_atoms)
 from .errors import GraphError, InternalError
-from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, SubgraphRef,
-                    normalize, require_standard_input)
+from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, GraphBuilder,
+                    SubgraphRef, normalize, require_standard_input)
 from .groups import Permutation, count_automorphisms
 from .textfmt import parse
 
@@ -97,32 +97,23 @@ def reduce_step(g):
         removed_vertices |= a.interior_vertices
 
     kept = g.restrict(g.darts - removed_darts, g.vertices - removed_vertices)
-    pairing, incidence, edge_type, color_map, tails = {}, {}, {}, {}, set()
+    b = GraphBuilder(kept)
     replacements = []
     for cls in classes:
         for i, a in enumerate(cls.members):
-            name = f"r{cls.color}i{i}"
-            d1, d2 = f"{name}.1", f"{name}.2"
-            pairing[d1], pairing[d2] = d2, d1
-            color_map[d1] = color_map[d2] = cls.color
+            name = b.fresh(f"r{cls.color}i{i}")
             if a.is_block:
                 (u,) = a.boundary
-                incidence[d1] = u
-                edge_type[d1] = edge_type[d2] = UNDIRECTED
-                replacements.append(Replacement(a, cls, (d1, d2), (u, None)))
+                b.pendant(name, u, color=cls.color)
+                ends = (u, None)
             else:
-                bu, bv = a.ordered_boundary()
-                incidence[d1], incidence[d2] = bu, bv
+                ends = a.ordered_boundary()
                 et = _EDGE_TYPE[cls.rep.symmetry]
-                if et == DIRECTED:
-                    tails.add(d1)
-                edge_type[d1] = edge_type[d2] = et
-                replacements.append(Replacement(a, cls, (d1, d2), (bu, bv)))
-
-    target = Graph(kept.darts | set(pairing), kept.vertices,
-                   kept.pairing | pairing, kept.incidence | incidence,
-                   kept.edge_type | edge_type, kept.color | color_map,
-                   kept.tails | tails)
+                b.edge(name, *ends, type=et, color=cls.color,
+                       tail=ends[0] if et == DIRECTED else None)
+            replacements.append(
+                Replacement(a, cls, (f"{name}.1", f"{name}.2"), ends))
+    target = b.build()
     if target.n_darts >= g.n_darts:
         raise GraphError("reduction step failed to shrink the graph")
     step = ReductionStep(g, target, tuple(classes), tuple(replacements))

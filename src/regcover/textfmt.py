@@ -8,8 +8,10 @@
     free <name> color=<int> [type=...]
 
 `type` defaults to undirected, `color` to 0.  The serializer keeps vertex
-and item names when they are safe tokens and regenerates them otherwise, so
-parse(serialize(g)) reproduces every parsed graph exactly.
+and item names when they are safe tokens and regenerates them otherwise,
+and for a vertex named `-`, which a `halfedge` line reads as no vertex.
+So parse(serialize(g)) is g up to the regenerated names, and every file
+written reads back.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def serialize(g):
     lines = []
     vnames = {}
     for i, v in enumerate(g.vertex_list):
-        vnames[v] = v if _safe(v) else f"v{i}"
+        vnames[v] = v if _safe(v) and v != "-" else f"v{i}"
     if len(set(vnames.values())) != len(vnames):
         vnames = {v: f"v{i}" for i, v in enumerate(g.vertex_list)}
     for v in g.vertex_list:

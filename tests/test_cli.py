@@ -8,13 +8,16 @@ import pytest
 
 import regcover
 from regcover import cli, groups, iso
+from regcover import dot as dotmod
+from regcover.atoms import find_atoms
 from regcover.cli import main
 from regcover.errors import InternalError
 from regcover.fixtures import (complete, cube, cycle, expansion_corpus,
                                k33, prism, theta, with_pendants)
 from regcover.groups import automorphism_group, chain_generators, orbits
-from regcover.iso import are_isomorphic
-from regcover.graph import HALVABLE, normalize
+from regcover.iso import are_isomorphic, canonical_form
+from regcover.graph import HALVABLE, GraphBuilder, normalize
+from regcover.quotient import all_quotients
 from regcover.textfmt import parse_file, write_file
 
 from test_iso import _beyond_cap_graphs, relabel
@@ -198,6 +201,32 @@ def test_vertex_cap_only_at_public_entry_points():
     assert not found
 
 
+def test_graphs_are_edited_by_restrict_and_the_builder():
+    # outside graph.py, a Graph is built by hand only from orbits
+    # (quotient), by merging two vertices (_merge_boundary) and by gluing
+    # in renamed pieces (_substitute); every other edit restricts a graph
+    # or adds items on a GraphBuilder seeded with it
+    src = os.path.dirname(regcover.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "graph.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.attr if isinstance(f, ast.Attribute)
+                        else getattr(f, "id", None)) == "Graph":
+                    found.add(f"{name}:{owner.get(node, '<module>')}")
+    assert sorted(found) == ["quotient.py:_merge_boundary",
+                             "quotient.py:_substitute", "quotient.py:quotient"]
+
+
 def test_help_names_the_commands_each_cap_reaches():
     text = " ".join(cli.build_parser().format_help().split())
     assert "vertex cap of the iso command's inputs (default 24)" in text
@@ -343,23 +372,24 @@ def test_aut_on_a_101_cycle(tmp_path, capsys):
 
 
 def test_aut_walks_one_chain_and_lists_no_group(files, monkeypatch):
-    calls = []
-    walk = iso.stabilizer_chain
+    # the order and the orbit generators both read the one chain kept on
+    # the graph
+    builds = []
+    walk = iso._read_chain
 
-    def counting(g, fixed=()):
-        calls.append(g)
+    def counting(g, fixed):
+        builds.append(g)
         return walk(g, fixed)
 
     def refuse(*args, **kwargs):
         raise InternalError("aut listed the group")
 
-    monkeypatch.setattr(iso, "stabilizer_chain", counting)
-    monkeypatch.setattr(groups, "stabilizer_chain", counting)
+    monkeypatch.setattr(iso, "_read_chain", counting)
     monkeypatch.setattr(groups, "automorphism_group", refuse)
     for name in ("k4", "theta", "theta7"):
-        calls.clear()
+        builds.clear()
         assert main(["aut", files[name]]) == 0
-        assert len(calls) == 1
+        assert len(builds) == 1
 
 
 # |Aut| of the graphs whose group is refused: theta(1x7), and the 8-cycle
@@ -535,6 +565,45 @@ def test_dot_outputs(files, capsys, tmp_path):
     assert capsys.readouterr().out.startswith("graph blocktree")
     assert main(["reduce", files["theta"], "--dot"]) == 0
     assert capsys.readouterr().out.startswith("graph reduction")
+
+
+def test_atoms_dot_shades_interior_vertices_of_any_name():
+    # theta(1, 1, 1) with the arm vertices renamed: each arm is an atom
+    # whose interior is its middle vertex
+    b = GraphBuilder().vertex("u").vertex("v")
+    for i, x in enumerate(('x"1', "y", "z")):
+        b.vertex(x).edge(f"a{i}", "u", x).edge(f"b{i}", x, "v")
+    g = b.build()
+    lines = dotmod.atoms_to_dot(g, find_atoms(g)).splitlines()
+    shaded = [line for line in lines if "style=filled" in line]
+    assert len(shaded) == 3
+    assert shaded[0].startswith('  "x\\"1" [style=filled')
+    assert lines.count('  "u" [shape=doublecircle];') == 1
+
+
+def test_dot_quotes_backslashes():
+    g = GraphBuilder().vertex("a\\").vertex('b"').edge("e", "a\\", 'b"').build()
+    lines = dotmod.graph_to_dot(g).splitlines()
+    assert lines[3:6] == ['  "a\\\\";', '  "b\\"";',
+                          '  "a\\\\" -> "b\\"" [label="0", style=solid];']
+
+
+def test_written_quotients_read_back(tmp_path, capsys):
+    # a vertex named `-` is renamed, since a halfedge line reads `-` as
+    # no vertex; every file written parses to the quotient it was from
+    dash, thetah = str(tmp_path / "dash.g"), str(tmp_path / "thetah.g")
+    with open(dash, "w", encoding="utf-8") as fh:
+        fh.write("vertex -\nvertex a\nedge e - a type=halvable\n")
+    write_file(theta(2, 2, 2, edge_type=HALVABLE), thetah)
+    for path in (dash, thetah):
+        qs = all_quotients(normalize(parse_file(path)))
+        assert main(["quotients", path]) == 0
+        base = os.path.splitext(path)[0]
+        for i, q in enumerate(qs):
+            back = parse_file(f"{base}.q{i}.g")
+            assert canonical_form(back) == canonical_form(q)
+            assert main(["cover", path, f"{base}.q{i}.g"]) == 0
+    capsys.readouterr()
 
 
 def test_halvable_input_flag(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcover.errors import GraphError
-from regcover.fixtures import (cube, cycle, expansion_corpus, path_graph,
-                               random_instance)
+from regcover.fixtures import (cube, cycle, double_edges, expansion_corpus,
+                               path_graph, random_instance)
 from regcover.graph import (GraphBuilder, connected_components, degree,
                             normalize, validate, Graph)
 from regcover.textfmt import parse
@@ -47,6 +47,39 @@ def test_validate_rejects_dangling_vertex():
     bad = Graph(g.darts, frozenset({"u"}), g.pairing, g.incidence,
                 g.edge_type, g.color)
     assert any("unknown vertex" in v for v in validate(bad))
+
+
+def test_builder_on_a_base_refuses_taken_names():
+    # "k" is taken by its dart k.2 alone, "h" by h.1 alone
+    base = Graph({"e.1", "e.2", "h.1", "k.2"}, {"a", "b"},
+                 {"e.1": "e.2", "e.2": "e.1", "h.1": "h.1", "k.2": "k.2"},
+                 {"e.1": "a", "e.2": "b", "h.1": "a", "k.2": "b"},
+                 {"e.1": "undirected", "e.2": "undirected"},
+                 {"e.1": 0, "e.2": 0, "h.1": 0, "k.2": 0})
+    b = GraphBuilder(base)
+    for name in ("e", "h", "k"):
+        with pytest.raises(GraphError, match="duplicate item name"):
+            b.pendant(name, "a")
+        assert b.fresh(name) == name + "x"
+    with pytest.raises(GraphError, match="duplicate vertex"):
+        b.vertex("a")
+    b.loop(b.fresh("k"), "b")
+    assert b.fresh("k") == "kxx"
+    g = b.build()
+    assert validate(g) == []
+    assert g.darts == base.darts | {"kx.1", "kx.2"}
+    assert g.restrict(base.darts) == base
+
+
+def test_double_edges_copies_direction():
+    g = dict(expansion_corpus())["C6dir"]
+    doubled = double_edges(g)
+    assert validate(doubled) == []
+    for i, (h, k) in enumerate(g.edges):
+        tail = h if h in g.tails else k
+        copy = f"dd{i}.1" if tail == h else f"dd{i}.2"
+        assert copy in doubled.tails
+        assert doubled.vertex_of(copy) == g.vertex_of(tail)
 
 
 def test_normalize_requires_connected():

@@ -7,14 +7,17 @@ from regcover.atoms import Atom, classify_primitive, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
-                               expansion_corpus, reduction_showcase,
-                               star_pendants, theta, with_pendants)
-from regcover.graph import DIRECTED, HALVABLE, PENDANT, UNDIRECTED, normalize
+                               cycle_with_triangles, expansion_corpus,
+                               reduction_showcase, star_pendants, theta,
+                               with_pendants)
+from regcover.graph import (DIRECTED, HALVABLE, PENDANT, UNDIRECTED,
+                            normalize, validate)
 from regcover.groups import (automorphism_group, count_automorphisms,
                              semiregular_subgroups)
 from regcover.reduction import (kernel_order, reduce_step,
                                 reduction_epimorphism, reduction_series)
-from regcover.textfmt import serialize
+from regcover.quotient import all_quotients
+from regcover.textfmt import parse, serialize
 
 from test_groups import count_dart_maps
 from test_iso import _beyond_cap_graphs
@@ -82,6 +85,38 @@ def test_showcase_series():
                      ("pendant", UNDIRECTED): 4}
     assert automorphism_group(t).order == 4
     assert kernel_order(step) == 24 ** 4 * 2 ** 4
+
+
+def test_replacement_edges_take_fresh_names():
+    # a kept cycle edge named like the first replacement edge stays, and
+    # the replacement takes the next free name
+    g = parse(serialize(cycle_with_triangles(4)).replace("edge e0 ",
+                                                         "edge r65536i0 "))
+    step = reduce_step(g)
+    t = step.target
+    assert t.n_darts == 16 and validate(t) == []
+    assert t.color["r65536i0.1"] == 0 and t.color["r65536i0x.1"] == 65536
+    assert step.replacements[0].darts == ("r65536i0x.1", "r65536i0x.2")
+    via = [[iso.canonical_form(q) for q in all_quotients(g, via=route)]
+           for route in ("bruteforce", "reduction")]
+    assert len(via[0]) == 3 and via[0] == via[1]
+
+
+def test_kernel_order_reads_the_chain_the_symmetry_test_built(monkeypatch):
+    # the halvable dipole's boundary-pinned chain, built to find its
+    # boundary swaps for its edge type, is kept on its graph:
+    # `_dart_jobs` calls 4 -> 3
+    step = reduce_step(reduction_showcase())
+    calls = []
+    jobs = iso._dart_jobs
+
+    def counting(g1, g2, vmap):
+        calls.append(1)
+        return jobs(g1, g2, vmap)
+
+    monkeypatch.setattr(iso, "_dart_jobs", counting)
+    assert kernel_order(step) == 24 ** 4 * 2 ** 4
+    assert len(calls) == 3
 
 
 def test_fresh_colors():
