@@ -12,7 +12,7 @@ from .blocks import BlockTree, attached_subgraph, block_tree, central_element
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .graph import (Graph, GraphBuilder, SubgraphRef, connected_components,
                     degree, normalize, validate, with_halvable_edges)
-from .groups import (Group, Permutation, all_subgroups, automorphism_group,
+from .groups import (Group, all_subgroups, automorphism_group,
                      conjugacy_classes_of_subgroups, count_automorphisms,
                      is_semiregular, orbits, semiregular_subgroups)
 from .iso import are_isomorphic, canonical_form

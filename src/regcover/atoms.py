@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from .blocks import block_tree, is_pendant_like
 from .errors import GraphError
 from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, SubgraphRef,
-                    cached, is_connected, is_cycle, normalize,
+                    cached, is_connected, is_cycle, normalize, point_images,
                     require_standard_input)
-from .groups import Permutation
+from .groups import semiregularity_violation
 from .iso import canonical_form, semiregular_involutions_iter
 
 STAR_BLOCK = "star_block"
@@ -404,19 +404,22 @@ def classify_primitive(g):
 
 def _swap_involutions(a):
     """The boundary-exchanging semiregular involutions, in the order
-    `iso.automorphisms_iter` lists them.  Only fixed-point-free vertex
-    involutions are extended, and only to dart maps that are involutions
-    reversing no non-halvable edge; each one still passes the permutation
-    checks before it is kept."""
+    `iso.automorphisms_iter` lists them, as image tuples over the atom
+    graph's points.  Only fixed-point-free vertex involutions are
+    extended, and only to dart maps that are involutions reversing no
+    non-halvable edge; each one is still checked to square to the
+    identity and to act semiregularly before it is kept.  None is the
+    identity, as each swaps u and v."""
     if a.is_block:
         return ()  # a single boundary vertex: nothing to exchange
     u, v = a.boundary
     ag = a.as_graph()
-    swaps = (Permutation.from_maps(ag, dmap, vmap)
+    swaps = (point_images(ag, vmap, dmap)
              for vmap, dmap in semiregular_involutions_iter(
                  ag, pinned={u: v, v: u}))
-    return tuple(p for p in swaps
-                 if p.is_involution and p.semiregularity_violation() is None)
+    return tuple(x for x in swaps
+                 if all(x[j] == i for i, j in enumerate(x))
+                 and semiregularity_violation(ag, x) is None)
 
 
 def atom_symmetry_type(a):

@@ -17,7 +17,7 @@ from .atoms import classify_primitive, find_atoms
 from .blocks import block_tree
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
 from .fixtures import expansion_corpus, run_fixture_cases, run_random_checks
-from .graph import normalize, validate, with_halvable_edges
+from .graph import normalize, point_maps, validate, with_halvable_edges
 from .groups import (MAX_GROUP_ORDER, chain_generators, orbits,
                      semiregular_subgroups)
 from .iso import MAX_VERTICES, are_isomorphic, count_automorphisms
@@ -82,8 +82,8 @@ def cmd_aut(args):
         print(f"semiregular subgroups of order {args.semiregular}: {len(subs)}")
         for i, s in enumerate(subs):
             print(f"subgroup {i}:")
-            for p in s.elements:
-                print(f"  {p.vertex_map()}")
+            for x in s.elements:
+                print(f"  {point_maps(g, x)[0]}")
         return EXIT_OK
     print(f"automorphism group order: {count_automorphisms(g)}")
     print("vertex orbits:")
@@ -205,8 +205,8 @@ def cmd_cover(args):
         print("no")
         return EXIT_NO
     print(f"yes (group order {witness.order})")
-    for p in witness.elements:
-        print(f"  {p.vertex_map()}")
+    for x in witness.elements:
+        print(f"  {point_maps(g, x)[0]}")
     return EXIT_OK
 
 

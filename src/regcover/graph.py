@@ -13,6 +13,12 @@ items under names from `GraphBuilder.fresh`, so new darts never take the
 name of a dart the base keeps.
 Structures derived from a graph (its components here; its block tree,
 atoms and iso index elsewhere) are built once and kept on it by `cached`.
+
+A graph's points are its vertices and then its darts, numbered from 0
+(`point_index`).  An automorphism, a group element in `groups`, is one
+tuple over the points: the point number of each point's image.
+`point_images` encodes a vertex map and a dart map as such a tuple and
+`point_maps` decodes one; no other module converts between the two forms.
 """
 
 from __future__ import annotations
@@ -433,6 +439,26 @@ def _index_points(g):
     nv = len(g.vertex_list)
     return ({v: i for i, v in enumerate(g.vertex_list)},
             {h: nv + i for i, h in enumerate(g.dart_list)})
+
+
+def point_images(g, vertex_map, dart_map):
+    """The image tuple of the map of g's points given by its two maps."""
+    vidx, didx = point_index(g)
+    return tuple([vidx[vertex_map[v]] for v in g.vertex_list]
+                 + [didx[dart_map[h]] for h in g.dart_list])
+
+
+def point_maps(g, images):
+    """(vertex_map, dart_map) of an image tuple over g's points; GraphError
+    unless it permutes the vertex points and the dart points of g."""
+    vl, dl = g.vertex_list, g.dart_list
+    nv = len(vl)
+    if (sorted(images[:nv]) != list(range(nv))
+            or sorted(images[nv:]) != list(range(nv, nv + len(dl)))):
+        raise GraphError("image tuple does not permute the graph's "
+                         "vertices and darts")
+    return ({v: vl[j] for v, j in zip(vl, images)},
+            {h: dl[j - nv] for h, j in zip(dl, images[nv:])})
 
 
 def connected_components(g):

@@ -1,10 +1,12 @@
-"""Automorphism groups: read off a stabilizer chain, or listed as
-permutation sets on darts where a subgroup search needs every element.
+"""Automorphism groups: read off a stabilizer chain, or listed as sets of
+image tuples where a subgroup search needs every element.
 
-A permutation is one tuple over the graph's points (`graph.point_index`):
+A group element is one tuple over the graph's points (`graph.point_index`):
 the point number of each point's image, as the stabilizer chain builds
-it.  Tuples order elements by their vertex images first, and the orbits
-of either domain are closures over points.
+it, and there is no second permutation form.  (a * b)[p] = a[b[p]].
+Tuples order elements by their vertex images first, and the orbits of
+either domain are closures over points.  `graph.point_images` and
+`graph.point_maps` convert between a tuple and a vertex map and dart map.
 
 `automorphism_group` multiplies out a stabilizer chain: one automorphism
 per coset of each point stabilizer along the canonical search's first
@@ -54,10 +56,10 @@ from itertools import compress
 from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
-from .graph import HALVABLE, cached, point_index
-from .iso import (_map_images, chain_order, chain_products,
-                  count_automorphisms, kernel_images, orbit_closure,
-                  stabilizer_chain)
+from .graph import HALVABLE, cached, point_images, point_index, point_maps
+from .iso import (chain_order, chain_products, count_automorphisms,
+                  kernel_images, orbit_closure, stabilizer_chain,
+                  verify_isomorphism)
 
 MAX_GROUP_ORDER = 200
 
@@ -89,83 +91,20 @@ def _violating_point(images, nv, mates):
     return next(compress(points[nv:], map(eq, images[nv:], mates)), None)
 
 
-class Permutation:
-    """An automorphism, stored as `images`: the point index of the image of
-    each of the graph's points (see `point_index`).  Tuples compare as the
-    vertex images first, then the dart images."""
-
-    __slots__ = ("graph", "images", "_hash")
-
-    def __init__(self, graph, images):
-        self.graph = graph
-        self.images = tuple(images)
-        self._hash = hash(self.images)
-
-    @classmethod
-    def from_maps(cls, graph, dart_map, vertex_map):
-        return cls(graph, _map_images(graph, dart_map, vertex_map))
-
-    @classmethod
-    def identity(cls, graph):
-        return cls(graph, range(len(graph.vertex_list) + len(graph.dart_list)))
-
-    def dart_map(self):
-        dl = self.graph.dart_list
-        nv = len(self.graph.vertex_list)
-        return {h: dl[j - nv] for h, j in zip(dl, self.images[nv:])}
-
-    def vertex_map(self):
-        vl = self.graph.vertex_list
-        return {v: vl[j] for v, j in zip(vl, self.images)}
-
-    @property
-    def is_identity(self):
-        return self.images == tuple(range(len(self.images)))
-
-    def compose(self, other):
-        """self after other: (self * other)(x) = self(other(x))."""
-        images = self.images
-        return Permutation(self.graph, [images[i] for i in other.images])
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(self.graph, inv)
-
-    @property
-    def is_involution(self):
-        images = self.images
-        return (not self.is_identity
-                and all(images[j] == i for i, j in enumerate(images)))
-
-    def semiregularity_violation(self):
-        """None, or a string explaining the non-trivial stabilizer."""
-        images = self.images
-        g = self.graph
-        nv = len(g.vertex_list)
-        i = _violating_point(images, nv, _mate_points(g))
-        if i is None:
-            return None
-        if images[i] != i:
-            h = g.dart_list[i - nv]
-            return (f"swaps the darts of non-halvable edge "
-                    f"{h!r}/{g.pairing[h]!r}")
-        if i < nv:
-            return f"fixes vertex {g.vertex_list[i]!r}"
-        return f"fixes dart {g.dart_list[i - nv]!r}"
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __repr__(self):
-        return f"Permutation({self.vertex_map()})"
+def semiregularity_violation(g, images):
+    """None, or a string explaining the non-trivial stabilizer of the
+    automorphism of g with image tuple `images`."""
+    nv = len(g.vertex_list)
+    i = _violating_point(images, nv, _mate_points(g))
+    if i is None:
+        return None
+    if images[i] != i:
+        h = g.dart_list[i - nv]
+        return (f"swaps the darts of non-halvable edge "
+                f"{h!r}/{g.pairing[h]!r}")
+    if i < nv:
+        return f"fixes vertex {g.vertex_list[i]!r}"
+    return f"fixes dart {g.dart_list[i - nv]!r}"
 
 
 def _greedy_base(images):
@@ -200,24 +139,40 @@ def _product_table(images, base):
 
 
 class Group:
-    """A closed set of automorphisms of one graph, identity included."""
+    """A closed set of automorphisms of one graph, identity included.
 
-    def __init__(self, graph, perms, verify=True):
+    `elements` are the automorphisms' image tuples over the graph's points
+    (see `graph.point_index`), sorted.  With `verify`, each element is
+    checked to be an automorphism of the graph and the set to be closed;
+    a caller that builds elements from a stabilizer chain passes False.
+    """
+
+    def __init__(self, graph, elements, verify=True):
         self.graph = graph
         # sorted input, as from `subgroup`, costs one comparison an element
-        self.elements = tuple(sorted(dict.fromkeys(perms)))
-        if not any(p.is_identity for p in self.elements):
+        self.elements = tuple(sorted(dict.fromkeys(map(tuple, elements))))
+        n = len(graph.vertex_list) + len(graph.dart_list)
+        if any(len(x) != n for x in self.elements):
+            raise GraphError(f"group element is not a tuple over the "
+                             f"graph's {n} points")
+        if tuple(range(n)) not in self.elements:
             raise GraphError("group must contain the identity")
         if verify:
             self.check_closure()
 
     def check_closure(self):
+        """GraphError unless every element is an automorphism of the graph
+        and every product is an element; a finite set of permutations
+        closed under products holds their inverses too."""
+        g = self.graph
+        for x in self.elements:
+            if not verify_isomorphism(g, g, *point_maps(g, x)):
+                raise GraphError("group element is not an automorphism of "
+                                 "the graph")
         pool = set(self.elements)
         for a in self.elements:
-            if a.inverse() not in pool:
-                raise GraphError("group not closed under inverse")
             for b in self.elements:
-                if a.compose(b) not in pool:
+                if tuple([a[i] for i in b]) not in pool:
                     raise GraphError("group not closed under composition")
 
     @property
@@ -250,16 +205,17 @@ class Group:
 
     @cached_property
     def identity_index(self):
-        return next(i for i, p in enumerate(self.elements) if p.is_identity)
+        return self.elements.index(tuple(range(len(self.elements[0]))))
 
     @cached_property
     def _base(self):
-        return _greedy_base([p.images for p in self.elements])
+        return _greedy_base(self.elements)
 
     @cached_property
     def table(self):
-        """table[i][j] = index of elements[i] * elements[j]."""
-        return _product_table([p.images for p in self.elements], self._base)
+        """table[i][j] = index of elements[i] * elements[j], where
+        (a * b)[p] = a[b[p]]."""
+        return _product_table(self.elements, self._base)
 
     @cached_property
     def inverse_indices(self):
@@ -268,7 +224,9 @@ class Group:
 
     @cached_property
     def semiregular_flags(self):
-        return tuple(p.semiregularity_violation() is None for p in self.elements)
+        nv, mates = len(self.graph.vertex_list), _mate_points(self.graph)
+        return tuple(_violating_point(x, nv, mates) is None
+                     for x in self.elements)
 
     def subgroup(self, indices):
         """The group of elements[i] for i in `indices`.  It keeps this
@@ -290,8 +248,7 @@ def chain_generators(g):
     three moves generate."""
     transversals, kernel = stabilizer_chain(g)
     gens = [t for reps in transversals for t in reps]
-    didx = point_index(g)[1]
-    one = range(len(g.vertex_list) + len(g.dart_list))
+    fixed = {v: v for v in g.vertex_list}
     for _, items, _, ways in kernel:
         n = len(items)
         moves = []  # (item, target item, way) per moved item
@@ -304,11 +261,11 @@ def chain_generators(g):
         if len(ways) > 1:
             moves.append([(items[0], items[0], ways[1])])
         for move in moves:
-            images = list(one)
+            dmap = {h: h for h in g.dart_list}
             for src, dst, way in move:
                 for h, i in zip(src, way):
-                    images[didx[h]] = didx[dst[i]]
-            gens.append(tuple(images))
+                    dmap[h] = dst[i]
+            gens.append(point_images(g, fixed, dmap))
     return gens
 
 
@@ -334,9 +291,7 @@ def _aut_images(g, max_order):
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
     """The full color/type/direction-preserving automorphism group,
     multiplied out of its stabilizer chain (see `_aut_images`)."""
-    return Group(g, [Permutation(g, x)
-                     for x in sorted(_aut_images(g, max_order))],
-                 verify=False)
+    return Group(g, _aut_images(g, max_order), verify=False)
 
 
 def is_semiregular(grp):
@@ -346,11 +301,8 @@ def is_semiregular(grp):
 
 
 def semiregular_violations(grp):
-    out = []
-    for p, ok in zip(grp.elements, grp.semiregular_flags):
-        if not ok:
-            out.append((p, p.semiregularity_violation()))
-    return out
+    return [(x, semiregularity_violation(grp.graph, x))
+            for x, ok in zip(grp.elements, grp.semiregular_flags) if not ok]
 
 
 def _close_indices(table, s, gens):
@@ -554,10 +506,9 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     e = members.index(tuple(range(len(members[0]))))
     found = [s for s in _subgroup_index_sets(table, e, divides=order)
              if order is None or len(s) == order]
-    perms = {i: Permutation(g, members[i]) for i in set().union(*found)}
     subs = []
     for s in found:
-        sub = Group(g, [perms[i] for i in sorted(s)], verify=False)
+        sub = Group(g, [members[i] for i in sorted(s)], verify=False)
         sub._base = base
         subs.append(sub)
     return subs
@@ -614,15 +565,14 @@ def semiregular_class_representatives(g, order=None,
             yield s
             continue
         base = s._base
-        names = frozenset(_element_name(p.images, base) for p in s)
+        names = frozenset(_element_name(x, base) for x in s)
         if names in seen:
             continue
         yield s
         if last:
             continue
         if maps is None:
-            images = {_element_name(p.images, base): p.images
-                      for p in dict.fromkeys(p for sub in subs for p in sub)}
+            images = {_element_name(x, base): x for sub in subs for x in sub}
             maps = [_Conjugation(t, base, images)
                     for t in chain_generators(g)]
             aut_order = chain_order(stabilizer_chain(g))

@@ -76,7 +76,7 @@ import math
 
 from .errors import InternalError, size_limit
 from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
-                    cached, point_index)
+                    cached, point_images, point_index)
 
 MAX_VERTICES = 24
 
@@ -90,7 +90,7 @@ _ONE_WAY = {1: ((0,),), 2: ((0, 1),)}  # item size: its darts kept in place
 def _items(g):
     """Per-graph item index, kept on g as `_iso_items` (see `graph.cached`).
 
-    groups: {(tag, vertices, type, color, tail role): [darts, ...]}, in key
+    groups: {(tag, vertices, type, color, tail role): (darts, ...)}, in key
         order.  Tags run 0-5 over standard edges, loops, pendant edges,
         attached half-edges, free edges and free half-edges.  Each item is
         its dart tuple in role order: (dart at a, dart at b) for a < b,
@@ -166,7 +166,7 @@ def _index_items(g):
         sigs[v] = tuple(mine)
         codes[v] = tuple((rank[s] * k + 2, o)
                          for o, ss in m.items() for s in ss)
-    groups = dict(sorted(groups.items()))
+    groups = {key: tuple(its) for key, its in sorted(groups.items())}
     edges, ones, rest = [], [], []
     for (tag, vs, typ, c, role), its in groups.items():
         t = _TYPE_CODE.get(typ, -1) if tag in (0, 1, 4) else 0
@@ -383,7 +383,8 @@ def stabilizer_chain(g, fixed=()):
     they reach, in point order.  kernel is the dart jobs of the identity
     vertex map, whose `dart_maps` fix every vertex.  Every automorphism
     fixing `fixed` is t_1 * ... * t_m * k for exactly one k and one t_i
-    from each transversal or the identity.
+    from each transversal or the identity.  Every caller shares the one
+    chain kept on g, so it is tuples throughout.
     """
     fixed = tuple(fixed or ())
     chains = cached(g, "_iso_chains", lambda g: {})
@@ -408,13 +409,15 @@ def _read_chain(g, fixed):
                 a = autos[j]
                 if any(point[a[vertices[x]]] not in reps for x in reps):
                     if j not in lifted:
-                        lifted[j] = _map_images(
-                            g, _first_dart_map(_dart_jobs(g, g, a)), a)
+                        lifted[j] = point_images(
+                            g, a, _first_dart_map(_dart_jobs(g, g, a)))
                     gens.append(lifted[j])
                     _close_orbit(reps, gens)
-        transversals.append([reps[x] for x in sorted(reps) if x != point[v]])
+        transversals.append(tuple(reps[x] for x in sorted(reps)
+                                  if x != point[v]))
         live = [j for j in live if autos[j][v] == v]
-    return transversals, _dart_jobs(g, g, {v: v for v in vertices})
+    kernel = _dart_jobs(g, g, {v: v for v in vertices})
+    return tuple(transversals), tuple(kernel)
 
 
 def chain_products(transversals, images):
@@ -439,17 +442,10 @@ def _close_orbit(reps, gens):
                 todo.append(y)
 
 
-def _map_images(g, dart_map, vertex_map):
-    """The image tuple of the automorphism given by its two maps."""
-    vidx, didx = point_index(g)
-    return tuple([vidx[vertex_map[v]] for v in g.vertex_list]
-                 + [didx[dart_map[h]] for h in g.dart_list])
-
-
 def kernel_images(g, kernel):
     """The image tuples of a chain kernel's `dart_maps`."""
     identity = {v: v for v in g.vertex_list}
-    return [_map_images(g, dmap, identity) for dmap in dart_maps(kernel)]
+    return [point_images(g, identity, dmap) for dmap in dart_maps(kernel)]
 
 
 def _dart_jobs(g1, g2, vmap):

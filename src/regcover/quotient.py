@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
-                    cached, normalize, point_index, require_standard_input)
-from .groups import (MAX_GROUP_ORDER, Group, Permutation, orbits,
+                    cached, normalize, point_index, point_maps,
+                    require_standard_input)
+from .groups import (MAX_GROUP_ORDER, Group, orbits,
                      semiregular_class_representatives, semiregular_violations)
 from .iso import are_isomorphic, canonical_form, verify_isomorphism
 from .reduction import reduction_series
@@ -50,10 +51,10 @@ def quotient(g, gamma):
         p, why = bad[0]
         raise GraphError(f"group is not semiregular: element {why}")
 
-    gens = [p.images for p in gamma]
-    dart_rep = {x: orbit[0] for orbit in orbits(g, gens, "darts")
+    dart_rep = {x: orbit[0] for orbit in orbits(g, gamma.elements, "darts")
                 for x in orbit}
-    vertex_rep = {x: orbit[0] for orbit in orbits(g, gens, "vertices")
+    vertex_rep = {x: orbit[0]
+                  for orbit in orbits(g, gamma.elements, "vertices")
                   for x in orbit}
 
     darts = sorted(set(dart_rep.values()))
@@ -92,10 +93,9 @@ def atom_projection_type(a, gamma):
     u, v = vidx[a.boundary[0]], vidx[a.boundary[1]]
     darts = frozenset(didx[h] for h in a.ref.darts)
     loop = False
-    for p in gamma.elements:
-        if p.is_identity:
+    for i, images in enumerate(gamma.elements):
+        if i == gamma.identity_index:
             continue
-        images = p.images
         if all(images[h] in darts for h in darts):
             return "half"
         if images[u] == v:
@@ -134,7 +134,7 @@ def atom_quotients(a):
     halves = {}
     # only a halvable atom has a semiregular boundary-swapping involution
     if a.symmetry == HALVABLE_SYM:
-        ident = Permutation.identity(ag)
+        ident = range(ag.n_vertices + ag.n_darts)
         for tau in a.swap_involutions():
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
@@ -365,13 +365,13 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     if k == 1:
         if are_isomorphic(g, h, max_vertices=None) is None:
             return None
-        return Group(g, [Permutation.identity(g)], verify=False)
+        return Group(g, [range(g.n_vertices + g.n_darts)], verify=False)
     for gamma in semiregular_class_representatives(g, order=k,
                                                    max_order=max_order):
         q = quotient(g, gamma)
         if are_isomorphic(q.result, h, max_vertices=None) is not None:
-            if not all(verify_isomorphism(g, g, p.vertex_map(), p.dart_map())
-                       for p in gamma if not p.is_identity):
+            if not all(verify_isomorphism(g, g, *point_maps(g, x))
+                       for x in gamma):
                 raise InternalError("regular_cover_test: a witness element "
                                     "is not an automorphism of the "
                                     "covering graph")

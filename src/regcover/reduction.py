@@ -23,8 +23,9 @@ from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
                     classify_primitive, find_atoms)
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, GraphBuilder,
-                    SubgraphRef, normalize, require_standard_input)
-from .groups import Permutation, count_automorphisms
+                    SubgraphRef, normalize, point_images, point_maps,
+                    require_standard_input)
+from .groups import count_automorphisms
 from .textfmt import parse
 
 COLOR_BASE = 1 << 16   # reduction colors start here
@@ -183,13 +184,15 @@ def _build_tree(graphs, steps):
 
 
 def reduction_epimorphism(step, pi):
-    """Image of an automorphism of the source on the target graph, checked
-    to be an automorphism of the target (InternalError if not)."""
+    """Image of an automorphism of the source on the target graph, both
+    image tuples over their graph's points (see `graph.point_index`).
+
+    GraphError unless `pi` permutes the source's vertices and darts; the
+    image is checked to be an automorphism of the target (InternalError if
+    not).
+    """
     g, t = step.source, step.target
-    if pi.graph is not g:
-        raise GraphError("permutation does not act on the step's source")
-    pdart = pi.dart_map()
-    pvert = pi.vertex_map()
+    pvert, pdart = point_maps(g, pi)
     dmap = {}
     for h in t.dart_list:
         if h in g.darts:
@@ -216,7 +219,7 @@ def reduction_epimorphism(step, pi):
     if not iso.verify_isomorphism(t, t, vmap, dmap):
         raise InternalError(
             "reduction_epimorphism: image is not an automorphism")
-    return Permutation.from_maps(t, dmap, vmap)
+    return point_images(t, vmap, dmap)
 
 
 @dataclass

@@ -3,7 +3,39 @@
 import itertools
 
 from regcover import iso
-from regcover.graph import DIRECTED, STANDARD, SubgraphRef
+from regcover.graph import DIRECTED, STANDARD, SubgraphRef, point_maps
+
+
+# -- group elements: image tuples over a graph's points -----------------------
+
+def compose(a, b):
+    """a after b: (a * b)[p] = a[b[p]]."""
+    return tuple([a[i] for i in b])
+
+
+def inverse(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def is_identity(a):
+    return tuple(a) == tuple(range(len(a)))
+
+
+def is_involution(a):
+    return not is_identity(a) and is_identity(compose(a, a))
+
+
+def vmap(g, a):
+    """The vertex map of an image tuple over g's points."""
+    return point_maps(g, a)[0]
+
+
+def dmap(g, a):
+    """The dart map of an image tuple over g's points."""
+    return point_maps(g, a)[1]
 
 
 def naive_dart_automorphism_count(g, cap=50000):

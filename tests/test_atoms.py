@@ -15,14 +15,14 @@ from regcover.fixtures import (bowtie, cube, cycle, dipole,
                                expansion_corpus, path_graph, random_instance,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (DIRECTED, STANDARD, GraphBuilder, HALVABLE,
-                            is_cycle, normalize)
-from regcover.groups import Permutation, automorphism_group
+                            is_cycle, normalize, point_images, point_maps)
+from regcover.groups import automorphism_group, semiregularity_violation
 from regcover.iso import automorphisms_iter, semiregular_involutions_iter
 from regcover.quotient import all_quotients, atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import parse, serialize
 
-from helpers import brute_force_cut_pairs, ref_isomorphisms
+from helpers import brute_force_cut_pairs, is_involution, ref_isomorphisms
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -278,7 +278,7 @@ def test_atom_equivariance():
         atom_sets = {a.ref.darts for a in atoms}
         boundaries = {a.ref.darts: set(a.boundary) for a in atoms}
         for p in automorphism_group(g):
-            dm, vm = p.dart_map(), p.vertex_map()
+            vm, dm = point_maps(g, p)
             for a in atoms:
                 image = frozenset(dm[h] for h in a.ref.darts)
                 assert image in atom_sets, name
@@ -314,8 +314,8 @@ def _scanned_involutions(g, pinned):
     order of `automorphisms_iter`."""
     out = []
     for vmap, dmap in ref_isomorphisms(g, g, pinned=pinned):
-        p = Permutation.from_maps(g, dmap, vmap)
-        if p.is_involution and p.semiregularity_violation() is None:
+        p = point_images(g, vmap, dmap)
+        if is_involution(p) and semiregularity_violation(g, p) is None:
             out.append((vmap, dmap))
     return out
 

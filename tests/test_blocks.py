@@ -11,6 +11,8 @@ from regcover.graph import STANDARD, GraphBuilder, normalize
 from regcover.groups import semiregular_subgroups
 from regcover.iso import are_isomorphic
 
+from helpers import dmap, vmap
+
 
 def test_two_connected_single_block():
     bt = block_tree(cycle(5))
@@ -113,11 +115,11 @@ def test_semiregular_action_on_attached_subgraphs():
         for u in arts:
             gu = attached_subgraph(bt, u)
             for p in gamma:
-                v = p.vertex_map()[u]
+                v = vmap(g, p)[u]
                 gv = attached_subgraph(bt, v)
                 assert are_isomorphic(gu.to_graph(), gv.to_graph()) is not None
                 movers = [q for q in gamma
-                          if {q.dart_map()[h] for h in gu.darts} == gv.darts]
+                          if {dmap(g, q)[h] for h in gu.darts} == gv.darts]
                 assert len(movers) == 1
 
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -332,7 +333,7 @@ def test_aut_matches_the_listed_group(tmp_path, capsys):
             h = parse_file(path)
             aut = automorphism_group(h, max_order=None)
             want = _aut_stdout(aut.order,
-                               orbits(h, [p.images for p in aut]))
+                               orbits(h, aut.elements))
             assert main(["aut", path]) == 0
             assert capsys.readouterr().out == want, (name, variant)
 
@@ -434,6 +435,35 @@ def test_aut_semiregular_listing(files, capsys):
     assert main(["aut", "--semiregular", "2", files["c6"]]) == 0
     out = capsys.readouterr().out
     assert "order 2: 1" in out
+
+
+def test_element_lines_are_pinned(tmp_path, capsys):
+    # sha256 over the corpus of `aut --semiregular K` stdout for K = 2, 3, 4
+    # and `cover G H` stdout for every pair with |V(H)| <= |V(G)| <=
+    # 4 |V(H)|, with exit codes, as recorded while group elements were
+    # printed through a permutation class's vertex map
+    corpus = expansion_corpus()
+    assert len(corpus) == 49
+    paths = {}
+    for name, g in corpus:
+        paths[name] = str(tmp_path / f"{name}.g")
+        write_file(g, paths[name])
+    digest = hashlib.sha256()
+
+    def run(label, argv):
+        code = main(argv)
+        digest.update(f"{label} {code}\n{capsys.readouterr().out}".encode())
+
+    for name, _ in corpus:
+        for k in (2, 3, 4):
+            run(f"aut {k} {name}", ["aut", "--semiregular", str(k),
+                                    paths[name]])
+    for gn, g in corpus:
+        for hn, h in corpus:
+            if h.n_vertices <= g.n_vertices <= 4 * h.n_vertices:
+                run(f"cover {gn} {hn}", ["cover", paths[gn], paths[hn]])
+    assert digest.hexdigest() == (
+        "0c6ce3f0950f8213afae1efb22ae4fe80b09fa1371a47c4bbae7566d3a701ef9")
 
 
 def test_semiregular_order_one_is_the_trivial_subgroup(files, capsys):

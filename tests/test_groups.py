@@ -5,25 +5,27 @@ import math
 import pytest
 
 from regcover import groups, iso
-from regcover.errors import InternalError, SizeLimitError
+from regcover.errors import GraphError, InternalError, SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                cycle_with_triangles, dipole, expansion_corpus,
                                icosahedron, path_graph, petersen, prism,
                                random_instance, star_pendants, theta,
                                with_pendants)
-from regcover.graph import HALVABLE, GraphBuilder, normalize
-from regcover.groups import (Group, Permutation, all_subgroups,
+from regcover.graph import HALVABLE, GraphBuilder, normalize, point_images
+from regcover.groups import (Group, all_subgroups,
                              automorphism_group, chain_generators,
                              conjugacy_classes_of_subgroups,
                              count_automorphisms, is_semiregular,
                              orbits, semiregular_subgroups,
-                             semiregular_violations, subgroup_order_histogram)
+                             semiregular_violations, semiregularity_violation,
+                             subgroup_order_histogram)
 from regcover.atoms import find_atoms
 from regcover.iso import are_isomorphic, canonical_form
 from regcover.reduction import reduction_series
 
-from helpers import (is_simple, naive_dart_automorphism_count,
-                     naive_vertex_automorphism_count, ref_isomorphisms)
+from helpers import (compose, dmap, inverse, is_identity, is_involution,
+                     is_simple, naive_dart_automorphism_count,
+                     naive_vertex_automorphism_count, ref_isomorphisms, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -148,14 +150,31 @@ def test_group_closure_and_lagrange():
         assert aut.order % s.order == 0
 
 
+def test_group_refuses_elements_that_are_not_automorphisms():
+    # a cube element is no map of C12's points; a swap of two vertex points
+    # of C6, with the darts left in place, has the right length but is no
+    # automorphism.  Both are closed sets with the identity.
+    cube_sub = semiregular_subgroups(cube(), order=2)[0]
+    with pytest.raises(GraphError, match="36 points"):
+        Group(cycle(12), cube_sub.elements)
+    g = cycle(6)
+    one = tuple(range(g.n_vertices + g.n_darts))
+    swap = (1, 0) + one[2:]
+    Group(g, [one, swap], verify=False)
+    with pytest.raises(GraphError, match="not an automorphism"):
+        Group(g, [one, swap])
+    with pytest.raises(GraphError, match="does not permute"):
+        Group(g, [one, one[::-1]])
+
+
 def test_rotation_semiregular_reflection_not():
     g = cycle(6)
     aut = automorphism_group(g)
     rot = next(p for p in aut
-               if p.vertex_map() == {f"v{i}": f"v{(i + 1) % 6}" for i in range(6)})
+               if vmap(g, p) == {f"v{i}": f"v{(i + 1) % 6}" for i in range(6)})
     assert is_semiregular(Group(g, [p for p in aut if p in _powers(rot)],
                                 verify=False))
-    refl = next(p for p in aut if p.vertex_map() == {
+    refl = next(p for p in aut if vmap(g, p) == {
         "v0": "v0", "v1": "v5", "v2": "v4", "v3": "v3", "v4": "v2", "v5": "v1"})
     grp = Group(g, [aut.elements[aut.identity_index], refl], verify=True)
     assert not is_semiregular(grp)
@@ -165,8 +184,8 @@ def test_rotation_semiregular_reflection_not():
 def _powers(p):
     out = [p]
     cur = p
-    while not cur.is_identity:
-        cur = cur.compose(p)
+    while not is_identity(cur):
+        cur = compose(cur, p)
         out.append(cur)
     return set(out)
 
@@ -178,8 +197,8 @@ def test_edge_midpoint_reflection_needs_halvable():
     for edge_type, expected in (("undirected", False), (HALVABLE, True)):
         g = cycle(4, edge_type)
         aut = automorphism_group(g)
-        cands = [p for p in aut if p.vertex_map() == wanted]
-        sr = [p for p in cands if p.semiregularity_violation() is None]
+        cands = [p for p in aut if vmap(g, p) == wanted]
+        sr = [p for p in cands if semiregularity_violation(g, p) is None]
         assert bool(sr) == expected
 
 
@@ -218,28 +237,31 @@ def test_cyclic_group_of_order_6_has_4_subgroups():
     g = cycle(6)
     aut = automorphism_group(g)
     rot = next(p for p in aut
-               if p.vertex_map() == {f"v{i}": f"v{(i + 1) % 6}" for i in range(6)})
+               if vmap(g, p) == {f"v{i}": f"v{(i + 1) % 6}" for i in range(6)})
     cyclic = Group(g, _powers(rot), verify=True)
     assert cyclic.order == 6
     assert len(all_subgroups(cyclic)) == 4
 
 
 def test_c6_semiregular_order_2():
-    subs = semiregular_subgroups(cycle(6), order=2)
+    g = cycle(6)
+    subs = semiregular_subgroups(g, order=2)
     assert len(subs) == 1
     (s,) = subs
-    p = next(q for q in s if not q.is_identity)
-    assert p.vertex_map() == {f"v{i}": f"v{(i + 3) % 6}" for i in range(6)}
+    p = next(q for q in s if not is_identity(q))
+    assert vmap(g, p) == {f"v{i}": f"v{(i + 3) % 6}" for i in range(6)}
 
 
 def test_k4_semiregular_order_4_includes_klein():
     # a double transposition fixes two edges setwise with a dart swap, so
     # order-4 semiregular subgroups exist only on the halvable variant
     assert semiregular_subgroups(complete(4), order=4) == []
-    subs = semiregular_subgroups(complete(4, HALVABLE), order=4)
-    klein = [s for s in subs if all(p.is_identity or p.is_involution for p in s)]
+    g = complete(4, HALVABLE)
+    subs = semiregular_subgroups(g, order=4)
+    klein = [s for s in subs if all(is_identity(p) or is_involution(p)
+                                    for p in s)]
     assert len(klein) == 1
-    assert sorted(sum(1 for v, w in p.vertex_map().items() if v != w)
+    assert sorted(sum(1 for v, w in vmap(g, p).items() if v != w)
                   for p in klein[0]) == [0, 4, 4, 4]
 
 
@@ -255,38 +277,33 @@ def test_graph_without_points_has_only_the_trivial_subgroup():
     assert semiregular_subgroups(g, order=2) == []
 
 
-def _images(grp):
-    """A group's elements as image tuples, the generators `orbits` takes."""
-    return [p.images for p in grp]
-
-
 def test_orbits():
     g = cycle(5)
     aut = automorphism_group(g)
     trivial = Group(g, [aut.elements[aut.identity_index]], verify=False)
-    assert len(orbits(g, _images(trivial), "vertices")) == 5
+    assert len(orbits(g, trivial.elements, "vertices")) == 5
 
     g6 = cycle(6)
     (s,) = semiregular_subgroups(g6, order=2)
-    assert all(len(o) == 2 for o in orbits(g6, _images(s), "vertices"))
-    assert len(orbits(g6, _images(s), "vertices")) == 3
+    assert all(len(o) == 2 for o in orbits(g6, s.elements, "vertices"))
+    assert len(orbits(g6, s.elements, "vertices")) == 3
 
 
 def test_cube_antipodal_orbits():
     g = cube()
     aut = automorphism_group(g)
-    anti = next(p for p in aut if p.vertex_map() == {
+    anti = next(p for p in aut if vmap(g, p) == {
         v: format(7 - int(v, 2), "03b") for v in g.vertex_list})
-    assert anti.semiregularity_violation() is None
+    assert semiregularity_violation(g, anti) is None
     grp = Group(g, [aut.elements[aut.identity_index], anti], verify=True)
-    vorbs = orbits(g, _images(grp), "vertices")
+    vorbs = orbits(g, grp.elements, "vertices")
     assert len(vorbs) == 4 and all(len(o) == 2 for o in vorbs)
 
 
 def test_semiregular_orbit_law():
     for g in (cycle(6), cube(), theta(2, 2, 2, edge_type=HALVABLE)):
         for s in semiregular_subgroups(g):
-            gens = _images(s)
+            gens = s.elements
             assert all(len(o) == s.order for o in orbits(g, gens, "vertices"))
             assert all(len(o) == s.order for o in orbits(g, gens, "darts"))
 
@@ -341,19 +358,27 @@ def test_automorphism_group_size_limit():
 
 def test_automorphism_group_refuses_before_building(monkeypatch):
     # the order is the product of the chain's transversal and kernel sizes,
-    # so a group over the limit is refused without one element built
-    built = []
-    init = Permutation.__init__
+    # so a group over the limit is refused before the chain is multiplied
+    # out or a group is built
+    calls = []
+    products, init = groups.chain_products, Group.__init__
 
-    def counting(self, graph, images):
-        built.append(1)
-        init(self, graph, images)
+    def counting_products(*args):
+        calls.append("products")
+        return products(*args)
 
-    monkeypatch.setattr(Permutation, "__init__", counting)
+    def counting_init(self, *args, **kwargs):
+        calls.append("group")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "chain_products", counting_products)
+    monkeypatch.setattr(Group, "__init__", counting_init)
     with pytest.raises(SizeLimitError) as exc:
         automorphism_group(dipole([0] * 10))
     assert f"{2 * math.factorial(10)} automorphisms," in str(exc.value)
-    assert built == []
+    assert calls == []
+    automorphism_group(cube())
+    assert calls == ["products", "group"]
 
 
 def test_beyond_cap_refusals_name_the_order():
@@ -370,7 +395,7 @@ def test_automorphism_group_matches_listing():
     for seed in range(200):
         graphs += [random_instance(seed), normalize(random_instance(seed))]
     for g in graphs:
-        listed = sorted({Permutation.from_maps(g, d, v)
+        listed = sorted({point_images(g, v, d)
                          for v, d in ref_isomorphisms(g, g)})
         assert automorphism_group(g, max_order=None).elements == tuple(listed)
 
@@ -382,8 +407,8 @@ def test_repeated_products_are_an_internal_error(monkeypatch):
 
     def doubled(g):
         transversals, kernel = chain(g)
-        transversals[0] = transversals[0] + transversals[0][:1]
-        return transversals, kernel
+        return ((transversals[0] + transversals[0][:1],
+                 *transversals[1:]), kernel)
 
     monkeypatch.setattr(groups, "stabilizer_chain", doubled)
     for call in (automorphism_group, semiregular_subgroups,
@@ -570,10 +595,10 @@ def _small_random():
 def test_table_matches_composition():
     for name, _, aut in _small_corpus():
         idx = {p: i for i, p in enumerate(aut.elements)}
-        composed = [tuple(idx[a.compose(b)] for b in aut.elements)
+        composed = [tuple(idx[compose(a, b)] for b in aut.elements)
                     for a in aut.elements]
         assert aut.table == composed, name
-        assert all(aut.elements[i] == p.inverse()
+        assert all(aut.elements[i] == inverse(p)
                    for p, i in zip(aut.elements, aut.inverse_indices)), name
 
 
@@ -582,11 +607,11 @@ def test_semiregular_partial_table_is_none_off_the_subset():
         members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
         position = {aut.elements[i]: k for k, i in enumerate(members)}
         partial = groups._product_table(
-            [aut.elements[i].images for i in members], aut._base)
+            [aut.elements[i] for i in members], aut._base)
         for k, i in enumerate(members):
             a = aut.elements[i]
             for m, j in enumerate(members):
-                product = a.compose(aut.elements[j])
+                product = compose(a, aut.elements[j])
                 assert partial[k][m] == position.get(product), name
 
 
@@ -781,35 +806,34 @@ def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
 
 def test_semiregular_subgroups_list_no_group(monkeypatch):
     # the search reads the chain's products as image tuples: no Aut(g) is
-    # listed, and only the elements of the subgroups returned are wrapped
+    # listed, and a group is built only for each subgroup returned
     def refuse(*args, **kwargs):
         raise InternalError("semiregular_subgroups listed the group")
 
     built = []
-    init = Permutation.__init__
+    init = Group.__init__
 
-    def counting(self, graph, images):
-        built.append(tuple(images))
-        init(self, graph, images)
+    def counting(self, graph, elements, verify=True):
+        init(self, graph, elements, verify)
+        built.append(self.elements)
 
     expected = {}
     for build in (cube, petersen, icosahedron):
         g = build()
         expected[build] = (
             automorphism_group(g).order,
-            [[p.images for p in s] for k in (None, 2, 3)
+            [s.elements for k in (None, 2, 3)
              for s in semiregular_subgroups(g, order=k)])
     monkeypatch.setattr(groups, "automorphism_group", refuse)
-    monkeypatch.setattr(Permutation, "__init__", counting)
+    monkeypatch.setattr(Group, "__init__", counting)
     for build, (order, listed) in expected.items():
         for k in (None, 2, 3):
             g = build()
             built.clear()
             subs = semiregular_subgroups(g, order=k)
             assert all(s.order < order for s in subs)
-            assert sorted(built) == sorted({x for s in subs for x in
-                                            (p.images for p in s)})
-        subs = [[p.images for p in s] for k in (None, 2, 3)
+            assert built == [s.elements for s in subs]
+        subs = [s.elements for k in (None, 2, 3)
                 for s in semiregular_subgroups(build(), order=k)]
         assert subs == listed
 
@@ -828,13 +852,12 @@ def test_platonic_orders_match_sympy(build):
     aut = automorphism_group(g)
     nv = len(g.vertex_list)
     group = combinatorics.PermutationGroup(
-        [combinatorics.Permutation([j - nv for j in p.images[nv:]])
-         for p in aut])
+        [combinatorics.Permutation([j - nv for j in p[nv:]]) for p in aut])
     assert group.order() == aut.order
 
 
-def _maps(p):
-    return repr((sorted(p.vertex_map().items()), sorted(p.dart_map().items())))
+def _maps(g, p):
+    return repr((sorted(vmap(g, p).items()), sorted(dmap(g, p).items())))
 
 
 def test_group_layer_is_pinned():
@@ -853,9 +876,9 @@ def test_group_layer_is_pinned():
     assert len(corpus) == 49
     for g in corpus:
         aut = automorphism_group(g)
-        put(*[_maps(p) for p in aut])
-        put(repr(orbits(g, _images(aut), "vertices")),
-            repr(orbits(g, _images(aut), "darts")))
+        put(*[_maps(g, p) for p in aut])
+        put(repr(orbits(g, aut.elements, "vertices")),
+            repr(orbits(g, aut.elements, "darts")))
         put(*[repr(sorted(aut._index[p] for p in s))
               for s in semiregular_subgroups(g)])
         if aut.order <= 72:
@@ -866,7 +889,8 @@ def test_group_layer_is_pinned():
         for gi in reduction_series(normalize(g)).graphs[:-1]:
             for a in find_atoms(gi):
                 if not a.is_block:
-                    put(repr(a), *[_maps(p) for p in a.swap_involutions()])
+                    put(repr(a), *[_maps(a.as_graph(), p)
+                                   for p in a.swap_involutions()])
     assert digest.hexdigest() == (
         "d3bb8a3cff38d101bd5bb5fc045fa1fecf41f4d34cc5254021a589f51988dcd9")
 

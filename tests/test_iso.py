@@ -11,8 +11,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                cycle_with_triangles, dipole, expansion_corpus,
                                path_graph, petersen, prism, random_instance,
                                theta, with_pendants)
-from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize
-from regcover.groups import Permutation
+from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize, point_maps
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
                           verify_isomorphism)
 from regcover.quotient import all_quotients
@@ -171,7 +170,7 @@ def test_stabilizer_chain_lifts_by_the_first_dart_map():
     # exactly the orbit of its base point among the automorphisms that
     # the reference search lists fixing the base points before it, in
     # vertex order.  Representatives are image tuples, read through
-    # `Permutation`.
+    # `graph.point_maps`.
     graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
     for seed in range(200):
         graphs += [random_instance(seed), normalize(random_instance(seed))]
@@ -180,12 +179,11 @@ def test_stabilizer_chain_lifts_by_the_first_dart_map():
         assert iso._first_dart_map(kernel) == next(iso.dart_maps(kernel))
         base = iso._canonical(g, None, None)[2]
         assert len(transversals) == len(base)
-        vmaps = [[Permutation(g, t).vertex_map() for t in reps]
+        vmaps = [[point_maps(g, t)[0] for t in reps]
                  for reps in transversals]
         for i, reps in enumerate(transversals):
             for t, vmap in zip(reps, vmaps[i]):
-                assert verify_isomorphism(g, g, vmap,
-                                          Permutation(g, t).dart_map())
+                assert verify_isomorphism(g, g, *point_maps(g, t))
                 assert all(vmap[v] == v for v in base[:i])
                 assert vmap[base[i]] != base[i]
         if iso.chain_order(chain) > 200:
@@ -200,6 +198,19 @@ def test_stabilizer_chain_lifts_by_the_first_dart_map():
         # what fixes the base fixes every vertex
         assert all(all(vmap[v] == v for v in vmap) for vmap in listed
                    if all(vmap[v] == v for v in base))
+
+
+def test_kept_stabilizer_chain_is_immutable():
+    # every caller shares the chain kept on the graph, so editing it must
+    # fail rather than change the next count
+    g = cube()
+    transversals, kernel = iso.stabilizer_chain(g)
+    with pytest.raises(TypeError):
+        transversals[0] = transversals[0] + transversals[0][:1]
+    with pytest.raises(TypeError):
+        transversals[0][0][0] = 1
+    assert isinstance(kernel, tuple)
+    assert iso.count_automorphisms(g) == 48
 
 
 @settings(max_examples=40, deadline=None)

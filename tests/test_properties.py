@@ -10,7 +10,7 @@ import itertools
 
 from regcover.atoms import find_atoms
 from regcover.fixtures import random_instance
-from regcover.graph import normalize, validate
+from regcover.graph import normalize, point_maps, validate
 from regcover.groups import automorphism_group, semiregular_subgroups
 from regcover.quotient import quotient
 
@@ -46,7 +46,7 @@ def test_atom_set_equivariance():
         atom_sets = {a.ref.darts for a in atoms}
         boundaries = {a.ref.darts: set(a.boundary) for a in atoms}
         for p in automorphism_group(g, max_order=None):
-            dm, vm = p.dart_map(), p.vertex_map()
+            vm, dm = point_maps(g, p)
             for a in atoms:
                 image = frozenset(dm[h] for h in a.ref.darts)
                 assert image in atom_sets, seed

@@ -15,8 +15,8 @@ from regcover.fixtures import (complete, cube, cycle, dipole,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
                             is_cycle, is_path_with_two_halfedges, normalize,
-                            with_halvable_edges)
-from regcover.groups import (Group, Permutation, automorphism_group,
+                            point_images, point_maps, with_halvable_edges)
+from regcover.groups import (Group, automorphism_group,
                              count_automorphisms, is_semiregular,
                              semiregular_subgroups)
 from regcover.iso import are_isomorphic, canonical_form, verify_isomorphism
@@ -25,10 +25,12 @@ from regcover.quotient import (all_quotients, atom_projection_type,
                                quotient, regular_cover_test)
 from regcover.reduction import reduce_step, reduction_series
 
+from helpers import dmap, is_identity, vmap
+
 
 def _sub_with_vertex_map(g, order, wanted):
     for s in semiregular_subgroups(g, order=order):
-        if any(p.vertex_map() == wanted for p in s):
+        if any(vmap(g, p) == wanted for p in s):
             return s
     raise AssertionError("no such subgroup")
 
@@ -74,7 +76,7 @@ def test_c4_halvable_reflection_quotient():
 def test_quotient_rejects_non_semiregular():
     g = cycle(6)
     aut = automorphism_group(g)
-    refl = next(p for p in aut if p.vertex_map() == {
+    refl = next(p for p in aut if vmap(g, p) == {
         "v0": "v0", "v1": "v5", "v2": "v4", "v3": "v3", "v4": "v2", "v5": "v1"})
     grp = Group(g, [aut.elements[aut.identity_index], refl])
     with pytest.raises(GraphError) as err:
@@ -93,7 +95,7 @@ def test_fiber_law_and_equivariance():
                 fiber = [h for h in g.dart_list if q.dart_map[h] == target]
                 assert len(fiber) == gamma.order
             for p in gamma:
-                dm = p.dart_map()
+                dm = dmap(g, p)
                 assert all(q.dart_map[dm[h]] == q.dart_map[h]
                            for h in g.dart_list)
 
@@ -105,8 +107,8 @@ def test_atom_projection_types():
     trivial = Group(g, [aut.elements[aut.identity_index]])
     assert all(atom_projection_type(a, trivial) == "edge" for a in atoms)
     swap = next(s for s in semiregular_subgroups(g, order=2)
-                if all(p.is_identity or p.vertex_map()["u"] == "v"
-                       and p.vertex_map()["x0_0"] == "x0_1" for p in s))
+                if all(is_identity(p) or vmap(g, p)["u"] == "v"
+                       and vmap(g, p)["x0_0"] == "x0_1" for p in s))
     assert all(atom_projection_type(a, swap) == "half" for a in atoms)
 
 
@@ -407,11 +409,10 @@ def _color_swapping_cover():
         h.edge(f"e{i}", "x", "y", color=i % 2)
     swap = dict(zip("ab", "ba")) | dict(zip("cd", "dc")) | {
         "e1": "e3", "e3": "e1", "f1": "f3", "f3": "f1"}
-    p = Permutation.from_maps(
-        g, {d: f"{swap[d[:-2]]}{d[-2:]}" for d in g.darts},
-        {"v0": "v2", "v2": "v0", "v1": "v3", "v3": "v1"})
-    return g, h.build(), Group(g, [Permutation.identity(g), p],
-                               verify=False)
+    p = point_images(
+        g, {"v0": "v2", "v2": "v0", "v1": "v3", "v3": "v1"},
+        {d: f"{swap[d[:-2]]}{d[-2:]}" for d in g.darts})
+    return g, h.build(), Group(g, [range(len(p)), p], verify=False)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -422,8 +423,7 @@ def test_a_witness_that_is_no_automorphism_is_an_internal_error(flags):
     # under python -O
     g, h, bad = _color_swapping_cover()
     assert is_semiregular(bad) and regular_cover_test(g, h) is not None
-    assert not verify_isomorphism(g, g, bad.elements[1].vertex_map(),
-                                  bad.elements[1].dart_map())
+    assert not verify_isomorphism(g, g, *point_maps(g, bad.elements[1]))
     script = ("import importlib\n"
               "from regcover.errors import InternalError\n"
               "from test_quotient import _color_swapping_cover\n"

@@ -13,12 +13,13 @@ from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
 from regcover.graph import (DIRECTED, HALVABLE, PENDANT, UNDIRECTED,
                             normalize, validate)
 from regcover.groups import (automorphism_group, count_automorphisms,
-                             semiregular_subgroups)
+                             semiregular_subgroups, semiregularity_violation)
 from regcover.reduction import (kernel_order, reduce_step,
                                 reduction_epimorphism, reduction_series)
 from regcover.quotient import all_quotients
 from regcover.textfmt import parse, serialize
 
+from helpers import compose, dmap, is_identity, vmap
 from test_groups import count_dart_maps
 from test_iso import _beyond_cap_graphs
 
@@ -141,17 +142,17 @@ def test_epimorphism_identity_and_dart_action():
     step = reduce_step(g)
     aut = automorphism_group(g)
     ident = aut.elements[aut.identity_index]
-    assert reduction_epimorphism(step, ident).is_identity
+    assert is_identity(reduction_epimorphism(step, ident))
 
-    swap = next(p for p in aut if p.vertex_map()["u"] == "v"
-                and p.vertex_map()["x0_0"] == "x0_1")
+    swap = next(p for p in aut if vmap(g, p)["u"] == "v"
+                and vmap(g, p)["x0_0"] == "x0_1")
     img = reduction_epimorphism(step, swap)
     t = step.target
-    assert img.vertex_map() == {"u": "v", "v": "u"}
+    assert vmap(t, img) == {"u": "v", "v": "u"}
     # every halvable replacement edge has its darts exchanged
-    dmap = img.dart_map()
+    darts = dmap(t, img)
     for h in t.dart_list:
-        assert dmap[h] == t.pairing[h]
+        assert darts[h] == t.pairing[h]
 
 
 def test_epimorphism_image_check_is_internal_error(monkeypatch):
@@ -168,6 +169,9 @@ def test_epimorphism_rejects_foreign_permutation():
     other = automorphism_group(cycle(6))
     with pytest.raises(GraphError):
         reduction_epimorphism(step, other.elements[0])
+    # the right length, but not a permutation of the source's points
+    with pytest.raises(GraphError):
+        reduction_epimorphism(step, (0,) * (g.n_vertices + g.n_darts))
 
 
 def test_epimorphism_is_homomorphism():
@@ -177,9 +181,9 @@ def test_epimorphism_is_homomorphism():
     rng = random.Random(7)
     for _ in range(10):
         a, b = rng.choice(aut.elements), rng.choice(aut.elements)
-        left = reduction_epimorphism(step, a.compose(b))
-        right = reduction_epimorphism(step, a).compose(
-            reduction_epimorphism(step, b))
+        left = reduction_epimorphism(step, compose(a, b))
+        right = compose(reduction_epimorphism(step, a),
+                        reduction_epimorphism(step, b))
         assert left == right
 
 
@@ -193,7 +197,7 @@ def test_epimorphism_surjective_and_order_law():
             image = {reduction_epimorphism(step, p) for p in aut_s}
             assert image == set(aut_t.elements), name
             ker = [p for p in aut_s
-                   if reduction_epimorphism(step, p).is_identity]
+                   if is_identity(reduction_epimorphism(step, p))]
             assert aut_s.order == aut_t.order * len(ker), name
             assert len(ker) == kernel_order(step), name
 
@@ -208,7 +212,7 @@ def test_semiregular_restriction_injective_and_semiregular():
                 imgs = {reduction_epimorphism(step, p) for p in gamma}
                 assert len(imgs) == gamma.order
                 for q in imgs:
-                    assert q.semiregularity_violation() is None
+                    assert semiregularity_violation(step.target, q) is None
 
 
 def test_kernel_orders_give_aut_order_beyond_cap(monkeypatch):
@@ -235,7 +239,7 @@ def test_kernel_examples():
         aut_s = automorphism_group(step.source)
         aut_t = automorphism_group(step.target)
         ker = [p for p in aut_s
-               if reduction_epimorphism(step, p).is_identity]
+               if is_identity(reduction_epimorphism(step, p))]
         assert aut_s.order == aut_t.order * len(ker)
         assert len(ker) == kernel_order(step) == order
 
