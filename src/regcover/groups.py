@@ -56,7 +56,7 @@ from itertools import compress
 from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
-from .graph import HALVABLE, cached, point_images, point_index, point_maps
+from .graph import HALVABLE, cached, point_index, point_maps
 from .iso import (chain_order, chain_products, count_automorphisms,
                   kernel_images, orbit_closure, stabilizer_chain,
                   verify_isomorphism)
@@ -248,7 +248,8 @@ def chain_generators(g):
     three moves generate."""
     transversals, kernel = stabilizer_chain(g)
     gens = [t for reps in transversals for t in reps]
-    fixed = {v: v for v in g.vertex_list}
+    didx = point_index(g)[1]
+    one = range(len(g.vertex_list) + len(g.dart_list))
     for _, items, _, ways in kernel:
         n = len(items)
         moves = []  # (item, target item, way) per moved item
@@ -261,11 +262,11 @@ def chain_generators(g):
         if len(ways) > 1:
             moves.append([(items[0], items[0], ways[1])])
         for move in moves:
-            dmap = {h: h for h in g.dart_list}
+            images = list(one)
             for src, dst, way in move:
                 for h, i in zip(src, way):
-                    dmap[h] = dst[i]
-            gens.append(point_images(g, fixed, dmap))
+                    images[didx[h]] = didx[dst[i]]
+            gens.append(tuple(images))
     return gens
 
 

@@ -187,12 +187,13 @@ def reduction_epimorphism(step, pi):
     """Image of an automorphism of the source on the target graph, both
     image tuples over their graph's points (see `graph.point_index`).
 
-    GraphError unless `pi` permutes the source's vertices and darts; the
-    image is checked to be an automorphism of the target (InternalError if
-    not).
+    GraphError unless `pi` is an automorphism of the source; the image is
+    checked to be an automorphism of the target (InternalError if not).
     """
     g, t = step.source, step.target
     pvert, pdart = point_maps(g, pi)
+    if not iso.verify_isomorphism(g, g, pvert, pdart):
+        raise GraphError("not an automorphism of the step's source")
     dmap = {}
     for h in t.dart_list:
         if h in g.darts:

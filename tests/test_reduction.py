@@ -158,7 +158,11 @@ def test_epimorphism_identity_and_dart_action():
 def test_epimorphism_image_check_is_internal_error(monkeypatch):
     step = reduce_step(theta(2, 2, 2, edge_type=HALVABLE))
     ident = automorphism_group(step.source).elements[0]
-    monkeypatch.setattr(iso, "verify_isomorphism", lambda *a, **k: False)
+    real = iso.verify_isomorphism
+    # refuse only the check on the target, after the source passed its own
+    monkeypatch.setattr(iso, "verify_isomorphism",
+                        lambda g1, *a, **k: g1 is not step.target
+                        and real(g1, *a, **k))
     with pytest.raises(InternalError, match="reduction_epimorphism"):
         reduction_epimorphism(step, ident)
 
@@ -172,6 +176,11 @@ def test_epimorphism_rejects_foreign_permutation():
     # the right length, but not a permutation of the source's points
     with pytest.raises(GraphError):
         reduction_epimorphism(step, (0,) * (g.n_vertices + g.n_darts))
+    # a permutation of the source's points, but not an automorphism: it
+    # swaps the first two vertices and fixes every dart
+    n = g.n_vertices + g.n_darts
+    with pytest.raises(GraphError, match="not an automorphism"):
+        reduction_epimorphism(step, (1, 0) + tuple(range(2, n)))
 
 
 def test_epimorphism_is_homomorphism():
