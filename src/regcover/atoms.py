@@ -358,14 +358,6 @@ def is_three_connected(g):
     return not _cut_pairs(g)
 
 
-def is_essentially_cycle(g):
-    return is_cycle(strip_pendant_like(g))
-
-
-def is_essentially_three_connected(g):
-    return is_three_connected(strip_pendant_like(g))
-
-
 def classify_primitive(g):
     require_standard_input(g, "classify_primitive")
     bt = block_tree(g)

@@ -45,7 +45,9 @@ layer takes one subgroup per class (`semiregular_class_representatives`).
 That class is an orbit under conjugation by the stabilizer chain's
 generators (`chain_generators`), on subgroups named by their elements'
 images on the group's base, and it is closed only when the next subgroup
-is asked for.
+is asked for.  `element_class_firsts` does the same for single elements,
+named by their whole image tuples: the quotient layer takes with it one
+boundary-swapping involution of an atom per class.
 """
 
 from __future__ import annotations
@@ -238,15 +240,18 @@ class Group:
         return sub
 
 
-def chain_generators(g):
-    """Image tuples of automorphisms that generate Aut(g): the stabilizer
-    chain's coset representatives and, for each kernel job, the
-    transposition of its first two items, the cycle of all its items, and
-    its first item turned along its second way when it has one.  The
-    kernel fixes every vertex and permutes each job's items, each along
-    one of its ways, independently: Sym(items) wreath the ways, which the
-    three moves generate."""
-    transversals, kernel = stabilizer_chain(g)
+def chain_generators(g, fixed=()):
+    """Image tuples of automorphisms that generate Aut(g), or with `fixed`
+    the automorphisms fixing each of its vertices: the coset
+    representatives of `stabilizer_chain(g, fixed)` and, for each kernel
+    job, the transposition of its first two items, the cycle of all its
+    items, and its first item turned along its second way when it has one.
+    The kernel fixes every vertex and permutes each job's items, each
+    along one of its ways, independently: Sym(items) wreath the ways,
+    which the three moves generate.  The chain of `fixed` is read off the
+    canonical search that marks it in order, which an atom's ordered
+    forms have already made."""
+    transversals, kernel = stabilizer_chain(g, fixed)
     gens = [t for reps in transversals for t in reps]
     didx = point_index(g)[1]
     one = range(len(g.vertex_list) + len(g.dart_list))
@@ -582,6 +587,32 @@ def semiregular_class_representatives(g, order=None,
             raise InternalError(f"conjugacy class of {len(cls)} semiregular "
                                 f"subgroups in a group of order {aut_order}")
         seen |= cls
+
+
+def element_class_firsts(elements, generators):
+    """Yield the first of each class of `elements`, image tuples over one
+    graph's points, under conjugation by the group that the image tuples
+    `generators()` returns generate, in the list's order.
+
+    An element is named by its whole image tuple, as the one-element set
+    a `_Conjugation` maps, so a conjugate outside `elements` is an
+    `InternalError`.  A class is closed only when the caller asks for the
+    next element and one is left, and `generators` is called then, once.
+    """
+    names = {x: x for x in elements}
+    maps = None
+    seen = set()
+    for i, x in enumerate(elements):
+        cls = frozenset((x,))
+        if cls in seen:
+            continue
+        yield x
+        if i + 1 == len(elements):
+            return
+        if maps is None:
+            maps = [_Conjugation(t, range(len(t)), names)
+                    for t in generators()]
+        seen |= orbit_closure((cls,), maps)
 
 
 def orbits(g, generators, domain="vertices"):

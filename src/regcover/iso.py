@@ -71,6 +71,7 @@ depend on the index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -276,9 +277,10 @@ def orbit_closure(points, maps):
     while todo:
         x = todo.pop()
         for m in maps:
-            if m[x] not in closed:
-                closed.add(m[x])
-                todo.append(m[x])
+            y = m[x]
+            if y not in closed:
+                closed.add(y)
+                todo.append(y)
     return closed
 
 
@@ -489,19 +491,39 @@ def dart_maps(jobs):
     is tried, and each item maps its darts along one of its ways."""
     dmap = {}
 
-    def rec(ji):
-        if ji == len(jobs):
-            yield dict(dmap)
-            return
-        _, items, targets, ways = jobs[ji]
+    def choices(job):
+        _, items, targets, ways = job
         for perm in itertools.permutations(targets):
             for combo in itertools.product(ways, repeat=len(items)):
                 for src, dst, way in zip(items, perm, combo):
                     for h, i in zip(src, way):
                         dmap[h] = dst[i]
-                yield from rec(ji + 1)
+                yield
 
-    yield from rec(0)
+    for _ in _nested([functools.partial(choices, job) for job in jobs]):
+        yield dict(dmap)
+
+
+_DONE = object()
+
+
+def _nested(levels):
+    """Yield once per way of taking one choice at each level in turn, in
+    the order of nested loops over the levels, with an explicit stack, so
+    that no level costs a stack frame.  Calling `levels[i]()` when level i
+    is entered gives an iterator that makes each of its choices in turn,
+    on state the caller keeps, and yields after each."""
+    if not levels:
+        yield
+        return
+    stack = [levels[0]()]
+    while stack:
+        if next(stack[-1], _DONE) is _DONE:
+            stack.pop()
+        elif len(stack) == len(levels):
+            yield
+        else:
+            stack.append(levels[len(stack)]())
 
 
 def _first_dart_map(jobs):
@@ -603,30 +625,28 @@ def _involution_dart_maps(g, vmap):
     position = {key: i for i, key in enumerate(_items(g)[0])}
     dmap = {}
 
-    def rec(ji):
-        if ji == len(jobs):
-            yield dict(dmap)
-            return
+    def choices(ji):
         image_key, items, targets, ways = jobs[ji]
         partner = position[image_key]
         if partner < ji:
-            yield from rec(ji + 1)
+            yield
             return
         if partner == ji:
-            choices = _item_involutions(items, ways,
-                                       image_key[2] == HALVABLE)
+            maps = _item_involutions(items, ways, image_key[2] == HALVABLE)
         else:
-            choices = ((perm, combo)
-                       for perm in itertools.permutations(targets)
-                       for combo in itertools.product(ways, repeat=len(items)))
-        for perm, combo in choices:
+            maps = ((perm, combo)
+                    for perm in itertools.permutations(targets)
+                    for combo in itertools.product(ways, repeat=len(items)))
+        for perm, combo in maps:
             for src, dst, way in zip(items, perm, combo):
                 for h, i in zip(src, way):
                     dmap[h] = dst[i]
                     dmap[dst[i]] = h
-            yield from rec(ji + 1)
+            yield
 
-    yield from rec(0)
+    for _ in _nested([functools.partial(choices, ji)
+                      for ji in range(len(jobs))]):
+        yield dict(dmap)
 
 
 def _item_involutions(items, ways, halvable):
@@ -641,20 +661,18 @@ def _item_involutions(items, ways, halvable):
     n = len(items)
     mate = [None] * n
 
-    def involutions(i):
-        if i == n:
-            yield tuple(mate)
-            return
+    def mates(i):
         if mate[i] is not None:
-            yield from involutions(i + 1)
+            yield
             return
         for j in range(i + first_mate, n):
             if mate[j] is None:
                 mate[i], mate[j] = j, i
-                yield from involutions(i + 1)
+                yield
                 mate[i] = mate[j] = None
 
-    for perm in involutions(0):
+    for _ in _nested([functools.partial(mates, i) for i in range(n)]):
+        perm = tuple(mate)
         for combo in itertools.product(ways, repeat=n):
             if all(combo[i] in turned if i == j else combo[i] == combo[j]
                    for i, j in enumerate(perm)):

@@ -13,7 +13,9 @@ the cover decision build one quotient per conjugacy class of semiregular
 subgroups: the first of each class in `semiregular_subgroups` order.  The
 first subgroup with a given quotient is the first of its class, so the
 kept representatives and the returned witness are those of a pass over
-every subgroup.
+every subgroup.  Half-quotients are built the same way, once per
+conjugacy class of an atom's boundary-swapping involutions under the
+automorphisms that keep the boundary set.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, point_index, point_maps,
                     require_standard_input)
-from .groups import (MAX_GROUP_ORDER, Group, orbits,
+from .groups import (MAX_GROUP_ORDER, Group, chain_generators,
+                     element_class_firsts, orbits,
                      semiregular_class_representatives, semiregular_violations)
 from .iso import are_isomorphic, canonical_form, verify_isomorphism
 from .reduction import reduction_series
@@ -124,7 +127,18 @@ def atom_quotients(a):
 
     The edge and loop quotients are unique; half-quotients are enumerated
     over the atom's boundary-swapping semiregular involutions, deduplicated
-    up to isomorphism fixing the image of the boundary.
+    up to isomorphism fixing the image of the boundary, and sorted by that
+    marked form.
+
+    One quotient is built per conjugacy class of involutions under the
+    setwise stabilizer of the boundary {u, v}: the automorphisms fixing u
+    and v (`chain_generators(ag, (u, v))`, read off the search the ordered
+    forms made) and the first involution.  If t keeps {u, v}, t maps the
+    quotient by tau onto the quotient by t*tau*t^-1 and the image of u onto
+    the image of u, so conjugates give equal marked forms.  The first
+    involution with a given form is therefore the first of its class, and
+    the pieces kept, with their vertex and dart names, are those of one
+    quotient per involution.
     """
     ag = a.as_graph()
     if a.is_block:
@@ -135,7 +149,9 @@ def atom_quotients(a):
     # only a halvable atom has a semiregular boundary-swapping involution
     if a.symmetry == HALVABLE_SYM:
         ident = range(ag.n_vertices + ag.n_darts)
-        for tau in a.swap_involutions():
+        taus = a.swap_involutions()
+        for tau in element_class_firsts(
+                taus, lambda: chain_generators(ag, (u, v)) + [taus[0]]):
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
             key = canonical_form(q.result, marking=(w,), max_vertices=None)

@@ -4,6 +4,8 @@ import itertools
 
 from regcover import iso
 from regcover.graph import DIRECTED, STANDARD, SubgraphRef, point_maps
+from regcover.groups import Group
+from regcover.quotient import quotient
 
 
 # -- group elements: image tuples over a graph's points -----------------------
@@ -393,3 +395,23 @@ def ref_isomorphisms(g1, g2, marking1=None, marking2=None, pinned=None):
                                        pinned or {}):
         for dmap in _ref_dart_variants(g1, g2, vmap):
             yield vmap, dmap
+
+
+# -- half-quotients, one quotient per involution -------------------------------
+
+def ref_half_quotients(atom):
+    """An atom's half-quotients as (graph, image vertex of the boundary),
+    built from every boundary-swapping involution in turn, each kept when
+    its marked canonical form is new, and sorted by that form."""
+    if atom.is_block:
+        return ()
+    ag = atom.as_graph()
+    ident = range(ag.n_vertices + ag.n_darts)
+    halves = {}
+    for tau in atom.swap_involutions():
+        q = quotient(ag, Group(ag, [ident, tau], verify=False))
+        w = q.vertex_map[atom.boundary[0]]
+        key = iso.canonical_form(q.result, marking=(w,), max_vertices=None)
+        if key not in halves:
+            halves[key] = (q.result, w)
+    return tuple(halves[k] for k in sorted(halves))

@@ -5,10 +5,8 @@ import pytest
 
 from regcover import atoms, iso
 from regcover.atoms import (atom_symmetry_type, classify_primitive,
-                            extended_atom, find_atoms,
-                            is_essentially_cycle,
-                            is_essentially_three_connected,
-                            is_three_connected, strip_pendant_like)
+                            extended_atom, find_atoms, is_three_connected,
+                            strip_pendant_like)
 from regcover.blocks import block_tree
 from regcover.errors import GraphError
 from regcover.fixtures import (bowtie, cube, cycle, dipole,
@@ -236,15 +234,22 @@ def test_extended_atom():
     assert is_cycle(plus) and plus.n_vertices == 4
 
 
+def _core_tag(g):
+    """The `classify_primitive` tag of g with its pendant-like items
+    stripped: a cycle or a 3-connected graph under decorations."""
+    return classify_primitive(normalize(strip_pendant_like(g))).tag
+
+
 def test_extended_atoms_classify_over_corpus():
+    tags = []
     for name, g in expansion_corpus():
         g = normalize(g)
         for a in find_atoms(g):
             if a.kind != "proper":
                 continue
-            plus = extended_atom(a)
-            assert (is_essentially_cycle(plus)
-                    or is_essentially_three_connected(plus)), name
+            tags.append(_core_tag(extended_atom(a)))
+            assert tags[-1] in ("cycle", "three_connected"), name
+    assert tags.count("cycle") == 35 and tags.count("three_connected") == 1
 
 
 def test_nonstar_block_atom_shapes():
@@ -255,8 +260,8 @@ def test_nonstar_block_atom_shapes():
                 continue
             ag = a.as_graph()
             k2_pendant = (ag.n_vertices == 2 and ag.n_edges == 2)
-            assert (k2_pendant or is_essentially_cycle(ag)
-                    or is_essentially_three_connected(ag)), name
+            assert (k2_pendant
+                    or _core_tag(ag) in ("cycle", "three_connected")), name
 
 
 def test_interiors_disjoint_and_overlap_only_at_boundaries():

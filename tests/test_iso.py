@@ -12,8 +12,9 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                path_graph, petersen, prism, random_instance,
                                theta, with_pendants)
 from regcover.graph import HALVABLE, Graph, GraphBuilder, normalize, point_maps
+from regcover.groups import automorphism_group
 from regcover.iso import (are_isomorphic, automorphisms_iter, canonical_form,
-                          verify_isomorphism)
+                          semiregular_involutions_iter, verify_isomorphism)
 from regcover.quotient import all_quotients
 from regcover.textfmt import parse, serialize
 
@@ -538,8 +539,10 @@ def test_return_to_the_first_path_keeps_forms_and_orders():
 def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     # the refinements the canonical search makes in one reduction-route
     # pass over the beyond-cap graphs, read back from text as the
-    # benchmark reads them.  843 were for forms; the stabilizer chains of
-    # the graphs whose groups the route lists add 42
+    # benchmark reads them.  843 were for forms, with the stabilizer
+    # chains of the graphs whose groups the route lists adding 42; 885
+    # fell to 762 when half-quotients were built once per conjugacy class
+    # of swap involutions, not once per involution
     nodes = []
     refine = iso._refine
 
@@ -552,7 +555,20 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     for g in graphs:
         all_quotients(g, via="reduction")
-    assert len(nodes) == 885
+    assert len(nodes) == 762
+
+
+def test_dart_maps_take_no_stack_frame_per_job():
+    # one dart job per edge: 1,200 jobs, and 1,200 items in one job, ran
+    # past the interpreter's recursion limit when each took a frame
+    assert automorphism_group(cycle(1200), max_order=2400).order == 2400
+    for g, swap in ((cycle(1200, edge_type=HALVABLE), ("v0", "v1")),
+                    (dipole([0] * 1200), ("u", "v"))):
+        u, v = swap
+        vmap, dmap = next(semiregular_involutions_iter(g, pinned={u: v,
+                                                               v: u}))
+        assert verify_isomorphism(g, g, vmap, dmap)
+        assert all(dmap[dmap[h]] == h != dmap[h] for h in g.darts)
 
 
 def _from_networkx(nxg):

@@ -9,7 +9,7 @@ import regcover
 from regcover import groups
 from regcover.atoms import Atom, find_atoms
 from regcover.blocks import block_tree
-from regcover.errors import GraphError
+from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (complete, cube, cycle, dipole,
                                expansion_corpus, random_instance,
                                star_pendants, theta, with_pendants)
@@ -24,8 +24,10 @@ from regcover.quotient import (all_quotients, atom_projection_type,
                                atom_quotients, expand_step, expansion_chain,
                                quotient, regular_cover_test)
 from regcover.reduction import reduce_step, reduction_series
+from regcover.textfmt import serialize
 
-from helpers import dmap, is_identity, vmap
+from helpers import dmap, is_identity, ref_half_quotients, vmap
+from test_iso import _beyond_cap_graphs
 
 
 def _sub_with_vertex_map(g, order, wanted):
@@ -165,6 +167,61 @@ def test_dipole_loop_quotient():
     lg, m = qs.loop_quotient
     assert lg.n_vertices == 1
     assert all(lg.edge_kind(h) == "loop" for h, k in lg.edges)
+
+
+def _half_texts(halves):
+    return [(serialize(piece), w) for piece, w in halves]
+
+
+def test_half_quotients_match_one_quotient_per_involution():
+    # one quotient per conjugacy class of swap involutions keeps the
+    # pieces, their names and their order of one quotient per involution
+    hosts = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    for e in range(2, 9):
+        for colors in ([0] * e, [i // 2 for i in range(e)]):
+            hosts.append(with_pendants(dipole(colors), ["u", "v"]))
+    hosts.append(theta(2, 2, 2, 2, 2, 2, edge_type=HALVABLE))
+    shared = 0
+    for g in hosts:
+        for a in find_atoms(normalize(g)):
+            want = ref_half_quotients(a)
+            assert (_half_texts(atom_quotients(a).half_quotients)
+                    == _half_texts(want)), a
+            shared += len(a.swap_involutions()) > len(want)
+    # atoms where some involutions give the same half-quotient
+    assert shared >= 9
+
+
+def test_d6_builds_one_half_quotient_per_class(monkeypatch):
+    module = importlib.import_module("regcover.quotient")
+    build = module.quotient
+    calls = []
+
+    def counting(g, gamma):
+        calls.append(gamma)
+        return build(g, gamma)
+
+    monkeypatch.setattr(module, "quotient", counting)
+    (a,) = find_atoms(normalize(dipole([0] * 6)))
+    assert len(a.swap_involutions()) == 76
+    assert len(atom_quotients(a).half_quotients) == 4
+    assert len(calls) == 4
+
+
+
+def test_conjugate_outside_the_swap_involutions_is_an_internal_error(
+        monkeypatch):
+    # conjugating by a swap of two darts of different edges, which is no
+    # automorphism, leaves the listed involutions
+    module = importlib.import_module("regcover.quotient")
+    (a,) = find_atoms(normalize(dipole([0] * 4)))
+    ag = a.as_graph()
+    swap = list(range(ag.n_vertices + ag.n_darts))
+    swap[2], swap[4] = 4, 2
+    monkeypatch.setattr(module, "chain_generators",
+                        lambda g, fixed: [tuple(swap)])
+    with pytest.raises(InternalError, match="outside every listed one"):
+        atom_quotients(a)
 
 
 def test_path_atom_half_quotient():
@@ -473,7 +530,10 @@ def test_all_quotients_builds_one_quotient_per_class(monkeypatch):
     # quotient() calls per corpus graph, (bruteforce, reduction); the
     # reduction route's include its atoms' half-quotients.  One call per
     # semiregular subgroup made 275 and 257 in all (cubeh 40, C4double 21
-    # and 7, icosa 22, petersen 7); one per conjugacy class makes 137 and 160
+    # and 7, icosa 22, petersen 7); one per conjugacy class makes 137 and
+    # 160.  One half-quotient per conjugacy class of swap involutions, not
+    # per involution, takes the reduction route to 147 (D3 6 -> 4, D4
+    # 12 -> 5, theta222h 7 -> 5, theta1111h 5 -> 3)
     module = importlib.import_module("regcover.quotient")
     build = module.quotient
     calls = []
@@ -495,13 +555,13 @@ def test_all_quotients_builds_one_quotient_per_class(monkeypatch):
         "C2": (2, 2), "C3": (2, 2), "C4": (3, 3), "C5": (2, 2), "C6": (4, 4),
         "C7": (2, 2), "C8": (4, 4), "C4h": (5, 5), "C6h": (6, 6),
         "C8h": (7, 7), "C6dir": (4, 4), "theta111": (1, 1),
-        "theta222": (1, 1), "theta222h": (3, 7), "theta122": (1, 1),
-        "theta1111h": (2, 5), "K4": (1, 1), "cube": (6, 6), "cubeh": (15, 15),
+        "theta222": (1, 1), "theta222h": (3, 5), "theta122": (1, 1),
+        "theta1111h": (2, 3), "K4": (1, 1), "cube": (6, 6), "cubeh": (15, 15),
         "K33": (2, 2), "prism3": (2, 2), "prism5": (2, 2), "petersen": (2, 2),
         "ladder3": (1, 1), "bowtie": (1, 1), "chain3": (1, 1),
         "book2": (1, 1), "book3": (1, 1), "book3h": (1, 1), "C6pend": (4, 4),
         "C8altpend": (3, 3), "C4twopend": (1, 1), "C4opppend": (2, 2),
-        "K4pend": (1, 1), "D3": (3, 6), "D3u": (1, 1), "D4": (4, 12),
+        "K4pend": (1, 1), "D3": (3, 4), "D3u": (1, 1), "D4": (4, 5),
         "D22": (5, 6), "D3pend": (1, 1), "C4double": (5, 6),
         "C3doubleh": (2, 4), "subdivcube": (1, 1), "asymtheta": (1, 1),
         "C4loops": (3, 3), "C4loopsh": (5, 5), "thetaloops": (1, 1),
