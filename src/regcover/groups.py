@@ -36,9 +36,15 @@ search builds a partial table over the semiregular elements alone, where
 a product outside that set is None; a class with a None power or product
 is skipped unclosed.  Asked for one order k, it keeps only the elements
 whose cycles divide k, and it extends no subgroup of order k, as no larger
-one has an order dividing k.  Conjugacy classes of subgroups are orbits
-under conjugation by a greedy generating set of the group, not by every
-element.
+one has an order dividing k.
+
+The full group's lattice is searched one conjugacy class at a time
+(Neubüser's cyclic extension of class representatives): only the first
+subgroup found in a class is extended, and each new subgroup's whole
+class, its orbit under conjugation by a greedy generating set of the
+group, is registered when it is found.  That search is complete: if
+U = <U', x> and U' = g*R*g^-1 for a representative R, then
+U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
 layer takes one subgroup per class (`semiregular_class_representatives`).
@@ -230,6 +236,27 @@ class Group:
         return tuple(_violating_point(x, nv, mates) is None
                      for x in self.elements)
 
+    @cached_property
+    def _subgroup_lattice(self):
+        """(subgroups, classes): `_subgroup_index_sets` of the table under
+        conjugation by `_generating_set`, with each class a sorted list of
+        positions in the subgroup list, in the order of their first
+        members.  `all_subgroups` and `conjugacy_classes_of_subgroups`
+        both read this one search."""
+        table, inv = self.table, self.inverse_indices
+        maps = [_IndexConjugation(table, inv, g)
+                for g in _generating_set(self)]
+        subs, classes = _subgroup_index_sets(table, self.identity_index,
+                                             maps=maps)
+        position = {s: i for i, s in enumerate(subs)}
+        classes = sorted(sorted(map(position.get, cls)) for cls in classes)
+        for cls in classes:
+            if self.order % len(cls):
+                raise InternalError(f"conjugacy class of {len(cls)} "
+                                    f"subgroups in a group of order "
+                                    f"{self.order}")
+        return subs, classes
+
     def subgroup(self, indices):
         """The group of elements[i] for i in `indices`.  It keeps this
         group's `_base`, which tells its elements apart too, so elements
@@ -386,43 +413,57 @@ def _extension_candidates(table, s, generators):
     return out
 
 
-def _subgroup_index_sets(table, e, divides=None):
-    """Every subgroup of the table's elements exactly once, by cyclic
-    extension, sorted by order and then by sorted indices.
+def _subgroup_index_sets(table, e, divides=None, maps=()):
+    """(subgroups, classes): every subgroup of the table's elements exactly
+    once, by cyclic extension, sorted by order and then by sorted indices,
+    and their classes, as sets, under the group that the conjugation
+    `maps` generate (see `_IndexConjugation`).
 
-    A subgroup S is extended to <S, x> once per class of elements that
-    give the same extension (see `_extension_candidates`).  With
-    `divides`, subgroups whose order does not divide it are neither kept
-    nor extended; every subgroup whose order does divide it is still
-    reached through a chain of its own subgroups, one element at a time.
-    A subgroup of order `divides` is kept but not extended, as no larger
-    subgroup has an order that divides it.
+    Only the first subgroup found in a class is extended: a new <S, x> has
+    its whole class closed and registered, and is queued as the class's
+    representative (see the module docstring for why this reaches every
+    class).  S is extended to <S, x> once per class of elements that give
+    the same extension (see `_extension_candidates`).  With no maps every
+    class is one subgroup.  With `divides`, subgroups whose order does not
+    divide it are neither kept nor extended; every subgroup whose order
+    does divide it is still reached through a chain of its own subgroups,
+    one element at a time.  A subgroup of order `divides` is kept but not
+    extended, as no larger subgroup has an order that divides it.
     """
     generators = _cyclic_generators(table, e)
     trivial = frozenset({e})
-    gens_of = {trivial: ()}
-    queue = [trivial]
+    classes = [{trivial}]
+    known = {trivial}
+    queue = [(trivial, ())]
     while queue:
-        s = queue.pop()
-        gens = gens_of[s]
+        s, gens = queue.pop()
         for x in _extension_candidates(table, s, generators):
-            t = _close_indices(table, s, gens + (x,))
-            if (t is None or t in gens_of
+            tgens = gens + (x,)
+            t = _close_indices(table, s, tgens)
+            if (t is None or t in known
                     or (divides is not None and divides % len(t))):
                 continue
-            gens_of[t] = gens + (x,)
+            cls = orbit_closure((t,), maps) if maps else {t}
+            classes.append(cls)
+            known |= cls
             if len(t) != divides:
-                queue.append(t)
-    return sorted(gens_of, key=lambda s: (len(s), tuple(sorted(s))))
+                queue.append((t, tgens))
+    return sorted(known, key=lambda s: (len(s), tuple(sorted(s)))), classes
 
 
-def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
-    """Every subgroup exactly once, by cyclic extension over the mult table."""
-    if grp.order > max_order:
-        raise size_limit("all_subgroups", f"group order {grp.order}",
-                         max_order, grp.graph)
-    return [grp.subgroup(s)
-            for s in _subgroup_index_sets(grp.table, grp.identity_index)]
+class _IndexConjugation:
+    """Conjugation by the element g, S -> g * S * g^-1, as a map on
+    subgroups given as frozensets of element indices (see
+    `orbit_closure`)."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, table, inv, g):
+        ginv = inv[g]
+        self.images = [table[y][ginv] for y in table[g]]
+
+    def __getitem__(self, s):
+        return frozenset(map(self.images.__getitem__, s))
 
 
 def _generating_set(grp):
@@ -441,34 +482,27 @@ def _generating_set(grp):
     return gens
 
 
+def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
+    """Every subgroup exactly once, sorted by order and then by sorted
+    element indices: the union of the conjugacy classes that the search
+    one class at a time finds (see `_subgroup_index_sets`)."""
+    if grp.order > max_order:
+        raise size_limit("all_subgroups", f"group order {grp.order}",
+                         max_order, grp.graph)
+    return [grp.subgroup(s) for s in grp._subgroup_lattice[0]]
+
+
 def conjugacy_classes_of_subgroups(grp, max_order=MAX_GROUP_ORDER):
     """The subgroups of `all_subgroups` grouped into conjugacy classes.
 
-    A class is the orbit of a subgroup under conjugation by a generating
+    The classes are those the lattice search registers as it finds them
+    (see `_subgroup_index_sets`): orbits under conjugation by a generating
     set of grp.  Members of a class keep `all_subgroups` order, which
     within one order is by sorted element indices, and the classes are in
     the order of their first members.
     """
     subs = all_subgroups(grp, max_order=max_order)
-    table, inv, index = grp.table, grp.inverse_indices, grp._index
-    position = {frozenset(index[p] for p in s.elements): i
-                for i, s in enumerate(subs)}
-    # conjugation by g as a map on subgroup positions
-    maps = [[position[frozenset(table[table[g][x]][inv[g]] for x in s)]
-             for s in position]
-            for g in _generating_set(grp)]
-    seen = set()
-    classes = []
-    for i in range(len(subs)):
-        if i in seen:
-            continue
-        cls = sorted(orbit_closure((i,), maps))
-        if grp.order % len(cls):
-            raise InternalError(f"conjugacy class of {len(cls)} subgroups "
-                                f"in a group of order {grp.order}")
-        seen.update(cls)
-        classes.append([subs[j] for j in cls])
-    return classes
+    return [[subs[i] for i in cls] for cls in grp._subgroup_lattice[1]]
 
 
 def subgroup_order_histogram(classes):
@@ -510,7 +544,7 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     base = _greedy_base(list(images))
     table = _product_table(members, base)
     e = members.index(tuple(range(len(members[0]))))
-    found = [s for s in _subgroup_index_sets(table, e, divides=order)
+    found = [s for s in _subgroup_index_sets(table, e, divides=order)[0]
              if order is None or len(s) == order]
     subs = []
     for s in found:

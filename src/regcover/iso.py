@@ -350,18 +350,23 @@ def _best_leaf(g, marking, ordered_marking):
             if enc < leaves[1][0]:
                 leaves[1] = (enc, order)
             return None
+        # `explored` is the explored children's orbit closure under
+        # `fixing`: closed again only when `fixing` grows, and otherwise
+        # extended by the orbit of each newly explored child
         explored, fixing, seen = set(), [], 0
         # forced vertices are singletons: the target is the first cell of
         # two or more vertices
         target = min(c for c, vs in cells.items() if len(vs) > 1)
         for v in sorted(cells[target]):
             # automorphisms found since the last child, if they fix forced
-            fixing += [a for a in autos[seen:]
-                       if all(a[u] == u for u in forced)]
+            new = [a for a in autos[seen:] if all(a[u] == u for u in forced)]
             seen = len(autos)
-            if fixing and v in orbit_closure(explored, fixing):
+            if new:
+                fixing += new
+                explored = orbit_closure(explored, fixing)
+            if v in explored:
                 continue
-            explored.add(v)
+            explored |= orbit_closure((v,), fixing)
             back = search(forced + (v,))
             if back is not None and back < len(forced):
                 return back

@@ -412,6 +412,18 @@ def test_group_cap_exits_3(files, capsys, argv):
         "over max_order=200")
 
 
+def test_quotients_of_a_1200_cycle_stop_at_the_group_cap(tmp_path, capsys):
+    # past 1,000 vertices the reduction route still ends in a limit error
+    # that names the phase, the order and the cap, not in a traceback
+    path = str(tmp_path / "c1200.g")
+    write_file(cycle(1200), path)
+    assert main(["quotients", "--via", "reduction", path]) == cli.EXIT_LIMIT
+    err = capsys.readouterr().err
+    assert err.startswith("size limit: automorphism_group: 2400 "
+                          "automorphisms, over max_order=200")
+    assert "Traceback" not in err
+
+
 def test_cover_of_an_isomorphic_graph_builds_no_group(files, tmp_path,
                                                       monkeypatch, capsys):
     # for |V(G)| = |V(H)| the trivial group is the answer once G is

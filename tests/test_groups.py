@@ -669,6 +669,27 @@ def test_conjugacy_classes_match_conjugation_by_every_element():
         assert classes == _reference_conjugacy_classes(aut), name
 
 
+def test_conjugacy_classes_partition_all_subgroups():
+    # the two listings read one search: the classes, concatenated and
+    # sorted again, are all_subgroups, and both refuse a group over
+    # max_order before searching
+    cases = list(_small_corpus()) + list(_small_random())
+    for build in (petersen, icosahedron):
+        cases.append((build.__name__, None, automorphism_group(build())))
+    for name, _, aut in cases:
+        listed = [s for cls in conjugacy_classes_of_subgroups(aut)
+                  for s in cls]
+        assert (sorted(_index_sets(aut, listed),
+                       key=lambda s: (len(s), tuple(sorted(s))))
+                == _index_sets(aut, all_subgroups(aut))), name
+    aut = automorphism_group(petersen())
+    for listing in (all_subgroups, conjugacy_classes_of_subgroups):
+        with pytest.raises(SizeLimitError) as exc:
+            listing(aut, max_order=100)
+        assert str(exc.value).startswith("all_subgroups: group order 120,")
+    assert "_subgroup_lattice" not in vars(aut)
+
+
 def test_class_representatives_are_the_first_of_each_class():
     # the first member of each class of conjugation by every element, in
     # the order of `semiregular_subgroups`, with and without an order
@@ -747,21 +768,26 @@ def test_class_size_not_dividing_the_order_is_an_internal_error(monkeypatch):
     # an orbit closure that also adds S5 itself to every class: the first
     # class of order-2 subgroups has 10 or 15 members, so 11 or 16 come
     # out, and neither divides 120
+    aut = automorphism_group(petersen())
+    whole = frozenset(range(aut.order))
     closure = groups.orbit_closure
 
     def padded(points, maps):
-        return closure(points, maps) | {len(maps[0]) - 1}
+        return closure(points, maps) | {whole}
 
     monkeypatch.setattr(groups, "orbit_closure", padded)
     with pytest.raises(InternalError, match="conjugacy class of 1[16] "):
-        conjugacy_classes_of_subgroups(automorphism_group(petersen()))
+        conjugacy_classes_of_subgroups(aut)
 
 
 def test_subgroup_closure_counts_are_pinned(monkeypatch):
     # closures `_close_indices` runs, one per class of elements that extend
     # a subgroup alike; one per left coset took 4,169 (Petersen), 4,515
     # (icosahedron) and 1,088 (cube) for all_subgroups, and 53 (cube) and
-    # 155 (icosahedron) for semiregular_subgroups
+    # 155 (icosahedron) for semiregular_subgroups.  all_subgroups extends
+    # one subgroup per conjugacy class, and its counts include the few
+    # closures of the generating set that conjugates; extending every
+    # subgroup took 1,257, 1,408 and 538
     calls = []
     close = groups._close_indices
 
@@ -780,7 +806,7 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
         calls.clear()
         semiregular_subgroups(build())
         counts.append(len(calls))
-    assert counts == [1257, 1408, 538, 22, 49]
+    assert counts == [178, 217, 191, 22, 49]
 
 
 def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):

@@ -558,10 +558,22 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     assert len(nodes) == 762
 
 
-def test_dart_maps_take_no_stack_frame_per_job():
+def test_dart_maps_take_no_stack_frame_per_job(monkeypatch):
     # one dart job per edge: 1,200 jobs, and 1,200 items in one job, ran
-    # past the interpreter's recursion limit when each took a frame
+    # past the interpreter's recursion limit when each took a frame.  The
+    # canonical search keeps each node's closed set of explored children,
+    # so the cycle's group takes 9 orbit closures; closing the explored
+    # children again for every child took 1,201
+    closures = []
+    closure = iso.orbit_closure
+
+    def counting(points, maps):
+        closures.append(1)
+        return closure(points, maps)
+
+    monkeypatch.setattr(iso, "orbit_closure", counting)
     assert automorphism_group(cycle(1200), max_order=2400).order == 2400
+    assert len(closures) == 9
     for g, swap in ((cycle(1200, edge_type=HALVABLE), ("v0", "v1")),
                     (dipole([0] * 1200), ("u", "v"))):
         u, v = swap
