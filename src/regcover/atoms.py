@@ -82,7 +82,9 @@ class Atom:
     def ordered_boundary(self):
         """Boundary in a canonical order, the one whose ordered-marked form
         is smaller; strict for asymmetric atoms, where the first vertex is
-        the tail role."""
+        the tail role.  `reduction.reduce_step` asks only a class
+        representative, and reads the other members' ends off its answer
+        (see `reduction._member_ends`)."""
         if len(self.boundary) == 2:
             fu, fv = self._ordered_forms()
             if fv < fu:

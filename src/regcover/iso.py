@@ -728,14 +728,26 @@ def are_isomorphic(g1, g2, marking1=None, marking2=None, max_vertices=MAX_VERTIC
     if (sorted(_initial_colors(g1, marking1, None).values())
             != sorted(_initial_colors(g2, marking2, None).values())):
         return None
-    form1, order1 = _canonical(g1, marking1, None)[:2]
-    form2, order2 = _canonical(g2, marking2, None)[:2]
-    if form1 != form2:
+    if _canonical(g1, marking1, None)[0] != _canonical(g2, marking2, None)[0]:
         return None
+    witness = leaf_isomorphism(g1, g2, marking1, marking2)
+    if witness is None:
+        raise InternalError("are_isomorphic: witness failed verification")
+    return witness[1]
+
+
+def leaf_isomorphism(g1, g2, marking1=None, marking2=None):
+    """(vmap, dmap), or None: vmap maps the best-leaf vertex order of g1
+    onto that of g2 under the set markings, and dmap is the first dart map
+    of its dart jobs.  None unless `verify_isomorphism` accepts the pair
+    with both markings; it is an isomorphism when the two forms are equal,
+    which the caller has established."""
+    order1 = _canonical(g1, marking1, None)[1]
+    order2 = _canonical(g2, marking2, None)[1]
     vmap = dict(zip(order1, order2))
     jobs = _dart_jobs(g1, g2, vmap)
     dmap = None if jobs is None else _first_dart_map(jobs)
     if dmap is None or not verify_isomorphism(g1, g2, vmap, dmap,
                                               marking1, marking2):
-        raise InternalError("are_isomorphic: witness failed verification")
-    return dmap
+        return None
+    return vmap, dmap

@@ -3,10 +3,13 @@
 A semiregular group acting on a graph defines the quotient whose vertices
 and darts are the orbits.  An edge whose two darts share an orbit collapses
 to a standalone half-edge (the acting element swaps its darts, so the edge
-is halvable).  Expansion reverses a reduction step on a quotient: colored
-edges, loops and half-edges are replaced by the edge-, loop- and
-half-quotients of the corresponding atom class, built once and kept on the
-class representative as a write-once slot (`graph.cached`).
+is halvable).  The quotient by the trivial group is the graph itself, not
+an equal copy, so the unmarked canonical form that the graph's stabilizer
+chain left on it serves the deduplication of quotients too.  Expansion
+reverses a reduction step on a quotient: colored edges, loops and
+half-edges are replaced by the edge-, loop- and half-quotients of the
+corresponding atom class, built once and kept on the class representative
+as a write-once slot (`graph.cached`).
 
 Conjugate subgroups give isomorphic quotients, so the bruteforce route and
 the cover decision build one quotient per conjugacy class of semiregular
@@ -46,6 +49,11 @@ class Quotient:
 
 
 def quotient(g, gamma):
+    """The quotient of g by a semiregular group acting on it.
+
+    GraphError unless g is standard input, gamma acts on g and gamma is
+    semiregular.  G/1 is g itself with identity maps, so it shares the
+    canonical searches already cached on g (see `graph.cached`)."""
     require_standard_input(g, "quotient")
     if gamma.graph is not g and gamma.graph != g:
         raise GraphError("group does not act on this graph")
@@ -53,6 +61,9 @@ def quotient(g, gamma):
     if bad:
         p, why = bad[0]
         raise GraphError(f"group is not semiregular: element {why}")
+    if gamma.is_trivial:
+        return Quotient(g, gamma, g, {h: h for h in g.dart_list},
+                        {v: v for v in g.vertex_list})
 
     dart_rep = {x: orbit[0] for orbit in orbits(g, gamma.elements, "darts")
                 for x in orbit}

@@ -72,6 +72,12 @@ class ReductionStep:
 
 
 def reduce_step(g):
+    """Replace every atom of g by a colored edge, one color per class.
+
+    Only a class representative runs the two ordered-marked searches of
+    `Atom.ordered_boundary`; each member's ends are read from them (see
+    `_member_ends`).
+    """
     require_standard_input(g, "reduce_step")
     if normalize(g) is not g:
         raise GraphError("reduce_step requires a normalized graph")
@@ -108,7 +114,7 @@ def reduce_step(g):
                 b.pendant(name, u, color=cls.color)
                 ends = (u, None)
             else:
-                ends = a.ordered_boundary()
+                ends = _member_ends(cls.rep, a)
                 et = _EDGE_TYPE[cls.rep.symmetry]
                 b.edge(name, *ends, type=et, color=cls.color,
                        tail=ends[0] if et == DIRECTED else None)
@@ -120,6 +126,30 @@ def reduce_step(g):
     step = ReductionStep(g, target, tuple(classes), tuple(replacements))
     step._by_darts = {r.atom.ref.darts: r for r in replacements}
     return step
+
+
+def _member_ends(rep, a):
+    """`a.ordered_boundary()` for a member a of rep's class, without its
+    ordered-marked searches.
+
+    Unless the class is asymmetric, both ordered forms are equal and the
+    ends are the sorted boundary.  Otherwise the map between the best-leaf
+    orders of rep's and a's boundary-set-marked forms, which `find_atoms`
+    computed to sort the atoms, is a marked isomorphism, and ordered forms
+    are invariant under it, so it carries rep's ordered boundary onto a's.
+    The map is checked as `iso.are_isomorphic` checks its witness.
+    """
+    if rep.symmetry != ASYMMETRIC_SYM:
+        return a.boundary
+    ends = rep.ordered_boundary()
+    if a is rep:
+        return ends
+    witness = iso.leaf_isomorphism(rep.as_graph(), a.as_graph(),
+                                   rep.boundary, a.boundary)
+    if witness is None:
+        raise InternalError("reduce_step: the representative's marked form "
+                            "does not map onto a class member")
+    return tuple(witness[0][x] for x in ends)
 
 
 @dataclass

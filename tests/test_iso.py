@@ -542,7 +542,9 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     # benchmark reads them.  843 were for forms, with the stabilizer
     # chains of the graphs whose groups the route lists adding 42; 885
     # fell to 762 when half-quotients were built once per conjugacy class
-    # of swap involutions, not once per involution
+    # of swap involutions, not once per involution, and to 654 when class
+    # members took their ends from the representative's ordered forms and
+    # G/1 became G itself, whose unmarked form its stabilizer chain holds
     nodes = []
     refine = iso._refine
 
@@ -555,7 +557,28 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     for g in graphs:
         all_quotients(g, via="reduction")
-    assert len(nodes) == 762
+    assert len(nodes) == 654
+
+
+def test_corpus_quotients_pass_searches_are_pinned(monkeypatch):
+    # canonical searches (`_best_leaf` calls) in one pass of all_quotients
+    # by both routes over the corpus, each graph read back from text for
+    # each route as the benchmark reads it.  635 fell to 485 when G/1
+    # became G itself, whose unmarked form its stabilizer chain holds, and
+    # class members took their ends from the representative's ordered
+    # forms, not from two searches of their own
+    searches = []
+    best_leaf = iso._best_leaf
+
+    def counting(g, marking, ordered_marking):
+        searches.append(1)
+        return best_leaf(g, marking, ordered_marking)
+
+    monkeypatch.setattr(iso, "_best_leaf", counting)
+    for _, g in expansion_corpus():
+        for via in ("bruteforce", "reduction"):
+            all_quotients(_read(g), via=via)
+    assert len(searches) == 485
 
 
 def test_dart_maps_take_no_stack_frame_per_job(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import subprocess
@@ -6,12 +7,12 @@ import sys
 import pytest
 
 import regcover
-from regcover import groups
+from regcover import groups, iso
 from regcover.atoms import Atom, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (complete, cube, cycle, dipole,
-                               expansion_corpus, random_instance,
+                               expansion_corpus, petersen, random_instance,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
                             is_cycle, is_path_with_two_halfedges, normalize,
@@ -84,6 +85,39 @@ def test_quotient_rejects_non_semiregular():
     with pytest.raises(GraphError) as err:
         quotient(g, grp)
     assert "fixes vertex" in str(err.value)
+
+
+def test_quotient_by_the_trivial_group_is_the_graph_itself(monkeypatch):
+    g = cube()
+    one = Group(g, [range(g.n_vertices + g.n_darts)])
+    q = quotient(g, one)
+    assert q.result is g and q.source is g and q.group is one
+    assert q.dart_map == {h: h for h in g.darts}
+    assert q.vertex_map == {v: v for v in g.vertices}
+    # the checks still come first: a group of another graph, and a group
+    # that is not semiregular, are refused
+    other = cycle(4)
+    with pytest.raises(GraphError, match="does not act"):
+        quotient(g, Group(other, [range(other.n_vertices + other.n_darts)]))
+    refl = next(p for p in automorphism_group(other)
+                if vmap(other, p)["v0"] == "v0" and not is_identity(p))
+    with pytest.raises(GraphError, match="not semiregular"):
+        quotient(other, Group(other, [range(12), refl]))
+    # the bruteforce route searches Petersen's own form once, for its
+    # stabilizer chain, and G/1 reads it there, not from an equal copy
+    g = petersen()
+    searched = []
+    best_leaf = iso._best_leaf
+
+    def counting(h, marking, ordered_marking):
+        searched.append((h, marking, ordered_marking))
+        return best_leaf(h, marking, ordered_marking)
+
+    monkeypatch.setattr(iso, "_best_leaf", counting)
+    qs = all_quotients(g, "bruteforce")
+    assert any(q is g for q in qs)
+    (same,) = [x for x in searched if x[0] == g]
+    assert same[0] is g and same[1:] == (None, None)
 
 
 def test_fiber_law_and_equivariance():
@@ -319,6 +353,26 @@ def test_all_quotients_c6_shapes():
 def test_all_quotients_cube_counts():
     assert len(all_quotients(cube())) == 5
     assert len(all_quotients(cube(HALVABLE))) == 11
+
+
+def test_all_quotients_serializations_are_pinned():
+    # sha256 over the serialized all_quotients lists by both routes for
+    # the corpus, and by the reduction route for the beyond-cap graphs
+    # (above the bruteforce route's group-order cap), as recorded before
+    # G/1 became G itself and class members took their ends from the
+    # representative; the README promises byte-identical quotient files
+    digest = hashlib.sha256()
+    n = 0
+    jobs = [(g, via) for _, g in expansion_corpus()
+            for via in ("bruteforce", "reduction")]
+    jobs += [(g, "reduction") for g in _beyond_cap_graphs()]
+    for g, via in jobs:
+        texts = [serialize(q) for q in all_quotients(g, via=via)]
+        digest.update(("\n\n".join(texts) + "\n\n\n").encode())
+        n += 1
+    assert n == 109
+    assert digest.hexdigest() == (
+        "132fa60fde861d4ed261869c6bc1db5e1f203c81db12f2242fab0a5ca616c194")
 
 
 def test_oracle_equivalence_sample():

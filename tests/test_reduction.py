@@ -7,9 +7,9 @@ from regcover.atoms import Atom, classify_primitive, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
-                               cycle_with_triangles, expansion_corpus,
-                               reduction_showcase, star_pendants, theta,
-                               with_pendants)
+                               cycle_with_triangles, dipole, expansion_corpus,
+                               random_instance, reduction_showcase,
+                               star_pendants, theta, with_pendants)
 from regcover.graph import (DIRECTED, HALVABLE, PENDANT, UNDIRECTED,
                             normalize, validate)
 from regcover.groups import (automorphism_group, count_automorphisms,
@@ -299,6 +299,38 @@ def test_orientation_rule_consistent():
     # all three replacement edges directed, all tails at the same vertex
     tails = {t.vertex_of(h) for h in t.tails}
     assert len(tails) == 1
+
+
+def test_member_ends_equal_their_own_ordered_boundary():
+    # a member's ends are read off its class representative's ordered
+    # forms; each atom's own two ordered-marked searches are the oracle
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    graphs += [random_instance(seed) for seed in range(200)]
+    graphs += [dipole([0] * e) for e in range(2, 9)]
+    mapped = 0
+    for g in graphs:
+        for step in reduction_series(normalize(g)).steps:
+            for r in step.replacements:
+                if r.atom.is_block:
+                    continue
+                assert r.dart_vertices == r.atom.ordered_boundary()
+                mapped += (r.cls.rep.symmetry == "asymmetric"
+                           and r.atom is not r.cls.rep)
+    assert mapped > 0
+
+
+def test_a_member_map_that_fails_its_check_is_an_internal_error(
+        monkeypatch):
+    check = iso.verify_isomorphism
+
+    def refusing(g1, g2, vmap, dmap, marking1=None, marking2=None):
+        if marking1 is not None:
+            return False
+        return check(g1, g2, vmap, dmap, marking1, marking2)
+
+    monkeypatch.setattr(iso, "verify_isomorphism", refusing)
+    with pytest.raises(InternalError, match="reduce_step"):
+        reduce_step(asymmetric_arm_theta())
 
 
 def test_components_block_tree_and_atoms_are_built_once_per_graph(
