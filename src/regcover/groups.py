@@ -19,8 +19,8 @@ off that chain as it is, and `orbits` closes points under any image
 tuples, so the order and the orbits of Aut(g) need no listing.
 
 `semiregular_subgroups` lists no Aut(g): it reads the chain's products
-as image tuples, keeps the semiregular ones, and builds a `Group` only for
-each subgroup it returns.
+as image tuples, keeps those that generate a semiregular group, and
+builds a `Group` only for each subgroup it returns.
 
 Groups are stored extensionally.  Each group picks a base once: a short
 list of points whose images tell all of its elements apart.
@@ -32,28 +32,30 @@ right-multiplying one representative per right coset of S with the
 generators of S plus x only (Dimino's method).  Each S is extended by one
 x per class of elements that give the same <S, x>: the union of the
 double cosets S*x^k*S over k prime to the order of x.  The semiregular
-search builds a partial table over the semiregular elements alone, where
-a product outside that set is None; a class with a None power or product
-is skipped unclosed.  Asked for one order k, it keeps only the elements
-whose cycles divide k, and it extends no subgroup of order k, as no larger
-one has an order dividing k.
+search builds a partial table over the elements that generate a
+semiregular group alone, where a product outside that set is None; a
+class with a None power or product is skipped unclosed.  Asked for one
+order k, it keeps only those elements whose order divides k, and it
+extends no subgroup of order k, as no larger one has an order dividing k.
 
-The full group's lattice is searched one conjugacy class at a time
-(Neubüser's cyclic extension of class representatives): only the first
-subgroup found in a class is extended, and each new subgroup's whole
-class, its orbit under conjugation by a greedy generating set of the
-group, is registered when it is found.  That search is complete: if
-U = <U', x> and U' = g*R*g^-1 for a representative R, then
-U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
+Every lattice, the full group's and the semiregular one, is searched one
+conjugacy class at a time (Neubüser's cyclic extension of class
+representatives): only the first subgroup found in a class is extended,
+and each new subgroup's whole class, its orbit under conjugation by a
+generating set of the group, is registered when it is found.  That
+search is complete when the listed elements are closed under
+conjugation: if U = <U', x> and U' = g*R*g^-1 for a representative R,
+then U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
+Conjugation is one position map per generator over the listed elements
+(`_conjugations`); the full lattice conjugates by a greedy generating set
+of the group, the semiregular one by the stabilizer chain's generators
+(`chain_generators`).
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
-layer takes one subgroup per class (`semiregular_class_representatives`).
-That class is an orbit under conjugation by the stabilizer chain's
-generators (`chain_generators`), on subgroups named by their elements'
-images on the group's base, and it is closed only when the next subgroup
-is asked for.  `element_class_firsts` does the same for single elements,
-named by their whole image tuples: the quotient layer takes with it one
-boundary-swapping involution of an atom per class.
+layer takes the first subgroup of each registered class
+(`semiregular_class_representatives`).  `element_class_firsts` does the
+same for single elements, as orbits of those position maps: the quotient
+layer takes with it one boundary-swapping involution of an atom per class.
 """
 
 from __future__ import annotations
@@ -243,24 +245,16 @@ class Group:
         positions in the subgroup list, in the order of their first
         members.  `all_subgroups` and `conjugacy_classes_of_subgroups`
         both read this one search."""
-        table, inv = self.table, self.inverse_indices
-        maps = [_IndexConjugation(table, inv, g)
-                for g in _generating_set(self)]
-        subs, classes = _subgroup_index_sets(table, self.identity_index,
-                                             maps=maps)
+        gens = [self.elements[i] for i in _generating_set(self)]
+        maps = _conjugations(self.elements, self._base, gens)
+        subs, classes = _subgroup_index_sets(
+            self.table, self.identity_index, self.order, maps)
         position = {s: i for i, s in enumerate(subs)}
-        classes = sorted(sorted(map(position.get, cls)) for cls in classes)
-        for cls in classes:
-            if self.order % len(cls):
-                raise InternalError(f"conjugacy class of {len(cls)} "
-                                    f"subgroups in a group of order "
-                                    f"{self.order}")
-        return subs, classes
+        return subs, sorted(sorted(map(position.get, cls)) for cls in classes)
 
     def subgroup(self, indices):
         """The group of elements[i] for i in `indices`.  It keeps this
-        group's `_base`, which tells its elements apart too, so elements
-        of all subgroups have names in one scheme (see `_element_name`)."""
+        group's `_base`, which tells its elements apart too."""
         sub = Group(self.graph, [self.elements[i] for i in sorted(indices)],
                     verify=False)
         sub._base = self._base
@@ -302,18 +296,25 @@ def chain_generators(g, fixed=()):
     return gens
 
 
+def _capped_order(g, max_order):
+    """The order of Aut(g), read off its stabilizer chain; a size limit
+    error when it is over `max_order`."""
+    order = chain_order(stabilizer_chain(g))
+    if max_order is not None and order > max_order:
+        raise size_limit("automorphism_group", f"{order} automorphisms",
+                         max_order, g)
+    return order
+
+
 def _aut_images(g, max_order):
     """The elements of Aut(g) as a set of image tuples: its stabilizer
     chain multiplied out (see `iso.stabilizer_chain`).
 
     The order is the chain's `chain_order`, so a group over `max_order`
-    is refused before any element is built.
+    is refused before any element is built (see `_capped_order`).
     """
-    transversals, kernel = chain = stabilizer_chain(g)
-    order = chain_order(chain)
-    if max_order is not None and order > max_order:
-        raise size_limit("automorphism_group", f"{order} automorphisms",
-                         max_order, g)
+    order = _capped_order(g, max_order)
+    transversals, kernel = stabilizer_chain(g)
     distinct = set(chain_products(transversals, kernel_images(g, kernel)))
     if len(distinct) != order:
         raise InternalError(f"automorphism_group: {len(distinct)} distinct "
@@ -413,24 +414,26 @@ def _extension_candidates(table, s, generators):
     return out
 
 
-def _subgroup_index_sets(table, e, divides=None, maps=()):
+def _subgroup_index_sets(table, e, order, maps, divides=None):
     """(subgroups, classes): every subgroup of the table's elements exactly
     once, by cyclic extension, sorted by order and then by sorted indices,
-    and their classes, as sets, under the group that the conjugation
-    `maps` generate (see `_IndexConjugation`).
+    and their classes, as sets, under the group of `order` elements that
+    the conjugation `maps` generate (see `_conjugations`).
 
     Only the first subgroup found in a class is extended: a new <S, x> has
     its whole class closed and registered, and is queued as the class's
     representative (see the module docstring for why this reaches every
-    class).  S is extended to <S, x> once per class of elements that give
-    the same extension (see `_extension_candidates`).  With no maps every
-    class is one subgroup.  With `divides`, subgroups whose order does not
-    divide it are neither kept nor extended; every subgroup whose order
-    does divide it is still reached through a chain of its own subgroups,
-    one element at a time.  A subgroup of order `divides` is kept but not
-    extended, as no larger subgroup has an order that divides it.
+    class).  A class whose size does not divide `order` is an
+    InternalError.  S is extended to <S, x> once per class of elements
+    that give the same extension (see `_extension_candidates`).  With
+    `divides`, subgroups whose order does not divide it are neither kept
+    nor extended; every subgroup whose order does divide it is still
+    reached through a chain of its own subgroups, one element at a time.
+    A subgroup of order `divides` is kept but not extended, as no larger
+    subgroup has an order that divides it.
     """
     generators = _cyclic_generators(table, e)
+    setwise = [_Setwise(m) for m in maps]
     trivial = frozenset({e})
     classes = [{trivial}]
     known = {trivial}
@@ -443,7 +446,10 @@ def _subgroup_index_sets(table, e, divides=None, maps=()):
             if (t is None or t in known
                     or (divides is not None and divides % len(t))):
                 continue
-            cls = orbit_closure((t,), maps) if maps else {t}
+            cls = orbit_closure((t,), setwise)
+            if order % len(cls):
+                raise InternalError(f"conjugacy class of {len(cls)} "
+                                    f"subgroups in a group of order {order}")
             classes.append(cls)
             known |= cls
             if len(t) != divides:
@@ -451,16 +457,37 @@ def _subgroup_index_sets(table, e, divides=None, maps=()):
     return sorted(known, key=lambda s: (len(s), tuple(sorted(s)))), classes
 
 
-class _IndexConjugation:
-    """Conjugation by the element g, S -> g * S * g^-1, as a map on
-    subgroups given as frozensets of element indices (see
-    `orbit_closure`)."""
+def _conjugations(elements, base, gens):
+    """Conjugation by each image tuple t in `gens`, as a map on positions
+    in `elements`: the position of t * x * t^-1 for each element x.  A
+    conjugate is named by its images on `base`, which tell the elements
+    apart, and one outside `elements` is an InternalError."""
+    position = {tuple([x[b] for b in base]): i
+                for i, x in enumerate(elements)}
+    maps = []
+    for t in gens:
+        inverse = [0] * len(t)
+        for i, j in enumerate(t):
+            inverse[j] = i
+        # (t * x * t^-1)(b) = t(x(t^-1(b)))
+        at = [inverse[b] for b in base]
+        try:
+            maps.append([position[tuple([t[x[p]] for p in at])]
+                         for x in elements])
+        except KeyError:
+            raise InternalError("a conjugate of a listed element is "
+                                "outside every listed one") from None
+    return maps
+
+
+class _Setwise:
+    """A map on positions applied to each member of a set of positions,
+    as a map on such sets (see `orbit_closure`)."""
 
     __slots__ = ("images",)
 
-    def __init__(self, table, inv, g):
-        ginv = inv[g]
-        self.images = [table[y][ginv] for y in table[g]]
+    def __init__(self, images):
+        self.images = images
 
     def __getitem__(self, s):
         return frozenset(map(self.images.__getitem__, s))
@@ -521,31 +548,36 @@ def _cycle_length(images):
     return n
 
 
+def _generates_semiregular(x, n, nv, mates):
+    """Whether <x> is semiregular, for an x that passes `_violating_point`
+    and whose cycle through point 0 has length n: x^2 ... x^(n-1) pass it
+    too, and x^n is the identity."""
+    y = x
+    for _ in range(n - 2):
+        y = tuple([x[i] for i in y])
+        if _violating_point(y, nv, mates) is not None:
+            return False
+    return tuple([x[i] for i in y]) == tuple(range(len(x)))
+
+
 def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     """All semiregular subgroups of Aut(g), optionally of one given order.
 
-    Only semiregular elements can appear in these subgroups, so the lattice
-    search runs on the partial multiplication table of that subset, read
-    off the image tuples of the chain's products with no listed Aut(g).
-    In a semiregular group every point's cycle under an element has the
-    element's order, so with `order` the table keeps only the elements
-    whose cycle through point 0 divides it.  The elements are sorted as
-    in Aut(g) and named on Aut(g)'s base, so the subgroups, and their
-    order, are those the listed group gives; only the subgroups returned
-    are built as groups.
+    Only the elements that generate a semiregular group can appear in
+    these subgroups, so the lattice search runs on the partial
+    multiplication table of that subset, read off the image tuples of the
+    chain's products with no listed Aut(g).  In a semiregular group every
+    point's cycle under an element has the element's order, so with
+    `order` the cheap first filter keeps only the elements whose cycle
+    through point 0 divides it.  The subset is closed under conjugation,
+    so the search extends one subgroup per conjugacy class.  The elements
+    are sorted as in Aut(g) and named on Aut(g)'s base, so the subgroups,
+    and their order, are those the listed group gives; only the subgroups
+    returned are built as groups.  The search is kept on g per order (see
+    `graph.cached`), and `max_order` is checked on every call.
     """
-    images = _aut_images(g, max_order)
-    members = images
-    if order is not None and len(g.vertex_list) + len(g.dart_list):
-        members = [x for x in members if order % _cycle_length(x) == 0]
-    nv, mates = len(g.vertex_list), _mate_points(g)
-    members = sorted(x for x in members
-                     if _violating_point(x, nv, mates) is None)
-    base = _greedy_base(list(images))
-    table = _product_table(members, base)
-    e = members.index(tuple(range(len(members[0]))))
-    found = [s for s in _subgroup_index_sets(table, e, divides=order)[0]
-             if order is None or len(s) == order]
+    _capped_order(g, max_order)
+    members, base, found, _ = _semiregular_lattice(g, order)
     subs = []
     for s in found:
         sub = Group(g, [members[i] for i in sorted(s)], verify=False)
@@ -554,99 +586,66 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     return subs
 
 
-def _element_name(images, base):
-    """An element's images on a base: its name among the group's elements."""
-    return tuple([images[b] for b in base])
-
-
-class _Conjugation:
-    """Conjugation by one automorphism t, x -> t * x * t^-1, as a map on
-    subgroups given as frozensets of element names (see `orbit_closure`).
-    `images` maps each name to the element's whole image tuple."""
-
-    __slots__ = ("t", "at", "images")
-
-    def __init__(self, t, base, images):
-        inverse = [0] * len(t)
-        for i, j in enumerate(t):
-            inverse[j] = i
-        # (t * x * t^-1)(b) = t(x(t^-1(b)))
-        self.t, self.at, self.images = t, [inverse[b] for b in base], images
-
-    def __getitem__(self, names):
-        t, at, images = self.t, self.at, self.images
-        try:
-            return frozenset(tuple([t[x[p]] for p in at])
-                             for x in map(images.__getitem__, names))
-        except KeyError:
-            raise InternalError("a conjugate of a semiregular subgroup "
-                                "has an element outside every listed one")
+def _semiregular_lattice(g, order):
+    """(members, base, subgroups, classes) of the semiregular search of
+    `order`: the listed elements, Aut(g)'s base, the index sets of the
+    subgroups returned, and their conjugacy classes as sorted lists of
+    positions among them, in the order of their first members."""
+    lattices = cached(g, "_semiregular_lattices", lambda g: {})
+    if order in lattices:
+        return lattices[order]
+    images = _aut_images(g, None)
+    nv, mates = len(g.vertex_list), _mate_points(g)
+    members = sorted(images)
+    if members[0]:  # a graph with no points has the identity alone
+        lengths = map(_cycle_length, members)
+        members = [x for x, n in zip(members, lengths)
+                   if (order is None or order % n == 0)
+                   and _violating_point(x, nv, mates) is None
+                   and _generates_semiregular(x, n, nv, mates)]
+    base = _greedy_base(list(images))
+    table = _product_table(members, base)
+    maps = _conjugations(members, base, chain_generators(g))
+    # the identity sorts first among image tuples
+    subs, classes = _subgroup_index_sets(table, 0, len(images), maps,
+                                         divides=order)
+    found = [s for s in subs if order is None or len(s) == order]
+    position = {s: i for i, s in enumerate(found)}
+    classes = sorted(sorted(map(position.get, cls)) for cls in classes
+                     if order is None or len(next(iter(cls))) == order)
+    return lattices.setdefault(order, (members, base, found, classes))
 
 
 def semiregular_class_representatives(g, order=None,
                                       max_order=MAX_GROUP_ORDER):
-    """Yield the first subgroup of each conjugacy class of
+    """The first subgroup of each conjugacy class of
     `semiregular_subgroups(g, order)`, in that list's order.
 
     Conjugate subgroups give isomorphic quotients: if S' = t*S*t^-1, then t
-    maps g/S onto g/S'.  A class is the orbit of a subgroup, as the set of
-    its elements' names (images on the group's base), under conjugation by
-    `chain_generators(g)`.  Its members have one order, so they are
-    adjacent in the list.  A class is closed only when the caller asks for
-    the next subgroup and that one has the same order, so a caller that
-    stops at the first subgroup conjugates nothing.
+    maps g/S onto g/S'.  The classes are those the semiregular search
+    registers, orbits under conjugation by `chain_generators(g)`.
     """
     subs = semiregular_subgroups(g, order=order, max_order=max_order)
-    seen, maps = set(), None
-    for i, s in enumerate(subs):
-        first = i == 0 or subs[i - 1].order != s.order
-        last = i + 1 == len(subs) or subs[i + 1].order != s.order
-        if first and last:
-            yield s
-            continue
-        base = s._base
-        names = frozenset(_element_name(x, base) for x in s)
-        if names in seen:
-            continue
-        yield s
-        if last:
-            continue
-        if maps is None:
-            images = {_element_name(x, base): x for sub in subs for x in sub}
-            maps = [_Conjugation(t, base, images)
-                    for t in chain_generators(g)]
-            aut_order = chain_order(stabilizer_chain(g))
-        cls = orbit_closure((names,), maps)
-        if aut_order % len(cls):
-            raise InternalError(f"conjugacy class of {len(cls)} semiregular "
-                                f"subgroups in a group of order {aut_order}")
-        seen |= cls
+    return [subs[cls[0]] for cls in _semiregular_lattice(g, order)[3]]
 
 
 def element_class_firsts(elements, generators):
-    """Yield the first of each class of `elements`, image tuples over one
+    """The first of each class of `elements`, image tuples over one
     graph's points, under conjugation by the group that the image tuples
-    `generators()` returns generate, in the list's order.
+    `generators` generate, in the list's order.
 
-    An element is named by its whole image tuple, as the one-element set
-    a `_Conjugation` maps, so a conjugate outside `elements` is an
-    `InternalError`.  A class is closed only when the caller asks for the
-    next element and one is left, and `generators` is called then, once.
+    A class is an orbit of positions under `_conjugations`, with each
+    element named by its whole image tuple, so a conjugate outside
+    `elements` is an InternalError.
     """
-    names = {x: x for x in elements}
-    maps = None
+    maps = _conjugations(elements, range(len(elements[0])), generators)
     seen = set()
+    firsts = []
     for i, x in enumerate(elements):
-        cls = frozenset((x,))
-        if cls in seen:
-            continue
-        yield x
-        if i + 1 == len(elements):
-            return
-        if maps is None:
-            maps = [_Conjugation(t, range(len(t)), names)
-                    for t in generators()]
-        seen |= orbit_closure((cls,), maps)
+        if i not in seen:
+            firsts.append(x)
+            seen |= orbit_closure((i,), maps)
+    return firsts
 
 
 def orbits(g, generators, domain="vertices"):

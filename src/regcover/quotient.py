@@ -13,12 +13,15 @@ as a write-once slot (`graph.cached`).
 
 Conjugate subgroups give isomorphic quotients, so the bruteforce route and
 the cover decision build one quotient per conjugacy class of semiregular
-subgroups: the first of each class in `semiregular_subgroups` order.  The
-first subgroup with a given quotient is the first of its class, so the
-kept representatives and the returned witness are those of a pass over
-every subgroup.  Half-quotients are built the same way, once per
-conjugacy class of an atom's boundary-swapping involutions under the
-automorphisms that keep the boundary set.
+subgroups: the first of each class in `semiregular_subgroups` order, as
+the semiregular search registers the classes while it lists the
+subgroups.  The first subgroup with a given quotient is the first of its
+class, so the kept representatives and the returned witness are those of
+a pass over every subgroup.  Half-quotients are built the same way, once
+per conjugacy class of an atom's boundary-swapping involutions under the
+automorphisms that keep the boundary set, each class an orbit of the
+involutions' positions under the group layer's conjugation maps
+(`groups.element_class_firsts`).
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def atom_quotients(a):
         ident = range(ag.n_vertices + ag.n_darts)
         taus = a.swap_involutions()
         for tau in element_class_firsts(
-                taus, lambda: chain_generators(ag, (u, v)) + [taus[0]]):
+                taus, chain_generators(ag, (u, v)) + [taus[0]]):
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
             key = canonical_form(q.result, marking=(w,), max_vertices=None)

@@ -714,6 +714,80 @@ def test_class_representatives_are_the_first_of_each_class():
     assert checked > 200
 
 
+def _semiregular_cases():
+    """(name, g, orders) over the corpus and 200 random seeds with |Aut(g)|
+    under the cap: the orders of g's semiregular subgroups, and 2 and 4."""
+    cases = [(name, g) for name, g in expansion_corpus()]
+    cases += [(f"random_instance({seed})", normalize(random_instance(seed)))
+              for seed in range(200)]
+    for name, g in cases:
+        try:
+            subs = semiregular_subgroups(g)
+        except SizeLimitError:
+            continue
+        yield name, g, sorted({s.order for s in subs} | {2, 4})
+
+
+def test_semiregular_members_are_closed_under_conjugation():
+    # the elements the semiregular search lists, with and without an
+    # order: each generates a semiregular group, and conjugating by the
+    # chain's generators stays among them, as the class search needs.
+    # A filter on point 0's cycle alone kept 7 elements of the cube for
+    # order 2, two of them of order 6
+    checked = 0
+    for name, g, orders in _semiregular_cases():
+        gens = chain_generators(g)
+        for k in [None] + orders:
+            members = groups._semiregular_lattice(g, k)[0]
+            listed = set(members)
+            for x in members:
+                powers = [x]
+                while powers[-1] != members[0]:
+                    powers.append(compose(x, powers[-1]))
+                cyclic = Group(g, powers)
+                assert is_semiregular(cyclic), (name, k, x)
+                assert k is None or k % cyclic.order == 0, (name, k, x)
+                for t in gens:
+                    assert compose(compose(t, x), inverse(t)) in listed, (
+                        name, k, x)
+        checked += 1
+    assert checked > 200
+    assert len(groups._semiregular_lattice(cube(), 2)[0]) == 5
+
+
+def test_semiregular_classes_are_those_of_the_full_lattice():
+    # the classes the semiregular search registers, for every order and
+    # none, are the classes of all subgroups restricted to the semiregular
+    # ones, in the same order
+    checked = 0
+    for name, g, orders in _semiregular_cases():
+        full = conjugacy_classes_of_subgroups(automorphism_group(g))
+        want = [[s.elements for s in cls] for cls in full
+                if is_semiregular(cls[0])]
+        for k in [None] + orders:
+            members, _, found, classes = groups._semiregular_lattice(g, k)
+            got = [[tuple(sorted(members[i] for i in found[j])) for j in cls]
+                   for cls in classes]
+            assert got == [cls for cls in want
+                           if k is None or len(cls[0]) == k], (name, k)
+        checked += 1
+    assert checked == 249
+
+
+def test_semiregular_search_is_kept_but_capped_on_every_call():
+    # the search is kept on g per order, and max_order refuses the group
+    # on every call, also once the search is kept
+    g = cube()
+    subs = [s.elements for s in semiregular_subgroups(g, order=2)]
+    kept = groups._semiregular_lattice(g, 2)
+    assert [s.elements for s in semiregular_subgroups(g, order=2)] == subs
+    assert groups._semiregular_lattice(g, 2) is kept
+    for call in (semiregular_subgroups,
+                 groups.semiregular_class_representatives):
+        with pytest.raises(SizeLimitError, match="48 automorphisms"):
+            call(g, order=2, max_order=47)
+
+
 def test_chain_generators_generate_the_group():
     # sympy's Schreier-Sims order of the generated group is the chain's
     # order, also where a kernel job has three or more items to permute
@@ -784,10 +858,10 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
     # closures `_close_indices` runs, one per class of elements that extend
     # a subgroup alike; one per left coset took 4,169 (Petersen), 4,515
     # (icosahedron) and 1,088 (cube) for all_subgroups, and 53 (cube) and
-    # 155 (icosahedron) for semiregular_subgroups.  all_subgroups extends
-    # one subgroup per conjugacy class, and its counts include the few
-    # closures of the generating set that conjugates; extending every
-    # subgroup took 1,257, 1,408 and 538
+    # 155 (icosahedron) for semiregular_subgroups.  Both searches extend
+    # one subgroup per conjugacy class, and all_subgroups' counts include
+    # the few closures of the generating set that conjugates; extending
+    # every subgroup took 1,257, 1,408 and 538, and 22 and 49
     calls = []
     close = groups._close_indices
 
@@ -806,13 +880,15 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
         calls.clear()
         semiregular_subgroups(build())
         counts.append(len(calls))
-    assert counts == [178, 217, 191, 22, 49]
+    assert counts == [178, 217, 191, 16, 32]
 
 
 def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
     # closures `_close_indices` runs for `semiregular_subgroups(g, order=k)`:
     # a subgroup of order k is not extended, as no larger subgroup has an
-    # order dividing k (the cube at order 2 took 7 when it was)
+    # order dividing k (the cube at order 2 took 7 when it was), and one
+    # subgroup per conjugacy class is extended (extending every subgroup
+    # took 22 for the cube at order 4 and 41 for the icosahedron at 6)
     calls = []
     close = groups._close_indices
 
@@ -827,7 +903,7 @@ def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
         calls.clear()
         semiregular_subgroups(build(), order=k)
         counts.append(len(calls))
-    assert counts == [4, 22, 41, 12]
+    assert counts == [4, 16, 32, 12]
 
 
 def test_semiregular_subgroups_list_no_group(monkeypatch):

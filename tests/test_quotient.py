@@ -555,6 +555,36 @@ def test_a_witness_that_is_no_automorphism_is_an_internal_error(flags):
     assert run.stdout.startswith("regular_cover_test: a witness element")
 
 
+def test_each_decision_past_the_count_checks_lists_the_subgroups_once(
+        monkeypatch):
+    # the class representatives come from `semiregular_subgroups`, so a
+    # tracer that wraps it counts every decision's subgroups: one call per
+    # pair whose counts and profiles are k to 1 for some k > 1, none for
+    # the others
+    module = importlib.import_module("regcover.quotient")
+    profiles = module._local_profiles
+    listed = groups.semiregular_subgroups
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return listed(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "semiregular_subgroups", counting)
+    searched = 0
+    for g, h in _cover_pairs():
+        k = g.n_vertices // h.n_vertices
+        past = (k > 1 and g.n_vertices % h.n_vertices == 0
+                and g.n_darts == k * h.n_darts
+                and profiles(g) == {p: k * n
+                                    for p, n in profiles(h).items()})
+        calls.clear()
+        regular_cover_test(g, h)
+        assert len(calls) == past
+        searched += past
+    assert searched > 300
+
+
 def test_profile_refusal_changes_no_decision(monkeypatch):
     # the profile check only refuses pairs that the subgroup search would
     # refuse too: without it, every decision and witness is the same
@@ -620,26 +650,3 @@ def test_all_quotients_builds_one_quotient_per_class(monkeypatch):
         "C3doubleh": (2, 4), "subdivcube": (1, 1), "asymtheta": (1, 1),
         "C4loops": (3, 3), "C4loopsh": (5, 5), "thetaloops": (1, 1),
         "C4tri": (3, 3), "asymloop": (2, 3), "icosa": (4, 4)}
-
-
-def test_cover_found_on_the_first_try_conjugates_nothing(monkeypatch):
-    conjugated = []
-    conjugate = groups._Conjugation.__getitem__
-
-    def counting(self, names):
-        conjugated.append(names)
-        return conjugate(self, names)
-
-    monkeypatch.setattr(groups._Conjugation, "__getitem__", counting)
-    g = cube()
-    subs = semiregular_subgroups(g, order=2)
-    first = canonical_form(quotient(g, subs[0]).result)
-    later = next(s for s in subs
-                 if canonical_form(quotient(g, s).result) != first)
-    assert regular_cover_test(g, normalize(quotient(g, subs[0]).result)) \
-        == subs[0]
-    assert conjugated == []
-    # a later class is reached after closing the first one's
-    assert regular_cover_test(g, normalize(quotient(g, later).result)) \
-        == later
-    assert conjugated

@@ -11,9 +11,10 @@ from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
                                random_instance, reduction_showcase,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (DIRECTED, HALVABLE, PENDANT, UNDIRECTED,
-                            normalize, validate)
-from regcover.groups import (automorphism_group, count_automorphisms,
-                             semiregular_subgroups, semiregularity_violation)
+                            normalize, point_images, point_maps, validate)
+from regcover.groups import (automorphism_group, chain_generators,
+                             count_automorphisms, semiregular_subgroups,
+                             semiregularity_violation)
 from regcover.reduction import (kernel_order, reduce_step,
                                 reduction_epimorphism, reduction_series)
 from regcover.quotient import all_quotients
@@ -359,3 +360,34 @@ def test_components_block_tree_and_atoms_are_built_once_per_graph(
     assert block_tree(g) is block_tree(g)
     # list results are fresh copies of the kept tuple
     assert find_atoms(g) == atoms and find_atoms(g) is not atoms
+
+
+def test_kernel_is_generated_by_the_boundary_fixing_generators():
+    # per atom class of every step of the corpus and the beyond-cap
+    # graphs: sympy's order of the group that `chain_generators(ag,
+    # boundary)` generates is the count `kernel_order` takes, and each
+    # generator, extended by the identity outside the atom, maps to the
+    # identity under `reduction_epimorphism`
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    checked = 0
+    for g in graphs:
+        for step in reduction_series(normalize(g)).steps:
+            src = step.source
+            fixed_v, fixed_d = point_maps(
+                src, range(src.n_vertices + src.n_darts))
+            for cls in step.classes:
+                ag, boundary = cls.rep.as_graph(), cls.rep.boundary
+                gens = chain_generators(ag, boundary)
+                n = ag.n_vertices + ag.n_darts
+                group = combinatorics.PermutationGroup(
+                    [combinatorics.Permutation(list(t)) for t in gens]
+                    or [combinatorics.Permutation(n - 1)])
+                assert group.order() == count_automorphisms(
+                    ag, pinned={b: b for b in boundary})
+                for t in gens:
+                    vm, dm = point_maps(ag, t)
+                    pi = point_images(src, fixed_v | vm, fixed_d | dm)
+                    assert is_identity(reduction_epimorphism(step, pi))
+                checked += 1
+    assert checked == 58
