@@ -9,10 +9,11 @@ vertex with at most one pendant-like item.
 
 Proper atoms and the 3-connectivity test both need a graph's 2-cuts: the
 pairs {a, b} of vertices of degree three or more whose removal disconnects
-the rest through standard edges.  They come from one depth-first search
-per such vertex a, which finds the articulation points of G - a and the
-number of pieces each leaves (`_cut_pairs`), not from one search per
-pair.
+the rest through standard edges.  They come from the one cut walk of
+`blocks.lowpoints`, run once per such vertex a on G - a: the children
+that a vertex b cuts off, with its parent's side, are the pieces b leaves
+(`_cut_pairs`), so no search runs per pair.  The sides of a 2-cut are the
+search trees of the same walk on G - {a, b}.
 
 An atom's symmetry type is asymmetric when its canonical forms with the
 boundary marked in the two orders differ (no automorphism exchanges the
@@ -22,9 +23,10 @@ semiregular involution, and symmetric otherwise, as is every block atom.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .blocks import block_tree, is_pendant_like
+from .blocks import block_tree, is_pendant_like, lowpoints
 from .errors import GraphError
 from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, SubgraphRef,
                     cached, is_connected, is_cycle, normalize, point_images,
@@ -106,40 +108,15 @@ class Atom:
                 f"darts={len(self.ref.darts)})")
 
 
-def _standard_adjacency(g):
-    """{vertex: sorted neighbours through standard edges}, kept on g as
-    `_standard_adjacency` (see `graph.cached`)."""
-    return cached(g, "_standard_adjacency", _index_adjacency)
-
-
-def _index_adjacency(g):
-    adj = {v: set() for v in g.vertex_list}
-    for h, k in g.edges:
-        if g.edge_kind(h) == STANDARD:
-            u, w = g.vertex_of(h), g.vertex_of(k)
-            adj[u].add(w)
-            adj[w].add(u)
-    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-
 def _component_vertex_sets(g, removed):
-    """Components of g minus a vertex set, via standard edges."""
-    adj = _standard_adjacency(g)
-    seen = set(removed)
+    """Components of g minus a vertex set, via standard edges: the trees of
+    one `blocks.lowpoints` search, each a run of its discovery order."""
+    _, parent, _ = lowpoints(g, removed)
     comps = []
-    for v in g.vertex_list:
-        if v in seen:
-            continue
-        seen.add(v)
-        comp = {v}
-        stack = [v]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
+    for v, p in parent.items():
+        if p is None:
+            comps.append(set())
+        comps[-1].add(v)
     return comps
 
 
@@ -153,56 +130,20 @@ def _cut_pairs(g):
 
 
 def _find_cut_pairs(g):
-    # g - {a, b} has n - 1 + pieces[b] components, where n counts those
-    # of g - a and pieces[b] those that b's own component falls into
-    # without b (0 when b is alone in it)
+    # g - {a, b} has n - 1 + pieces components, where n counts those of
+    # g - a, and b's own component falls into pieces without b: one per
+    # child that b cuts off, plus its parent's side unless b is a root
     ends = [v for v in g.vertex_list if g.degree(v) >= 3]
     if len(ends) < 2:
         return frozenset()
-    adj = _standard_adjacency(g)
     pairs = []
     for i, a in enumerate(ends[:-1]):
-        n, pieces = _pieces_without(adj, g.vertex_list, a)
-        pairs += [(a, b) for b in ends[i + 1:] if n - 1 + pieces[b] >= 2]
+        _, parent, cut = lowpoints(g, (a,))
+        n = list(parent.values()).count(None)
+        pieces = Counter(map(parent.__getitem__, cut))
+        pairs += [(a, b) for b in ends[i + 1:]
+                  if n - 1 + pieces[b] + (parent[b] is not None) >= 2]
     return frozenset(pairs)
-
-
-def _pieces_without(adj, verts, a):
-    """(n, pieces) for the graph of `adj` minus vertex a: its number of
-    components, and per vertex b the number of components that b's
-    component falls into when b is removed.  One depth-first search with
-    Tarjan's low points: a child subtree whose low point does not reach
-    above b is cut off by b, and a non-root b also keeps its parent's
-    side."""
-    disc, low, pieces = {}, {}, {}
-    n = 0
-    for root in verts:
-        if root == a or root in disc:
-            continue
-        n += 1
-        disc[root] = low[root] = len(disc)
-        pieces[root] = 0
-        frames = [(root, iter(adj[root]))]
-        while frames:
-            v, unread = frames[-1]
-            for w in unread:
-                if w == a:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = len(disc)
-                pieces[w] = 1
-                frames.append((w, iter(adj[w])))
-                break
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        pieces[u] += 1
-    return n, pieces
 
 
 def _part_for_component(g, cut, comp):
@@ -326,7 +267,8 @@ def _classify_block_part(g, ref, boundary):
 
 @dataclass(frozen=True)
 class PrimitiveClass:
-    tag: str                 # not_primitive | three_connected | cycle | k2 | k1
+    tag: str                 # not_primitive | three_connected | cycle |
+                             # k2 | k1 | unrecognized
     n: int | None            # cycle length when tag == "cycle"
     center_kind: str         # "block" or "articulation"
     decorated: bool          # pendant-like items attached

@@ -4,6 +4,12 @@ Bridge edges, pendant edges, loops and attached half-edges all count as
 (leaf) blocks, so the same machinery runs on quotients and expansion
 intermediates.  The tree center is the central block or central
 articulation; a lone vertex has a central articulation by convention.
+
+Every 1-cut and 2-cut comes from one walk, `lowpoints`: an iterative
+depth-first search with Tarjan's low points over the graph's standard
+adjacency, optionally with some vertices removed.  Its search trees are the
+components, and the children that their parent cuts off give the blocks
+here and, with one vertex removed, the 2-cuts of `atoms`.
 """
 
 from __future__ import annotations
@@ -125,54 +131,88 @@ def block_tree(g):
     return cached(g, "_block_tree", _block_tree)
 
 
-def _block_tree(g):
-    require_standard_input(g, "block_tree")
+def _standard_adjacency(g):
+    """{vertex: its neighbour across each standard edge at it}, kept on g
+    as `_standard_adjacency` (see `graph.cached`).  A parallel edge repeats
+    a neighbour, which changes no low point's test against its parent."""
+    return cached(g, "_standard_adjacency", _index_adjacency)
 
+
+def _index_adjacency(g):
     adj = {v: [] for v in g.vertex_list}
     for h, k in g.edges:
         if g.edge_kind(h) == STANDARD:
             u, w = g.vertex_of(h), g.vertex_of(k)
-            adj[u].append((h, w))
-            adj[w].append((h, u))  # key both directions by the min dart
+            adj[u].append(w)
+            adj[w].append(u)
+    return adj
 
-    # Tarjan's biconnected components with an explicit DFS stack.  A frame
-    # holds a vertex, its unread edges, and where the tree edge into it sits
-    # on the edge stack; a block is popped when low[v] >= disc[parent].
-    root = g.vertex_list[0]
-    disc, low = {root: 0}, {root: 0}
-    stack, blocks_edges, used = [], [], set()
-    frames = [(root, iter(adj[root]), 0)]
-    while frames:
-        v, unread, mark = frames[-1]
-        for key, w in unread:
-            if key in used:
-                continue
-            used.add(key)
-            stack.append(key)
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                frames.append((w, iter(adj[w]), len(stack) - 1))
-                break
-            low[v] = min(low[v], disc[w])
-        else:
-            frames.pop()
-            if frames:
-                u = frames[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    blocks_edges.append(stack[mark:])
-                    del stack[mark:]
-    if stack:
-        raise InternalError("block_tree: edges left on the DFS stack")
 
-    blocks = []
-    for comp in blocks_edges:
-        darts, vertices = set(), set()
-        for h in comp:
-            k = g.pairing[h]
-            darts.update((h, k))
-            vertices.update((g.vertex_of(h), g.vertex_of(k)))
-        blocks.append(SubgraphRef(g, frozenset(darts), frozenset(vertices)))
+def lowpoints(g, removed=()):
+    """One depth-first search of g minus the vertices `removed`, through
+    standard edges, with Tarjan's low points; roots are taken in
+    `vertex_list` order.  Returns (disc, parent, cut), the first two keyed
+    in discovery order, so each search tree is a contiguous run that
+    starts at its root: each vertex's discovery number; its tree parent,
+    None at a root; and the set of children that their parent cuts off,
+    those whose subtree has no edge to a vertex discovered before the
+    parent (low[v] >= disc[parent]).  The walk keeps an explicit stack of
+    frames, so deep graphs need no recursion.
+    """
+    adj = _standard_adjacency(g)
+    disc, low, parent, cut = {}, {}, {}, set()
+    for root in g.vertex_list:
+        if root in disc or root in removed:
+            continue
+        disc[root] = low[root] = len(disc)
+        parent[root] = None
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, unread = frames[-1]
+            for w in unread:
+                if w in disc:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                elif w not in removed:
+                    disc[w] = low[w] = len(disc)
+                    parent[w] = v
+                    frames.append((w, iter(adj[w])))
+                    break
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        cut.add(v)
+    return disc, parent, cut
+
+
+def _block_tree(g):
+    require_standard_input(g, "block_tree")
+
+    # a child that its parent cuts off starts a block, every other vertex
+    # stays in its parent's block, and a standard edge goes to the block of
+    # its later-discovered end, so parallel edges go together
+    disc, parent, cut = lowpoints(g)
+    head = {}
+    for v, p in parent.items():
+        if p is not None:
+            head[v] = v if v in cut else head[p]
+    darts, vertices = {}, {}
+    for h, k in g.edges:
+        if g.edge_kind(h) == STANDARD:
+            u, w = g.vertex_of(h), g.vertex_of(k)
+            later = w if disc[w] > disc[u] else u
+            if parent[later] is None:
+                raise InternalError(
+                    f"block_tree: edge {h!r} ends at the DFS root {later!r}")
+            darts.setdefault(head[later], set()).update((h, k))
+            vertices.setdefault(head[later], set()).update((u, w))
+
+    blocks = [SubgraphRef(g, frozenset(darts[t]), frozenset(vertices[t]))
+              for t in darts]
     blocks.extend(_pendant_like_blocks(g))
     blocks.sort(key=lambda r: (min(r.vertices), min(r.darts)))
     blocks = tuple(blocks)

@@ -312,7 +312,7 @@ def load_sidecar_steps(payload):
     if payload.get("version") != 1:
         raise GraphError("unsupported sidecar version")
     steps = []
-    for level in _sidecar_list(payload, "levels", "sidecar"):
+    for i, level in enumerate(_sidecar_list(payload, "levels", "sidecar")):
         classes = []
         for entry in _sidecar_list(level, "classes", "sidecar level"):
             missing = [f for f in _SIDECAR_FIELDS
@@ -320,7 +320,12 @@ def load_sidecar_steps(payload):
             if missing:
                 raise GraphError(
                     f"sidecar class entry lacks {', '.join(missing)}")
-            classes.append(_sidecar_class(entry))
+            cls = _sidecar_class(entry)
+            # expansion finds a class by its color, so one color is one class
+            if any(c.color == cls.color for c in classes):
+                raise GraphError(f"sidecar level {i}: two classes share "
+                                 f"color {cls.color}")
+            classes.append(cls)
         steps.append(SidecarStep(tuple(classes)))
     return steps
 

@@ -21,6 +21,7 @@ from regcover.reduction import reduction_series
 from regcover.textfmt import parse, serialize
 
 from helpers import brute_force_cut_pairs, is_involution, ref_isomorphisms
+from test_groups import _scale_graphs
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -166,10 +167,12 @@ def test_is_three_connected_matches_networkx():
 def test_cut_pairs_match_brute_force():
     # one search per vertex finds the same 2-cuts as one per pair, also
     # where removing the first vertex already disconnects the graph
-    graphs = [g for _, g in expansion_corpus()]
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
     graphs += [normalize(random_instance(seed)) for seed in range(300)]
     graphs += [block.to_graph() for g in list(graphs)
                for block in block_tree(g).blocks]
+    scale = _scale_graphs()
+    graphs += [scale["CFI(K4)"], scale["Z6-cover of K4"]]
     assert len(graphs) > 900
     # two K4s sharing vertex a, so g - a has two components, and K4 with
     # a vertex b tied to its vertex a by three parallel edges, so b is

@@ -2,16 +2,18 @@ import sys
 
 import pytest
 
+from regcover import atoms, blocks
 from regcover.blocks import attached_subgraph, block_tree, central_element
-from regcover.errors import GraphError
-from regcover.fixtures import (bowtie, cube, cycle, expansion_corpus,
-                               path_graph, random_instance, triangle_chain,
-                               with_pendants)
+from regcover.errors import GraphError, InternalError
+from regcover.fixtures import (bowtie, cube, cycle, double_edges,
+                               expansion_corpus, path_graph, random_instance,
+                               theta, triangle_chain, with_pendants)
 from regcover.graph import STANDARD, GraphBuilder, normalize
 from regcover.groups import semiregular_subgroups
 from regcover.iso import are_isomorphic
 
 from helpers import dmap, vmap
+from test_iso import _beyond_cap_graphs
 
 
 def test_two_connected_single_block():
@@ -139,26 +141,51 @@ def test_lone_vertex_central_articulation():
 def test_block_tree_of_a_long_path_leaves_the_recursion_limit_alone(
         monkeypatch):
     def refuse(limit):
-        raise RuntimeError(f"block_tree set the recursion limit to {limit}")
+        raise RuntimeError(f"a cut search set the recursion limit to {limit}")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     bt = block_tree(path_graph(3000))
     assert len(bt.blocks) == 2999
     assert len(bt.articulations) == 2998
     assert bt.blocks[bt.center[1]].vertices == {"v1499", "v1500"}
+    # the 2-cut searches walk three arms of 1000 vertices each
+    g = theta(1000, 1000, 1000)
+    assert atoms._cut_pairs(g) == {("u", "v")}
+    comps = atoms._component_vertex_sets(g, {"u", "v"})
+    assert sorted(map(len, comps)) == [1000, 1000, 1000]
 
 
 def test_blocks_match_networkx_biconnected_components():
+    # by vertices, and by the standard darts of each block: those of every
+    # edge with both ends in the networkx component, parallel edges too
     nx = pytest.importorskip("networkx")
-    graphs = [g for _, g in expansion_corpus()]
-    graphs += [normalize(random_instance(seed)) for seed in range(100)]
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    graphs += [normalize(random_instance(seed)) for seed in range(300)]
+    graphs += [double_edges(g) for g in graphs]
     for g in graphs:
+        standard = [(h, k) for h, k in g.edges
+                    if g.edge_kind(h) == STANDARD]
         simple = nx.Graph()
         simple.add_nodes_from(g.vertex_list)
         simple.add_edges_from((g.vertex_of(h), g.vertex_of(k))
-                              for h, k in g.edges
-                              if g.edge_kind(h) == STANDARD)
-        ours = {ref.vertices for ref in block_tree(g).blocks
-                if any(g.edge_kind(h) == STANDARD for h in ref.darts)}
-        assert ours == {frozenset(c)
-                        for c in nx.biconnected_components(simple)}
+                              for h, k in standard)
+        ours = {(ref.vertices, frozenset(h for h in ref.darts
+                                         if g.edge_kind(h) == STANDARD))
+                for ref in block_tree(g).blocks}
+        theirs = {(frozenset(c), frozenset(
+            x for h, k in standard
+            if g.vertex_of(h) in c and g.vertex_of(k) in c for x in (h, k)))
+            for c in nx.biconnected_components(simple)}
+        assert {b for b in ours if b[1]} == theirs, g
+
+
+def test_an_edge_ending_at_a_search_root_is_an_internal_error(monkeypatch):
+    # a walk that reports every vertex as a root leaves the later end of
+    # each edge a root, which no depth-first search does
+    def all_roots(g, removed=()):
+        roots = dict.fromkeys(g.vertex_list)
+        return dict.fromkeys(roots, 0), roots, set()
+
+    monkeypatch.setattr(blocks, "lowpoints", all_roots)
+    with pytest.raises(InternalError, match="DFS root"):
+        block_tree(cycle(4))

@@ -228,6 +228,34 @@ def test_graphs_are_edited_by_restrict_and_the_builder():
                              "quotient.py:_substitute", "quotient.py:quotient"]
 
 
+def test_low_points_are_kept_by_one_walk():
+    # 1-cuts and 2-cuts come from one walk, `blocks.lowpoints`: no other
+    # code assigns into a `low` or `disc` mapping
+    src = os.path.dirname(regcover.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Subscript)
+                   and getattr(t.value, "id", None) in ("low", "disc")
+                   for target in targets for t in ast.walk(target)):
+                found.add(f"{name}:{owner.get(node, '<module>')}")
+    assert sorted(found) == ["blocks.py:lowpoints"]
+
+
 def test_help_names_the_commands_each_cap_reaches():
     text = " ".join(cli.build_parser().format_help().split())
     assert "vertex cap of the iso command's inputs (default 24)" in text
@@ -257,12 +285,21 @@ def test_runtime_imports_only_the_standard_library():
     assert not outside
 
 
+_GOOD_ENTRY = {"graph": "vertex u\nvertex v\nedge e u v\n",
+               "boundary": ["u", "v"], "kind": "proper",
+               "symmetry": "symmetric", "color": 65536}
+
+
 @pytest.mark.parametrize("payload, why", [
     ({"version": 1}, "'levels'"),
     ([], "JSON object"),
     ({"version": 1, "levels": [{"classes": [
         {"boundary": ["u"], "kind": "block", "symmetry": "symmetric",
          "color": 65536}]}]}, "lacks graph"),
+    # expansion finds a class by its color, so two with one color are
+    # refused rather than the last one silently used
+    ({"version": 1, "levels": [{"classes": [_GOOD_ENTRY, _GOOD_ENTRY]}]},
+     "level 0: two classes share color 65536"),
 ])
 def test_malformed_sidecar_is_input_error(files, tmp_path, capsys, payload,
                                           why):
@@ -271,11 +308,6 @@ def test_malformed_sidecar_is_input_error(files, tmp_path, capsys, payload,
     assert main(["expand", str(side), files["c3"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sidecar") and why in err
-
-
-_GOOD_ENTRY = {"graph": "vertex u\nvertex v\nedge e u v\n",
-               "boundary": ["u", "v"], "kind": "proper",
-               "symmetry": "symmetric", "color": 65536}
 
 
 @pytest.mark.parametrize("field, value", [
