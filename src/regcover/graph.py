@@ -94,9 +94,6 @@ class Graph:
     def vertex_of(self, h):
         return self.incidence.get(h)
 
-    def is_tail(self, h):
-        return h in self.tails
-
     @cached_property
     def edges(self):
         """Sorted list of 2-dart edges as ordered (min, max) dart pairs."""

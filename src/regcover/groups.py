@@ -18,8 +18,9 @@ builds a permutation either.  `chain_generators` reads a generating set
 off that chain as it is, and `orbits` closes points under any image
 tuples, so the order and the orbits of Aut(g) need no listing.
 
-`semiregular_subgroups` lists no Aut(g): it reads the chain's products
-as image tuples, keeps those that generate a semiregular group, and
+`semiregular_subgroups` lists no Aut(g): it builds full image tuples only
+from the chain's vertex parts whose cycles share one length, keeps each x
+for which <x> is semiregular, checked once per cyclic subgroup, and
 builds a `Group` only for each subgroup it returns.
 
 Groups are stored extensionally.  Each group picks a base once: a short
@@ -48,8 +49,8 @@ conjugation: if U = <U', x> and U' = g*R*g^-1 for a representative R,
 then U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
 Conjugation is one position map per generator over the listed elements
 (`_conjugations`); the full lattice conjugates by a greedy generating set
-of the group, the semiregular one by the stabilizer chain's generators
-(`chain_generators`).
+of the group, the semiregular one by the automorphisms its chain lifted
+and the kernel's moves (`_search_generators`).
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
 layer takes the first subgroup of each registered class
@@ -67,9 +68,9 @@ from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached, point_index, point_maps
-from .iso import (chain_order, chain_products, count_automorphisms,
-                  kernel_images, orbit_closure, stabilizer_chain,
-                  verify_isomorphism)
+from .iso import (chain_lifts, chain_order, chain_products,
+                  count_automorphisms, kernel_images, orbit_closure,
+                  stabilizer_chain, verify_isomorphism)
 
 MAX_GROUP_ORDER = 200
 
@@ -228,11 +229,6 @@ class Group:
         return _product_table(self.elements, self._base)
 
     @cached_property
-    def inverse_indices(self):
-        e = self.identity_index
-        return tuple(row.index(e) for row in self.table)
-
-    @cached_property
     def semiregular_flags(self):
         nv, mates = len(self.graph.vertex_list), _mate_points(self.graph)
         return tuple(_violating_point(x, nv, mates) is None
@@ -296,6 +292,14 @@ def chain_generators(g, fixed=()):
     return gens
 
 
+def _search_generators(g):
+    """Image tuples that generate Aut(g): the automorphisms its chain
+    lifted (`iso.chain_lifts`), no more than the coset representatives,
+    and the kernel's moves, which follow those in `chain_generators`."""
+    (transversals, _), _, lifts = chain_lifts(g)
+    return list(lifts) + chain_generators(g)[sum(map(len, transversals)):]
+
+
 def _capped_order(g, max_order):
     """The order of Aut(g), read off its stabilizer chain; a size limit
     error when it is over `max_order`."""
@@ -315,10 +319,17 @@ def _aut_images(g, max_order):
     """
     order = _capped_order(g, max_order)
     transversals, kernel = stabilizer_chain(g)
-    distinct = set(chain_products(transversals, kernel_images(g, kernel)))
-    if len(distinct) != order:
+    return _distinct(chain_products(transversals, kernel_images(g, kernel)),
+                     order)
+
+
+def _distinct(products, expected):
+    """The set of a chain's `products`, which are distinct, one per element
+    or per vertex part; an InternalError unless it has `expected` members."""
+    distinct = set(products)
+    if len(distinct) != expected:
         raise InternalError(f"automorphism_group: {len(distinct)} distinct "
-                            f"products, expected {order}")
+                            f"products, expected {expected}")
     return distinct
 
 
@@ -540,42 +551,12 @@ def subgroup_order_histogram(classes):
     return hist
 
 
-def _cycle_length(images):
-    """The length of point 0's cycle under a permutation's images."""
-    n, x = 1, images[0]
-    while x:
-        n, x = n + 1, images[x]
-    return n
-
-
-def _generates_semiregular(x, n, nv, mates):
-    """Whether <x> is semiregular, for an x that passes `_violating_point`
-    and whose cycle through point 0 has length n: x^2 ... x^(n-1) pass it
-    too, and x^n is the identity."""
-    y = x
-    for _ in range(n - 2):
-        y = tuple([x[i] for i in y])
-        if _violating_point(y, nv, mates) is not None:
-            return False
-    return tuple([x[i] for i in y]) == tuple(range(len(x)))
-
-
 def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
-    """All semiregular subgroups of Aut(g), optionally of one given order.
-
-    Only the elements that generate a semiregular group can appear in
-    these subgroups, so the lattice search runs on the partial
-    multiplication table of that subset, read off the image tuples of the
-    chain's products with no listed Aut(g).  In a semiregular group every
-    point's cycle under an element has the element's order, so with
-    `order` the cheap first filter keeps only the elements whose cycle
-    through point 0 divides it.  The subset is closed under conjugation,
-    so the search extends one subgroup per conjugacy class.  The elements
-    are sorted as in Aut(g) and named on Aut(g)'s base, so the subgroups,
-    and their order, are those the listed group gives; only the subgroups
-    returned are built as groups.  The search is kept on g per order (see
-    `graph.cached`), and `max_order` is checked on every call.
-    """
+    """All semiregular subgroups of Aut(g), optionally of one given order,
+    as the listed group gives them: the lattice search on the partial
+    table of `_semiregular_lattice`, kept on g per order (see
+    `graph.cached`).  `max_order` bounds the chain's order on every call,
+    though Aut(g) is never listed."""
     _capped_order(g, max_order)
     members, base, found, _ = _semiregular_lattice(g, order)
     subs = []
@@ -588,27 +569,53 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
 
 def _semiregular_lattice(g, order):
     """(members, base, subgroups, classes) of the semiregular search of
-    `order`: the listed elements, Aut(g)'s base, the index sets of the
-    subgroups returned, and their conjugacy classes as sorted lists of
-    positions among them, in the order of their first members."""
+    `order`: the elements x, sorted, for which <x> is semiregular, of an
+    order dividing `order` if given, a class-closed set; the chain's base,
+    the first path and a dart of each item the kernel moves but one it
+    then fixes, which tells all of Aut(g) apart; the index sets of the
+    subgroups returned; and their classes, as sorted lists of positions.
+
+    A vertex part whose cycles differ in length builds no tuple t*k, k in
+    the kernel; the identity's gives the identity alone, as other kernel
+    elements fix every vertex.  A cyclic subgroup's darts are walked once:
+    its generators, named on the base, share the verdict.
+    """
     lattices = cached(g, "_semiregular_lattices", lambda g: {})
     if order in lattices:
         return lattices[order]
-    images = _aut_images(g, None)
-    nv, mates = len(g.vertex_list), _mate_points(g)
-    members = sorted(images)
-    if members[0]:  # a graph with no points has the identity alone
-        lengths = map(_cycle_length, members)
-        members = [x for x, n in zip(members, lengths)
-                   if (order is None or order % n == 0)
-                   and _violating_point(x, nv, mates) is None
-                   and _generates_semiregular(x, n, nv, mates)]
-    base = _greedy_base(list(images))
+    transversals, jobs = stabilizer_chain(g)
+    didx, nv = point_index(g)[1], len(g.vertex_list)
+    moved = tuple(didx[item[0]] for _, items, _, ways in jobs
+                  for item in (items if len(ways) > 1 else items[:-1]))
+    base = chain_lifts(g)[1] + moved
+    one = tuple(range(nv + len(g.dart_list)))
+    kernel = kernel_images(g, jobs) if moved else [one]  # identity first
+    parts = chain_products(transversals, [one[:nv]])
+    _distinct(parts, len(parts))
+    mates = (-1,) * nv + _mate_points(g)
+    verdicts = {}  # base images: whether that element is kept
+    members = []
+    for i, part in enumerate(parts):
+        n = _shared_cycle_length(part, range(nv), order)
+        if n == 1:
+            members.append(one)
+        if n is None or n == 1:
+            continue
+        for x in _chain_elements(transversals, i, kernel):
+            name = tuple([x[b] for b in base])
+            if name not in verdicts:
+                ok = _shared_cycle_length(x, range(nv, len(one)), order,
+                                          mates, n)
+                verdicts.update(dict.fromkeys(_generator_names(x, base),
+                                              ok is not None))
+            if verdicts[name]:
+                members.append(x)
+    members.sort()
     table = _product_table(members, base)
-    maps = _conjugations(members, base, chain_generators(g))
+    maps = _conjugations(members, base, _search_generators(g))
     # the identity sorts first among image tuples
-    subs, classes = _subgroup_index_sets(table, 0, len(images), maps,
-                                         divides=order)
+    subs, classes = _subgroup_index_sets(
+        table, 0, chain_order((transversals, jobs)), maps, divides=order)
     found = [s for s in subs if order is None or len(s) == order]
     position = {s: i for i, s in enumerate(found)}
     classes = sorted(sorted(map(position.get, cls)) for cls in classes
@@ -616,15 +623,61 @@ def _semiregular_lattice(g, order):
     return lattices.setdefault(order, (members, base, found, classes))
 
 
+def _shared_cycle_length(x, points, order=None, mates=(), n=0):
+    """n, or with n = 0 the first cycle's length, when every cycle of x
+    through `points` has that length, dividing `order` if given, and none
+    holds a point p and mates[p] (see `_mate_points`); else None, and 0
+    with no points.  Then <x> is semiregular on them: x^j fixes no point,
+    as no cycle is shorter than the order of x, and reverses no edge.  An
+    automorphism maps the mates of a cycle onto a cycle, so one dart tells.
+    """
+    seen = set()
+    for p in points:
+        if p in seen:
+            continue
+        cycle, q = [p], x[p]
+        while q != p:
+            cycle.append(q)
+            q = x[q]
+        if n and len(cycle) != n or mates and mates[p] in cycle:
+            return None
+        n = len(cycle)
+        seen.update(cycle)
+    return None if order and n and order % n else n
+
+
+def _chain_elements(transversals, i, kernel):
+    """t*k for k in `kernel` (identity first), where t is the i-th product
+    of `iso.chain_products`: the digits of i, in the radix of the
+    transversal sizes plus one, pick a factor of each, 0 the identity."""
+    t = kernel[0]
+    for reps in reversed(transversals):
+        i, d = divmod(i, len(reps) + 1)
+        if d:
+            t = tuple(map(reps[d - 1].__getitem__, t))
+    return [t] + [tuple(map(t.__getitem__, k)) for k in kernel[1:]]
+
+
+def _generator_names(x, base):
+    """The images on `base` of x^e for e prime to the order of x, the least
+    common multiple of the base points' cycle lengths, as the base tells
+    all automorphisms apart: x^e moves each e steps along its cycle."""
+    cycles = []
+    for b in base:
+        cycle = [b]
+        while x[cycle[-1]] != b:
+            cycle.append(x[cycle[-1]])
+        cycles.append(cycle)
+    n = math.lcm(*map(len, cycles))
+    return [tuple([c[e % len(c)] for c in cycles])
+            for e in range(1, n + 1) if math.gcd(e, n) == 1]
+
+
 def semiregular_class_representatives(g, order=None,
                                       max_order=MAX_GROUP_ORDER):
     """The first subgroup of each conjugacy class of
-    `semiregular_subgroups(g, order)`, in that list's order.
-
-    Conjugate subgroups give isomorphic quotients: if S' = t*S*t^-1, then t
-    maps g/S onto g/S'.  The classes are those the semiregular search
-    registers, orbits under conjugation by `chain_generators(g)`.
-    """
+    `semiregular_subgroups(g, order)`, in that list's order, as the search
+    registers the classes: if S' = t*S*t^-1, then t maps g/S onto g/S'."""
     subs = semiregular_subgroups(g, order=order, max_order=max_order)
     return [subs[cls[0]] for cls in _semiregular_lattice(g, order)[3]]
 

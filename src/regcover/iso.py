@@ -38,13 +38,14 @@ lists the darts at each vertex by their other end.  It has four readers:
   automorphisms found at leaves that fix the base vertices before it,
   composed as image tuples over g's points (`graph.point_index`); a map
   is lifted to darts, by its first dart map, only when it extends the
-  orbit (Schreier-Sims).  A first-path child is skipped only as the image
-  of an explored one under automorphisms fixing the prefix, and an
-  explored child in the orbit leads to a leaf repeating the first leaf,
-  so the orbits are complete; with the base individualized, refinement is
-  discrete, so the automorphisms fixing it fix every vertex.  Counts come
-  from the chain: the product of the orbit sizes and, per group, of
-  |items|! * |ways|^|items| for the identity map, listing no dart map.
+  orbit (Schreier-Sims; `chain_lifts`).  A first-path child is skipped
+  only as the image of an explored one under automorphisms fixing the
+  prefix, and an explored child in the orbit leads to a leaf repeating
+  the first leaf, so the orbits are complete; with the base
+  individualized, refinement is discrete, so the automorphisms fixing it
+  fix every vertex.  Counts come from the chain: the product of the orbit
+  sizes and, per group, of |items|! * |ways|^|items| for the identity
+  map, listing no dart map.
   The automorphisms agreeing with a vertex map `pinned` are one coset:
   the map between the best-leaf orders with its vertices and with their
   images marked in order, times the chain of the pinned vertices, empty
@@ -393,6 +394,14 @@ def stabilizer_chain(g, fixed=()):
     from each transversal or the identity.  Every caller shares the one
     chain kept on g, so it is tuples throughout.
     """
+    return chain_lifts(g, fixed)[0]
+
+
+def chain_lifts(g, fixed=()):
+    """(chain, base, lifts): `stabilizer_chain(g, fixed)`, the points of
+    its first path, and the automorphisms it lifted to close its orbits,
+    image tuples in the order lifted.  Each coset representative is a
+    product of lifts, so they and the kernel generate the group."""
     fixed = tuple(fixed or ())
     chains = cached(g, "_iso_chains", lambda g: {})
     if fixed not in chains:
@@ -424,7 +433,8 @@ def _read_chain(g, fixed):
                                   if x != point[v]))
         live = [j for j in live if autos[j][v] == v]
     kernel = _dart_jobs(g, g, {v: v for v in vertices})
-    return tuple(transversals), tuple(kernel)
+    return ((tuple(transversals), tuple(kernel)),
+            tuple(point[v] for v in first), tuple(lifted.values()))
 
 
 def chain_products(transversals, images):

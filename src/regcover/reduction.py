@@ -290,7 +290,8 @@ def _sidecar_class(entry):
          entry["symmetry"] in (HALVABLE_SYM, SYMMETRIC_SYM, ASYMMETRIC_SYM),
          "a symmetry type"),
         ("color", isinstance(color, int) and not isinstance(color, bool)
-         and color >= 0, "a non-negative integer"),
+         and color >= COLOR_BASE,
+         f"a reduction color (at least {COLOR_BASE})"),
     )
     for name, ok, what in checks:
         if not ok:

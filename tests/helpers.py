@@ -2,7 +2,7 @@
 
 import itertools
 
-from regcover import iso
+from regcover import groups, iso
 from regcover.graph import DIRECTED, STANDARD, SubgraphRef, point_maps
 from regcover.groups import Group
 from regcover.quotient import quotient
@@ -20,6 +20,13 @@ def inverse(a):
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
+
+
+def inverse_indices(grp):
+    """Per element of a group, the position of its inverse, read off the
+    multiplication table."""
+    e = grp.identity_index
+    return tuple(row.index(e) for row in grp.table)
 
 
 def is_identity(a):
@@ -415,3 +422,36 @@ def ref_half_quotients(atom):
         if key not in halves:
             halves[key] = (q.result, w)
     return tuple(halves[k] for k in sorted(halves))
+
+
+# -- the semiregular search, over a listed Aut(g) -----------------------------
+
+def ref_semiregular_lattice(g, order):
+    """(members, subgroups, classes) of the semiregular search of `order`,
+    as `groups._semiregular_lattice` gives them, from the listing it
+    replaced: all of Aut(g) multiplied out, each element kept when it and
+    every power of it before the identity fix no point and reverse no
+    non-halvable edge, named on a greedy base over Aut(g), and conjugated
+    by every coset representative of the chain."""
+    images = groups._aut_images(g, None)
+    nv, mates = len(g.vertex_list), groups._mate_points(g)
+    one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
+    members = []
+    for x in sorted(images):
+        powers = [x]
+        while powers[-1] != one:
+            powers.append(compose(x, powers[-1]))
+        if ((order is None or order % len(powers) == 0)
+                and all(groups._violating_point(y, nv, mates) is None
+                        for y in powers)):
+            members.append(x)
+    base = groups._greedy_base(list(images))
+    table = groups._product_table(members, base)
+    maps = groups._conjugations(members, base, groups.chain_generators(g))
+    subs, classes = groups._subgroup_index_sets(table, 0, len(images), maps,
+                                                divides=order)
+    found = [s for s in subs if order is None or len(s) == order]
+    position = {s: i for i, s in enumerate(found)}
+    classes = sorted(sorted(map(position.get, cls)) for cls in classes
+                     if order is None or len(next(iter(cls))) == order)
+    return members, found, classes

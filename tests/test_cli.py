@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -14,11 +15,12 @@ from regcover.atoms import find_atoms
 from regcover.cli import main
 from regcover.errors import InternalError
 from regcover.fixtures import (complete, cube, cycle, expansion_corpus,
-                               k33, prism, theta, with_pendants)
-from regcover.groups import automorphism_group, chain_generators, orbits
+                               k33, petersen, prism, theta, with_pendants)
+from regcover.groups import (automorphism_group, chain_generators,
+                             is_semiregular, orbits)
 from regcover.iso import are_isomorphic, canonical_form
 from regcover.graph import HALVABLE, GraphBuilder, normalize
-from regcover.quotient import all_quotients
+from regcover.quotient import all_quotients, regular_cover_test
 from regcover.textfmt import parse_file, write_file
 
 from test_iso import _beyond_cap_graphs, relabel
@@ -327,6 +329,9 @@ def test_malformed_sidecar_is_input_error(files, tmp_path, capsys, payload,
     ("symmetry", "asymmetric"),
     ("symmetry", "halvable"),
     ("boundary", ["v", "u"]),
+    # below the colors a reduction gives its classes
+    ("color", 0),
+    ("color", 65535),
 ])
 def test_sidecar_field_of_wrong_type_is_input_error(files, tmp_path, capsys,
                                                     field, value):
@@ -767,6 +772,51 @@ def test_script_runs(script, tmp_path):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+def test_quotients_are_byte_identical_across_hash_seeds(tmp_path):
+    # the determinism contract: `quotients` by both routes, in fresh
+    # interpreters with two string-hash seeds, prints the same lines and
+    # writes the same files, byte for byte
+    graphs = dict(expansion_corpus())
+    outputs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+                   PYTHONHASHSEED=seed)
+        stdout = []
+        for name in ("C4double", "petersen"):
+            write_file(graphs[name], str(out / f"{name}.g"))
+            for via in ("bruteforce", "reduction"):
+                run = subprocess.run(
+                    [sys.executable, "-m", "regcover.cli", "quotients",
+                     f"{name}.g", "--via", via], env=env, cwd=out,
+                    capture_output=True, timeout=120)
+                assert run.returncode == 0, run.stderr
+                stdout.append(run.stdout)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((stdout, written))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) > 4
+
+
+def test_cover_of_a_320_vertex_z32_cover(tmp_path, capsys):
+    # Petersen's Z32 cover from `scripts/zk_cover_timing.py`: a semiregular
+    # witness of order 32, from the library and from the CLI
+    zk_cover = runpy.run_path(os.path.join(SCRIPTS, "zk_cover_timing.py"))[
+        "zk_cover"]
+    g = zk_cover(32)
+    assert g.n_vertices == 320
+    witness = regular_cover_test(g, petersen())
+    assert witness.order == 32 and is_semiregular(witness)
+    write_file(g, str(tmp_path / "z32.g"))
+    write_file(petersen(), str(tmp_path / "petersen.g"))
+    assert main(["cover", str(tmp_path / "z32.g"),
+                 str(tmp_path / "petersen.g")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("yes (group order 32)\n")
+    assert len(out.splitlines()) == 33 and not err
 
 
 def test_reduce_forms_atoms_past_the_vertex_cap(tmp_path, monkeypatch):

@@ -11,7 +11,8 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                icosahedron, path_graph, petersen, prism,
                                random_instance, star_pendants, theta,
                                with_pendants)
-from regcover.graph import HALVABLE, GraphBuilder, normalize, point_images
+from regcover.graph import (DIRECTED, HALVABLE, UNDIRECTED, GraphBuilder,
+                           normalize, point_images)
 from regcover.groups import (Group, all_subgroups,
                              automorphism_group, chain_generators,
                              conjugacy_classes_of_subgroups,
@@ -23,9 +24,10 @@ from regcover.atoms import find_atoms
 from regcover.iso import are_isomorphic, canonical_form
 from regcover.reduction import reduction_series
 
-from helpers import (compose, dmap, inverse, is_identity, is_involution,
-                     is_simple, naive_dart_automorphism_count,
-                     naive_vertex_automorphism_count, ref_isomorphisms, vmap)
+from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
+                     is_involution, is_simple, naive_dart_automorphism_count,
+                     naive_vertex_automorphism_count, ref_isomorphisms,
+                     ref_semiregular_lattice, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -599,7 +601,7 @@ def test_table_matches_composition():
                     for a in aut.elements]
         assert aut.table == composed, name
         assert all(aut.elements[i] == inverse(p)
-                   for p, i in zip(aut.elements, aut.inverse_indices)), name
+                   for p, i in zip(aut.elements, inverse_indices(aut))), name
 
 
 def test_semiregular_partial_table_is_none_off_the_subset():
@@ -643,7 +645,7 @@ def _reference_conjugacy_classes(aut, subgroups=None):
     subgroups closed under conjugation) as index sets, by conjugating each
     with every element of the group, in the order
     conjugacy_classes_of_subgroups returns them."""
-    table, inv = aut.table, aut.inverse_indices
+    table, inv = aut.table, inverse_indices(aut)
     seen = set()
     classes = []
     if subgroups is None:
@@ -755,6 +757,67 @@ def test_semiregular_members_are_closed_under_conjugation():
     assert len(groups._semiregular_lattice(cube(), 2)[0]) == 5
 
 
+def test_semiregular_search_matches_the_listing_it_replaced():
+    # the members, subgroups and classes the search reads off the chain's
+    # vertex parts are those of the listing over all of Aut(g), its powers
+    # filter, greedy base and conjugation by every coset representative
+    graphs = [(name, g) for name, g in expansion_corpus()]
+    for seed in range(200):
+        graphs += [(f"random_instance({seed})", random_instance(seed)),
+                   (f"normalized({seed})", normalize(random_instance(seed)))]
+    graphs += [(repr(g), g) for g in _beyond_cap_graphs()]
+    # no vertices: the kernel is all of Aut(g), and the identity's vertex
+    # part is the only one
+    for items in ([], [HALVABLE] * 2, [UNDIRECTED, UNDIRECTED, HALVABLE],
+                  [None] * 3, [None, None, HALVABLE], [DIRECTED] * 2):
+        b = GraphBuilder()
+        for i, typ in enumerate(items):
+            if typ is None:
+                b.halfedge(f"x{i}")
+            else:
+                b.free(f"f{i}", type=typ)
+        graphs.append((f"free items {items}", b.build()))
+    for name, g in graphs:
+        for k in (None, 2, 3, 4, 6):
+            members, _, found, classes = groups._semiregular_lattice(g, k)
+            assert (members, found, classes) == ref_semiregular_lattice(
+                g, k), (name, k)
+
+
+def test_semiregular_search_work_is_pinned(monkeypatch):
+    # full image tuples built, and cyclic subgroups checked on their dart
+    # cycles, per search.  The cube's 48 vertex parts are its elements: for
+    # order 2, its 13 involutions that fix no vertex, each its own cyclic
+    # subgroup; with no order, also its 6 quarter turns and 6
+    # rotoreflections of order 4, in 3 + 3 cyclic subgroups.  Every other
+    # part, the identity's included, builds nothing.  dipole([0] * 4) has 2
+    # vertex parts and a kernel of 24: the vertex swap's part gives 24
+    # tuples in 17 cyclic subgroups, 10 of order 2, 3 of order 4 and 4 of
+    # order 6
+    built, checked = [], []
+    elements, cycles = groups._chain_elements, groups._shared_cycle_length
+
+    def counting_elements(*args):
+        out = elements(*args)
+        built.append(len(out))
+        return out
+
+    def counting_cycles(x, points, order=None, mates=(), n=0):
+        if mates:
+            checked.append(1)
+        return cycles(x, points, order, mates, n)
+
+    monkeypatch.setattr(groups, "_chain_elements", counting_elements)
+    monkeypatch.setattr(groups, "_shared_cycle_length", counting_cycles)
+    counts = []
+    for g, k in ((cube(), 2), (cube(), None), (dipole([0] * 4), None)):
+        built.clear()
+        checked.clear()
+        groups._semiregular_lattice(g, k)
+        counts.append((sum(built), len(checked)))
+    assert counts == [(13, 13), (25, 19), (24, 17)]
+
+
 def test_semiregular_classes_are_those_of_the_full_lattice():
     # the classes the semiregular search registers, for every order and
     # none, are the classes of all subgroups restricted to the semiregular
@@ -825,7 +888,8 @@ def test_conjugate_outside_the_listed_subgroups_is_an_internal_error(
     g = cube()
     swap = list(range(len(g.vertex_list) + len(g.dart_list)))
     swap[0], swap[1] = 1, 0
-    monkeypatch.setattr(groups, "chain_generators", lambda g: [tuple(swap)])
+    monkeypatch.setattr(groups, "_search_generators",
+                        lambda g: [tuple(swap)])
     with pytest.raises(InternalError, match="outside every listed one"):
         list(groups.semiregular_class_representatives(g, order=2))
 

@@ -28,7 +28,7 @@ pendant p a color=2
 def test_parse_directed_and_halfedge():
     g = parse("vertex u\nvertex v\nedge e u v type=directed color=0 tail=v\n"
               "halfedge h u color=3\nhalfedge f - color=1\n")
-    assert g.is_tail("e.2")
+    assert "e.2" in g.tails
     assert g.vertex_of("h.1") == "u"
     assert g.vertex_of("f.1") is None
 
