@@ -21,13 +21,19 @@ tuples, so the order and the orbits of Aut(g) need no listing.
 `semiregular_subgroups` lists no Aut(g): it builds full image tuples only
 from the chain's vertex parts whose cycles share one length, keeps each x
 for which <x> is semiregular, checked once per cyclic subgroup, and
-builds a `Group` only for each subgroup it returns.
+builds a `Group` only for each subgroup it returns, and
+`semiregular_class_representatives` only for the first of each class.
 
 Groups are stored extensionally.  Each group picks a base once: a short
-list of points whose images tell all of its elements apart.
-A product a*b is then found by looking up a's images of b's base images,
-so the multiplication table is built without composing whole
-permutations.  Subgroup enumeration works in index space over that table:
+list of points whose images tell all of its elements apart, so a product
+a*b can be looked up by a's images of b's base images.  The
+multiplication table looks up only the rows of a greedy generating set:
+row a of the table is the permutation b -> a*b of positions (the
+left-regular representation), so row(s*a) is row(s) composed with
+row(a), one list read per entry (`_product_table`).  The group keeps the
+generating set, which conjugates its subgroup classes.  A subgroup found
+by a search is built from its sorted positions, checked for the identity
+alone.  Subgroup enumeration works in index space over that table:
 every subgroup found keeps a generator tuple, and <S, x> is closed by
 right-multiplying one representative per right coset of S with the
 generators of S plus x only (Dimino's method).  Each S is extended by one
@@ -48,8 +54,8 @@ search is complete when the listed elements are closed under
 conjugation: if U = <U', x> and U' = g*R*g^-1 for a representative R,
 then U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
 Conjugation is one position map per generator over the listed elements
-(`_conjugations`); the full lattice conjugates by a greedy generating set
-of the group, the semiregular one by the automorphisms its chain lifted
+(`_conjugations`); the full lattice conjugates by the generating set its
+table found, the semiregular one by the automorphisms its chain lifted
 and the kernel's moves (`_search_generators`).
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
@@ -134,19 +140,69 @@ def _greedy_base(images):
 
 
 def _product_table(images, base):
-    """Multiplication table over the image tuples, by their positions;
-    None where a product is not among them.  `base` tells apart the
-    elements of a group that holds the tuples, products included.
+    """(table, generators): the multiplication table over the image
+    tuples, sorted, so the identity first, by their positions, with None
+    where a product is not among them; and the positions whose rows were
+    looked up, each the first that the rows built before it do not reach.
 
-    (a * b)(p) = a(b(p)), so the base images of a * b are a's images of
-    b's base images.
+    Row a lists a * b for every b, the left-regular permutation of a, so
+    row(s * a) = row(s) o row(a): (s * a) * b = s * (a * b).  Rows are
+    looked up only for the generators; every other row is read off a
+    generator's row and a row reached before it, and each pair of a row
+    and a generator is walked once.  An entry a * b outside the tuples
+    leaves a hole in row a, so where row(s * a) would be read through one,
+    that entry is looked up.  A lookup names a product by its base images,
+    a's images of b's base images, as `base` tells apart the elements of a
+    group that holds the tuples, products included.
     """
     if not base:
-        return [(0,)]
+        return [(0,)], ()
     key = itemgetter(*base)
     position = {key(img): k for k, img in enumerate(images)}.get
     times = [itemgetter(*[img[p] for p in base]) for img in images]
-    return [tuple([position(b(img)) for b in times]) for img in images]
+    n = len(images)
+    rows = [None] * n
+    rows[0] = tuple(range(n))
+    whole = [True] * n  # rows known to have no hole
+    reached = [0]
+    generators = []
+
+    def compose(s, a, y):
+        """Row y = s * a, read off rows s and a."""
+        row = rows[s]
+        if whole[a]:
+            # n > 1 here, so the getter returns a tuple
+            rows[y] = itemgetter(*rows[a])(row)
+            whole[y] = whole[s]
+        else:
+            img = images[y]
+            rows[y] = tuple([position(times[b](img)) if z is None else row[z]
+                             for b, z in enumerate(rows[a])])
+            whole[y] = False
+
+    for x in range(1, n):
+        if rows[x] is not None:
+            continue
+        img = images[x]
+        rows[x] = row = tuple([position(t(img)) for t in times])
+        whole[x] = None not in row
+        generators.append(x)
+        # x times every row reached so far, then each new row times every
+        # generator
+        new = [x]
+        for a in reached:
+            y = row[a]
+            if y is not None and rows[y] is None:
+                compose(x, a, y)
+                new.append(y)
+        for a in new:
+            for s in generators:
+                y = rows[s][a]
+                if y is not None and rows[y] is None:
+                    compose(s, a, y)
+                    new.append(y)
+        reached += new
+    return rows, tuple(generators)
 
 
 class Group:
@@ -160,7 +216,6 @@ class Group:
 
     def __init__(self, graph, elements, verify=True):
         self.graph = graph
-        # sorted input, as from `subgroup`, costs one comparison an element
         self.elements = tuple(sorted(dict.fromkeys(map(tuple, elements))))
         n = len(graph.vertex_list) + len(graph.dart_list)
         if any(len(x) != n for x in self.elements):
@@ -225,8 +280,14 @@ class Group:
     @cached_property
     def table(self):
         """table[i][j] = index of elements[i] * elements[j], where
-        (a * b)[p] = a[b[p]]."""
-        return _product_table(self.elements, self._base)
+        (a * b)[p] = a[b[p]]: the rows of `_generators` looked up, the
+        others composed of them (see `_product_table`).  A product outside
+        the elements is an InternalError."""
+        table, self._generators = _product_table(self.elements, self._base)
+        if any(None in table[s] for s in self._generators):
+            raise InternalError(f"a product of two of the group's "
+                                f"{self.order} elements is not among them")
+        return table
 
     @cached_property
     def semiregular_flags(self):
@@ -249,12 +310,25 @@ class Group:
         return subs, sorted(sorted(map(position.get, cls)) for cls in classes)
 
     def subgroup(self, indices):
-        """The group of elements[i] for i in `indices`.  It keeps this
-        group's `_base`, which tells its elements apart too."""
-        sub = Group(self.graph, [self.elements[i] for i in sorted(indices)],
-                    verify=False)
-        sub._base = self._base
-        return sub
+        """The group of elements[i] for i in `indices`, the positions of a
+        subgroup.  It keeps this group's `_base`, which tells its elements
+        apart too."""
+        return Group._of_positions(self.graph, self.elements, indices,
+                                   self._base)
+
+    @classmethod
+    def _of_positions(cls, graph, listed, indices, base):
+        """The group of listed[i] for i in `indices`, where `listed` are
+        sorted image tuples over graph's points and `indices` the positions
+        of a group among them, found by a subgroup search; `base` tells its
+        elements apart.  The elements come out sorted, and only the first
+        is checked: the identity, which sorts first."""
+        grp = cls.__new__(cls)
+        grp.graph, grp._base = graph, base
+        grp.elements = tuple([listed[i] for i in sorted(indices)])
+        if grp.elements[0] != tuple(range(len(listed[0]))):
+            raise GraphError("group must contain the identity")
+        return grp
 
 
 def chain_generators(g, fixed=()):
@@ -506,25 +580,17 @@ class _Setwise:
 
 def _generating_set(grp):
     """Element indices that generate grp: each element in index order that
-    the earlier ones do not generate."""
-    table = grp.table
-    gens = ()
-    span = frozenset({grp.identity_index})
-    for x in range(grp.order):
-        if x not in span:
-            gens += (x,)
-            span = _close_indices(table, span, gens)
-    if len(span) != grp.order:
-        raise InternalError(f"generating set {gens} closes to {len(span)} "
-                            f"elements, expected {grp.order}")
-    return gens
+    the earlier ones do not generate, as `Group.table` found them."""
+    grp.table
+    return grp._generators
 
 
 def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
     """Every subgroup exactly once, sorted by order and then by sorted
     element indices: the union of the conjugacy classes that the search
-    one class at a time finds (see `_subgroup_index_sets`)."""
-    if grp.order > max_order:
+    one class at a time finds (see `_subgroup_index_sets`).  A `max_order`
+    of None sets no cap."""
+    if max_order is not None and grp.order > max_order:
         raise size_limit("all_subgroups", f"group order {grp.order}",
                          max_order, grp.graph)
     return [grp.subgroup(s) for s in grp._subgroup_lattice[0]]
@@ -556,15 +622,11 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     as the listed group gives them: the lattice search on the partial
     table of `_semiregular_lattice`, kept on g per order (see
     `graph.cached`).  `max_order` bounds the chain's order on every call,
-    though Aut(g) is never listed."""
+    though Aut(g) is never listed.  An `order` that is neither None nor a
+    positive integer is a GraphError."""
     _capped_order(g, max_order)
     members, base, found, _ = _semiregular_lattice(g, order)
-    subs = []
-    for s in found:
-        sub = Group(g, [members[i] for i in sorted(s)], verify=False)
-        sub._base = base
-        subs.append(sub)
-    return subs
+    return [Group._of_positions(g, members, s, base) for s in found]
 
 
 def _semiregular_lattice(g, order):
@@ -580,6 +642,9 @@ def _semiregular_lattice(g, order):
     elements fix every vertex.  A cyclic subgroup's darts are walked once:
     its generators, named on the base, share the verdict.
     """
+    if order is not None and not (isinstance(order, int) and order > 0):
+        raise GraphError(f"semiregular subgroup order must be a positive "
+                         f"integer or None, got {order!r}")
     lattices = cached(g, "_semiregular_lattices", lambda g: {})
     if order in lattices:
         return lattices[order]
@@ -611,7 +676,7 @@ def _semiregular_lattice(g, order):
             if verdicts[name]:
                 members.append(x)
     members.sort()
-    table = _product_table(members, base)
+    table = _product_table(members, base)[0]
     maps = _conjugations(members, base, _search_generators(g))
     # the identity sorts first among image tuples
     subs, classes = _subgroup_index_sets(
@@ -677,9 +742,12 @@ def semiregular_class_representatives(g, order=None,
                                       max_order=MAX_GROUP_ORDER):
     """The first subgroup of each conjugacy class of
     `semiregular_subgroups(g, order)`, in that list's order, as the search
-    registers the classes: if S' = t*S*t^-1, then t maps g/S onto g/S'."""
-    subs = semiregular_subgroups(g, order=order, max_order=max_order)
-    return [subs[cls[0]] for cls in _semiregular_lattice(g, order)[3]]
+    registers the classes: if S' = t*S*t^-1, then t maps g/S onto g/S'.
+    A `Group` is built for these firsts only."""
+    _capped_order(g, max_order)
+    members, base, found, classes = _semiregular_lattice(g, order)
+    return [Group._of_positions(g, members, found[cls[0]], base)
+            for cls in classes]
 
 
 def element_class_firsts(elements, generators):

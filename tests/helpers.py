@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to validate the fast paths."""
 
 import itertools
+from operator import itemgetter
 
 from regcover import groups, iso
 from regcover.graph import DIRECTED, STANDARD, SubgraphRef, point_maps
@@ -27,6 +28,33 @@ def inverse_indices(grp):
     multiplication table."""
     e = grp.identity_index
     return tuple(row.index(e) for row in grp.table)
+
+
+def ref_product_table(images, base):
+    """The multiplication table over the image tuples by their positions,
+    None where a product is not among them, with every entry looked up:
+    the base images of a * b are a's images of b's base images, and `base`
+    tells apart the elements of a group that holds the tuples."""
+    if not base:
+        return [(0,)]
+    key = itemgetter(*base)
+    position = {key(img): k for k, img in enumerate(images)}.get
+    times = [itemgetter(*[img[p] for p in base]) for img in images]
+    return [tuple([position(b(img)) for b in times]) for img in images]
+
+
+def ref_generating_set(table, e=0):
+    """Positions that generate the group of a full multiplication table:
+    each position in order that the earlier ones do not generate, each
+    span closed again by `groups._close_indices`."""
+    gens = ()
+    span = frozenset({e})
+    for x in range(len(table)):
+        if x not in span:
+            gens += (x,)
+            span = groups._close_indices(table, span, gens)
+    assert len(span) == len(table)
+    return gens
 
 
 def is_identity(a):
@@ -446,7 +474,7 @@ def ref_semiregular_lattice(g, order):
                         for y in powers)):
             members.append(x)
     base = groups._greedy_base(list(images))
-    table = groups._product_table(members, base)
+    table = ref_product_table(members, base)
     maps = groups._conjugations(members, base, groups.chain_generators(g))
     subs, classes = groups._subgroup_index_sets(table, 0, len(images), maps,
                                                 divides=order)

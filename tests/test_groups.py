@@ -26,7 +26,8 @@ from regcover.reduction import reduction_series
 
 from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
                      is_involution, is_simple, naive_dart_automorphism_count,
-                     naive_vertex_automorphism_count, ref_isomorphisms,
+                     naive_vertex_automorphism_count, ref_generating_set,
+                     ref_isomorphisms, ref_product_table,
                      ref_semiregular_lattice, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
@@ -604,12 +605,80 @@ def test_table_matches_composition():
                    for p, i in zip(aut.elements, inverse_indices(aut))), name
 
 
+def test_table_matches_every_product_looked_up():
+    # the rows composed of the generators' rows are the table that looks
+    # up every product, and the generators those of the greedy closure:
+    # every corpus graph, 200 random seeds, and prism(60) and K6 over the
+    # group-order cap
+    auts = [automorphism_group(g) for _, g in expansion_corpus()]
+    for seed in range(200):
+        g = normalize(random_instance(seed))
+        if count_automorphisms(g) <= groups.MAX_GROUP_ORDER:
+            auts.append(automorphism_group(g))
+    auts += [automorphism_group(prism(60), max_order=None),
+             automorphism_group(complete(6), max_order=None)]
+    assert len(auts) > 240
+    for aut in auts:
+        want = ref_product_table(aut.elements, aut._base)
+        assert aut.table == want, aut.graph
+        assert groups._generating_set(aut) == ref_generating_set(want), (
+            aut.graph)
+
+
+def test_partial_tables_match_every_product_looked_up():
+    # the semiregular search's partial tables, holes included, for orders
+    # None, 2, 3, 4 and 6: a row read through a hole looks that entry up
+    tables = holes = 0
+    for name, g, _ in _semiregular_cases():
+        for k in (None, 2, 3, 4, 6):
+            members, base, _, _ = groups._semiregular_lattice(g, k)
+            table = groups._product_table(members, base)[0]
+            assert table == ref_product_table(members, base), (name, k)
+            tables += 1
+            holes += sum(row.count(None) for row in table)
+    assert tables == 1245 and holes > 0
+
+
+def test_table_rows_looked_up_are_pinned(monkeypatch):
+    # rows looked up per table, the generators', and rows composed of
+    # them; every row was looked up before, 120 for Petersen and the
+    # icosahedron and 48 for the cube.  A lookup names each entry of a row
+    # by its base images, a call of one of the base-length getters, as
+    # does each element's key once
+    auts = [automorphism_group(build())
+            for build in (petersen, icosahedron, cube)]
+    calls = []
+    getter = groups.itemgetter
+
+    def counting(*items):
+        get = getter(*items)
+        if len(items) > len(aut._base):
+            return get  # a composed row's
+
+        def call(x):
+            calls.append(1)
+            return get(x)
+        return call
+
+    for aut in auts:
+        aut._base
+    monkeypatch.setattr(groups, "itemgetter", counting)
+    counts = []
+    for aut in auts:
+        calls.clear()
+        aut.table
+        gens = groups._generating_set(aut)
+        assert len(calls) == (len(gens) + 1) * aut.order
+        counts.append((aut.order, len(gens), aut.order - 1 - len(gens)))
+    assert counts == [(120, 3, 116), (120, 3, 116), (48, 3, 44)]
+
+
 def test_semiregular_partial_table_is_none_off_the_subset():
     for name, _, aut in _small_corpus():
         members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
         position = {aut.elements[i]: k for k, i in enumerate(members)}
         partial = groups._product_table(
-            [aut.elements[i] for i in members], aut._base)
+            [aut.elements[i] for i in members], aut._base)[0]
         for k, i in enumerate(members):
             a = aut.elements[i]
             for m, j in enumerate(members):
@@ -851,6 +920,28 @@ def test_semiregular_search_is_kept_but_capped_on_every_call():
             call(g, order=2, max_order=47)
 
 
+@pytest.mark.parametrize("order", [0, -2, 2.0, "2"])
+def test_semiregular_order_must_be_a_positive_integer(order):
+    # refused before the search, which order 0 used to run over the whole
+    # lattice, keeping every subgroup, and then keep under that order
+    g = cube()
+    for call in (semiregular_subgroups,
+                 groups.semiregular_class_representatives):
+        with pytest.raises(GraphError, match="positive integer or None"):
+            call(g, order=order)
+    assert "_semiregular_lattices" not in vars(g)
+
+
+def test_no_max_order_is_no_cap_on_the_subgroup_lattice():
+    # None sets no cap, as in automorphism_group and all_quotients
+    aut = automorphism_group(petersen())
+    subs = all_subgroups(aut, max_order=None)
+    assert [s.elements for s in subs] == [
+        s.elements for s in all_subgroups(aut)]
+    classes = conjugacy_classes_of_subgroups(aut, max_order=None)
+    assert (len(subs), len(classes)) == (156, 19)
+
+
 def test_chain_generators_generate_the_group():
     # sympy's Schreier-Sims order of the generated group is the chain's
     # order, also where a kernel job has three or more items to permute
@@ -894,12 +985,15 @@ def test_conjugate_outside_the_listed_subgroups_is_an_internal_error(
         list(groups.semiregular_class_representatives(g, order=2))
 
 
-def test_generating_set_that_does_not_span_is_an_internal_error(monkeypatch):
-    # a closure that adds nothing leaves every element outside the span
-    monkeypatch.setattr(groups, "_close_indices",
-                        lambda table, s, gens: frozenset(s))
-    with pytest.raises(InternalError, match="generating set"):
-        conjugacy_classes_of_subgroups(automorphism_group(cube()))
+def test_generating_set_that_does_not_span_is_an_internal_error():
+    # Aut(cube) less one element is no group: a generator's row holds a
+    # product that is not listed, whichever element is left out
+    aut = automorphism_group(cube())
+    for drop in range(1, aut.order):
+        listed = aut.elements[:drop] + aut.elements[drop + 1:]
+        grp = Group(aut.graph, listed, verify=False)
+        with pytest.raises(InternalError, match="47 elements is not among"):
+            grp.table
 
 
 def test_class_size_not_dividing_the_order_is_an_internal_error(monkeypatch):
@@ -923,9 +1017,10 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
     # a subgroup alike; one per left coset took 4,169 (Petersen), 4,515
     # (icosahedron) and 1,088 (cube) for all_subgroups, and 53 (cube) and
     # 155 (icosahedron) for semiregular_subgroups.  Both searches extend
-    # one subgroup per conjugacy class, and all_subgroups' counts include
-    # the few closures of the generating set that conjugates; extending
-    # every subgroup took 1,257, 1,408 and 538, and 22 and 49
+    # one subgroup per conjugacy class; extending every subgroup took
+    # 1,257, 1,408 and 538, and 22 and 49.  all_subgroups' counts were 178,
+    # 217 and 191 while the generating set that conjugates was closed again
+    # here, 3 closures each; the table's builder now finds it
     calls = []
     close = groups._close_indices
 
@@ -944,7 +1039,7 @@ def test_subgroup_closure_counts_are_pinned(monkeypatch):
         calls.clear()
         semiregular_subgroups(build())
         counts.append(len(calls))
-    assert counts == [178, 217, 191, 16, 32]
+    assert counts == [175, 214, 188, 16, 32]
 
 
 def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
@@ -978,10 +1073,16 @@ def test_semiregular_subgroups_list_no_group(monkeypatch):
 
     built = []
     init = Group.__init__
+    of_positions = Group._of_positions.__func__
 
     def counting(self, graph, elements, verify=True):
         init(self, graph, elements, verify)
         built.append(self.elements)
+
+    def trusted(cls, *args):
+        grp = of_positions(cls, *args)
+        built.append(grp.elements)
+        return grp
 
     expected = {}
     for build in (cube, petersen, icosahedron):
@@ -992,6 +1093,7 @@ def test_semiregular_subgroups_list_no_group(monkeypatch):
              for s in semiregular_subgroups(g, order=k)])
     monkeypatch.setattr(groups, "automorphism_group", refuse)
     monkeypatch.setattr(Group, "__init__", counting)
+    monkeypatch.setattr(Group, "_of_positions", classmethod(trusted))
     for build, (order, listed) in expected.items():
         for k in (None, 2, 3):
             g = build()

@@ -557,21 +557,33 @@ def test_a_witness_that_is_no_automorphism_is_an_internal_error(flags):
 
 def test_each_decision_past_the_count_checks_lists_the_subgroups_once(
         monkeypatch):
-    # the class representatives come from `semiregular_subgroups`, so a
-    # tracer that wraps it counts every decision's subgroups: one call per
-    # pair whose counts and profiles are k to 1 for some k > 1, none for
-    # the others
-    module = importlib.import_module("regcover.quotient")
-    profiles = module._local_profiles
-    listed = groups.semiregular_subgroups
-    calls = []
+    # the class representatives are read off one semiregular search: one
+    # search per pair whose counts and profiles are k to 1 for some k > 1,
+    # none for the others.  A group is built for the first subgroup of
+    # each class of order k only: 670 over the 393 searches, where one per
+    # subgroup of order k built 1,316
+    profiles = importlib.import_module("regcover.quotient")._local_profiles
+    lattice = groups._semiregular_lattice
+    of_positions = Group._of_positions.__func__
+    init = Group.__init__
+    calls, built = [], []
 
-    def counting(*args, **kwargs):
+    def searching(g, order):
         calls.append(1)
-        return listed(*args, **kwargs)
+        return lattice(g, order)
 
-    monkeypatch.setattr(groups, "semiregular_subgroups", counting)
-    searched = 0
+    def trusted(cls, *args):
+        built.append(1)
+        return of_positions(cls, *args)
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "_semiregular_lattice", searching)
+    monkeypatch.setattr(Group, "_of_positions", classmethod(trusted))
+    monkeypatch.setattr(Group, "__init__", counting)
+    searched = built_past = listed = 0
     for g, h in _cover_pairs():
         k = g.n_vertices // h.n_vertices
         past = (k > 1 and g.n_vertices % h.n_vertices == 0
@@ -579,10 +591,16 @@ def test_each_decision_past_the_count_checks_lists_the_subgroups_once(
                 and profiles(g) == {p: k * n
                                     for p, n in profiles(h).items()})
         calls.clear()
+        built.clear()
         regular_cover_test(g, h)
         assert len(calls) == past
+        if past:
+            assert len(built) == len(lattice(g, k)[3])
+            built_past += len(built)
+            listed += len(lattice(g, k)[2])
         searched += past
     assert searched > 300
+    assert (searched, built_past, listed) == (393, 670, 1316)
 
 
 def test_profile_refusal_changes_no_decision(monkeypatch):
