@@ -14,9 +14,9 @@ path, and the automorphisms fixing every vertex.  The order, the product of the
 coset counts and the kernel's size (`iso.chain_order`), is known before
 any element is built.  `count_automorphisms`, which lives next to the item
 index in `iso`, takes its count from the same chain, so a count never
-builds a permutation either.  `chain_generators` reads a generating set
-off that chain as it is, and `orbits` closes points under any image
-tuples, so the order and the orbits of Aut(g) need no listing.
+builds a permutation either.  `iso.chain_generators` are the maps the
+chain lifted and the kernel's moves, and `orbits` closes points under any
+image tuples, so the order and the orbits of Aut(g) need no listing.
 
 `semiregular_subgroups` lists no Aut(g): it builds full image tuples only
 from the chain's vertex parts whose cycles share one length, keeps each x
@@ -24,9 +24,10 @@ for which <x> is semiregular, checked once per cyclic subgroup, and
 builds a `Group` only for each subgroup it returns, and
 `semiregular_class_representatives` only for the first of each class.
 
-Groups are stored extensionally.  Each group picks a base once: a short
-list of points whose images tell all of its elements apart, so a product
-a*b can be looked up by a's images of b's base images.  The
+Groups are stored extensionally.  Every group of g names its elements by
+their images on the chain's base (`iso.chain_base`), which tell all of
+Aut(g) apart, so a product a*b, looked up by a's images of b's base
+images, is never taken for another element.  The
 multiplication table looks up only the rows of a greedy generating set:
 row a of the table is the permutation b -> a*b of positions (the
 left-regular representation), so row(s*a) is row(s) composed with
@@ -55,8 +56,7 @@ conjugation: if U = <U', x> and U' = g*R*g^-1 for a representative R,
 then U = g*<R, g^-1*x*g>*g^-1, so R's extensions reach a conjugate of U.
 Conjugation is one position map per generator over the listed elements
 (`_conjugations`); the full lattice conjugates by the generating set its
-table found, the semiregular one by the automorphisms its chain lifted
-and the kernel's moves (`_search_generators`).
+table found, the semiregular one by the chain's (`iso.chain_generators`).
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
 layer takes the first subgroup of each registered class
@@ -74,7 +74,7 @@ from operator import eq, itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached, point_index, point_maps
-from .iso import (chain_lifts, chain_order, chain_products,
+from .iso import (chain_base, chain_generators, chain_order, chain_products,
                   count_automorphisms, kernel_images, orbit_closure,
                   stabilizer_chain, verify_isomorphism)
 
@@ -122,21 +122,6 @@ def semiregularity_violation(g, images):
     if i < nv:
         return f"fixes vertex {g.vertex_list[i]!r}"
     return f"fixes dart {g.dart_list[i - nv]!r}"
-
-
-def _greedy_base(images):
-    """Points whose images tell all the image tuples apart, picked
-    greedily: each point, in order, that tells more of them apart."""
-    distinct = 1
-    base = []
-    for point in range(len(images[0])):
-        if distinct == len(images):
-            break
-        n = len(set(map(itemgetter(*base, point), images)))
-        if n > distinct:
-            base.append(point)
-            distinct = n
-    return tuple(base)
 
 
 def _product_table(images, base):
@@ -209,9 +194,9 @@ class Group:
     """A closed set of automorphisms of one graph, identity included.
 
     `elements` are the automorphisms' image tuples over the graph's points
-    (see `graph.point_index`), sorted.  With `verify`, each element is
-    checked to be an automorphism of the graph and the set to be closed;
-    a caller that builds elements from a stabilizer chain passes False.
+    (see `graph.point_index`), sorted.  With `verify`, the set is checked
+    to be a group of automorphisms of the graph (`check_closure`); a
+    caller that builds elements from a stabilizer chain passes False.
     """
 
     def __init__(self, graph, elements, verify=True):
@@ -227,19 +212,31 @@ class Group:
             self.check_closure()
 
     def check_closure(self):
-        """GraphError unless every element is an automorphism of the graph
-        and every product is an element; a finite set of permutations
-        closed under products holds their inverses too."""
+        """GraphError unless the elements are automorphisms of the graph
+        closed under products, checked by generators: each element that
+        the earlier ones do not generate is checked against the raw graph,
+        and the group they generate, closed as image tuples, must stay
+        inside the elements, which it then holds."""
         g = self.graph
+        pool, gens = set(self.elements), []
+        closed = {tuple(range(len(self.elements[0])))}
         for x in self.elements:
+            if x in closed:
+                continue
             if not verify_isomorphism(g, g, *point_maps(g, x)):
                 raise GraphError("group element is not an automorphism of "
                                  "the graph")
-        pool = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                if tuple([a[i] for i in b]) not in pool:
-                    raise GraphError("group not closed under composition")
+            gens.append(x)
+            # what was closed times x, then each new element times every
+            # generator: the result is closed under right products
+            todo = [(y, (x,)) for y in closed]
+            while todo:
+                y, by = todo.pop()
+                for z in {tuple(map(y.__getitem__, s)) for s in by} - closed:
+                    if z not in pool:
+                        raise GraphError("group not closed under composition")
+                    closed.add(z)
+                    todo.append((z, gens))
 
     @property
     def order(self):
@@ -274,16 +271,13 @@ class Group:
         return self.elements.index(tuple(range(len(self.elements[0]))))
 
     @cached_property
-    def _base(self):
-        return _greedy_base(self.elements)
-
-    @cached_property
     def table(self):
         """table[i][j] = index of elements[i] * elements[j], where
         (a * b)[p] = a[b[p]]: the rows of `_generators` looked up, the
         others composed of them (see `_product_table`).  A product outside
         the elements is an InternalError."""
-        table, self._generators = _product_table(self.elements, self._base)
+        table, self._generators = _product_table(self.elements,
+                                                 chain_base(self.graph))
         if any(None in table[s] for s in self._generators):
             raise InternalError(f"a product of two of the group's "
                                 f"{self.order} elements is not among them")
@@ -303,75 +297,24 @@ class Group:
         members.  `all_subgroups` and `conjugacy_classes_of_subgroups`
         both read this one search."""
         gens = [self.elements[i] for i in _generating_set(self)]
-        maps = _conjugations(self.elements, self._base, gens)
+        maps = _conjugations(self.elements, chain_base(self.graph), gens)
         subs, classes = _subgroup_index_sets(
             self.table, self.identity_index, self.order, maps)
         position = {s: i for i, s in enumerate(subs)}
         return subs, sorted(sorted(map(position.get, cls)) for cls in classes)
 
-    def subgroup(self, indices):
-        """The group of elements[i] for i in `indices`, the positions of a
-        subgroup.  It keeps this group's `_base`, which tells its elements
-        apart too."""
-        return Group._of_positions(self.graph, self.elements, indices,
-                                   self._base)
-
     @classmethod
-    def _of_positions(cls, graph, listed, indices, base):
-        """The group of listed[i] for i in `indices`, where `listed` are
-        sorted image tuples over graph's points and `indices` the positions
-        of a group among them, found by a subgroup search; `base` tells its
-        elements apart.  The elements come out sorted, and only the first
-        is checked: the identity, which sorts first."""
+    def _of_positions(cls, graph, listed, indices):
+        """The group of listed[i] for i in `indices`, the positions of a
+        group among `listed`, sorted image tuples over graph's points, that
+        a subgroup search found; only the first element, the identity as
+        they sort, is checked."""
         grp = cls.__new__(cls)
-        grp.graph, grp._base = graph, base
+        grp.graph = graph
         grp.elements = tuple([listed[i] for i in sorted(indices)])
         if grp.elements[0] != tuple(range(len(listed[0]))):
             raise GraphError("group must contain the identity")
         return grp
-
-
-def chain_generators(g, fixed=()):
-    """Image tuples of automorphisms that generate Aut(g), or with `fixed`
-    the automorphisms fixing each of its vertices: the coset
-    representatives of `stabilizer_chain(g, fixed)` and, for each kernel
-    job, the transposition of its first two items, the cycle of all its
-    items, and its first item turned along its second way when it has one.
-    The kernel fixes every vertex and permutes each job's items, each
-    along one of its ways, independently: Sym(items) wreath the ways,
-    which the three moves generate.  The chain of `fixed` is read off the
-    canonical search that marks it in order, which an atom's ordered
-    forms have already made."""
-    transversals, kernel = stabilizer_chain(g, fixed)
-    gens = [t for reps in transversals for t in reps]
-    didx = point_index(g)[1]
-    one = range(len(g.vertex_list) + len(g.dart_list))
-    for _, items, _, ways in kernel:
-        n = len(items)
-        moves = []  # (item, target item, way) per moved item
-        if n > 1:
-            moves.append([(items[0], items[1], ways[0]),
-                          (items[1], items[0], ways[0])])
-        if n > 2:
-            moves.append([(items[i], items[i - n + 1], ways[0])
-                          for i in range(n)])
-        if len(ways) > 1:
-            moves.append([(items[0], items[0], ways[1])])
-        for move in moves:
-            images = list(one)
-            for src, dst, way in move:
-                for h, i in zip(src, way):
-                    images[didx[h]] = didx[dst[i]]
-            gens.append(tuple(images))
-    return gens
-
-
-def _search_generators(g):
-    """Image tuples that generate Aut(g): the automorphisms its chain
-    lifted (`iso.chain_lifts`), no more than the coset representatives,
-    and the kernel's moves, which follow those in `chain_generators`."""
-    (transversals, _), _, lifts = chain_lifts(g)
-    return list(lifts) + chain_generators(g)[sum(map(len, transversals)):]
 
 
 def _capped_order(g, max_order):
@@ -551,9 +494,7 @@ def _conjugations(elements, base, gens):
                 for i, x in enumerate(elements)}
     maps = []
     for t in gens:
-        inverse = [0] * len(t)
-        for i, j in enumerate(t):
-            inverse[j] = i
+        inverse = sorted(range(len(t)), key=t.__getitem__)
         # (t * x * t^-1)(b) = t(x(t^-1(b)))
         at = [inverse[b] for b in base]
         try:
@@ -593,7 +534,8 @@ def all_subgroups(grp, max_order=MAX_GROUP_ORDER):
     if max_order is not None and grp.order > max_order:
         raise size_limit("all_subgroups", f"group order {grp.order}",
                          max_order, grp.graph)
-    return [grp.subgroup(s) for s in grp._subgroup_lattice[0]]
+    return [Group._of_positions(grp.graph, grp.elements, s)
+            for s in grp._subgroup_lattice[0]]
 
 
 def conjugacy_classes_of_subgroups(grp, max_order=MAX_GROUP_ORDER):
@@ -625,36 +567,35 @@ def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     though Aut(g) is never listed.  An `order` that is neither None nor a
     positive integer is a GraphError."""
     _capped_order(g, max_order)
-    members, base, found, _ = _semiregular_lattice(g, order)
-    return [Group._of_positions(g, members, s, base) for s in found]
+    members, found, _ = _semiregular_lattice(g, order)
+    return [Group._of_positions(g, members, s) for s in found]
 
 
 def _semiregular_lattice(g, order):
-    """(members, base, subgroups, classes) of the semiregular search of
+    """(members, subgroups, classes) of the semiregular search of
     `order`: the elements x, sorted, for which <x> is semiregular, of an
-    order dividing `order` if given, a class-closed set; the chain's base,
-    the first path and a dart of each item the kernel moves but one it
-    then fixes, which tells all of Aut(g) apart; the index sets of the
-    subgroups returned; and their classes, as sorted lists of positions.
+    order dividing `order` if given, a class-closed set; the index sets of
+    the subgroups returned; and their classes, as sorted lists of
+    positions.
 
     A vertex part whose cycles differ in length builds no tuple t*k, k in
     the kernel; the identity's gives the identity alone, as other kernel
     elements fix every vertex.  A cyclic subgroup's darts are walked once:
-    its generators, named on the base, share the verdict.
+    its generators, named on the chain's base (`iso.chain_base`), which
+    tells all of Aut(g) apart, share the verdict.
     """
-    if order is not None and not (isinstance(order, int) and order > 0):
+    if order is not None and not (isinstance(order, int) and order > 0
+                                  and not isinstance(order, bool)):
         raise GraphError(f"semiregular subgroup order must be a positive "
                          f"integer or None, got {order!r}")
     lattices = cached(g, "_semiregular_lattices", lambda g: {})
     if order in lattices:
         return lattices[order]
     transversals, jobs = stabilizer_chain(g)
-    didx, nv = point_index(g)[1], len(g.vertex_list)
-    moved = tuple(didx[item[0]] for _, items, _, ways in jobs
-                  for item in (items if len(ways) > 1 else items[:-1]))
-    base = chain_lifts(g)[1] + moved
+    base, nv = chain_base(g), len(g.vertex_list)
     one = tuple(range(nv + len(g.dart_list)))
-    kernel = kernel_images(g, jobs) if moved else [one]  # identity first
+    # identity first; a base of the first path alone means a trivial kernel
+    kernel = kernel_images(g, jobs) if base[len(transversals):] else [one]
     parts = chain_products(transversals, [one[:nv]])
     _distinct(parts, len(parts))
     mates = (-1,) * nv + _mate_points(g)
@@ -677,7 +618,7 @@ def _semiregular_lattice(g, order):
                 members.append(x)
     members.sort()
     table = _product_table(members, base)[0]
-    maps = _conjugations(members, base, _search_generators(g))
+    maps = _conjugations(members, base, chain_generators(g))
     # the identity sorts first among image tuples
     subs, classes = _subgroup_index_sets(
         table, 0, chain_order((transversals, jobs)), maps, divides=order)
@@ -685,7 +626,7 @@ def _semiregular_lattice(g, order):
     position = {s: i for i, s in enumerate(found)}
     classes = sorted(sorted(map(position.get, cls)) for cls in classes
                      if order is None or len(next(iter(cls))) == order)
-    return lattices.setdefault(order, (members, base, found, classes))
+    return lattices.setdefault(order, (members, found, classes))
 
 
 def _shared_cycle_length(x, points, order=None, mates=(), n=0):
@@ -745,8 +686,8 @@ def semiregular_class_representatives(g, order=None,
     registers the classes: if S' = t*S*t^-1, then t maps g/S onto g/S'.
     A `Group` is built for these firsts only."""
     _capped_order(g, max_order)
-    members, base, found, classes = _semiregular_lattice(g, order)
-    return [Group._of_positions(g, members, found[cls[0]], base)
+    members, found, classes = _semiregular_lattice(g, order)
+    return [Group._of_positions(g, members, found[cls[0]])
             for cls in classes]
 
 

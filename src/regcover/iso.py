@@ -45,7 +45,9 @@ lists the darts at each vertex by their other end.  It has four readers:
   individualized, refinement is discrete, so the automorphisms fixing it
   fix every vertex.  Counts come from the chain: the product of the orbit
   sizes and, per group, of |items|! * |ways|^|items| for the identity
-  map, listing no dart map.
+  map, listing no dart map.  The group layer's one base and one
+  generating set are the chain's (`chain_base`, `chain_generators`), and
+  no other module reads a kernel job.
   The automorphisms agreeing with a vertex map `pinned` are one coset:
   the map between the best-leaf orders with its vertices and with their
   images marked in order, times the chain of the pinned vertices, empty
@@ -76,7 +78,7 @@ import functools
 import itertools
 import math
 
-from .errors import InternalError, size_limit
+from .errors import GraphError, InternalError, size_limit
 from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
                     cached, point_images, point_index)
 
@@ -305,6 +307,9 @@ def _canonical(g, marking, ordered_marking):
     cache = cached(g, "_iso_canon", lambda g: {})
     key = (marking, ordered_marking)
     if key not in cache:
+        for v in ordered_marking or marking or ():
+            if v not in g.vertices:
+                raise GraphError(f"unknown vertex {v!r}")
         (enc, order), first, autos = _best_leaf(g, marking, ordered_marking)
         cache[key] = (repr(enc).encode("ascii"), order, tuple(first), autos)
     return cache[key]
@@ -398,15 +403,60 @@ def stabilizer_chain(g, fixed=()):
 
 
 def chain_lifts(g, fixed=()):
-    """(chain, base, lifts): `stabilizer_chain(g, fixed)`, the points of
+    """(chain, path, lifts): `stabilizer_chain(g, fixed)`, the points of
     its first path, and the automorphisms it lifted to close its orbits,
-    image tuples in the order lifted.  Each coset representative is a
-    product of lifts, so they and the kernel generate the group."""
+    image tuples in the order lifted, of which each coset representative
+    is a product."""
     fixed = tuple(fixed or ())
     chains = cached(g, "_iso_chains", lambda g: {})
     if fixed not in chains:
         chains[fixed] = _read_chain(g, fixed)
     return chains[fixed]
+
+
+def chain_base(g, fixed=()):
+    """Points whose images tell apart the automorphisms of g fixing each
+    vertex of `fixed`: their chain's first path, which names the vertex
+    part t of t * k, and a dart of each item that a kernel job moves, but
+    the last one of a job that cannot turn it, which then name k."""
+    return _chain_extras(g, fixed)[0]
+
+
+def chain_generators(g, fixed=()):
+    """Image tuples that generate the automorphisms of g fixing each vertex
+    of `fixed`: the maps `chain_lifts` lifted and, per kernel job, the
+    transposition of its first two items, the cycle of all its items, and
+    its first item turned along its second way if it has one, which
+    generate Sym(items) wreath the ways."""
+    return _chain_extras(g, fixed)[1]
+
+
+def _chain_extras(g, fixed):
+    """(`chain_base`, `chain_generators`), built when first asked for."""
+    fixed = tuple(fixed or ())
+    extras = cached(g, "_iso_chain_extras", lambda g: {})
+    if fixed not in extras:
+        (_, kernel), first, lifts = chain_lifts(g, fixed)
+        didx = point_index(g)[1]
+        base, gens = list(first), list(lifts)
+        for _, items, _, ways in kernel:
+            n = len(items)
+            base += [didx[item[0]] for item in items[:n - (len(ways) == 1)]]
+            moves = []  # {item position: (target position, way)} per move
+            if n > 1:
+                moves.append({0: (1, 0), 1: (0, 0)})
+            if n > 2:
+                moves.append({i: ((i + 1) % n, 0) for i in range(n)})
+            if len(ways) > 1:
+                moves.append({0: (0, 1)})
+            for move in moves:
+                images = list(range(len(g.vertex_list) + len(g.dart_list)))
+                for i, (j, w) in move.items():
+                    for h, r in zip(items[i], ways[w]):
+                        images[didx[h]] = didx[items[j][r]]
+                gens.append(tuple(images))
+        extras[fixed] = (tuple(base), tuple(gens))
+    return extras[fixed]
 
 
 def _read_chain(g, fixed):

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
-                    cached, normalize, point_index, point_maps,
-                    require_standard_input)
+                    cached, normalize, point_index, require_standard_input)
 from .groups import (MAX_GROUP_ORDER, Group, chain_generators,
                      element_class_firsts, orbits,
                      semiregular_class_representatives, semiregular_violations)
-from .iso import are_isomorphic, canonical_form, verify_isomorphism
-from .reduction import reduction_series
+from .iso import are_isomorphic, canonical_form
+from .reduction import COLOR_STRIDE, reduction_series
 
 
 @dataclass
@@ -165,7 +164,7 @@ def atom_quotients(a):
         ident = range(ag.n_vertices + ag.n_darts)
         taus = a.swap_involutions()
         for tau in element_class_firsts(
-                taus, chain_generators(ag, (u, v)) + [taus[0]]):
+                taus, (*chain_generators(ag, (u, v)), taus[0])):
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
             key = canonical_form(q.result, marking=(w,), max_vertices=None)
@@ -233,6 +232,14 @@ def _substitute(h_next, placements):
 def expand_step(h_next, step):
     """All expansions of a quotient of the step's target back one level."""
     classes = {cls.color: cls for cls in step.classes}
+    # a step's classes take colors upward from a multiple of COLOR_STRIDE
+    # above its source's colors: from there up, a color must name a class
+    floor = min(classes, default=0) // COLOR_STRIDE * COLOR_STRIDE
+    for h in h_next.dart_list:
+        c = h_next.color[h]
+        if classes and c >= floor and c not in classes:
+            raise GraphError(f"item {h!r} has color {c}, a color of this "
+                             f"step that names none of its classes")
 
     fixed_placements = []
     half_groups = {}
@@ -376,9 +383,9 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
     when g is isomorphic to h, and no group is built.
 
     No vertex cap applies, since g is the largest graph compared;
-    `max_order` caps the group listed.  Each non-identity element of a
-    witness is checked against the raw graph before it is returned, as
-    neither `quotient` nor the group layer would catch a product of the
+    `max_order` caps the group listed.  A witness is checked against the
+    raw graph by its generators (`Group.check_closure`), as neither
+    `quotient` nor the semiregular search would catch a product of the
     stabilizer chain that is no automorphism."""
     for name, gr in (("covering graph", g), ("target graph", h)):
         require_standard_input(gr, name)
@@ -400,10 +407,11 @@ def regular_cover_test(g, h, max_order=MAX_GROUP_ORDER):
                                                    max_order=max_order):
         q = quotient(g, gamma)
         if are_isomorphic(q.result, h, max_vertices=None) is not None:
-            if not all(verify_isomorphism(g, g, *point_maps(g, x))
-                       for x in gamma):
+            try:
+                gamma.check_closure()
+            except GraphError as err:
                 raise InternalError("regular_cover_test: a witness element "
                                     "is not an automorphism of the "
-                                    "covering graph")
+                                    "covering graph") from err
             return gamma
     return None

@@ -4,7 +4,9 @@ import itertools
 from operator import itemgetter
 
 from regcover import groups, iso
-from regcover.graph import DIRECTED, STANDARD, SubgraphRef, point_maps
+from regcover.errors import GraphError
+from regcover.graph import (DIRECTED, STANDARD, SubgraphRef, point_index,
+                            point_maps)
 from regcover.groups import Group
 from regcover.quotient import quotient
 
@@ -54,6 +56,67 @@ def ref_generating_set(table, e=0):
             gens += (x,)
             span = groups._close_indices(table, span, gens)
     assert len(span) == len(table)
+    return gens
+
+
+def greedy_base(images):
+    """Points whose images tell all the image tuples apart, picked
+    greedily: each point, in order, that tells more of them apart."""
+    distinct = 1
+    base = []
+    for point in range(len(images[0])):
+        if distinct == len(images):
+            break
+        n = len(set(map(itemgetter(*base, point), images)))
+        if n > distinct:
+            base.append(point)
+            distinct = n
+    return tuple(base)
+
+
+def ref_check_closure(grp):
+    """GraphError unless every element of the group is an automorphism of
+    its graph and every product of two elements is an element, each
+    element checked against the raw graph and every pair multiplied."""
+    g = grp.graph
+    for x in grp.elements:
+        if not iso.verify_isomorphism(g, g, *point_maps(g, x)):
+            raise GraphError("group element is not an automorphism of "
+                             "the graph")
+    pool = set(grp.elements)
+    for a in grp.elements:
+        for b in grp.elements:
+            if compose(a, b) not in pool:
+                raise GraphError("group not closed under composition")
+
+
+def ref_chain_generators(g, fixed=()):
+    """Image tuples that generate the automorphisms of g fixing `fixed`:
+    the coset representatives of `stabilizer_chain(g, fixed)` and, for each
+    kernel job, the transposition of its first two items, the cycle of all
+    its items, and its first item turned along its second way when it has
+    one."""
+    transversals, kernel = iso.stabilizer_chain(g, fixed)
+    gens = [t for reps in transversals for t in reps]
+    didx = point_index(g)[1]
+    one = range(len(g.vertex_list) + len(g.dart_list))
+    for _, items, _, ways in kernel:
+        n = len(items)
+        moves = []  # (item, target item, way) per moved item
+        if n > 1:
+            moves.append([(items[0], items[1], ways[0]),
+                          (items[1], items[0], ways[0])])
+        if n > 2:
+            moves.append([(items[i], items[i - n + 1], ways[0])
+                          for i in range(n)])
+        if len(ways) > 1:
+            moves.append([(items[0], items[0], ways[1])])
+        for move in moves:
+            images = list(one)
+            for src, dst, way in move:
+                for h, i in zip(src, way):
+                    images[didx[h]] = didx[dst[i]]
+            gens.append(tuple(images))
     return gens
 
 
@@ -460,7 +523,8 @@ def ref_semiregular_lattice(g, order):
     replaced: all of Aut(g) multiplied out, each element kept when it and
     every power of it before the identity fix no point and reverse no
     non-halvable edge, named on a greedy base over Aut(g), and conjugated
-    by every coset representative of the chain."""
+    by every coset representative of the chain and the kernel's moves
+    (`ref_chain_generators`)."""
     images = groups._aut_images(g, None)
     nv, mates = len(g.vertex_list), groups._mate_points(g)
     one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
@@ -473,9 +537,9 @@ def ref_semiregular_lattice(g, order):
                 and all(groups._violating_point(y, nv, mates) is None
                         for y in powers)):
             members.append(x)
-    base = groups._greedy_base(list(images))
+    base = greedy_base(list(images))
     table = ref_product_table(members, base)
-    maps = groups._conjugations(members, base, groups.chain_generators(g))
+    maps = groups._conjugations(members, base, ref_chain_generators(g))
     subs, classes = groups._subgroup_index_sets(table, 0, len(images), maps,
                                                 divides=order)
     found = [s for s in subs if order is None or len(s) == order]

@@ -258,6 +258,23 @@ def test_low_points_are_kept_by_one_walk():
     assert sorted(found) == ["blocks.py:lowpoints"]
 
 
+def test_kernel_jobs_are_decoded_in_iso_only():
+    # a kernel job (image key, items, target items, ways) is read by `iso`
+    # alone: the chain's base and generators come from `iso.chain_base`
+    # and `iso.chain_generators`, so no other module names a job's `ways`
+    src = os.path.dirname(regcover.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        if any(isinstance(node, ast.Name) and node.id == "ways"
+               for node in ast.walk(tree)):
+            found.add(name)
+    assert sorted(found) == ["iso.py"]
+
+
 def test_help_names_the_commands_each_cap_reaches():
     text = " ".join(cli.build_parser().format_help().split())
     assert "vertex cap of the iso command's inputs (default 24)" in text
@@ -736,6 +753,30 @@ def test_halvable_input_flag_applies_to_every_reader(tmp_path, monkeypatch,
     assert "edge f b c type=halvable" in x0
 
 
+@pytest.mark.parametrize("color, refused", [(65537, True), (65791, True),
+                                             (65535, False), (0, False)])
+def test_expand_refuses_a_step_color_that_names_no_class(
+        tmp_path, capsys, color, refused):
+    # the sidecar's one class has color 65536, so the step's colors start
+    # at 65536: an item colored 65536 or more that names no class is
+    # refused, and a lower color, the input's or an earlier step's, is kept
+    side = tmp_path / "s.reduction.json"
+    side.write_text(json.dumps({"version": 1,
+                                "levels": [{"classes": [_GOOD_ENTRY]}]}))
+    q = tmp_path / "q.g"
+    q.write_text("vertex a\nvertex b\nvertex c\n"
+                 f"edge e a b color=65536\nedge f b c color={color}\n")
+    code = main(["expand", str(side), str(q)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith(f"error: item 'f.1' has color {color}")
+    else:
+        assert code == 0 and not err
+        x0 = (tmp_path / "q.x0.g").read_text()
+        assert f"edge f b c type=undirected color={color}\n" in x0
+
+
 def test_fixtures_run(capsys):
     assert main(["--seed", "3", "fixtures", "run"]) == 0
     out = capsys.readouterr().out
@@ -801,15 +842,22 @@ def test_quotients_are_byte_identical_across_hash_seeds(tmp_path):
     assert len(outputs[0][1]) > 4
 
 
-def test_cover_of_a_320_vertex_z32_cover(tmp_path, capsys):
+def test_cover_of_a_320_vertex_z32_cover(tmp_path, capsys, monkeypatch):
     # Petersen's Z32 cover from `scripts/zk_cover_timing.py`: a semiregular
     # witness of order 32, from the library and from the CLI
     zk_cover = runpy.run_path(os.path.join(SCRIPTS, "zk_cover_timing.py"))[
         "zk_cover"]
     g = zk_cover(32)
     assert g.n_vertices == 320
+    # the witness is checked by its generators: one element is checked
+    # against the raw graph, where checking every element made 32 calls
+    calls = []
+    check = groups.verify_isomorphism
+    monkeypatch.setattr(groups, "verify_isomorphism",
+                        lambda *args: calls.append(1) or check(*args))
     witness = regular_cover_test(g, petersen())
     assert witness.order == 32 and is_semiregular(witness)
+    assert len(calls) == 1
     write_file(g, str(tmp_path / "z32.g"))
     write_file(petersen(), str(tmp_path / "petersen.g"))
     assert main(["cover", str(tmp_path / "z32.g"),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                random_instance, star_pendants, theta,
                                with_pendants)
 from regcover.graph import (DIRECTED, HALVABLE, UNDIRECTED, GraphBuilder,
-                           normalize, point_images)
+                           normalize, point_images, point_maps)
 from regcover.groups import (Group, all_subgroups,
                              automorphism_group, chain_generators,
                              conjugacy_classes_of_subgroups,
@@ -26,7 +27,8 @@ from regcover.reduction import reduction_series
 
 from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
                      is_involution, is_simple, naive_dart_automorphism_count,
-                     naive_vertex_automorphism_count, ref_generating_set,
+                     naive_vertex_automorphism_count, ref_chain_generators,
+                     ref_check_closure, ref_generating_set,
                      ref_isomorphisms, ref_product_table,
                      ref_semiregular_lattice, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
@@ -168,6 +170,77 @@ def test_group_refuses_elements_that_are_not_automorphisms():
         Group(g, [one, swap])
     with pytest.raises(GraphError, match="does not permute"):
         Group(g, [one, one[::-1]])
+
+
+def _passes(check, grp):
+    try:
+        check(grp)
+    except GraphError:
+        return False
+    return True
+
+
+def test_closure_check_by_generators_agrees_with_all_pairs():
+    # `check_closure` checks against the raw graph only the elements that
+    # the earlier ones do not generate, and closes those as tuples; it
+    # accepts exactly the sets that the all-pairs check accepts: every
+    # subgroup of every corpus Aut(G) under the cap, the group included, as
+    # it is, with its last element dropped, with a non-automorphism added,
+    # and with its last element replaced by that non-automorphism
+    cases = refused = 0
+    for name, g in expansion_corpus():
+        try:
+            aut = automorphism_group(g)
+        except SizeLimitError:
+            continue
+        one = aut.elements[0]
+        swap = (1, 0) + one[2:]  # moves two vertices and no dart
+        assert not iso.verify_isomorphism(g, g, *point_maps(g, swap))
+        for sub in all_subgroups(aut):
+            listed = list(sub.elements)
+            variants = [listed, listed + [swap]]
+            if len(listed) > 1:
+                variants += [listed[:-1], listed[:-1] + [swap]]
+            for elements in variants:
+                grp = Group(g, elements, verify=False)
+                ok = _passes(Group.check_closure, grp)
+                assert ok == _passes(ref_check_closure, grp), (name, elements)
+                assert ok or elements is not listed
+                cases += 1
+                refused += not ok
+    assert (cases, refused) == (15082, 10716)
+
+
+def test_table_of_a_set_that_is_not_closed_is_an_internal_error():
+    # the chain's base tells all of Aut(G) apart, so a product that is not
+    # listed is a hole in a generator's row, never a listed element.  C3's
+    # identity, swap of v0 and v1 and rotation v0 -> v2 -> v1 are no
+    # group, but a greedy base of one point named a missing product as a
+    # listed one and built a table.  So it did for 18 of the 908 random
+    # subsets of the corpus groups below that the all-pairs check refuses
+    g = cycle(3)
+    aut = automorphism_group(g)
+    listed = [p for p in aut if vmap(g, p) in (
+        {"v0": "v0", "v1": "v1", "v2": "v2"},
+        {"v0": "v1", "v1": "v0", "v2": "v2"},
+        {"v0": "v2", "v1": "v0", "v2": "v1"})]
+    assert len(listed) == 3
+    with pytest.raises(InternalError, match="not among them"):
+        Group(g, listed, verify=False).table
+    rng = random.Random(33)
+    subsets = 0
+    for name, g, aut in _small_corpus():
+        for _ in range(25 if aut.order > 2 else 0):
+            size = rng.randint(2, aut.order - 1)
+            listed = [aut.elements[0]] + rng.sample(aut.elements[1:],
+                                                    size - 1)
+            grp = Group(g, listed, verify=False)
+            if _passes(ref_check_closure, grp):
+                continue
+            subsets += 1
+            with pytest.raises(InternalError, match="not among them"):
+                grp.table
+    assert subsets == 908
 
 
 def test_rotation_semiregular_reflection_not():
@@ -619,7 +692,7 @@ def test_table_matches_every_product_looked_up():
              automorphism_group(complete(6), max_order=None)]
     assert len(auts) > 240
     for aut in auts:
-        want = ref_product_table(aut.elements, aut._base)
+        want = ref_product_table(aut.elements, iso.chain_base(aut.graph))
         assert aut.table == want, aut.graph
         assert groups._generating_set(aut) == ref_generating_set(want), (
             aut.graph)
@@ -631,7 +704,8 @@ def test_partial_tables_match_every_product_looked_up():
     tables = holes = 0
     for name, g, _ in _semiregular_cases():
         for k in (None, 2, 3, 4, 6):
-            members, base, _, _ = groups._semiregular_lattice(g, k)
+            members = groups._semiregular_lattice(g, k)[0]
+            base = iso.chain_base(g)
             table = groups._product_table(members, base)[0]
             assert table == ref_product_table(members, base), (name, k)
             tables += 1
@@ -652,7 +726,7 @@ def test_table_rows_looked_up_are_pinned(monkeypatch):
 
     def counting(*items):
         get = getter(*items)
-        if len(items) > len(aut._base):
+        if len(items) > len(iso.chain_base(aut.graph)):
             return get  # a composed row's
 
         def call(x):
@@ -660,8 +734,6 @@ def test_table_rows_looked_up_are_pinned(monkeypatch):
             return get(x)
         return call
 
-    for aut in auts:
-        aut._base
     monkeypatch.setattr(groups, "itemgetter", counting)
     counts = []
     for aut in auts:
@@ -674,11 +746,11 @@ def test_table_rows_looked_up_are_pinned(monkeypatch):
 
 
 def test_semiregular_partial_table_is_none_off_the_subset():
-    for name, _, aut in _small_corpus():
+    for name, g, aut in _small_corpus():
         members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
         position = {aut.elements[i]: k for k, i in enumerate(members)}
         partial = groups._product_table(
-            [aut.elements[i] for i in members], aut._base)[0]
+            [aut.elements[i] for i in members], iso.chain_base(g))[0]
         for k, i in enumerate(members):
             a = aut.elements[i]
             for m, j in enumerate(members):
@@ -848,9 +920,8 @@ def test_semiregular_search_matches_the_listing_it_replaced():
         graphs.append((f"free items {items}", b.build()))
     for name, g in graphs:
         for k in (None, 2, 3, 4, 6):
-            members, _, found, classes = groups._semiregular_lattice(g, k)
-            assert (members, found, classes) == ref_semiregular_lattice(
-                g, k), (name, k)
+            got = groups._semiregular_lattice(g, k)
+            assert got == ref_semiregular_lattice(g, k), (name, k)
 
 
 def test_semiregular_search_work_is_pinned(monkeypatch):
@@ -897,7 +968,7 @@ def test_semiregular_classes_are_those_of_the_full_lattice():
         want = [[s.elements for s in cls] for cls in full
                 if is_semiregular(cls[0])]
         for k in [None] + orders:
-            members, _, found, classes = groups._semiregular_lattice(g, k)
+            members, found, classes = groups._semiregular_lattice(g, k)
             got = [[tuple(sorted(members[i] for i in found[j])) for j in cls]
                    for cls in classes]
             assert got == [cls for cls in want
@@ -920,7 +991,7 @@ def test_semiregular_search_is_kept_but_capped_on_every_call():
             call(g, order=2, max_order=47)
 
 
-@pytest.mark.parametrize("order", [0, -2, 2.0, "2"])
+@pytest.mark.parametrize("order", [0, -2, 2.0, "2", True])
 def test_semiregular_order_must_be_a_positive_integer(order):
     # refused before the search, which order 0 used to run over the whole
     # lattice, keeping every subgroup, and then keep under that order
@@ -979,7 +1050,7 @@ def test_conjugate_outside_the_listed_subgroups_is_an_internal_error(
     g = cube()
     swap = list(range(len(g.vertex_list) + len(g.dart_list)))
     swap[0], swap[1] = 1, 0
-    monkeypatch.setattr(groups, "_search_generators",
+    monkeypatch.setattr(groups, "chain_generators",
                         lambda g: [tuple(swap)])
     with pytest.raises(InternalError, match="outside every listed one"):
         list(groups.semiregular_class_representatives(g, order=2))
@@ -1164,16 +1235,27 @@ def test_group_layer_is_pinned():
 
 
 def test_chain_generators_are_pinned():
-    # sha256 of `chain_generators(g)` over the corpus, 200 random seeds raw
-    # and normalized, and the beyond-cap graphs, as recorded when the
-    # chain was first read off the canonical search's first path; the
-    # groups they generate are checked by
-    # test_chain_generators_generate_the_group
+    # sha256 of the chain's coset representatives and kernel moves
+    # (`ref_chain_generators`, which `chain_generators` returned before it
+    # took the lifted automorphisms in place of the representatives) over
+    # the corpus, 200 random seeds raw and normalized, and the beyond-cap
+    # graphs, as recorded when the chain was first read off the canonical
+    # search's first path; the groups `chain_generators` gives are checked
+    # by test_chain_generators_generate_the_group.  The lifts and kernel
+    # moves number 1,027, where the representatives and moves numbered 1,689
     digest = hashlib.sha256()
     graphs = [g for _, g in expansion_corpus()]
     for seed in range(200):
         graphs += [random_instance(seed), normalize(random_instance(seed))]
+    count = ref = 0
     for g in graphs + _beyond_cap_graphs():
-        digest.update(repr(chain_generators(g)).encode() + b"\n")
+        gens, want = chain_generators(g), ref_chain_generators(g)
+        digest.update(repr(want).encode() + b"\n")
+        # the kernel moves follow the lifts, and the representatives
+        reps = sum(map(len, iso.stabilizer_chain(g)[0]))
+        assert gens[len(iso.chain_lifts(g)[2]):] == tuple(want[reps:])
+        count += len(gens)
+        ref += len(want)
     assert digest.hexdigest() == (
         "39aa5718c730b8d6aa241950d38de79498665040d71445165d61c8aba583eb00")
+    assert (count, ref) == (1027, 1689)

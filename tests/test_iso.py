@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from regcover import iso
-from regcover.errors import SizeLimitError
+from regcover.errors import GraphError, SizeLimitError
 from regcover.fixtures import (bowtie, book, complete, cube, cycle,
                                cycle_with_triangles, dipole, expansion_corpus,
                                path_graph, petersen, prism, random_instance,
@@ -149,6 +149,19 @@ def test_size_limit():
         canonical_form(g)
     with pytest.raises(SizeLimitError):
         are_isomorphic(g, g)
+
+
+def test_a_vertex_the_graph_lacks_is_named():
+    # every marking, pin and fixed tuple reaches the canonical search,
+    # which names a vertex the graph lacks instead of raising a KeyError
+    g = cube()
+    for call in (lambda: canonical_form(g, marking=["nope"]),
+                 lambda: canonical_form(g, ordered_marking=["000", "nope"]),
+                 lambda: iso.count_automorphisms(g, {"nope": "000"}),
+                 lambda: iso.count_automorphisms(g, {"000": "nope"}),
+                 lambda: iso.chain_generators(g, ("nope",))):
+        with pytest.raises(GraphError, match="unknown vertex 'nope'"):
+            call()
 
 
 def test_every_automorphism_verifies():

@@ -13,10 +13,12 @@ from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (complete, cube, cycle, dipole,
                                expansion_corpus, petersen, random_instance,
-                               star_pendants, theta, with_pendants)
-from regcover.graph import (GraphBuilder, HALVABLE, SubgraphRef, UNDIRECTED,
-                            is_cycle, is_path_with_two_halfedges, normalize,
-                            point_images, point_maps, with_halvable_edges)
+                               reduction_showcase, star_pendants, theta,
+                               with_pendants)
+from regcover.graph import (Graph, GraphBuilder, HALVABLE, SubgraphRef,
+                            UNDIRECTED, is_cycle, is_path_with_two_halfedges,
+                            normalize, point_images, point_maps,
+                            with_halvable_edges)
 from regcover.groups import (Group, automorphism_group,
                              count_automorphisms, is_semiregular,
                              semiregular_subgroups)
@@ -317,6 +319,28 @@ def test_expand_rejects_wrong_sites():
         expand_step(b.build(), step)
 
 
+def test_expand_refuses_a_step_color_that_names_no_class():
+    # the showcase's classes have colors 65536-65538, so the step's colors
+    # start at 65536: its quotient's directed edge recolored 65539 names no
+    # class and is refused, and recolored 65535, below the step's colors,
+    # is kept as it is
+    step = reduce_step(reduction_showcase())
+    t = step.target
+    assert sorted(c.color for c in step.classes) == [65536, 65537, 65538]
+    edge = ("r65538i0.1", "r65538i0.2")
+    for color in (65539, 65535):
+        recolored = Graph(t.darts, t.vertices, t.pairing, t.incidence,
+                          t.edge_type, t.color | dict.fromkeys(edge, color),
+                          t.tails)
+        if color > 65536:
+            with pytest.raises(GraphError, match="color 65539, a color of "
+                               "this step that names none of its classes"):
+                expand_step(recolored, step)
+        else:
+            (x,) = expand_step(recolored, step)
+            assert x.color["r65538i0.1"] == 65535
+
+
 def test_expansion_chain_matches_direct_quotient():
     g = theta(2, 2, 2, edge_type=HALVABLE)
     series = reduction_series(g)
@@ -595,9 +619,9 @@ def test_each_decision_past_the_count_checks_lists_the_subgroups_once(
         regular_cover_test(g, h)
         assert len(calls) == past
         if past:
-            assert len(built) == len(lattice(g, k)[3])
+            assert len(built) == len(lattice(g, k)[2])
             built_past += len(built)
-            listed += len(lattice(g, k)[2])
+            listed += len(lattice(g, k)[1])
         searched += past
     assert searched > 300
     assert (searched, built_past, listed) == (393, 670, 1316)
