@@ -99,7 +99,8 @@ class Atom:
 
     def swap_involutions(self):
         """The semiregular involutions of the atom graph that exchange its
-        two boundary vertices, built directly as involutions (see
+        two boundary vertices, the first of each class under conjugation
+        by the automorphisms fixing every vertex, built directly (see
         `iso.semiregular_involutions_iter`)."""
         return cached(self, "_swap_involutions", _swap_involutions)
 
@@ -339,9 +340,10 @@ def classify_primitive(g):
 
 
 def _swap_involutions(a):
-    """The boundary-exchanging semiregular involutions, in the order
-    `iso.automorphisms_iter` lists them, as image tuples over the atom
-    graph's points.  Only fixed-point-free vertex involutions are
+    """The boundary-exchanging semiregular involutions, the first of each
+    class under conjugation by the automorphisms fixing every vertex, in
+    the order `iso.automorphisms_iter` lists them, as image tuples over
+    the atom graph's points.  Only fixed-point-free vertex involutions are
     extended, and only to dart maps that are involutions reversing no
     non-halvable edge; each one is still checked to square to the
     identity and to act semiregularly before it is kept.  None is the

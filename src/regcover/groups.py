@@ -60,9 +60,7 @@ table found, the semiregular one by the chain's (`iso.chain_generators`).
 
 Conjugate semiregular subgroups give isomorphic quotients, so the quotient
 layer takes the first subgroup of each registered class
-(`semiregular_class_representatives`).  `element_class_firsts` does the
-same for single elements, as orbits of those position maps: the quotient
-layer takes with it one boundary-swapping involution of an atom per class.
+(`semiregular_class_representatives`).
 """
 
 from __future__ import annotations
@@ -138,12 +136,17 @@ def _product_table(images, base):
     leaves a hole in row a, so where row(s * a) would be read through one,
     that entry is looked up.  A lookup names a product by its base images,
     a's images of b's base images, as `base` tells apart the elements of a
-    group that holds the tuples, products included.
+    group that holds the tuples, products included; two tuples with equal
+    base images are an InternalError.
     """
+    key = itemgetter(*base) if base else lambda img: ()
+    position = {key(img): k for k, img in enumerate(images)}
+    if len(position) < len(images):
+        raise InternalError(f"{len(images)} listed elements have "
+                            f"{len(position)} distinct images on the base")
     if not base:
         return [(0,)], ()
-    key = itemgetter(*base)
-    position = {key(img): k for k, img in enumerate(images)}.get
+    position = position.get
     times = [itemgetter(*[img[p] for p in base]) for img in images]
     n = len(images)
     rows = [None] * n
@@ -689,25 +692,6 @@ def semiregular_class_representatives(g, order=None,
     members, found, classes = _semiregular_lattice(g, order)
     return [Group._of_positions(g, members, found[cls[0]])
             for cls in classes]
-
-
-def element_class_firsts(elements, generators):
-    """The first of each class of `elements`, image tuples over one
-    graph's points, under conjugation by the group that the image tuples
-    `generators` generate, in the list's order.
-
-    A class is an orbit of positions under `_conjugations`, with each
-    element named by its whole image tuple, so a conjugate outside
-    `elements` is an InternalError.
-    """
-    maps = _conjugations(elements, range(len(elements[0])), generators)
-    seen = set()
-    firsts = []
-    for i, x in enumerate(elements):
-        if i not in seen:
-            firsts.append(x)
-            seen |= orbit_closure((i,), maps)
-    return firsts
 
 
 def orbits(g, generators, domain="vertices"):

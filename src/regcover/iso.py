@@ -57,10 +57,12 @@ lists the darts at each vertex by their other end.  It has four readers:
   that are independent;
 - the involution builder extends a vertex map that is a fixed-point-free
   involution to the dart maps that are too, reversing no non-halvable
-  edge.  Under such a map the groups come in pairs of image keys: a group
-  that is its own image takes only item involutions, built position by
-  position, and a group whose partner came earlier takes the inverse of
-  the partner's map, so the dart variants that fail are never built.
+  edge, one per class under conjugation by the automorphisms fixing every
+  vertex: the first of the class in the order the dart maps are listed.
+  Under such a map the groups come in pairs of image keys, and the kernel
+  conjugates each group's maps on its own.  Two partner groups have one
+  class, and a group that is its own image one per number of its items
+  left in place, so each first is built directly and no other map is.
 
 Two graphs are isomorphic exactly when their canonical forms are equal.
 The map between their best-leaf orders then preserves the encoding, so its
@@ -186,6 +188,9 @@ def _index_items(g):
 # -- refinement ---------------------------------------------------------------
 
 def _initial_colors(g, marking, ordered_marking):
+    for v in ordered_marking or marking or ():
+        if v not in g.vertices:
+            raise GraphError(f"unknown vertex {v!r}")
     sigs = _items(g)[2]
     marked = {}
     if ordered_marking:
@@ -307,9 +312,6 @@ def _canonical(g, marking, ordered_marking):
     cache = cached(g, "_iso_canon", lambda g: {})
     key = (marking, ordered_marking)
     if key not in cache:
-        for v in ordered_marking or marking or ():
-            if v not in g.vertices:
-                raise GraphError(f"unknown vertex {v!r}")
         (enc, order), first, autos = _best_leaf(g, marking, ordered_marking)
         cache[key] = (repr(enc).encode("ascii"), order, tuple(first), autos)
     return cache[key]
@@ -414,49 +416,46 @@ def chain_lifts(g, fixed=()):
     return chains[fixed]
 
 
-def chain_base(g, fixed=()):
-    """Points whose images tell apart the automorphisms of g fixing each
-    vertex of `fixed`: their chain's first path, which names the vertex
-    part t of t * k, and a dart of each item that a kernel job moves, but
-    the last one of a job that cannot turn it, which then name k."""
-    return _chain_extras(g, fixed)[0]
+def chain_base(g):
+    """Points whose images tell apart the automorphisms of g: its chain's
+    first path, which names the vertex part t of t * k, and a dart of each
+    item that a kernel job moves, but the last one of a job that cannot
+    turn it, which then name k."""
+    return cached(g, "_iso_chain_extras", _chain_extras)[0]
 
 
-def chain_generators(g, fixed=()):
-    """Image tuples that generate the automorphisms of g fixing each vertex
-    of `fixed`: the maps `chain_lifts` lifted and, per kernel job, the
-    transposition of its first two items, the cycle of all its items, and
-    its first item turned along its second way if it has one, which
-    generate Sym(items) wreath the ways."""
-    return _chain_extras(g, fixed)[1]
+def chain_generators(g):
+    """Image tuples that generate the automorphisms of g: the maps
+    `chain_lifts` lifted and, per kernel job, the transposition of its
+    first two items, the cycle of all its items, and its first item turned
+    along its second way if it has one, which generate Sym(items) wreath
+    the ways."""
+    return cached(g, "_iso_chain_extras", _chain_extras)[1]
 
 
-def _chain_extras(g, fixed):
-    """(`chain_base`, `chain_generators`), built when first asked for."""
-    fixed = tuple(fixed or ())
-    extras = cached(g, "_iso_chain_extras", lambda g: {})
-    if fixed not in extras:
-        (_, kernel), first, lifts = chain_lifts(g, fixed)
-        didx = point_index(g)[1]
-        base, gens = list(first), list(lifts)
-        for _, items, _, ways in kernel:
-            n = len(items)
-            base += [didx[item[0]] for item in items[:n - (len(ways) == 1)]]
-            moves = []  # {item position: (target position, way)} per move
-            if n > 1:
-                moves.append({0: (1, 0), 1: (0, 0)})
-            if n > 2:
-                moves.append({i: ((i + 1) % n, 0) for i in range(n)})
-            if len(ways) > 1:
-                moves.append({0: (0, 1)})
-            for move in moves:
-                images = list(range(len(g.vertex_list) + len(g.dart_list)))
-                for i, (j, w) in move.items():
-                    for h, r in zip(items[i], ways[w]):
-                        images[didx[h]] = didx[items[j][r]]
-                gens.append(tuple(images))
-        extras[fixed] = (tuple(base), tuple(gens))
-    return extras[fixed]
+def _chain_extras(g):
+    """(`chain_base`, `chain_generators`), kept on g when first asked for
+    (see `graph.cached`)."""
+    (_, kernel), first, lifts = chain_lifts(g)
+    didx = point_index(g)[1]
+    base, gens = list(first), list(lifts)
+    for _, items, _, ways in kernel:
+        n = len(items)
+        base += [didx[item[0]] for item in items[:n - (len(ways) == 1)]]
+        moves = []  # {item position: (target position, way)} per move
+        if n > 1:
+            moves.append({0: (1, 0), 1: (0, 0)})
+        if n > 2:
+            moves.append({i: ((i + 1) % n, 0) for i in range(n)})
+        if len(ways) > 1:
+            moves.append({0: (0, 1)})
+        for move in moves:
+            images = list(range(len(g.vertex_list) + len(g.dart_list)))
+            for i, (j, w) in move.items():
+                for h, r in zip(items[i], ways[w]):
+                    images[didx[h]] = didx[items[j][r]]
+            gens.append(tuple(images))
+    return tuple(base), tuple(gens)
 
 
 def _read_chain(g, fixed):
@@ -663,11 +662,11 @@ def automorphisms_iter(g, pinned=None):
 
 
 def semiregular_involutions_iter(g, pinned=None):
-    """Yield (vertex_map, dart_map) for every automorphism of g that agrees
-    with `pinned` and is a fixed-point-free involution reversing no
-    non-halvable edge: the ones `automorphisms_iter` yields that are
-    semiregular involutions, in the same order.  Only the vertex maps of
-    the pinned coset that are fixed-point-free involutions are extended."""
+    """Yield (vertex_map, dart_map) for the first of each class, under
+    conjugation by the automorphisms fixing every vertex, of the
+    semiregular involutions that `automorphisms_iter(g, pinned)` yields,
+    in the same order.  Only the vertex maps of the pinned coset that are
+    fixed-point-free involutions are extended (`_involution_dart_maps`)."""
     for vmap in _automorphism_vmaps(g, pinned):
         if all(w != v and vmap[w] == v for v, w in vmap.items()):
             for dmap in _involution_dart_maps(g, vmap):
@@ -675,73 +674,59 @@ def semiregular_involutions_iter(g, pinned=None):
 
 
 def _involution_dart_maps(g, vmap):
-    """The dart maps extending the fixed-point-free vertex involution vmap
-    that are fixed-point-free involutions reversing no non-halvable edge,
-    in `_dart_variants` order.
+    """The first of each class, under conjugation by the kernel (the
+    automorphisms fixing every vertex), of the dart maps extending the
+    fixed-point-free vertex involution vmap that are fixed-point-free
+    involutions reversing no non-halvable edge, in `_dart_variants` order.
 
     vmap sends each group's image key back to the group, so each group is
-    its own image or has a partner.  The first of two partners takes every
-    item map and sets the partner's darts to its inverse; the second is
-    then already set.
+    its own image or has a partner, and the kernel conjugates each group's
+    maps on its own, so a class is one choice per group.  Two partners
+    have one class: the first maps its items onto the partner's in
+    position order along the first way, and the second takes the inverse.
+    A group that is its own image has one class per number of items left
+    in place (`_item_involutions`).  The first of a class is its first
+    choice at every group, and the classes follow in the order of their
+    firsts.
     """
     jobs = _dart_jobs(g, g, vmap)
     if jobs is None:
         return
     position = {key: i for i, key in enumerate(_items(g)[0])}
-    dmap = {}
-
-    def choices(ji):
-        image_key, items, targets, ways = jobs[ji]
+    choices = []  # per group first of its pair: (item, image, way) lists
+    for ji, (image_key, items, targets, ways) in enumerate(jobs):
         partner = position[image_key]
-        if partner < ji:
-            yield
-            return
         if partner == ji:
             maps = _item_involutions(items, ways, image_key[2] == HALVABLE)
+        elif partner > ji:
+            maps = [(targets, (ways[0],) * len(items))]
         else:
-            maps = ((perm, combo)
-                    for perm in itertools.permutations(targets)
-                    for combo in itertools.product(ways, repeat=len(items)))
-        for perm, combo in maps:
-            for src, dst, way in zip(items, perm, combo):
-                for h, i in zip(src, way):
-                    dmap[h] = dst[i]
-                    dmap[dst[i]] = h
-            yield
-
-    for _ in _nested([functools.partial(choices, ji)
-                      for ji in range(len(jobs))]):
-        yield dict(dmap)
+            continue
+        choices.append([tuple(zip(items, *m)) for m in maps])
+    for choice in itertools.product(*choices):
+        dmap = {}
+        for src, dst, way in itertools.chain.from_iterable(choice):
+            for h, i in zip(src, way):
+                dmap[h], dmap[dst[i]] = dst[i], h
+        yield dmap
 
 
 def _item_involutions(items, ways, halvable):
-    """(item permutation, ways) pairs that make a group's own items swap in
-    pairs, in `_dart_variants` order.  The permutation is built position by
-    position, a position already taken as an earlier item's mate being
-    forced.  An item stays put only by turning its edge around, which
-    needs a halvable edge; two exchanged items take the same way, as every
-    way is its own inverse."""
+    """The first (item permutation, ways) pair, in `_dart_variants` order,
+    of each class of those that make a group's own items swap in pairs,
+    under the kernel's permutations and turns of the items: one class per
+    number f of items left in place, f = n, n - 2, ..., in that order.  An
+    item stays put only by turning its edge around, which needs a halvable
+    edge, so f > 0 only then.  The first of a class turns items 0 ... f-1
+    along the first way that turns an item and exchanges f with f+1, f+2
+    with f+3, ... along the first way, which is its own inverse."""
     turned = [w for w in ways if all(w[r] != r for r in range(len(w)))]
-    first_mate = 0 if halvable and turned else 1
     n = len(items)
-    mate = [None] * n
-
-    def mates(i):
-        if mate[i] is not None:
-            yield
-            return
-        for j in range(i + first_mate, n):
-            if mate[j] is None:
-                mate[i], mate[j] = j, i
-                yield
-                mate[i] = mate[j] = None
-
-    for _ in _nested([functools.partial(mates, i) for i in range(n)]):
-        perm = tuple(mate)
-        for combo in itertools.product(ways, repeat=n):
-            if all(combo[i] in turned if i == j else combo[i] == combo[j]
-                   for i, j in enumerate(perm)):
-                yield tuple(items[j] for j in perm), combo
+    for f in range(n, -1, -2):
+        if f == 0 or halvable and turned:
+            perm = [*range(f), *(f + (i ^ 1) for i in range(n - f))]
+            yield (tuple(items[j] for j in perm),
+                   (*turned[:1] * f, *(ways[0],) * (n - f)))
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -17,11 +17,12 @@ subgroups: the first of each class in `semiregular_subgroups` order, as
 the semiregular search registers the classes while it lists the
 subgroups.  The first subgroup with a given quotient is the first of its
 class, so the kept representatives and the returned witness are those of
-a pass over every subgroup.  Half-quotients are built the same way, once
-per conjugacy class of an atom's boundary-swapping involutions under the
-automorphisms that keep the boundary set, each class an orbit of the
-involutions' positions under the group layer's conjugation maps
-(`groups.element_class_firsts`).
+a pass over every subgroup.  Half-quotients are built from the first
+boundary-swapping involution of each class under conjugation by the
+automorphisms that fix every vertex, which are all an atom lists
+(`atoms.Atom.swap_involutions`): conjugates give equal marked forms, so
+the first involution with a given form is the first of its class, and
+the pieces kept are those of one quotient per involution.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, point_index, require_standard_input)
-from .groups import (MAX_GROUP_ORDER, Group, chain_generators,
-                     element_class_firsts, orbits,
+from .groups import (MAX_GROUP_ORDER, Group, orbits,
                      semiregular_class_representatives, semiregular_violations)
 from .iso import are_isomorphic, canonical_form
 from .reduction import COLOR_STRIDE, reduction_series
@@ -138,17 +138,16 @@ def _merge_boundary(g, u, v):
 def atom_quotients(a):
     """Edge-, loop- and half-quotients of an atom.
 
-    The edge and loop quotients are unique; half-quotients are enumerated
-    over the atom's boundary-swapping semiregular involutions, deduplicated
-    up to isomorphism fixing the image of the boundary, and sorted by that
+    The edge and loop quotients are unique; half-quotients are built from
+    the atom's boundary-swapping semiregular involutions, deduplicated up
+    to isomorphism fixing the image of the boundary, and sorted by that
     marked form.
 
-    One quotient is built per conjugacy class of involutions under the
-    setwise stabilizer of the boundary {u, v}: the automorphisms fixing u
-    and v (`chain_generators(ag, (u, v))`, read off the search the ordered
-    forms made) and the first involution.  If t keeps {u, v}, t maps the
-    quotient by tau onto the quotient by t*tau*t^-1 and the image of u onto
-    the image of u, so conjugates give equal marked forms.  The first
+    The atom lists only the first involution of each class under
+    conjugation by the kernel, the automorphisms fixing every vertex
+    (`Atom.swap_involutions`).  A kernel element k fixes u, so it maps the
+    quotient by tau onto the quotient by k*tau*k^-1 and the image of u
+    onto the image of u: conjugates give equal marked forms.  The first
     involution with a given form is therefore the first of its class, and
     the pieces kept, with their vertex and dart names, are those of one
     quotient per involution.
@@ -162,9 +161,7 @@ def atom_quotients(a):
     # only a halvable atom has a semiregular boundary-swapping involution
     if a.symmetry == HALVABLE_SYM:
         ident = range(ag.n_vertices + ag.n_darts)
-        taus = a.swap_involutions()
-        for tau in element_class_firsts(
-                taus, (*chain_generators(ag, (u, v)), taus[0])):
+        for tau in a.swap_involutions():
             q = quotient(ag, Group(ag, [ident, tau], verify=False))
             w = q.vertex_map[u]
             key = canonical_form(q.result, marking=(w,), max_vertices=None)

@@ -5,8 +5,8 @@ from operator import itemgetter
 
 from regcover import groups, iso
 from regcover.errors import GraphError
-from regcover.graph import (DIRECTED, STANDARD, SubgraphRef, point_index,
-                            point_maps)
+from regcover.graph import (DIRECTED, STANDARD, SubgraphRef, point_images,
+                            point_index, point_maps)
 from regcover.groups import Group
 from regcover.quotient import quotient
 
@@ -495,20 +495,53 @@ def ref_isomorphisms(g1, g2, marking1=None, marking2=None, pinned=None):
             yield vmap, dmap
 
 
-# -- half-quotients, one quotient per involution -------------------------------
+# -- swap involutions and half-quotients, one quotient per involution ---------
+
+def ref_swap_involutions(g, pinned):
+    """The semiregular involutions among all automorphisms agreeing with
+    `pinned` that the reference search lists, in its order, which is the
+    order of `automorphisms_iter`."""
+    out = []
+    for vmap, dmap in ref_isomorphisms(g, g, pinned=pinned):
+        p = point_images(g, vmap, dmap)
+        if is_involution(p) and groups.semiregularity_violation(g, p) is None:
+            out.append((vmap, dmap))
+    return out
+
+
+def ref_kernel_class_firsts(g, listed):
+    """The first of each orbit of `listed`, (vertex map, dart map) pairs of
+    automorphisms of g, under conjugation by every map that the reference
+    search lists for the identity on vertices, in the list's order."""
+    kernel = [d for _, d in ref_isomorphisms(
+        g, g, pinned={v: v for v in g.vertex_list})]
+    seen, firsts = set(), []
+    for vmap, dmap in listed:
+        name = tuple(vmap[v] for v in g.vertex_list)
+        if (name, tuple(dmap[h] for h in g.dart_list)) in seen:
+            continue
+        firsts.append((vmap, dmap))
+        for k in kernel:
+            back = {y: x for x, y in k.items()}
+            seen.add((name, tuple(k[dmap[back[h]]] for h in g.dart_list)))
+    return firsts
+
 
 def ref_half_quotients(atom):
     """An atom's half-quotients as (graph, image vertex of the boundary),
-    built from every boundary-swapping involution in turn, each kept when
-    its marked canonical form is new, and sorted by that form."""
+    built from every boundary-swapping involution the reference scan
+    lists (`ref_swap_involutions`) in turn, each kept when its marked
+    canonical form is new, and sorted by that form."""
     if atom.is_block:
         return ()
     ag = atom.as_graph()
+    u, v = atom.boundary
     ident = range(ag.n_vertices + ag.n_darts)
     halves = {}
-    for tau in atom.swap_involutions():
+    for vm, dm in ref_swap_involutions(ag, {u: v, v: u}):
+        tau = point_images(ag, vm, dm)
         q = quotient(ag, Group(ag, [ident, tau], verify=False))
-        w = q.vertex_map[atom.boundary[0]]
+        w = q.vertex_map[u]
         key = iso.canonical_form(q.result, marking=(w,), max_vertices=None)
         if key not in halves:
             halves[key] = (q.result, w)

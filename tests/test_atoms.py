@@ -20,7 +20,8 @@ from regcover.quotient import all_quotients, atom_quotients
 from regcover.reduction import reduction_series
 from regcover.textfmt import parse, serialize
 
-from helpers import brute_force_cut_pairs, is_involution, ref_isomorphisms
+from helpers import (brute_force_cut_pairs, ref_isomorphisms,
+                     ref_kernel_class_firsts, ref_swap_involutions)
 from test_groups import _scale_graphs
 from test_iso import _beyond_cap_graphs, _from_networkx
 
@@ -316,18 +317,6 @@ def _series_graphs():
         yield normalize(g)
 
 
-def _scanned_involutions(g, pinned):
-    """The semiregular involutions among all automorphisms agreeing with
-    `pinned` that the reference search lists, in its order, which is the
-    order of `automorphisms_iter`."""
-    out = []
-    for vmap, dmap in ref_isomorphisms(g, g, pinned=pinned):
-        p = point_images(g, vmap, dmap)
-        if is_involution(p) and semiregularity_violation(g, p) is None:
-            out.append((vmap, dmap))
-    return out
-
-
 def _ref_symmetry_type(a):
     """The symmetry type by brute force: a scan of the boundary swaps for a
     semiregular involution, then a second search for any swap."""
@@ -336,7 +325,7 @@ def _ref_symmetry_type(a):
     u, v = a.boundary
     ag = a.as_graph()
     swap = {u: v, v: u}
-    if _scanned_involutions(ag, swap):
+    if ref_swap_involutions(ag, swap):
         return "halvable"
     if next(ref_isomorphisms(ag, ag, pinned=swap), None) is not None:
         return "symmetric"
@@ -372,10 +361,12 @@ def _decorated_pair():
 
 
 def test_involution_builder_matches_filtered_scan():
-    # the same semiregular involutions in the same order as filtering every
-    # automorphism: on each boundary swap of a non-block atom, and on each
-    # vertex pair of the corpus series levels
-    atoms = kept = 0
+    # the first of each class, under conjugation by the automorphisms
+    # fixing every vertex, of the semiregular involutions that filtering
+    # every automorphism lists, in the same order: on each boundary swap
+    # of a non-block atom, and on each vertex pair of the corpus series
+    # levels
+    atoms = scanned = kept = 0
     for g in _series_graphs():
         for gi in reduction_series(g).graphs[:-1]:
             for a in find_atoms(gi):
@@ -384,21 +375,26 @@ def test_involution_builder_matches_filtered_scan():
                 u, v = a.boundary
                 ag, swap = a.as_graph(), {u: v, v: u}
                 found = list(semiregular_involutions_iter(ag, pinned=swap))
-                assert found == _scanned_involutions(ag, swap), a
+                scan = ref_swap_involutions(ag, swap)
+                assert found == ref_kernel_class_firsts(ag, scan), a
                 atoms += 1
+                scanned += len(scan)
                 kept += len(found)
-    assert (atoms, kept) == (355, 302)
+    assert (atoms, scanned, kept) == (355, 302, 140)
     levels = [gi for _, g in expansion_corpus()
               for gi in reduction_series(normalize(g)).graphs]
-    pairs = kept = 0
+    pairs = scanned = kept = 0
     for gi in levels + [_decorated_pair()]:
         for x, y in itertools.combinations(gi.vertex_list, 2):
             swap = {x: y, y: x}
             found = list(semiregular_involutions_iter(gi, pinned=swap))
-            assert found == _scanned_involutions(gi, swap), (gi, swap)
+            scan = ref_swap_involutions(gi, swap)
+            assert found == ref_kernel_class_firsts(gi, scan), (gi, swap)
             pairs += 1
+            scanned += len(scan)
             kept += len(found)
-    assert (pairs, kept) == (861, 274 + 56)  # corpus levels + decorated pair
+    # corpus levels + decorated pair
+    assert (pairs, scanned, kept) == (861, 330, 229)
 
 
 def test_involution_builder_builds_only_kept_maps(monkeypatch):
@@ -416,7 +412,7 @@ def test_involution_builder_builds_only_kept_maps(monkeypatch):
         for gi in reduction_series(normalize(g)).graphs[:-1]:
             for a in find_atoms(gi):
                 kept += len(a.swap_involutions())
-    assert len(built) == kept == 137
+    assert len(built) == kept == 14
     # theta(1^7): a filtered scan of the class representatives' boundary
     # swaps looks at 5,041 automorphisms, 5,040 of them on the dipole of 7
     # parallel edges, whose odd bundle admits no involution to build

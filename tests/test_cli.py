@@ -275,6 +275,29 @@ def test_kernel_jobs_are_decoded_in_iso_only():
     assert sorted(found) == ["iso.py"]
 
 
+def test_item_permutations_are_listed_by_dart_maps_only():
+    # every permutation of a group's items is tried by `iso.dart_maps`
+    # alone: the involution builder builds one map per class, no listing
+    src = os.path.dirname(regcover.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        owner = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if (getattr(node, "attr", None) == "permutations"
+                    or getattr(node, "id", None) == "permutations"
+                    or isinstance(node, ast.alias)
+                    and node.name == "permutations"):
+                found.add(f"{name}:{owner.get(node, '<module>')}")
+    assert sorted(found) == ["iso.py:dart_maps"]
+
+
 def test_help_names_the_commands_each_cap_reaches():
     text = " ".join(cli.build_parser().format_help().split())
     assert "vertex cap of the iso command's inputs (default 24)" in text

@@ -29,8 +29,9 @@ from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
                      is_involution, is_simple, naive_dart_automorphism_count,
                      naive_vertex_automorphism_count, ref_chain_generators,
                      ref_check_closure, ref_generating_set,
-                     ref_isomorphisms, ref_product_table,
-                     ref_semiregular_lattice, vmap)
+                     ref_isomorphisms, ref_kernel_class_firsts,
+                     ref_product_table, ref_semiregular_lattice,
+                     ref_swap_involutions, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -1067,6 +1068,36 @@ def test_generating_set_that_does_not_span_is_an_internal_error():
             grp.table
 
 
+def test_elements_the_base_cannot_tell_apart_are_an_internal_error():
+    # a listing in which two elements share their images on the chain's
+    # base is refused before any row is built.  The 3-vertex path with one
+    # colored edge has a trivial Aut(G), so its base is empty, and the
+    # identity and the swap of its ends (no automorphism) share the empty
+    # name, where a 1x1 table for 2 elements came back
+    g = (GraphBuilder().vertex("a").vertex("b").vertex("c")
+         .edge("ab", "a", "b", color=1).edge("bc", "b", "c").build())
+    assert iso.chain_base(g) == ()
+    one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
+    vertex_swap = {"a": "c", "b": "b", "c": "a"}
+    dart_swap = {"ab.1": "bc.2", "ab.2": "bc.1", "bc.1": "ab.2",
+                 "bc.2": "ab.1"}
+    swap = point_images(g, vertex_swap, dart_swap)
+    with pytest.raises(InternalError, match="2 listed elements have 1 "
+                                            "distinct images on the base"):
+        Group(g, [one, swap], verify=False).table
+    # the cube's base is a path of vertices, so the identity with two
+    # darts exchanged agrees with it there
+    g = cube()
+    base = iso.chain_base(g)
+    one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
+    x = list(one)
+    p, q = [p for p in one if p not in base][-2:]
+    x[p], x[q] = q, p
+    with pytest.raises(InternalError, match="2 listed elements have 1 "
+                                            "distinct images on the base"):
+        Group(g, [one, tuple(x)], verify=False).table
+
+
 def test_class_size_not_dividing_the_order_is_an_internal_error(monkeypatch):
     # an orbit closure that also adds S5 itself to every class: the first
     # class of order-2 subgroups has 10 or 15 members, so 11 or 16 come
@@ -1205,7 +1236,8 @@ def test_group_layer_is_pinned():
     # index sets, the multiplication table and the conjugacy classes of
     # subgroups where |Aut| <= 72, and the boundary-swapping involutions of
     # every non-block atom of every reduction level (beyond-cap graphs
-    # included), as recorded while permutations kept two index tuples
+    # included), all of them as the reference scan lists them, as recorded
+    # while permutations kept two index tuples
     digest = hashlib.sha256()
 
     def put(*parts):
@@ -1228,8 +1260,14 @@ def test_group_layer_is_pinned():
         for gi in reduction_series(normalize(g)).graphs[:-1]:
             for a in find_atoms(gi):
                 if not a.is_block:
-                    put(repr(a), *[_maps(a.as_graph(), p)
-                                   for p in a.swap_involutions()])
+                    ag, (u, v) = a.as_graph(), a.boundary
+                    scan = ref_swap_involutions(ag, {u: v, v: u})
+                    put(repr(a), *[_maps(ag, point_images(ag, *m))
+                                   for m in scan])
+                    # the atom lists the first of each class of the scan
+                    assert a.swap_involutions() == tuple(
+                        point_images(ag, *m)
+                        for m in ref_kernel_class_firsts(ag, scan))
     assert digest.hexdigest() == (
         "d3bb8a3cff38d101bd5bb5fc045fa1fecf41f4d34cc5254021a589f51988dcd9")
 

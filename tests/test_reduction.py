@@ -12,15 +12,14 @@ from regcover.fixtures import (asymmetric_arm_theta, bowtie, cube, cycle,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (DIRECTED, HALVABLE, PENDANT, UNDIRECTED,
                             normalize, point_images, point_maps, validate)
-from regcover.groups import (automorphism_group, chain_generators,
-                             count_automorphisms, semiregular_subgroups,
-                             semiregularity_violation)
+from regcover.groups import (automorphism_group, count_automorphisms,
+                             semiregular_subgroups, semiregularity_violation)
 from regcover.reduction import (kernel_order, reduce_step,
                                 reduction_epimorphism, reduction_series)
 from regcover.quotient import all_quotients
 from regcover.textfmt import parse, serialize
 
-from helpers import compose, dmap, is_identity, vmap
+from helpers import compose, dmap, is_identity, ref_chain_generators, vmap
 from test_groups import count_dart_maps
 from test_iso import _beyond_cap_graphs
 
@@ -364,8 +363,9 @@ def test_components_block_tree_and_atoms_are_built_once_per_graph(
 
 def test_kernel_is_generated_by_the_boundary_fixing_generators():
     # per atom class of every step of the corpus and the beyond-cap
-    # graphs: sympy's order of the group that `chain_generators(ag,
-    # boundary)` generates is the count `kernel_order` takes, and each
+    # graphs: sympy's order of the group that the boundary-fixing chain's
+    # coset representatives and kernel moves (`ref_chain_generators(ag,
+    # boundary)`) generate is the count `kernel_order` takes, and each
     # generator, extended by the identity outside the atom, maps to the
     # identity under `reduction_epimorphism`
     combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -378,7 +378,7 @@ def test_kernel_is_generated_by_the_boundary_fixing_generators():
                 src, range(src.n_vertices + src.n_darts))
             for cls in step.classes:
                 ag, boundary = cls.rep.as_graph(), cls.rep.boundary
-                gens = chain_generators(ag, boundary)
+                gens = ref_chain_generators(ag, boundary)
                 n = ag.n_vertices + ag.n_darts
                 group = combinatorics.PermutationGroup(
                     [combinatorics.Permutation(list(t)) for t in gens]
