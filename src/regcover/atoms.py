@@ -31,7 +31,7 @@ from .errors import GraphError
 from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, SubgraphRef,
                     cached, is_connected, is_cycle, normalize, point_images,
                     require_standard_input)
-from .groups import semiregularity_violation
+from .groups import _mate_points, _shared_cycle_length
 from .iso import canonical_form, semiregular_involutions_iter
 
 STAR_BLOCK = "star_block"
@@ -345,19 +345,19 @@ def _swap_involutions(a):
     the order `iso.automorphisms_iter` lists them, as image tuples over
     the atom graph's points.  Only fixed-point-free vertex involutions are
     extended, and only to dart maps that are involutions reversing no
-    non-halvable edge; each one is still checked to square to the
-    identity and to act semiregularly before it is kept.  None is the
-    identity, as each swaps u and v."""
+    non-halvable edge; each one's cycles are checked again before it is
+    kept.  None is the identity, as each swaps u and v."""
     if a.is_block:
         return ()  # a single boundary vertex: nothing to exchange
     u, v = a.boundary
     ag = a.as_graph()
+    mates = _mate_points(ag)
     swaps = (point_images(ag, vmap, dmap)
              for vmap, dmap in semiregular_involutions_iter(
                  ag, pinned={u: v, v: u}))
     return tuple(x for x in swaps
-                 if all(x[j] == i for i, j in enumerate(x))
-                 and semiregularity_violation(ag, x) is None)
+                 if _shared_cycle_length(x, range(len(x)), mates=mates,
+                                         n=2) == 2)
 
 
 def atom_symmetry_type(a):

@@ -18,11 +18,16 @@ builds a permutation either.  `iso.chain_generators` are the maps the
 chain lifted and the kernel's moves, and `orbits` closes points under any
 image tuples, so the order and the orbits of Aut(g) need no listing.
 
+Semiregularity is one rule, read off one point per orbit (`orbit_rows`):
+each such point has |group| images, the orbits partition the points, and
+no orbit holds a dart with its non-halvable mate (`_mate_points`), as
+stabilizers and edge reversals are conjugate along an orbit.
 `semiregular_subgroups` lists no Aut(g): it builds full image tuples only
 from the chain's vertex parts whose cycles share one length, keeps each x
-for which <x> is semiregular, checked once per cyclic subgroup, and
-builds a `Group` only for each subgroup it returns, and
-`semiregular_class_representatives` only for the first of each class.
+for which <x> is semiregular, read off x's cycles once per cyclic
+subgroup (`_shared_cycle_length`), and builds a `Group` only for each
+subgroup it returns, and `semiregular_class_representatives` only for the
+first of each class.
 
 Groups are stored extensionally.  Every group of g names its elements by
 their images on the chain's base (`iso.chain_base`), which tell all of
@@ -67,8 +72,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached, point_index, point_maps
@@ -80,46 +84,62 @@ MAX_GROUP_ORDER = 200
 
 
 def _mate_points(g):
-    """Per dart of g, in `dart_list` order, the point of its mate when the
-    two darts form a non-halvable edge, else -1: a permutation reverses
-    such an edge when a dart's image is this point.  Kept on g as
+    """Per point of g, the point of its dart's mate when the two darts form
+    a non-halvable edge, else -1, as at every vertex: a permutation
+    reverses such an edge when a dart's image is this point.  Kept on g as
     `_mate_points` (see `graph.cached`)."""
     return cached(g, "_mate_points", _index_mates)
 
 
 def _index_mates(g):
     didx = point_index(g)[1]
-    return tuple(didx[g.pairing[h]]
-                 if g.pairing[h] != h and g.edge_type.get(h) != HALVABLE
-                 else -1 for h in g.dart_list)
-
-
-def _violating_point(images, nv, mates):
-    """None when the permutation `images` is the identity, or fixes no
-    point and reverses no non-halvable edge (`mates`, see `_mate_points`);
-    else the first point it fixes or, with none fixed, the first dart it
-    maps onto its mate.  `nv` is the number of vertex points."""
-    points = range(len(images))
-    i = next(compress(points, map(eq, images, points)), None)
-    if i is not None:
-        return None if i == 0 and images == tuple(points) else i
-    return next(compress(points[nv:], map(eq, images[nv:], mates)), None)
+    return (-1,) * len(g.vertex_list) + tuple(
+        didx[g.pairing[h]]
+        if g.pairing[h] != h and g.edge_type.get(h) != HALVABLE else -1
+        for h in g.dart_list)
 
 
 def semiregularity_violation(g, images):
     """None, or a string explaining the non-trivial stabilizer of the
-    automorphism of g with image tuple `images`."""
-    nv = len(g.vertex_list)
-    i = _violating_point(images, nv, _mate_points(g))
-    if i is None:
+    automorphism of g with image tuple `images`: the first point that it
+    fixes or maps onto its mate, unless it is the identity."""
+    mates = _mate_points(g)
+    p = next((p for p, q in enumerate(images) if q in (p, mates[p])), None)
+    if p is None or images == tuple(range(len(images))):
         return None
-    if images[i] != i:
-        h = g.dart_list[i - nv]
+    name = (g.vertex_list + g.dart_list)[p]
+    if images[p] != p:
         return (f"swaps the darts of non-halvable edge "
-                f"{h!r}/{g.pairing[h]!r}")
-    if i < nv:
-        return f"fixes vertex {g.vertex_list[i]!r}"
-    return f"fixes dart {g.dart_list[i - nv]!r}"
+                f"{name!r}/{g.pairing[name]!r}")
+    return f"fixes {'vertex' if p < len(g.vertex_list) else 'dart'} {name!r}"
+
+
+def orbit_rows(grp):
+    """(rows, culprit): rows maps each point p of grp's graph that no
+    earlier row holds, in point order, to [x[p] for x in grp.elements].
+    grp, closed as `Group` promises, is semiregular by the rule of the
+    module docstring: then culprit is None and the rows are the orbits,
+    keyed by their least points.  Else the rows stop at the first that
+    fails, at p, and culprit is the position of the first element but the
+    identity fixing p or, with none, of the first mapping p onto its mate;
+    an InternalError if neither is there, as grp is then not closed."""
+    elements, mates = grp.elements, _mate_points(grp.graph)
+    rows, seen = {}, set()
+    for p in range(len(mates)):
+        if p in seen:
+            continue
+        rows[p] = row = [x[p] for x in elements]
+        seen.update(row)
+        if len(seen) == len(rows) * len(row) and mates[p] not in row:
+            continue
+        # the identity sorts first among image tuples, and fixes p
+        culprits = ([i for i, q in enumerate(row) if q == p][1:]
+                    + [i for i, q in enumerate(row) if q == mates[p]])
+        if not culprits:
+            raise InternalError(f"the group's {len(row)} elements are not "
+                                f"closed under products")
+        return rows, culprits[0]
+    return rows, None
 
 
 def _product_table(images, base):
@@ -287,12 +307,6 @@ class Group:
         return table
 
     @cached_property
-    def semiregular_flags(self):
-        nv, mates = len(self.graph.vertex_list), _mate_points(self.graph)
-        return tuple(_violating_point(x, nv, mates) is None
-                     for x in self.elements)
-
-    @cached_property
     def _subgroup_lattice(self):
         """(subgroups, classes): `_subgroup_index_sets` of the table under
         conjugation by `_generating_set`, with each class a sorted list of
@@ -361,13 +375,8 @@ def automorphism_group(g, max_order=MAX_GROUP_ORDER):
 
 def is_semiregular(grp):
     """No non-identity element stabilizes a vertex or dart; an edge may be
-    fixed setwise only when halvable and dart-swapped."""
-    return all(grp.semiregular_flags)
-
-
-def semiregular_violations(grp):
-    return [(x, semiregularity_violation(grp.graph, x))
-            for x, ok in zip(grp.elements, grp.semiregular_flags) if not ok]
+    fixed setwise only when halvable and dart-swapped (see `orbit_rows`)."""
+    return orbit_rows(grp)[1] is None
 
 
 def _close_indices(table, s, gens):
@@ -601,7 +610,7 @@ def _semiregular_lattice(g, order):
     kernel = kernel_images(g, jobs) if base[len(transversals):] else [one]
     parts = chain_products(transversals, [one[:nv]])
     _distinct(parts, len(parts))
-    mates = (-1,) * nv + _mate_points(g)
+    mates = _mate_points(g)
     verdicts = {}  # base images: whether that element is kept
     members = []
     for i, part in enumerate(parts):

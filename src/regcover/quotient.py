@@ -3,13 +3,14 @@
 A semiregular group acting on a graph defines the quotient whose vertices
 and darts are the orbits.  An edge whose two darts share an orbit collapses
 to a standalone half-edge (the acting element swaps its darts, so the edge
-is halvable).  The quotient by the trivial group is the graph itself, not
-an equal copy, so the unmarked canonical form that the graph's stabilizer
-chain left on it serves the deduplication of quotients too.  Expansion
-reverses a reduction step on a quotient: colored edges, loops and
-half-edges are replaced by the edge-, loop- and half-quotients of the
-corresponding atom class, built once and kept on the class representative
-as a write-once slot (`graph.cached`).
+is halvable).  The orbits, and whether the group is semiregular, are
+read off one point per orbit (`groups.orbit_rows`).  The quotient by the
+trivial group is the graph itself, not an equal copy, so the unmarked
+canonical form that the graph's stabilizer chain left on it serves the
+deduplication of quotients too.  Expansion reverses a reduction step on a
+quotient: colored edges, loops and half-edges are replaced by the edge-,
+loop- and half-quotients of the corresponding atom class, built once and
+kept on the class representative as a write-once slot (`graph.cached`).
 
 Conjugate subgroups give isomorphic quotients, so the bruteforce route and
 the cover decision build one quotient per conjugacy class of semiregular
@@ -33,10 +34,11 @@ from dataclasses import dataclass
 
 from .atoms import HALVABLE_SYM
 from .errors import GraphError, InternalError
-from .graph import (DIRECTED, HALVABLE, LOOP, PENDANT, STANDARD, Graph,
+from .graph import (DIRECTED, LOOP, PENDANT, STANDARD, Graph,
                     cached, normalize, point_index, require_standard_input)
-from .groups import (MAX_GROUP_ORDER, Group, orbits,
-                     semiregular_class_representatives, semiregular_violations)
+from .groups import (MAX_GROUP_ORDER, Group, orbit_rows,
+                     semiregular_class_representatives,
+                     semiregularity_violation)
 from .iso import are_isomorphic, canonical_form
 from .reduction import COLOR_STRIDE, reduction_series
 
@@ -55,43 +57,33 @@ def quotient(g, gamma):
 
     GraphError unless g is standard input, gamma acts on g and gamma is
     semiregular.  G/1 is g itself with identity maps, so it shares the
-    canonical searches already cached on g (see `graph.cached`)."""
+    canonical searches already cached on g (see `graph.cached`).  A refusal
+    names an element by its position in gamma.elements."""
     require_standard_input(g, "quotient")
     if gamma.graph is not g and gamma.graph != g:
         raise GraphError("group does not act on this graph")
-    bad = semiregular_violations(gamma)
-    if bad:
-        p, why = bad[0]
-        raise GraphError(f"group is not semiregular: element {why}")
     if gamma.is_trivial:
         return Quotient(g, gamma, g, {h: h for h in g.dart_list},
                         {v: v for v in g.vertex_list})
+    rows, culprit = orbit_rows(gamma)
+    if culprit is not None:
+        why = semiregularity_violation(g, gamma.elements[culprit])
+        raise GraphError(f"group is not semiregular: element {culprit} {why}")
 
-    dart_rep = {x: orbit[0] for orbit in orbits(g, gamma.elements, "darts")
-                for x in orbit}
-    vertex_rep = {x: orbit[0]
-                  for orbit in orbits(g, gamma.elements, "vertices")
-                  for x in orbit}
+    vl, dl, nv = g.vertex_list, g.dart_list, len(g.vertex_list)
+    vertex_rep = {vl[q]: vl[p] for p, row in rows.items() if p < nv
+                  for q in row}
+    dart_rep = {dl[q - nv]: dl[p - nv] for p, row in rows.items() if p >= nv
+                for q in row}
 
     darts = sorted(set(dart_rep.values()))
-    vertices = sorted(set(vertex_rep.values()))
-    pairing, incidence, edge_type, color, tails = {}, {}, {}, {}, set()
-    for d in darts:
-        mate = dart_rep[g.pairing[d]]
-        pairing[d] = mate
-        v = g.vertex_of(d)
-        if v is not None:
-            incidence[d] = vertex_rep[v]
-        color[d] = g.color[d]
-        if mate != d:
-            edge_type[d] = g.edge_type[d]
-            if d in g.tails:
-                tails.add(d)
-        else:
-            if g.pairing[d] != d and g.edge_type[d] != HALVABLE:
-                raise GraphError("non-halvable edge collapsed to a half-edge")
-
-    result = Graph(darts, vertices, pairing, incidence, edge_type, color, tails)
+    pairing = {d: dart_rep[g.pairing[d]] for d in darts}
+    edges = [d for d in darts if pairing[d] != d]
+    result = Graph(darts, set(vertex_rep.values()), pairing,
+                   {d: vertex_rep[g.incidence[d]] for d in darts
+                    if d in g.incidence},
+                   {d: g.edge_type[d] for d in edges},
+                   {d: g.color[d] for d in darts}, g.tails.intersection(edges))
     if (result.n_darts * gamma.order != g.n_darts
             or result.n_vertices * gamma.order != g.n_vertices):
         raise InternalError("quotient: orbit counts do not match |group|")
@@ -102,21 +94,19 @@ def quotient(g, gamma):
 
 
 def atom_projection_type(a, gamma):
-    """How a covering projection treats an atom: edge, loop, or half."""
+    """How a covering projection treats an atom: edge, loop, or half.
+    GraphError unless gamma acts on the atom's graph."""
+    if gamma.graph is not a.ref.parent and gamma.graph != a.ref.parent:
+        raise GraphError("group does not act on this graph")
     if a.is_block:
         return "edge"
     vidx, didx = point_index(gamma.graph)
     u, v = vidx[a.boundary[0]], vidx[a.boundary[1]]
     darts = frozenset(didx[h] for h in a.ref.darts)
-    loop = False
-    for i, images in enumerate(gamma.elements):
-        if i == gamma.identity_index:
-            continue
-        if all(images[h] in darts for h in darts):
-            return "half"
-        if images[u] == v:
-            loop = True
-    return "loop" if loop else "edge"
+    others = gamma.elements[1:]  # the identity sorts first
+    if any(all(x[h] in darts for h in darts) for x in others):
+        return "half"
+    return "loop" if any(x[u] == v for x in others) else "edge"
 
 
 @dataclass

@@ -5,8 +5,8 @@ from operator import itemgetter
 
 from regcover import groups, iso
 from regcover.errors import GraphError
-from regcover.graph import (DIRECTED, STANDARD, SubgraphRef, point_images,
-                            point_index, point_maps)
+from regcover.graph import (DIRECTED, HALVABLE, STANDARD, SubgraphRef,
+                            point_images, point_index, point_maps)
 from regcover.groups import Group
 from regcover.quotient import quotient
 
@@ -495,6 +495,28 @@ def ref_isomorphisms(g1, g2, marking1=None, marking2=None, pinned=None):
             yield vmap, dmap
 
 
+# -- semiregularity of one element, from the raw graph ------------------------
+
+def ref_semiregular_element(g, x):
+    """Whether the automorphism of g with image tuple x is the identity, or
+    fixes no vertex and no dart and swaps the two darts of no edge that is
+    not halvable, read off its vertex and dart maps."""
+    vm, dm = point_maps(g, x)
+    if all(vm[v] == v for v in vm) and all(dm[h] == h for h in dm):
+        return True
+    return (all(vm[v] != v for v in vm) and all(dm[h] != h for h in dm)
+            and not any(dm[h] == g.pairing[h]
+                        and g.edge_type.get(h) != HALVABLE for h in dm))
+
+
+def ref_orbit_maps(g, gamma):
+    """(vertex map, dart map) taking each item of g to the least member of
+    its orbit under gamma, closed over every element (`groups.orbits`)."""
+    return tuple({x: orbit[0] for orbit in groups.orbits(g, gamma.elements,
+                                                           domain)
+                  for x in orbit} for domain in ("vertices", "darts"))
+
+
 # -- swap involutions and half-quotients, one quotient per involution ---------
 
 def ref_swap_involutions(g, pinned):
@@ -504,7 +526,7 @@ def ref_swap_involutions(g, pinned):
     out = []
     for vmap, dmap in ref_isomorphisms(g, g, pinned=pinned):
         p = point_images(g, vmap, dmap)
-        if is_involution(p) and groups.semiregularity_violation(g, p) is None:
+        if is_involution(p) and ref_semiregular_element(g, p):
             out.append((vmap, dmap))
     return out
 
@@ -559,7 +581,6 @@ def ref_semiregular_lattice(g, order):
     by every coset representative of the chain and the kernel's moves
     (`ref_chain_generators`)."""
     images = groups._aut_images(g, None)
-    nv, mates = len(g.vertex_list), groups._mate_points(g)
     one = tuple(range(len(g.vertex_list) + len(g.dart_list)))
     members = []
     for x in sorted(images):
@@ -567,8 +588,7 @@ def ref_semiregular_lattice(g, order):
         while powers[-1] != one:
             powers.append(compose(x, powers[-1]))
         if ((order is None or order % len(powers) == 0)
-                and all(groups._violating_point(y, nv, mates) is None
-                        for y in powers)):
+                and all(ref_semiregular_element(g, y) for y in powers)):
             members.append(x)
     base = greedy_base(list(images))
     table = ref_product_table(members, base)

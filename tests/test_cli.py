@@ -20,9 +20,10 @@ from regcover.groups import (automorphism_group, chain_generators,
                              is_semiregular, orbits)
 from regcover.iso import are_isomorphic, canonical_form
 from regcover.graph import HALVABLE, GraphBuilder, normalize
-from regcover.quotient import all_quotients, regular_cover_test
+from regcover.quotient import all_quotients, quotient, regular_cover_test
 from regcover.textfmt import parse_file, write_file
 
+from helpers import ref_orbit_maps
 from test_iso import _beyond_cap_graphs, relabel
 
 
@@ -881,6 +882,9 @@ def test_cover_of_a_320_vertex_z32_cover(tmp_path, capsys, monkeypatch):
     witness = regular_cover_test(g, petersen())
     assert witness.order == 32 and is_semiregular(witness)
     assert len(calls) == 1
+    # the quotient names each orbit by its least member
+    q = quotient(g, witness)
+    assert (q.vertex_map, q.dart_map) == ref_orbit_maps(g, witness)
     write_file(g, str(tmp_path / "z32.g"))
     write_file(petersen(), str(tmp_path / "petersen.g"))
     assert main(["cover", str(tmp_path / "z32.g"),

@@ -19,7 +19,7 @@ from regcover.groups import (Group, all_subgroups,
                              conjugacy_classes_of_subgroups,
                              count_automorphisms, is_semiregular,
                              orbits, semiregular_subgroups,
-                             semiregular_violations, semiregularity_violation,
+                             semiregularity_violation,
                              subgroup_order_histogram)
 from regcover.atoms import find_atoms
 from regcover.iso import are_isomorphic, canonical_form
@@ -30,8 +30,8 @@ from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
                      naive_vertex_automorphism_count, ref_chain_generators,
                      ref_check_closure, ref_generating_set,
                      ref_isomorphisms, ref_kernel_class_firsts,
-                     ref_product_table, ref_semiregular_lattice,
-                     ref_swap_involutions, vmap)
+                     ref_product_table, ref_semiregular_element,
+                     ref_semiregular_lattice, ref_swap_involutions, vmap)
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -255,7 +255,7 @@ def test_rotation_semiregular_reflection_not():
         "v0": "v0", "v1": "v5", "v2": "v4", "v3": "v3", "v4": "v2", "v5": "v1"})
     grp = Group(g, [aut.elements[aut.identity_index], refl], verify=True)
     assert not is_semiregular(grp)
-    assert "fixes vertex" in semiregular_violations(grp)[0][1]
+    assert "fixes vertex" in semiregularity_violation(g, refl)
 
 
 def _powers(p):
@@ -748,7 +748,8 @@ def test_table_rows_looked_up_are_pinned(monkeypatch):
 
 def test_semiregular_partial_table_is_none_off_the_subset():
     for name, g, aut in _small_corpus():
-        members = [i for i, ok in enumerate(aut.semiregular_flags) if ok]
+        members = [i for i, x in enumerate(aut.elements)
+                   if ref_semiregular_element(g, x)]
         position = {aut.elements[i]: k for k, i in enumerate(members)}
         partial = groups._product_table(
             [aut.elements[i] for i in members], iso.chain_base(g))[0]
@@ -771,8 +772,8 @@ def test_semiregular_subgroups_match_all_pairs_closure():
     cases = list(_small_corpus()) + list(_small_random())
     assert len(cases) > 200
     for name, g, aut in cases:
-        allowed = frozenset(i for i, ok in enumerate(aut.semiregular_flags)
-                            if ok)
+        allowed = frozenset(i for i, x in enumerate(aut.elements)
+                            if ref_semiregular_element(g, x))
         expected = _oracle_subgroups(aut.table, aut.identity_index, allowed)
         assert _index_sets(aut, semiregular_subgroups(g)) == expected, name
         # every order the search may keep, and 2 and 4 where they are not
@@ -780,6 +781,18 @@ def test_semiregular_subgroups_match_all_pairs_closure():
         for k in sorted(divisors | {2, 4}):
             assert (_index_sets(aut, semiregular_subgroups(g, order=k))
                     == [s for s in expected if len(s) == k]), name
+
+
+def test_is_semiregular_matches_every_element_checked():
+    # one point per orbit decides as checking every element at every
+    # point does, over every subgroup of the small corpus and random seeds
+    counts = {True: 0, False: 0}
+    for name, g, aut in list(_small_corpus()) + list(_small_random()):
+        for sub in all_subgroups(aut):
+            want = all(ref_semiregular_element(g, x) for x in sub)
+            assert is_semiregular(sub) == want, (name, sub.elements)
+            counts[want] += 1
+    assert counts == {True: 603, False: 2491}
 
 
 def _reference_conjugacy_classes(aut, subgroups=None):

@@ -8,7 +8,7 @@ import pytest
 
 import regcover
 from regcover import groups, iso
-from regcover.atoms import Atom, find_atoms
+from regcover.atoms import HALVABLE_SYM, Atom, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
 from regcover.fixtures import (complete, cube, cycle, dipole,
@@ -21,6 +21,7 @@ from regcover.graph import (Graph, GraphBuilder, HALVABLE, SubgraphRef,
                             with_halvable_edges)
 from regcover.groups import (Group, automorphism_group,
                              count_automorphisms, is_semiregular,
+                             semiregular_class_representatives,
                              semiregular_subgroups)
 from regcover.iso import are_isomorphic, canonical_form, verify_isomorphism
 from regcover.quotient import (all_quotients, atom_projection_type,
@@ -29,7 +30,7 @@ from regcover.quotient import (all_quotients, atom_projection_type,
 from regcover.reduction import reduce_step, reduction_series
 from regcover.textfmt import serialize
 
-from helpers import (dmap, is_identity, ref_half_quotients,
+from helpers import (dmap, is_identity, ref_half_quotients, ref_orbit_maps,
                      ref_swap_involutions, vmap)
 from test_iso import _beyond_cap_graphs
 
@@ -87,7 +88,62 @@ def test_quotient_rejects_non_semiregular():
     grp = Group(g, [aut.elements[aut.identity_index], refl])
     with pytest.raises(GraphError) as err:
         quotient(g, grp)
-    assert "fixes vertex" in str(err.value)
+    # the refusal names the element by its position, and the point
+    assert grp.elements.index(refl) == 1
+    assert str(err.value) == ("group is not semiregular: element 1 fixes "
+                              "vertex 'v0'")
+    # in all of Aut(C6), the first element fixing v0 but the identity
+    first = next(i for i, x in enumerate(aut.elements) if i and x[0] == 0)
+    assert aut.elements[first] == refl
+    with pytest.raises(GraphError) as err:
+        quotient(g, aut)
+    assert str(err.value) == (f"group is not semiregular: element {first} "
+                              f"fixes vertex 'v0'")
+    # the C4 reflection through two edge midpoints fixes no point, but
+    # reverses two edges that are not halvable
+    g = cycle(4)
+    swap = next(p for p in automorphism_group(g) if vmap(g, p) == {
+        "v0": "v1", "v1": "v0", "v2": "v3", "v3": "v2"})
+    with pytest.raises(GraphError) as err:
+        quotient(g, Group(g, [range(len(swap)), swap]))
+    assert str(err.value) == ("group is not semiregular: element 1 swaps "
+                              "the darts of non-halvable edge 'e0.1'/'e0.2'")
+
+
+def _corpus_class_representatives():
+    for name, g in expansion_corpus():
+        for gamma in semiregular_class_representatives(g):
+            yield name, g, gamma
+
+
+def test_quotient_maps_are_the_least_orbit_members():
+    # the quotient names each orbit, read one point per orbit, by its
+    # least member, as the orbit closure over every element does
+    checked = 0
+    for name, g, gamma in _corpus_class_representatives():
+        q = quotient(g, gamma)
+        assert (q.vertex_map, q.dart_map) == ref_orbit_maps(g, gamma), name
+        checked += 1
+    assert checked == 137
+
+
+def test_quotient_checks_no_element_at_every_point(monkeypatch):
+    # on success, neither the orbit closure nor the explanation of a
+    # single element runs
+    cases = list(_corpus_class_representatives())
+    want = [quotient(g, gamma).result for _, g, gamma in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    module = importlib.import_module("regcover.quotient")
+    for mod in (groups, module):
+        for name in ("orbits", "semiregularity_violation"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    for (name, g, gamma), result in zip(cases, want):
+        assert quotient(g, gamma).result == result, name
+    with pytest.raises(AssertionError, match="reached"):
+        quotient(cycle(6), automorphism_group(cycle(6)))
 
 
 def test_quotient_by_the_trivial_group_is_the_graph_itself(monkeypatch):
@@ -149,6 +205,15 @@ def test_atom_projection_types():
                 if all(is_identity(p) or vmap(g, p)["u"] == "v"
                        and vmap(g, p)["x0_0"] == "x0_1" for p in s))
     assert all(atom_projection_type(a, swap) == "half" for a in atoms)
+
+
+def test_atom_projection_type_refuses_another_graphs_group():
+    g = theta(2, 2, 2, edge_type=HALVABLE)
+    atom = find_atoms(g)[0]
+    assert atom.symmetry == HALVABLE_SYM
+    assert atom_projection_type(atom, automorphism_group(g)) == "half"
+    with pytest.raises(GraphError, match="group does not act on this graph"):
+        atom_projection_type(atom, automorphism_group(cycle(5)))
 
 
 def test_atom_projection_loop_case():
