@@ -379,13 +379,16 @@ def is_semiregular(grp):
     return orbit_rows(grp)[1] is None
 
 
-def _close_indices(table, s, gens):
+def _close_indices(table, s, gens, whole=None):
     """<S, gens> in index space, where S is a subgroup generated by part of
     `gens`; None if a product leaves the table's elements.
 
     The result is a union of right cosets S*r, and right-multiplying by a
     generator g maps S*r onto S*(r*g), so only one representative per
-    coset is multiplied by the generators (Dimino's method).
+    coset is multiplied by the generators (Dimino's method).  `whole`, when
+    the table holds the whole group, is its set of indices: a subgroup's
+    order divides the group's (Lagrange), so once more than half of it is
+    listed the closure is the whole group and stops.
     """
     s = tuple(s)
     members = set(s)
@@ -401,6 +404,8 @@ def _close_indices(table, s, gens):
                 if None in coset:
                     return None
                 members.update(coset)
+                if whole is not None and 2 * len(members) > len(whole):
+                    return whole
                 reps.append(y)
     return frozenset(members)
 
@@ -470,9 +475,12 @@ def _subgroup_index_sets(table, e, order, maps, divides=None):
     nor extended; every subgroup whose order does divide it is still
     reached through a chain of its own subgroups, one element at a time.
     A subgroup of order `divides` is kept but not extended, as no larger
-    subgroup has an order that divides it.
+    subgroup has an order that divides it.  When the table holds all
+    `order` elements, a closure stops once it holds more than half of
+    them (see `_close_indices`).
     """
     generators = _cyclic_generators(table, e)
+    whole = frozenset(range(order)) if len(table) == order else None
     setwise = [_Setwise(m) for m in maps]
     trivial = frozenset({e})
     classes = [{trivial}]
@@ -482,7 +490,7 @@ def _subgroup_index_sets(table, e, order, maps, divides=None):
         s, gens = queue.pop()
         for x in _extension_candidates(table, s, generators):
             tgens = gens + (x,)
-            t = _close_indices(table, s, tgens)
+            t = _close_indices(table, s, tgens, whole)
             if (t is None or t in known
                     or (divides is not None and divides % len(t))):
                 continue

@@ -32,7 +32,18 @@ lists the darts at each vertex by their other end.  It has four readers:
   the current one.  Every leaf skipped repeats an encoding met earlier, so
   the first leaf with the least encoding, the form and its order, stay
   those of the search without the return; the nodes of theta(1^7), the
-  cube and Petersen go 86/14/19 -> 36/10/10;
+  cube and Petersen go 86/14/19 -> 36/10/10.  Seeded automorphisms: a
+  graph may carry a provider of vertex automorphisms known without a
+  search (`seed_automorphisms`, a write-once slot read only by the
+  unmarked search, once its root branches).  Each map is checked to be a
+  bijection of the vertices with dart jobs, so an automorphism, and the
+  search starts its list of found automorphisms from them.  A child they
+  skip is the image of an explored one under a genuine automorphism
+  fixing the prefix, so its leaves repeat encodings met earlier and the
+  form is unchanged; the first child of every node is still explored, so
+  the first path and the chain's base are too.  The first leaf with the
+  least encoding may lie in a skipped subtree, so the best-leaf order of
+  a seeded graph may differ from an unseeded copy's;
 - the stabilizer chain is read off the canonical search.  Its base is the
   first path, and the orbit of each base vertex is closed under the
   automorphisms found at leaves that fix the base vertices before it,
@@ -306,7 +317,7 @@ def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTI
 
 def _canonical(g, marking, ordered_marking):
     """(form bytes, vertex order of the best leaf, first path, vertex
-    automorphisms found), kept on g per marking."""
+    automorphisms seeded or found), kept on g per marking."""
     marking = frozenset(marking) if marking else None
     ordered_marking = tuple(ordered_marking) if ordered_marking else None
     cache = cached(g, "_iso_canon", lambda g: {})
@@ -322,7 +333,7 @@ def _best_leaf(g, marking, ordered_marking):
     base = _ranked(_initial_colors(g, marking, ordered_marking))
     after = len(set(base.values()))
     leaves = []  # (encoding, order) of the first leaf and of the best
-    autos = []   # vertex automorphisms found at leaves
+    autos = []   # vertex automorphisms seeded or found at leaves
     first = []   # the first leaf's individualized vertices
 
     def search(forced):
@@ -365,6 +376,8 @@ def _best_leaf(g, marking, ordered_marking):
         # forced vertices are singletons: the target is the first cell of
         # two or more vertices
         target = min(c for c, vs in cells.items() if len(vs) > 1)
+        if not forced and not (marking or ordered_marking):
+            autos.extend(_seeds(g))  # read once the unmarked root branches
         for v in sorted(cells[target]):
             # automorphisms found since the last child, if they fix forced
             new = [a for a in autos[seen:] if all(a[u] == u for u in forced)]
@@ -382,6 +395,38 @@ def _best_leaf(g, marking, ordered_marking):
 
     search(())
     return leaves[1], first, autos
+
+
+def seed_automorphisms(g, provider):
+    """Give g's unmarked canonical search a start: `provider(g)` returns
+    vertex automorphisms of g, {vertex: image} over every vertex, known
+    without a search.  It is called when that search first branches, and
+    not before; the slot is written once (see `graph.cached`)."""
+    cached(g, "_iso_seeds", lambda g: provider)
+
+
+def found_automorphisms(g):
+    """The vertex automorphisms g's unmarked canonical search started
+    from or found, or () if that search has not run; none is started."""
+    entry = cached(g, "_iso_canon", lambda g: {}).get((None, None))
+    return () if entry is None else entry[3]
+
+
+def _seeds(g):
+    """The maps of g's seed provider (see `seed_automorphisms`), each
+    checked to be a vertex automorphism: a bijection of the vertices whose
+    image keys match g's item groups, which then extends to darts."""
+    provider = g.__dict__.get("_iso_seeds")
+    if provider is None:
+        return []
+    maps = provider(g)
+    vertices = g.vertices
+    for m in maps:
+        if (m.keys() != vertices or set(m.values()) != vertices
+                or _dart_jobs(g, g, m) is None):
+            raise InternalError("canonical search: a seeded map is not an "
+                                "automorphism of the graph")
+    return maps
 
 
 # -- automorphism groups -------------------------------------------------------

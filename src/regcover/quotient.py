@@ -11,6 +11,13 @@ deduplication of quotients too.  Expansion reverses a reduction step on a
 quotient: colored edges, loops and half-edges are replaced by the edge-,
 loop- and half-quotients of the corresponding atom class, built once and
 kept on the class representative as a write-once slot (`graph.cached`).
+Each expanded graph's unmarked canonical search starts from the
+automorphisms its expansion already knows (`iso.seed_automorphisms`):
+swaps of the interiors of copies of one piece glued onto parallel sites,
+and lifts of the automorphisms that the expanded quotient's own search
+started from or found, which lift as the reduction's epimorphism
+Aut(G_i) -> Aut(G_i+1) says.  They are built when that search first
+branches, and only prune it, so forms and outputs do not change.
 
 Conjugate subgroups give isomorphic quotients, so the bruteforce route and
 the cover decision build one quotient per conjugacy class of semiregular
@@ -28,6 +35,7 @@ the pieces kept are those of one quotient per involution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +47,8 @@ from .graph import (DIRECTED, LOOP, PENDANT, STANDARD, Graph,
 from .groups import (MAX_GROUP_ORDER, Group, orbit_rows,
                      semiregular_class_representatives,
                      semiregularity_violation)
-from .iso import are_isomorphic, canonical_form
+from .iso import (are_isomorphic, canonical_form, found_automorphisms,
+                  seed_automorphisms)
 from .reduction import COLOR_STRIDE, reduction_series
 
 
@@ -177,6 +186,8 @@ def _substitute(h_next, placements):
     """Remove site items and glue in renamed copies of quotient pieces.
 
     placements: list of (site_darts, piece_graph, {piece_vertex: host_vertex}).
+    The result's unmarked canonical search is seeded with the automorphisms
+    the expansion already knows (see `_expansion_automorphisms`).
     """
     removed = set()
     for site_darts, _, _ in placements:
@@ -186,9 +197,11 @@ def _substitute(h_next, placements):
     pairing, incidence, edge_type, color, tails = {}, {}, {}, {}, set()
 
     host_ids = set(h_next.darts) | vertices
+    spaces = []
     for site_darts, piece, attach in placements:
         seed = min(site_darts)
         ns = _namespace(host_ids, set(piece.darts) | set(piece.vertices), seed)
+        spaces.append(ns)
 
         def vname(x, _a=attach, _ns=ns):
             return _a.get(x, f"{_ns}${x}")
@@ -211,9 +224,59 @@ def _substitute(h_next, placements):
                 vertices.add(nv)
                 host_ids.add(nv)
 
-    return Graph(kept.darts | set(pairing), vertices, kept.pairing | pairing,
-                 kept.incidence | incidence, kept.edge_type | edge_type,
-                 kept.color | color, kept.tails | tails)
+    g = Graph(kept.darts | set(pairing), vertices, kept.pairing | pairing,
+              kept.incidence | incidence, kept.edge_type | edge_type,
+              kept.color | color, kept.tails | tails)
+    seed_automorphisms(g, functools.partial(
+        _expansion_automorphisms, found_automorphisms(h_next), placements,
+        spaces))
+    return g
+
+
+def _expansion_automorphisms(lifts, placements, spaces, g):
+    """Vertex automorphisms of g, the expansion of a graph h by
+    `placements` whose interiors were named in the namespaces `spaces`,
+    known without a search.  Placements of one piece with one attach map
+    are copies glued onto parallel sites, and one map swaps the interiors
+    of each two consecutive copies.  Each automorphism alpha of h in
+    `lifts`, the ones h's unmarked search started from or found, lifts as
+    the reduction's epimorphism Aut(g) -> Aut(h) allows: the copies of a
+    piece at the host vertices of its boundary roles go onto the copies at
+    alpha's images, in placement order.  alpha is skipped when an image
+    group is missing or of another size, as when it reverses an undirected
+    site, whose attach map is ordered.  Only moved entries are written."""
+    sites = {}  # (piece, attach items): positions of its copies
+    for i, (_, piece, attach) in enumerate(placements):
+        sites.setdefault((id(piece), tuple(attach.items())), []).append(i)
+    if not lifts and all(len(copies) == 1 for copies in sites.values()):
+        return []
+    interiors = [[f"{ns}${x}" for x in piece.vertex_list if x not in attach]
+                 for (_, piece, attach), ns in zip(placements, spaces)]
+    identity = dict(zip(g.vertex_list, g.vertex_list))
+    maps = []
+    for copies in sites.values():
+        for i, j in zip(copies, copies[1:]):
+            if interiors[i]:
+                m = identity.copy()
+                for a, b in zip(interiors[i], interiors[j]):
+                    m[a], m[b] = b, a
+                maps.append(m)
+    for alpha in lifts:
+        m = identity.copy()
+        for v, w in alpha.items():
+            if v != w:
+                m[v] = w
+        for (piece, ends), copies in sites.items():
+            image = sites.get((piece, tuple((b, alpha[x]) for b, x in ends)))
+            if image is None or len(image) != len(copies):
+                break
+            if image is not copies:
+                for i, j in zip(copies, image):
+                    for a, b in zip(interiors[i], interiors[j]):
+                        m[a] = b
+        else:
+            maps.append(m)
+    return maps
 
 
 def expand_step(h_next, step):

@@ -561,7 +561,9 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     # fell to 762 when half-quotients were built once per conjugacy class
     # of swap involutions, not once per involution, and to 654 when class
     # members took their ends from the representative's ordered forms and
-    # G/1 became G itself, whose unmarked form its stabilizer chain holds
+    # G/1 became G itself, whose unmarked form its stabilizer chain holds,
+    # and to 454 when each expanded graph's search started from the copy
+    # swaps and lifted automorphisms its expansion knows
     nodes = []
     refine = iso._refine
 
@@ -574,7 +576,7 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     for g in graphs:
         all_quotients(g, via="reduction")
-    assert len(nodes) == 654
+    assert len(nodes) == 454
 
 
 def test_corpus_quotients_pass_searches_are_pinned(monkeypatch):

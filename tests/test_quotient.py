@@ -11,10 +11,10 @@ from regcover import groups, iso
 from regcover.atoms import HALVABLE_SYM, Atom, find_atoms
 from regcover.blocks import block_tree
 from regcover.errors import GraphError, InternalError
-from regcover.fixtures import (complete, cube, cycle, dipole,
-                               expansion_corpus, petersen, random_instance,
-                               reduction_showcase, star_pendants, theta,
-                               with_pendants)
+from regcover.fixtures import (complete, cube, cycle, cycle_with_triangles,
+                               dipole, expansion_corpus, petersen,
+                               random_instance, reduction_showcase,
+                               star_pendants, theta, with_pendants)
 from regcover.graph import (Graph, GraphBuilder, HALVABLE, SubgraphRef,
                             UNDIRECTED, is_cycle, is_path_with_two_halfedges,
                             normalize, point_images, point_maps,
@@ -23,16 +23,17 @@ from regcover.groups import (Group, automorphism_group,
                              count_automorphisms, is_semiregular,
                              semiregular_class_representatives,
                              semiregular_subgroups)
-from regcover.iso import are_isomorphic, canonical_form, verify_isomorphism
+from regcover.iso import (are_isomorphic, canonical_form, chain_order,
+                          stabilizer_chain, verify_isomorphism)
 from regcover.quotient import (all_quotients, atom_projection_type,
                                atom_quotients, expand_step, expansion_chain,
                                quotient, regular_cover_test)
 from regcover.reduction import reduce_step, reduction_series
-from regcover.textfmt import serialize
+from regcover.textfmt import parse, serialize
 
 from helpers import (dmap, is_identity, ref_half_quotients, ref_orbit_maps,
                      ref_swap_involutions, vmap)
-from test_iso import _beyond_cap_graphs
+from test_iso import _beyond_cap_graphs, _differential_graphs
 
 
 def _sub_with_vertex_map(g, order, wanted):
@@ -419,6 +420,122 @@ def test_expansion_chain_matches_direct_quotient():
             q = quotient(g, gam).result
             direct.add(canonical_form(q))
         assert finals <= direct
+
+
+def _reduction_outputs(texts):
+    """Per graph text, read back normalized: each output of
+    all_quotients(via="reduction") as its serialization, unmarked form,
+    first path and group order."""
+    rows = []
+    for text in texts:
+        qs = all_quotients(normalize(parse(text)), via="reduction")
+        rows.append([(serialize(q), canonical_form(q, max_vertices=None),
+                      iso._canonical(q, None, None)[2],
+                      chain_order(stabilizer_chain(q))) for q in qs])
+    return rows
+
+
+def test_seeded_searches_change_no_output(monkeypatch):
+    # an expanded graph's search starts from the copy swaps and lifted
+    # automorphisms its expansion knows; they only prune, so with the
+    # provider giving nothing every output, unmarked form, first path and
+    # group order is the same
+    module = importlib.import_module("regcover.quotient")
+    graphs = [g for _, g in _differential_graphs()] + _beyond_cap_graphs()
+    texts = sorted({serialize(normalize(g)) for g in graphs})
+    provide = module._expansion_automorphisms
+    given = []
+
+    def counting(*args):
+        maps = provide(*args)
+        given.append(len(maps))
+        return maps
+
+    monkeypatch.setattr(module, "_expansion_automorphisms", counting)
+    seeded = _reduction_outputs(texts)
+    # 121 maps seed 65 of the 301 expanded graphs
+    assert sum(given) > 100 and sum(map(bool, given)) > 50
+    monkeypatch.setattr(module, "_expansion_automorphisms",
+                        lambda *args: [])
+    assert _reduction_outputs(texts) == seeded
+
+
+def _seeded_path(seeds):
+    """The path v0-v1-v2-v3 seeded with `seeds`, and the list of graphs
+    its provider is called with."""
+    b = GraphBuilder()
+    for i in range(4):
+        b.vertex(f"v{i}")
+    for i in range(3):
+        b.edge(f"e{i}", f"v{i}", f"v{i + 1}")
+    g = b.build()
+    calls = []
+
+    def provider(h):
+        calls.append(h)
+        return seeds
+
+    iso.seed_automorphisms(g, provider)
+    return g, calls
+
+
+def test_a_seed_that_is_no_automorphism_is_an_internal_error():
+    # v0 and v1 of the path v0-v1-v2-v3 are no twins, so swapping them is
+    # no automorphism; a map missing a vertex is no bijection.  Either
+    # would let the search skip children it must explore
+    swap = {"v0": "v1", "v1": "v0", "v2": "v2", "v3": "v3"}
+    partial = {"v0": "v3", "v3": "v0", "v1": "v2"}
+    for bad in (swap, partial):
+        g, _ = _seeded_path([bad])
+        with pytest.raises(InternalError, match="seeded map is not an "
+                           "automorphism"):
+            canonical_form(g)
+    # the reflection is one, and gives the unseeded form
+    flip = {"v0": "v3", "v3": "v0", "v1": "v2", "v2": "v1"}
+    g, calls = _seeded_path([flip])
+    assert canonical_form(g) == canonical_form(_seeded_path([])[0])
+    assert len(calls) == 1
+
+
+def test_marked_searches_never_read_seeds():
+    g, calls = _seeded_path([{"v0": "v1", "v1": "v0"}])  # no automorphism
+    canonical_form(g, marking=("v0",))
+    canonical_form(g, marking=("v1", "v2"))
+    canonical_form(g, ordered_marking=("v3", "v0"))
+    iso.count_automorphisms(g, pinned={"v0": "v3"})
+    assert calls == []
+    with pytest.raises(InternalError):
+        canonical_form(g)
+    assert calls == [g]
+
+
+def test_final_level_searches_are_pinned(monkeypatch):
+    # refinements of the unmarked search of each output of the reduction
+    # route; the outputs equal to the input graph took 38 (C6tri) and 36
+    # (theta(1^7)) before their searches started from the expansion's
+    # copy swaps and lifted automorphisms
+    nodes = {}
+    refine, best_leaf = iso._refine, iso._best_leaf
+    searching = []
+
+    def counting(g, colors):
+        if sys._getframe(1).f_code.co_name == "search":
+            nodes[searching[-1]] += 1
+        return refine(g, colors)
+
+    def recording(g, marking, ordered_marking):
+        key = (id(g), marking, ordered_marking)
+        searching.append(key)
+        nodes[key] = 0
+        return best_leaf(g, marking, ordered_marking)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    monkeypatch.setattr(iso, "_best_leaf", recording)
+    for g, most in ((cycle_with_triangles(6), 18), (theta(*[1] * 7), 9)):
+        nodes.clear()
+        qs = all_quotients(normalize(parse(serialize(g))), via="reduction")
+        (same,) = [q for q in qs if canonical_form(q) == canonical_form(g)]
+        assert nodes[(id(same), None, None)] <= most
 
 
 def test_all_quotients_k2_variants():
