@@ -15,6 +15,10 @@ that a vertex b cuts off, with its parent's side, are the pieces b leaves
 (`_cut_pairs`), so no search runs per pair.  The sides of a 2-cut are the
 search trees of the same walk on G - {a, b}.
 
+An atom keeps its darts, its vertices and its own graph, built when it is
+found, and no view of the graph it is cut from, so the atoms kept on a
+graph do not refer back to it (see `graph.cached`).
+
 An atom's symmetry type is asymmetric when its canonical forms with the
 boundary marked in the two orders differ (no automorphism exchanges the
 boundary), halvable when a boundary-exchanging automorphism is a
@@ -45,29 +49,34 @@ ASYMMETRIC_SYM = "asymmetric"
 
 
 class Atom:
-    """A detected atom: a subgraph view, its kind, and its boundary.
+    """A detected atom: its darts and vertices in the graph it was cut
+    from, its kind, its boundary, and its graph, the subgraph they span,
+    built from the view `ref` (a `graph.SubgraphRef`), which is read once
+    and not kept.
 
-    Its graph, symmetry type, involutions and quotients are write-once slots
-    on the atom (`graph.cached`); its canonical forms live on its graph and
+    Its symmetry type, involutions and quotients are write-once slots on
+    the atom (`graph.cached`); its canonical forms live on its graph and
     carry no vertex cap, as an atom is no larger than the graph it is cut
     from.
     """
 
     def __init__(self, ref, kind, boundary):
-        self.ref = ref
+        self.darts = ref.darts
+        self.vertices = ref.vertices
         self.kind = kind
         self.boundary = tuple(sorted(boundary))
+        self._graph = ref.to_graph()
 
     @property
     def is_block(self):
         return self.kind in (STAR_BLOCK, NONSTAR_BLOCK)
 
     def as_graph(self):
-        return cached(self, "_atom_graph", lambda a: a.ref.to_graph())
+        return self._graph
 
     @property
     def interior_vertices(self):
-        return self.ref.vertices - frozenset(self.boundary)
+        return self.vertices - frozenset(self.boundary)
 
     def form(self):
         """Canonical form with the boundary marked setwise."""
@@ -106,7 +115,7 @@ class Atom:
 
     def __repr__(self):
         return (f"Atom({self.kind}, boundary={self.boundary}, "
-                f"darts={len(self.ref.darts)})")
+                f"darts={len(self.darts)})")
 
 
 def _component_vertex_sets(g, removed):
@@ -249,7 +258,7 @@ def _find_atoms(g):
             kind = _classify_block_part(g, ref, boundary[0])
         atoms.append(Atom(ref, kind, boundary))
 
-    atoms.sort(key=lambda a: (a.form(), min(a.ref.vertices)))
+    atoms.sort(key=lambda a: (a.form(), min(a.vertices)))
     return tuple(atoms)
 
 

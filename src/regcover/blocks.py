@@ -10,28 +10,48 @@ depth-first search with Tarjan's low points over the graph's standard
 adjacency, optionally with some vertices removed.  Its search trees are the
 components, and the children that their parent cuts off give the blocks
 here and, with one vertex removed, the 2-cuts of `atoms`.
+
+The block tree kept on a graph is plain data, the dart and vertex sets of
+its blocks with the tree's nodes, and the block graphs once built
+(`_BlockData`); `block_tree` makes a `BlockTree` view of it, holding the
+graph, on each call (see `graph.cached`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GraphError, InternalError
-from .graph import (LOOP, PENDANT, STANDARD, Graph, SubgraphRef, cached,
+from .graph import (LOOP, PENDANT, STANDARD, SubgraphRef, cached,
                     require_standard_input)
 
 
-@dataclass(frozen=True)
 class BlockTree:
-    graph: Graph
-    blocks: tuple          # SubgraphRef per block
-    articulations: frozenset
-    center: tuple          # ("block", index) or ("articulation", vertex)
-    _adj: dict = field(compare=False, repr=False)
+    """The block tree of `graph`: its blocks as SubgraphRefs of the graph,
+    its articulations, and its center, ("block", index) or
+    ("articulation", vertex).
+
+    `block_tree` makes a new one on each call, a view of the plain data
+    kept on the graph (`_BlockData`), so nothing kept there names the
+    graph; its refs are made when `blocks` is first read.
+    """
+
+    def __init__(self, graph, data):
+        self.graph = graph
+        self.articulations = data.articulations
+        self.center = data.center
+        self._adj = data.adj
+        self._data = data
+
+    @cached_property
+    def blocks(self):
+        return tuple(SubgraphRef(self.graph, darts, vertices)
+                     for darts, vertices in self._data.blocks)
 
     @property
     def nodes(self):
-        out = [("block", i) for i in range(len(self.blocks))]
+        out = [("block", i) for i in range(len(self._data.blocks))]
         out.extend(("articulation", v) for v in sorted(self.articulations))
         return out
 
@@ -72,15 +92,20 @@ class BlockTree:
         darts, vertices = set(), set()
         for n in self.subtree_nodes(node, parents):
             if n[0] == "block":
-                ref = self.blocks[n[1]]
-                darts |= ref.darts
-                vertices |= ref.vertices
+                block_darts, block_vertices = self._data.blocks[n[1]]
+                darts |= block_darts
+                vertices |= block_vertices
         return SubgraphRef(self.graph, frozenset(darts), frozenset(vertices))
 
     def block_graph(self, i):
-        """The graph of blocks[i], built on first use and kept on its ref
-        (see `graph.cached`), so what is cached on that graph is too."""
-        return cached(self.blocks[i], "_graph", SubgraphRef.to_graph)
+        """The graph of blocks[i], built on first use and kept with the
+        block data on the graph, so what is cached on it is kept too."""
+        graphs = self._data.graphs
+        try:
+            return graphs[i]
+        except KeyError:
+            darts, vertices = self._data.blocks[i]
+            return graphs.setdefault(i, self.graph.restrict(darts, vertices))
 
     def central_block_ref(self):
         if self.center[0] != "block":
@@ -90,27 +115,39 @@ class BlockTree:
     def articulations_on_central_block(self):
         if self.center[0] != "block":
             return ()
-        ref = self.blocks[self.center[1]]
-        return tuple(sorted(ref.vertices & self.articulations))
+        vertices = self._data.blocks[self.center[1]][1]
+        return tuple(sorted(vertices & self.articulations))
+
+
+@dataclass(frozen=True)
+class _BlockData:
+    """What `block_tree` keeps on a graph: plain data that names no graph,
+    and the block graphs built from it (see `graph.cached`)."""
+
+    blocks: tuple          # (darts, vertices) per block
+    articulations: frozenset
+    center: tuple
+    adj: dict              # tree node: its neighbouring tree nodes
+    graphs: dict = field(default_factory=dict)  # block index: its graph
 
 
 def _pendant_like_blocks(g):
-    """Each loop, pendant edge, and attached half-edge as its own leaf block."""
+    """Each loop, pendant edge, and attached half-edge as its own leaf
+    block, a (darts, vertices) pair."""
     out = []
     for h, k in g.edges:
         kind = g.edge_kind(h)
         if kind == LOOP:
-            out.append(SubgraphRef(g, frozenset((h, k)),
-                                   frozenset((g.vertex_of(h),))))
+            out.append((frozenset((h, k)), frozenset((g.vertex_of(h),))))
         elif kind == PENDANT:
             v = g.vertex_of(h)
             if v is None:
                 v = g.vertex_of(k)
-            out.append(SubgraphRef(g, frozenset((h, k)), frozenset((v,))))
+            out.append((frozenset((h, k)), frozenset((v,))))
     for h in g.halfedges:
         v = g.vertex_of(h)
         if v is not None:
-            out.append(SubgraphRef(g, frozenset((h,)), frozenset((v,))))
+            out.append((frozenset((h,)), frozenset((v,))))
     return out
 
 
@@ -127,8 +164,9 @@ def is_pendant_like(g, ref):
 
 
 def block_tree(g):
-    """The block tree of g, built on first use and kept on g."""
-    return cached(g, "_block_tree", _block_tree)
+    """The block tree of g, a view of the data built on first use and kept
+    on g as `_block_tree`."""
+    return BlockTree(g, cached(g, "_block_tree", _block_tree))
 
 
 def _standard_adjacency(g):
@@ -211,15 +249,14 @@ def _block_tree(g):
             darts.setdefault(head[later], set()).update((h, k))
             vertices.setdefault(head[later], set()).update((u, w))
 
-    blocks = [SubgraphRef(g, frozenset(darts[t]), frozenset(vertices[t]))
-              for t in darts]
+    blocks = [(frozenset(darts[t]), frozenset(vertices[t])) for t in darts]
     blocks.extend(_pendant_like_blocks(g))
-    blocks.sort(key=lambda r: (min(r.vertices), min(r.darts)))
+    blocks.sort(key=lambda b: (min(b[1]), min(b[0])))
     blocks = tuple(blocks)
 
     membership = {v: [] for v in g.vertex_list}
-    for i, ref in enumerate(blocks):
-        for v in ref.vertices:
+    for i, (_, block_vertices) in enumerate(blocks):
+        for v in block_vertices:
             membership[v].append(i)
     articulations = frozenset(v for v, bs in membership.items() if len(bs) >= 2)
 
@@ -234,11 +271,11 @@ def _block_tree(g):
     if not blocks:
         # a lone vertex: central articulation by convention
         v = g.vertex_list[0]
-        return BlockTree(g, (), frozenset(), ("articulation", v),
-                         {("articulation", v): []})
+        return _BlockData((), frozenset(), ("articulation", v),
+                          {("articulation", v): []})
 
     center = _tree_center(tree_adj)
-    return BlockTree(g, blocks, articulations, center, tree_adj)
+    return _BlockData(blocks, articulations, center, tree_adj)
 
 
 def _tree_center(adj):

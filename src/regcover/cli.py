@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 negative decision, 2 input error, 3 size limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,6 +49,24 @@ def _read(path, args):
 
 def _prepared(path, args):
     return normalize(_read(path, args))
+
+
+def _json_text(value, newline="\n"):
+    """`json.dumps(value, indent=2, sort_keys=True)`, with `newline` a
+    newline and the indent of value's own level.  The library's indenting
+    encoder is made of nested functions that name each other, so each call
+    would leave a cycle for the collector; the items are laid out here and
+    each scalar is encoded alone, which makes none."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        ends = "{}"
+    else:
+        items, ends = [_json_text(v, inner) for v in value], "[]"
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def cmd_validate(args):
@@ -121,7 +140,7 @@ def cmd_atoms(args):
     for i, a in enumerate(found):
         print(f"atom {i}: {a.kind} boundary={','.join(a.boundary)} "
               f"symmetry={a.symmetry} "
-              f"vertices={','.join(sorted(a.ref.vertices))}")
+              f"vertices={','.join(sorted(a.vertices))}")
     return EXIT_OK
 
 
@@ -149,7 +168,7 @@ def cmd_reduce(args):
         })
     sidecar["primitive"] = series.primitive.tag
     outputs.append((f"{base}.reduction.json",
-                    json.dumps(sidecar, indent=2, sort_keys=True) + "\n"))
+                    _json_text(sidecar) + "\n"))
     _write_all(outputs)
     print(f"levels: {series.depth}, primitive: {series.primitive.tag}")
     return EXIT_OK
@@ -168,7 +187,7 @@ def cmd_quotients(args):
                       "halfedges": len(q.halfedges)})
     payload = {"via": args.via, "quotients": index}
     _write_all(outputs, [(f"{base}.quotients.json",
-                          json.dumps(payload, indent=2, sort_keys=True) + "\n")])
+                          _json_text(payload) + "\n")])
     print(f"{len(qs)} quotients (via {args.via})")
     return EXIT_OK
 
@@ -321,9 +340,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call reads, built once: an argparse parser
+    and its actions refer to each other, so one built per call would be
+    left for the cyclic collector."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except GraphError as exc:  # ParseError included

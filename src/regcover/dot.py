@@ -106,23 +106,28 @@ def block_tree_to_dot(bt):
 
 
 def reduction_tree_to_dot(series):
+    """Nodes are numbered in preorder, and the edge to a child follows the
+    child's subtree, from a walk that keeps an explicit stack."""
     lines = ["graph reduction {", "  node [shape=box];"]
-    counter = [0]
-
-    def walk(node):
-        counter[0] += 1
-        my = f"n{counter[0]}"
-        if node.atom is None:
-            label = f"primitive G_{node.level}"
-        else:
-            label = (f"{node.atom.kind} atom @ level {node.level} "
-                     f"(color {node.color})")
-        lines.append(f"  {my} [label={_quote(label)}];")
-        for child in node.children:
-            ch = walk(child)
-            lines.append(f"  {my} -- {ch};")
-        return my
-
-    walk(series.tree)
+    count, stack, node = 0, [], series.tree
+    while True:
+        if node is not None:
+            count += 1
+            lines.append(f"  n{count} [label={_quote(_tree_label(node))}];")
+            stack.append((f"n{count}", iter(node.children)))
+        name, children = stack[-1]
+        node = next(children, None)
+        if node is None:
+            stack.pop()
+            if not stack:
+                break
+            lines.append(f"  {stack[-1][0]} -- {name};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _tree_label(node):
+    if node.atom is None:
+        return f"primitive G_{node.level}"
+    return (f"{node.atom.kind} atom @ level {node.level} "
+            f"(color {node.color})")

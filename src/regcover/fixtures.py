@@ -533,7 +533,7 @@ def run_random_checks(seed, count=20):
         g = normalize(random_instance(seed * 10007 + i))
         atoms = find_atoms(g)
         overlap = any((a.interior_vertices & b.interior_vertices)
-                      or (a.ref.darts & b.ref.darts)
+                      or (a.darts & b.darts)
                       for a, b in itertools.combinations(atoms, 2))
         if validate(g) or overlap:
             bad += 1

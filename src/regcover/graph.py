@@ -12,7 +12,9 @@ items and vertices, and a `GraphBuilder` seeded with a base graph adds
 items under names from `GraphBuilder.fresh`, so new darts never take the
 name of a dart the base keeps.
 Structures derived from a graph (its components here; its block tree,
-atoms and iso index elsewhere) are built once and kept on it by `cached`.
+atoms and iso index elsewhere) are built once and kept on it by `cached`,
+as plain data that never names the graph: a view that does, such as a
+`SubgraphRef`, is made when it is read.
 
 A graph's points are its vertices and then its darts, numbered from 0
 (`point_index`).  An automorphism, a group element in `groups`, is one
@@ -392,8 +394,7 @@ def normalize(g):
     The K2 graph is left unchanged, as is a lone vertex carrying a single
     standalone half-edge.  Idempotent; preserves the automorphism group.
     """
-    comps = connected_components(g)
-    if len(comps) != 1:
+    if not is_connected(g):
         raise GraphError("normalize requires a connected graph")
     drop_vertices = set()
     for v in g.vertex_list:
@@ -418,6 +419,13 @@ def cached(g, name, build):
     Graphs and atoms are immutable, so a derived structure stays valid for
     g's lifetime.  The slot is written once: when two threads race to build
     it, both get the value stored first.
+
+    A value cached on an object never refers back to it, directly or
+    through a view (a `SubgraphRef` of g, say, or a structure holding
+    one): it holds plain data, such as dart and vertex sets, indices and
+    graphs built from g, and a view is made when it is read.  Then g and
+    all that is kept on it are freed by reference counting once its last
+    user drops it, and nothing is left for the cyclic collector.
     """
     try:
         return g.__dict__[name]
@@ -459,14 +467,17 @@ def point_maps(g, images):
 
 
 def connected_components(g):
-    """Components as SubgraphRefs; free items each form their own component."""
-    return list(cached(g, "_components", _components))
+    """Components as SubgraphRefs; free items each form their own component.
+    The refs are made on each call from the (darts, vertices) pairs kept
+    on g as `_components`."""
+    return [SubgraphRef(g, darts, vertices)
+            for darts, vertices in cached(g, "_components", _components)]
 
 
 def _components(g):
-    """Walk from each unseen vertex through its darts and their mates;
-    the darts left over are free edges and free half-edges, one component
-    per edge."""
+    """(darts, vertices) of each component: walk from each unseen vertex
+    through its darts and their mates; the darts left over are free edges
+    and free half-edges, one component per edge."""
     at, pairing, incidence = g._darts_at, g.pairing, g.incidence
     seen_v, seen_d = set(), set()
     comps = []
@@ -486,19 +497,19 @@ def _components(g):
                     stack.append(w)
         seen_v |= vv
         seen_d |= dd
-        comps.append(SubgraphRef(g, frozenset(dd), frozenset(vv)))
+        comps.append((frozenset(dd), frozenset(vv)))
     for h in g.dart_list:
         if h not in seen_d:
             edge = frozenset((h, pairing[h]))
             seen_d |= edge
-            comps.append(SubgraphRef(g, edge, frozenset()))
-    comps.sort(key=lambda c: (min(c.vertices) if c.vertices else "",
-                              min(c.darts) if c.darts else ""))
+            comps.append((edge, frozenset()))
+    comps.sort(key=lambda c: (min(c[1]) if c[1] else "",
+                              min(c[0]) if c[0] else ""))
     return tuple(comps)
 
 
 def is_connected(g):
-    return len(connected_components(g)) == 1
+    return len(cached(g, "_components", _components)) == 1
 
 
 def require_standard_input(g, op):

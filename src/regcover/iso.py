@@ -329,19 +329,36 @@ def _canonical(g, marking, ordered_marking):
 
 
 def _best_leaf(g, marking, ordered_marking):
-    # forced vertices rank after every base color, in the order forced
-    base = _ranked(_initial_colors(g, marking, ordered_marking))
-    after = len(set(base.values()))
-    leaves = []  # (encoding, order) of the first leaf and of the best
-    autos = []   # vertex automorphisms seeded or found at leaves
-    first = []   # the first leaf's individualized vertices
+    search = _Search(g, marking, ordered_marking)
+    search.search(())
+    return search.leaves[1], search.first, search.autos
 
-    def search(forced):
+
+class _Search:
+    """The state of one canonical search of g.  The search recurses through
+    a method, so no frame or closure of it outlives the search, and all it
+    leaves behind is what `_best_leaf` returns."""
+
+    __slots__ = ("g", "marking", "ordered_marking", "base", "after",
+                 "leaves", "autos", "first")
+
+    def __init__(self, g, marking, ordered_marking):
+        self.g = g
+        self.marking, self.ordered_marking = marking, ordered_marking
+        # forced vertices rank after every base color, in the order forced
+        self.base = _ranked(_initial_colors(g, marking, ordered_marking))
+        self.after = len(set(self.base.values()))
+        self.leaves = []  # (encoding, order) of the first leaf and of the best
+        self.autos = []   # vertex automorphisms seeded or found at leaves
+        self.first = []   # the first leaf's individualized vertices
+
+    def search(self, forced):
         """Explore the node that individualized `forced`; returns the depth
         to go back to when a leaf below repeated the first leaf, else None."""
-        init = dict(base)
+        g, leaves, autos, first = self.g, self.leaves, self.autos, self.first
+        init = dict(self.base)
         for i, v in enumerate(forced):
-            init[v] = after + i
+            init[v] = self.after + i
         colors = _refine(g, init)
         cells = {}
         for v, c in colors.items():
@@ -349,7 +366,7 @@ def _best_leaf(g, marking, ordered_marking):
         if len(cells) == len(colors):
             # discrete: each vertex's class id is its position
             order = sorted(colors, key=colors.get)
-            enc = _encode(g, colors, marking, ordered_marking)
+            enc = _encode(g, colors, self.marking, self.ordered_marking)
             if not leaves:
                 leaves.extend([(enc, order)] * 2)
                 first.extend(forced)
@@ -376,7 +393,7 @@ def _best_leaf(g, marking, ordered_marking):
         # forced vertices are singletons: the target is the first cell of
         # two or more vertices
         target = min(c for c, vs in cells.items() if len(vs) > 1)
-        if not forced and not (marking or ordered_marking):
+        if not forced and not (self.marking or self.ordered_marking):
             autos.extend(_seeds(g))  # read once the unmarked root branches
         for v in sorted(cells[target]):
             # automorphisms found since the last child, if they fix forced
@@ -388,13 +405,10 @@ def _best_leaf(g, marking, ordered_marking):
             if v in explored:
                 continue
             explored |= orbit_closure((v,), fixing)
-            back = search(forced + (v,))
+            back = self.search(forced + (v,))
             if back is not None and back < len(forced):
                 return back
         return None
-
-    search(())
-    return leaves[1], first, autos
 
 
 def seed_automorphisms(g, provider):

@@ -10,7 +10,8 @@ canonical form that the graph's stabilizer chain left on it serves the
 deduplication of quotients too.  Expansion reverses a reduction step on a
 quotient: colored edges, loops and half-edges are replaced by the edge-,
 loop- and half-quotients of the corresponding atom class, built once and
-kept on the class representative as a write-once slot (`graph.cached`).
+kept on the class representative as a write-once slot (`graph.cached`),
+an `AtomQuotientSet` that does not name the atom.
 Each expanded graph's unmarked canonical search starts from the
 automorphisms its expansion already knows (`iso.seed_automorphisms`):
 swaps of the interiors of copies of one piece glued onto parallel sites,
@@ -104,14 +105,18 @@ def quotient(g, gamma):
 
 def atom_projection_type(a, gamma):
     """How a covering projection treats an atom: edge, loop, or half.
-    GraphError unless gamma acts on the atom's graph."""
-    if gamma.graph is not a.ref.parent and gamma.graph != a.ref.parent:
+    GraphError unless gamma acts on a graph that the atom was cut from:
+    one that holds the atom's darts and vertices, which span there the
+    atom's graph."""
+    g = gamma.graph
+    if not (a.darts <= g.darts and a.vertices <= g.vertices
+            and g.restrict(a.darts, a.vertices) == a.as_graph()):
         raise GraphError("group does not act on this graph")
     if a.is_block:
         return "edge"
-    vidx, didx = point_index(gamma.graph)
+    vidx, didx = point_index(g)
     u, v = vidx[a.boundary[0]], vidx[a.boundary[1]]
-    darts = frozenset(didx[h] for h in a.ref.darts)
+    darts = frozenset(didx[h] for h in a.darts)
     others = gamma.elements[1:]  # the identity sorts first
     if any(all(x[h] in darts for h in darts) for x in others):
         return "half"
@@ -120,7 +125,9 @@ def atom_projection_type(a, gamma):
 
 @dataclass
 class AtomQuotientSet:
-    atom: object
+    """The pieces of `atom_quotients`, kept on the atom they are of, which
+    they do not name."""
+
     edge_quotient: tuple        # (graph, ordered boundary vertices)
     loop_quotient: tuple | None  # (graph, merged vertex)
     half_quotients: tuple       # ((graph, image vertex), ...)
@@ -153,7 +160,7 @@ def atom_quotients(a):
     """
     ag = a.as_graph()
     if a.is_block:
-        return AtomQuotientSet(a, (ag, a.boundary), None, ())
+        return AtomQuotientSet((ag, a.boundary), None, ())
     u, v = a.boundary
     loop_g, merged = _merge_boundary(ag, u, v)
     halves = {}
@@ -167,7 +174,7 @@ def atom_quotients(a):
             if key not in halves:
                 halves[key] = (q.result, w)
     half_list = tuple(halves[k] for k in sorted(halves))
-    return AtomQuotientSet(a, (ag, a.ordered_boundary()), (loop_g, merged),
+    return AtomQuotientSet((ag, a.ordered_boundary()), (loop_g, merged),
                            half_list)
 
 

@@ -94,13 +94,13 @@ def reduce_step(g):
     classes = []
     for color, form in zip(colors, forms):
         members = by_form[form]
-        members.sort(key=lambda a: (min(a.ref.vertices), min(a.ref.darts)))
+        members.sort(key=lambda a: (min(a.vertices), min(a.darts)))
         classes.append(AtomClass(color, members[0], tuple(members)))
 
     removed_darts = set()
     removed_vertices = set()
     for a in atoms:
-        removed_darts |= a.ref.darts
+        removed_darts |= a.darts
         removed_vertices |= a.interior_vertices
 
     kept = g.restrict(g.darts - removed_darts, g.vertices - removed_vertices)
@@ -124,7 +124,7 @@ def reduce_step(g):
     if target.n_darts >= g.n_darts:
         raise GraphError("reduction step failed to shrink the graph")
     step = ReductionStep(g, target, tuple(classes), tuple(replacements))
-    step._by_darts = {r.atom.ref.darts: r for r in replacements}
+    step._by_darts = {r.atom.darts: r for r in replacements}
     return step
 
 
@@ -194,18 +194,18 @@ def _build_tree(graphs, steps):
         for rep in steps[i].replacements:
             node = ReductionTreeNode(
                 f"atom@{i}", i, rep.atom, rep.cls.color, [])
-            nodes[(i, rep.atom.ref.darts)] = node
+            nodes[(i, rep.atom.darts)] = node
             # find where the replacement edge ends up
             dartset = frozenset(rep.darts)
             parent = root
             for j in range(i + 1, r):
                 hit = None
                 for rep2 in steps[j].replacements:
-                    if dartset <= rep2.atom.ref.darts:
+                    if dartset <= rep2.atom.darts:
                         hit = rep2
                         break
                 if hit is not None:
-                    parent = nodes[(j, hit.atom.ref.darts)]
+                    parent = nodes[(j, hit.atom.darts)]
                     break
             else:
                 parent = root
@@ -232,7 +232,7 @@ def reduction_epimorphism(step, pi):
                 raise GraphError("automorphism does not respect the atoms")
             dmap[h] = img
     for rep in step.replacements:
-        image_darts = frozenset(pdart[h] for h in rep.atom.ref.darts)
+        image_darts = frozenset(pdart[h] for h in rep.atom.darts)
         rep2 = step.replacement_for(image_darts)
         if rep2 is None:
             raise GraphError("automorphism does not permute the atoms")

@@ -71,7 +71,7 @@ def test_dipole_atoms():
     dips = [a for a in find_atoms(host) if a.kind == "dipole"]
     assert len(dips) == 1
     assert dips[0].boundary == ("u", "v")
-    assert len(dips[0].ref.darts) == 6
+    assert len(dips[0].darts) == 6
     # degree < 3 on one side: no dipole (the two parallel edges are just a
     # cycle block hanging off the articulation)
     host2 = with_pendants(dipole([0, 0]), ["u"])
@@ -274,8 +274,8 @@ def test_interiors_disjoint_and_overlap_only_at_boundaries():
         atoms = find_atoms(g)
         for a, b in itertools.combinations(atoms, 2):
             assert not (a.interior_vertices & b.interior_vertices), name
-            assert not (a.ref.darts & b.ref.darts), name
-            shared = a.ref.vertices & b.ref.vertices
+            assert not (a.darts & b.darts), name
+            shared = a.vertices & b.vertices
             assert shared == set(a.boundary) & set(b.boundary), name
 
 
@@ -284,12 +284,12 @@ def test_atom_equivariance():
                     ("C6pend", with_pendants(cycle(6), [f"v{i}" for i in range(6)]))]:
         g = normalize(g)
         atoms = find_atoms(g)
-        atom_sets = {a.ref.darts for a in atoms}
-        boundaries = {a.ref.darts: set(a.boundary) for a in atoms}
+        atom_sets = {a.darts for a in atoms}
+        boundaries = {a.darts: set(a.boundary) for a in atoms}
         for p in automorphism_group(g):
             vm, dm = point_maps(g, p)
             for a in atoms:
-                image = frozenset(dm[h] for h in a.ref.darts)
+                image = frozenset(dm[h] for h in a.darts)
                 assert image in atom_sets, name
                 assert {vm[x] for x in a.boundary} == boundaries[image], name
 

@@ -176,6 +176,31 @@ def test_no_bare_assert_in_library():
     assert not found
 
 
+def test_no_closure_names_itself_and_no_gc_in_library():
+    # a nested function that calls itself holds its own closure cell, so
+    # each call leaves a cycle through its frame, and all the frame names,
+    # for the cyclic collector: recursion takes its state explicitly or
+    # keeps an explicit stack.  No module tunes or calls the collector
+    src = os.path.dirname(regcover.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                found += [f"{name}:{fn.name}" for fn in ast.walk(node)
+                          if isinstance(fn, ast.FunctionDef) and fn is not node
+                          and any(isinstance(x, ast.Name) and x.id == fn.name
+                                  for x in ast.walk(fn))]
+            elif (isinstance(node, ast.Import)
+                  and any(a.name == "gc" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                found.append(f"{name}:{node.lineno} import gc")
+    assert not found
+
+
 def test_vertex_cap_only_at_public_entry_points():
     # the library's own comparisons pass max_vertices=None; only iso's
     # defaults and the CLI's --max-vertices read MAX_VERTICES
@@ -813,6 +838,28 @@ def test_fixtures_write_env_dir(tmp_path, monkeypatch, capsys):
     assert main(["fixtures", "write"]) == 0
     files = os.listdir(str(tmp_path / "fx"))
     assert "cube.g" in files and len(files) >= 30
+
+
+def test_json_files_are_laid_out_as_json_dumps_indents(files, tmp_path):
+    # the reduce sidecar and the quotients index are written without the
+    # indenting encoder, as json.dumps(..., indent=2, sort_keys=True) lays
+    # them out
+    for name in ("theta", "cube"):
+        assert main(["reduce", files[name]]) == 0
+        assert main(["quotients", files[name]]) == 0
+    written = [p for p in os.listdir(os.path.dirname(files["theta"]))
+               if p.endswith(".json")]
+    assert len(written) == 4
+    for name in written:
+        with open(os.path.join(os.path.dirname(files["theta"]), name),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+    assert cli._json_text({"a": [], "b": {}, "c": [1, "x\ny", None, True],
+                           "d": {"e": (2, 3)}}) == json.dumps(
+        {"a": [], "b": {}, "c": [1, "x\ny", None, True], "d": {"e": [2, 3]}},
+        indent=2, sort_keys=True)
 
 
 def test_deterministic_outputs(files, tmp_path):

@@ -33,8 +33,8 @@ def test_atom_disjointness_properties():
         atoms = find_atoms(g)
         for a, b in itertools.combinations(atoms, 2):
             assert not (a.interior_vertices & b.interior_vertices), seed
-            assert not (a.ref.darts & b.ref.darts), seed
-            shared = a.ref.vertices & b.ref.vertices
+            assert not (a.darts & b.darts), seed
+            shared = a.vertices & b.vertices
             assert shared == set(a.boundary) & set(b.boundary), seed
 
 
@@ -43,12 +43,12 @@ def test_atom_set_equivariance():
         atoms = find_atoms(g)
         if not atoms:
             continue
-        atom_sets = {a.ref.darts for a in atoms}
-        boundaries = {a.ref.darts: set(a.boundary) for a in atoms}
+        atom_sets = {a.darts for a in atoms}
+        boundaries = {a.darts: set(a.boundary) for a in atoms}
         for p in automorphism_group(g, max_order=None):
             vm, dm = point_maps(g, p)
             for a in atoms:
-                image = frozenset(dm[h] for h in a.ref.darts)
+                image = frozenset(dm[h] for h in a.darts)
                 assert image in atom_sets, seed
                 assert {vm[x] for x in a.boundary} == boundaries[image], seed
 

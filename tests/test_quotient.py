@@ -223,8 +223,8 @@ def test_atom_projection_loop_case():
     # long arm in place (half-projection)
     g = theta(1, 1, 2, edge_type=HALVABLE)
     atoms = find_atoms(g)
-    short = [a for a in atoms if len(a.ref.vertices) == 3]
-    long = [a for a in atoms if len(a.ref.vertices) == 4]
+    short = [a for a in atoms if len(a.vertices) == 3]
+    long = [a for a in atoms if len(a.vertices) == 4]
     assert len(short) == 2 and len(long) == 1
     swap = _sub_with_vertex_map(
         g, 2, {"u": "v", "v": "u", "x0_0": "x1_0", "x1_0": "x0_0",
