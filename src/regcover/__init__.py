@@ -10,8 +10,8 @@ from .atoms import (Atom, PrimitiveClass, atom_symmetry_type,
                     classify_primitive, extended_atom, find_atoms)
 from .blocks import BlockTree, attached_subgraph, block_tree, central_element
 from .errors import GraphError, InternalError, ParseError, SizeLimitError
-from .graph import (Graph, GraphBuilder, SubgraphRef, connected_components,
-                    degree, normalize, validate, with_halvable_edges)
+from .graph import (Graph, GraphBuilder, connected_components, degree,
+                    normalize, validate, with_halvable_edges)
 from .groups import (Group, all_subgroups, automorphism_group,
                      conjugacy_classes_of_subgroups, count_automorphisms,
                      is_semiregular, orbits, semiregular_subgroups)

@@ -15,9 +15,11 @@ that a vertex b cuts off, with its parent's side, are the pieces b leaves
 (`_cut_pairs`), so no search runs per pair.  The sides of a 2-cut are the
 search trees of the same walk on G - {a, b}.
 
-An atom keeps its darts, its vertices and its own graph, built when it is
-found, and no view of the graph it is cut from, so the atoms kept on a
-graph do not refer back to it (see `graph.cached`).
+Every part found on the way, a block-tree part, a side of a 2-cut or a
+dipole, is a (darts, vertices) pair.  An atom keeps its pair and its own
+graph, `g.restrict(darts, vertices)`, built when it is found, and not the
+graph it is cut from, so the atoms kept on a graph do not refer back to it
+(see `graph.cached`).
 
 An atom's symmetry type is asymmetric when its canonical forms with the
 boundary marked in the two orders differ (no automorphism exchanges the
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 from .blocks import block_tree, is_pendant_like, lowpoints
 from .errors import GraphError
-from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, SubgraphRef,
-                    cached, is_connected, is_cycle, normalize, point_images,
+from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, cached,
+                    is_connected, is_cycle, normalize, point_images,
                     require_standard_input)
 from .groups import _mate_points, _shared_cycle_length
 from .iso import canonical_form, semiregular_involutions_iter
@@ -49,10 +51,9 @@ ASYMMETRIC_SYM = "asymmetric"
 
 
 class Atom:
-    """A detected atom: its darts and vertices in the graph it was cut
+    """A detected atom: its darts and vertices in the graph g it was cut
     from, its kind, its boundary, and its graph, the subgraph they span,
-    built from the view `ref` (a `graph.SubgraphRef`), which is read once
-    and not kept.
+    `g.restrict(darts, vertices)`; g itself is not kept.
 
     Its symmetry type, involutions and quotients are write-once slots on
     the atom (`graph.cached`); its canonical forms live on its graph and
@@ -60,12 +61,12 @@ class Atom:
     from.
     """
 
-    def __init__(self, ref, kind, boundary):
-        self.darts = ref.darts
-        self.vertices = ref.vertices
+    def __init__(self, g, darts, vertices, kind, boundary):
+        self.darts = darts
+        self.vertices = vertices
         self.kind = kind
         self.boundary = tuple(sorted(boundary))
-        self._graph = ref.to_graph()
+        self._graph = g.restrict(darts, vertices)
 
     @property
     def is_block(self):
@@ -163,7 +164,7 @@ def _part_for_component(g, cut, comp):
         for h in g.darts_at(v):
             darts.add(h)
             darts.add(g.pairing[h])
-    return SubgraphRef(g, frozenset(darts), frozenset(comp) | frozenset(cut))
+    return frozenset(darts), frozenset(comp) | frozenset(cut)
 
 
 def find_atoms(g):
@@ -180,52 +181,45 @@ def _find_atoms(g):
         raise GraphError("find_atoms requires a normalized graph")
     bt = block_tree(g)
 
-    parts = []  # (ref, kind, boundary)
+    parts = []  # ((darts, vertices), kind, boundary)
 
-    parents = bt.rooted_parents()
     center = bt.center
     for node in bt.nodes:
         if node == center:
             continue
-        ref = bt.part_ref(node, parents)
-        if not ref.darts or is_pendant_like(g, ref):
+        part = bt.part(node)
+        if not part[0] or is_pendant_like(g, part):
             continue
-        if node[0] == "articulation":
-            boundary = node[1]
-        else:
-            parent = parents[node]
-            if parent is None:
-                continue
-            boundary = parent[1]
-        parts.append((ref, "block", (boundary,)))
+        at = node if node[0] == "articulation" else bt.parents[node]
+        parts.append((part, "block", (at[1],)))
 
     if center[0] == "articulation":
         # the star of all pendant-like items at the central articulation,
         # admitted when nothing else hangs there
         c = center[1]
         pend, other = [], []
-        for node in bt.neighbors(("articulation", c)):
-            ref = bt.blocks[node[1]]
-            (pend if is_pendant_like(g, ref) else other).append(ref)
+        for node in bt.adj[center]:
+            block = bt.blocks[node[1]]
+            (pend if is_pendant_like(g, block) else other).append(block)
         if not other and len(pend) >= 2:
-            darts = frozenset().union(*(r.darts for r in pend))
-            parts.append((SubgraphRef(g, darts, frozenset((c,))), "block", (c,)))
+            darts = frozenset().union(*(d for d, _ in pend))
+            parts.append(((darts, frozenset((c,))), "block", (c,)))
 
-    central_ref = bt.central_block_ref()
-    for i, block in enumerate(bt.blocks):
-        if len(block.vertices) < 3:
+    central = bt.central_block()
+    for i, (_, block_vertices) in enumerate(bt.blocks):
+        if len(block_vertices) < 3:
             continue
-        for a, b in sorted(_cut_pairs(bt.block_graph(i))):
+        for a, b in sorted(_cut_pairs(bt.block_graph(g, i))):
             for comp in _component_vertex_sets(g, {a, b}):
-                if not comp & block.vertices:
+                if not comp & block_vertices:
                     continue
-                ref = _part_for_component(g, (a, b), comp)
-                if central_ref is not None:
-                    if central_ref.darts <= ref.darts:
+                part = _part_for_component(g, (a, b), comp)
+                if central is not None:
+                    if central[0] <= part[0]:
                         continue
                 elif center[1] in comp:
                     continue
-                parts.append((ref, PROPER, (a, b)))
+                parts.append((part, PROPER, (a, b)))
 
     by_pair = {}
     for h, k in g.edges:
@@ -237,33 +231,24 @@ def _find_atoms(g):
             continue
         if g.degree(u) < 3 or g.degree(w) < 3:
             continue
-        parts.append((SubgraphRef(g, frozenset(darts), frozenset((u, w))),
-                      DIPOLE, (u, w)))
+        parts.append(((frozenset(darts), frozenset((u, w))), DIPOLE, (u, w)))
 
     # deduplicate, then keep the inclusion-minimal parts
-    uniq = {}
-    for ref, kind, boundary in parts:
-        uniq[(ref.darts, ref.vertices)] = (ref, kind, boundary)
-    entries = list(uniq.values())
+    uniq = {part: (kind, boundary) for part, kind, boundary in parts}
     atoms = []
-    for ref, kind, boundary in entries:
-        minimal = True
-        for ref2, _, _ in entries:
-            if ref2.darts != ref.darts and ref2.darts <= ref.darts:
-                minimal = False
-                break
-        if not minimal:
+    for (darts, vertices), (kind, boundary) in uniq.items():
+        if any(d != darts and d <= darts for d, _ in uniq):
             continue
         if kind == "block":
-            kind = _classify_block_part(g, ref, boundary[0])
-        atoms.append(Atom(ref, kind, boundary))
+            kind = _classify_block_part(g, darts, boundary[0])
+        atoms.append(Atom(g, darts, vertices, kind, boundary))
 
     atoms.sort(key=lambda a: (a.form(), min(a.vertices)))
     return tuple(atoms)
 
 
-def _classify_block_part(g, ref, boundary):
-    for h in ref.darts:
+def _classify_block_part(g, darts, boundary):
+    for h in darts:
         kind = g.edge_kind(h)
         if kind == STANDARD:
             return NONSTAR_BLOCK
@@ -322,14 +307,14 @@ def classify_primitive(g):
     # when the standard edges form one block, it holds every vertex of the
     # connected g, so its graph is the stripped graph, and `_find_atoms`
     # has searched its 2-cuts; the other blocks are the decorations
-    pendant_like = [is_pendant_like(g, ref) for ref in bt.blocks]
+    pendant_like = [is_pendant_like(g, block) for block in bt.blocks]
     blocks = [i for i, p in enumerate(pendant_like) if not p]
     if len(blocks) == 1:
-        core = bt.block_graph(blocks[0])
+        core = bt.block_graph(g, blocks[0])
     else:
         core = strip_pendant_like(g)
-    deco = {v for ref, p in zip(bt.blocks, pendant_like) if p
-            for v in ref.vertices}
+    deco = {v for (_, vertices), p in zip(bt.blocks, pendant_like) if p
+            for v in vertices}
     n_deco_items = sum(pendant_like)
 
     if core.n_darts == 0 and core.n_vertices == 1:

@@ -11,124 +11,74 @@ adjacency, optionally with some vertices removed.  Its search trees are the
 components, and the children that their parent cuts off give the blocks
 here and, with one vertex removed, the 2-cuts of `atoms`.
 
-The block tree kept on a graph is plain data, the dart and vertex sets of
-its blocks with the tree's nodes, and the block graphs once built
-(`_BlockData`); `block_tree` makes a `BlockTree` view of it, holding the
-graph, on each call (see `graph.cached`).
+The block tree is one record kept on the graph, `BlockTree`: its blocks
+and every part cut off by a tree node are (darts, vertices) pairs, and
+the block graphs are built on first use and kept with it.  It names no
+graph (see `graph.cached`), so `block_graph` takes the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import GraphError, InternalError
-from .graph import (LOOP, PENDANT, STANDARD, SubgraphRef, cached,
-                    require_standard_input)
+from .graph import LOOP, PENDANT, STANDARD, cached, require_standard_input
 
 
+@dataclass(frozen=True)
 class BlockTree:
-    """The block tree of `graph`: its blocks as SubgraphRefs of the graph,
-    its articulations, and its center, ("block", index) or
-    ("articulation", vertex).
+    """The block tree of a graph: its blocks as (darts, vertices) pairs,
+    its articulations, its center, ("block", index) or ("articulation",
+    vertex), each tree node's neighbouring nodes (`adj`) and its
+    neighbour toward the center (`parents`, None at the center), and the
+    block graphs built so far, by block index."""
 
-    `block_tree` makes a new one on each call, a view of the plain data
-    kept on the graph (`_BlockData`), so nothing kept there names the
-    graph; its refs are made when `blocks` is first read.
-    """
-
-    def __init__(self, graph, data):
-        self.graph = graph
-        self.articulations = data.articulations
-        self.center = data.center
-        self._adj = data.adj
-        self._data = data
-
-    @cached_property
-    def blocks(self):
-        return tuple(SubgraphRef(self.graph, darts, vertices)
-                     for darts, vertices in self._data.blocks)
+    blocks: tuple
+    articulations: frozenset
+    center: tuple
+    adj: dict
+    parents: dict
+    graphs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def nodes(self):
-        out = [("block", i) for i in range(len(self._data.blocks))]
+        out = [("block", i) for i in range(len(self.blocks))]
         out.extend(("articulation", v) for v in sorted(self.articulations))
         return out
 
-    def neighbors(self, node):
-        return self._adj[node]
-
-    def rooted_parents(self):
-        """Parent map with edges oriented toward the center."""
-        parents = {self.center: None}
-        frontier = [self.center]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in self._adj[node]:
-                    if other not in parents:
-                        parents[other] = node
-                        nxt.append(other)
-            frontier = nxt
-        return parents
-
-    def subtree_nodes(self, node, parents=None):
-        """The node and everything hanging below it, away from the center."""
-        parents = parents or self.rooted_parents()
-        out = [node]
-        frontier = [node]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for other in self._adj[n]:
-                    if parents.get(other) == n:
-                        out.append(other)
-                        nxt.append(other)
-            frontier = nxt
-        return out
-
-    def part_ref(self, node, parents=None):
-        """Union of the blocks in the subtree at `node`, as a SubgraphRef."""
+    def part(self, node):
+        """The union of the blocks at `node` and below it, away from the
+        center, as a (darts, vertices) pair."""
         darts, vertices = set(), set()
-        for n in self.subtree_nodes(node, parents):
+        stack = [node]
+        while stack:
+            n = stack.pop()
             if n[0] == "block":
-                block_darts, block_vertices = self._data.blocks[n[1]]
-                darts |= block_darts
-                vertices |= block_vertices
-        return SubgraphRef(self.graph, frozenset(darts), frozenset(vertices))
+                darts |= self.blocks[n[1]][0]
+                vertices |= self.blocks[n[1]][1]
+            stack.extend(o for o in self.adj[n] if self.parents[o] == n)
+        return frozenset(darts), frozenset(vertices)
 
-    def block_graph(self, i):
-        """The graph of blocks[i], built on first use and kept with the
-        block data on the graph, so what is cached on it is kept too."""
-        graphs = self._data.graphs
+    def block_graph(self, g, i):
+        """The graph of blocks[i] in g, the graph this tree is kept on,
+        built on first use and kept with the tree, so what is cached on it
+        is kept too."""
         try:
-            return graphs[i]
+            return self.graphs[i]
         except KeyError:
-            darts, vertices = self._data.blocks[i]
-            return graphs.setdefault(i, self.graph.restrict(darts, vertices))
+            return self.graphs.setdefault(i, g.restrict(*self.blocks[i]))
 
-    def central_block_ref(self):
+    def central_block(self):
+        """The central block's pair, or None at a central articulation."""
         if self.center[0] != "block":
             return None
         return self.blocks[self.center[1]]
 
     def articulations_on_central_block(self):
-        if self.center[0] != "block":
+        central = self.central_block()
+        if central is None:
             return ()
-        vertices = self._data.blocks[self.center[1]][1]
-        return tuple(sorted(vertices & self.articulations))
-
-
-@dataclass(frozen=True)
-class _BlockData:
-    """What `block_tree` keeps on a graph: plain data that names no graph,
-    and the block graphs built from it (see `graph.cached`)."""
-
-    blocks: tuple          # (darts, vertices) per block
-    articulations: frozenset
-    center: tuple
-    adj: dict              # tree node: its neighbouring tree nodes
-    graphs: dict = field(default_factory=dict)  # block index: its graph
+        return tuple(sorted(central[1] & self.articulations))
 
 
 def _pendant_like_blocks(g):
@@ -151,22 +101,23 @@ def _pendant_like_blocks(g):
     return out
 
 
-def is_pendant_like(g, ref):
-    """True when the ref is a single pendant edge, loop, or half-edge."""
-    if len(ref.vertices) != 1:
+def is_pendant_like(g, part):
+    """True when the (darts, vertices) pair is a single pendant edge, loop,
+    or half-edge."""
+    darts, vertices = part
+    if len(vertices) != 1:
         return False
-    if len(ref.darts) == 1:
+    if len(darts) == 1:
         return True
-    if len(ref.darts) == 2:
-        h = min(ref.darts)
-        return g.edge_kind(h) in (PENDANT, LOOP)
+    if len(darts) == 2:
+        return g.edge_kind(min(darts)) in (PENDANT, LOOP)
     return False
 
 
 def block_tree(g):
-    """The block tree of g, a view of the data built on first use and kept
-    on g as `_block_tree`."""
-    return BlockTree(g, cached(g, "_block_tree", _block_tree))
+    """The block tree of g, built on first use and kept on g as
+    `_block_tree`."""
+    return cached(g, "_block_tree", _block_tree)
 
 
 def _standard_adjacency(g):
@@ -270,12 +221,19 @@ def _block_tree(g):
 
     if not blocks:
         # a lone vertex: central articulation by convention
-        v = g.vertex_list[0]
-        return _BlockData((), frozenset(), ("articulation", v),
-                          {("articulation", v): []})
+        center = ("articulation", g.vertex_list[0])
+        return BlockTree((), frozenset(), center, {center: []},
+                         {center: None})
 
     center = _tree_center(tree_adj)
-    return _BlockData(blocks, articulations, center, tree_adj)
+    parents, frontier = {center: None}, [center]
+    while frontier:
+        node = frontier.pop()
+        for other in tree_adj[node]:
+            if other not in parents:
+                parents[other] = node
+                frontier.append(other)
+    return BlockTree(blocks, articulations, center, tree_adj, parents)
 
 
 def _tree_center(adj):
@@ -289,7 +247,7 @@ def _tree_center(adj):
         if len(alive) == 0:
             # two mutually adjacent nodes stripped together: block-trees
             # always have a unique center, so this cannot happen
-            raise GraphError("block-tree has no unique center")
+            raise InternalError("block-tree has no unique center")
         for leaf in leaves:
             for other in adj[leaf]:
                 if other in alive:
@@ -298,24 +256,23 @@ def _tree_center(adj):
                         nxt.append(other)
         leaves = [n for n in nxt if n in alive]
         if len(alive) > 1 and not leaves:
-            raise GraphError("block structure is not a tree")
+            raise InternalError("block structure is not a tree")
     return next(iter(alive))
 
 
 def central_element(g):
-    """("block", SubgraphRef) or ("articulation", vertex)."""
+    """("block", its (darts, vertices) pair) or ("articulation", vertex)."""
     bt = block_tree(g)
     if bt.center[0] == "block":
-        return ("block", bt.blocks[bt.center[1]])
+        return ("block", bt.central_block())
     return bt.center
 
 
 def attached_subgraph(bt, u):
-    """G_u: the union of blocks hanging at articulation u of the central block."""
+    """G_u: the union of blocks hanging at articulation u of the central
+    block, as a (darts, vertices) pair."""
     if bt.center[0] != "block":
         raise GraphError("graph has no central block")
     if u not in bt.articulations_on_central_block():
         raise GraphError(f"{u!r} is not an articulation of the central block")
-    parents = bt.rooted_parents()
-    node = ("articulation", u)
-    return bt.part_ref(node, parents)
+    return bt.part(("articulation", u))

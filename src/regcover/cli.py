@@ -117,9 +117,9 @@ def cmd_blocks(args):
     if args.dot:
         print(dotmod.block_tree_to_dot(bt), end="")
         return EXIT_OK
-    for i, ref in enumerate(bt.blocks):
-        vs = " ".join(sorted(ref.vertices))
-        print(f"block {i}: vertices {vs} ({len(ref.darts) // 2} edges)")
+    for i, (darts, vertices) in enumerate(bt.blocks):
+        vs = " ".join(sorted(vertices))
+        print(f"block {i}: vertices {vs} ({len(darts) // 2} edges)")
     print("articulations: " + (" ".join(sorted(bt.articulations)) or "-"))
     kind, what = bt.center
     print(f"center: {kind} {what}")

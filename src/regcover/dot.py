@@ -79,8 +79,8 @@ def atoms_to_dot(g, atoms):
 
 def block_tree_to_dot(bt):
     lines = ["graph blocktree {", "  node [shape=box];"]
-    for i, ref in enumerate(bt.blocks):
-        label = f"block {i} ({len(ref.vertices)}v/{len(ref.darts) // 2}e)"
+    for i, (darts, vertices) in enumerate(bt.blocks):
+        label = f"block {i} ({len(vertices)}v/{len(darts) // 2}e)"
         if bt.center == ("block", i):
             label += " *center*"
         lines.append(f"  b{i} [label={_quote(label)}];")
@@ -90,7 +90,7 @@ def block_tree_to_dot(bt):
             label += " *center*"
         lines.append(f"  {_quote('a' + str(v))} [shape=circle, label={_quote(label)}];")
     seen = set()
-    for node, others in bt._adj.items():
+    for node, others in bt.adj.items():
         for other in others:
             key = tuple(sorted((str(node), str(other))))
             if key in seen:

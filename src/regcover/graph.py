@@ -11,10 +11,12 @@ An edited graph is built from the one it edits: `Graph.restrict` drops
 items and vertices, and a `GraphBuilder` seeded with a base graph adds
 items under names from `GraphBuilder.fresh`, so new darts never take the
 name of a dart the base keeps.
-Structures derived from a graph (its components here; its block tree,
-atoms and iso index elsewhere) are built once and kept on it by `cached`,
-as plain data that never names the graph: a view that does, such as a
-`SubgraphRef`, is made when it is read.
+A subgraph (a component here; a block, a part of the block tree or an
+atom elsewhere) is a plain pair of frozensets, (darts, vertices), and its
+graph is `g.restrict(darts, vertices)`.  Structures derived from a graph
+(its components here; its block tree, atoms and iso index elsewhere) are
+built once and kept on it by `cached`, as plain data that never names the
+graph.
 
 A graph's points are its vertices and then its darts, numbered from 0
 (`point_index`).  An automorphism, a group element in `groups`, is one
@@ -25,7 +27,6 @@ tuple over the points: the point number of each point's image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphError
@@ -125,12 +126,15 @@ class Graph:
         return len(self.darts_at(v))
 
     def restrict(self, darts, vertices=None):
-        """The graph on a pairing-closed dart subset.
+        """The graph on a pairing-closed dart subset; GraphError when the
+        subset is not closed under the pairing.
 
         With `vertices`, only those vertices are kept, and darts at any other
         vertex become free ends.
         """
         darts = frozenset(darts)
+        if not darts.issuperset(map(self.pairing.__getitem__, darts)):
+            raise GraphError("dart subset not closed under pairing")
         vertices = self.vertices if vertices is None else frozenset(vertices)
         return Graph(
             darts, vertices,
@@ -170,30 +174,6 @@ class Graph:
     def __repr__(self):
         return (f"Graph(v={self.n_vertices}, darts={self.n_darts}, "
                 f"edges={self.n_edges}, halfedges={len(self.halfedges)})")
-
-
-@dataclass(frozen=True)
-class SubgraphRef:
-    """A view into a parent graph: a dart subset plus a vertex subset.
-
-    The dart subset must be closed under the pairing; incidence is implicitly
-    restricted to the vertex subset, so darts whose endpoint is outside the
-    subset become free ends in the extracted graph.
-    """
-
-    parent: Graph
-    darts: frozenset
-    vertices: frozenset
-
-    def to_graph(self):
-        g = self.parent
-        for h in self.darts:
-            if g.pairing[h] not in self.darts:
-                raise GraphError("dart subset not closed under pairing")
-        return g.restrict(self.darts, self.vertices)
-
-    def __repr__(self):
-        return f"SubgraphRef(darts={len(self.darts)}, vertices={len(self.vertices)})"
 
 
 class GraphBuilder:
@@ -250,43 +230,47 @@ class GraphBuilder:
         u, v = self._need_vertex(u), self._need_vertex(v)
         if u == v:
             raise GraphError(f"edge {name!r} endpoints coincide; use loop")
-        self._check_dir(name, type, tail, (u, v))
-        self._items[name] = ("edge", u, v, type, color, tail)
-        return self
+        return self._add(name, "edge", u, v, type, color, tail)
 
     def loop(self, name, v, type=UNDIRECTED, color=0):
         name = self._claim(name)
-        v = self._need_vertex(v)
-        self._items[name] = ("loop", v, None, type, color, None)
-        return self
+        return self._add(name, "loop", self._need_vertex(v), None, type, color)
 
     def pendant(self, name, v, color=0):
         name = self._claim(name)
-        v = self._need_vertex(v)
-        self._items[name] = ("pendant", v, None, UNDIRECTED, color, None)
-        return self
+        return self._add(name, "pendant", self._need_vertex(v), None,
+                         UNDIRECTED, color)
 
     def halfedge(self, name, v=None, color=0):
         name = self._claim(name)
         v = self._need_vertex(v) if v is not None else None
-        self._items[name] = ("halfedge", v, None, None, color, None)
-        return self
+        return self._add(name, "halfedge", v, None, None, color)
 
     def free(self, name, color=0, type=UNDIRECTED):
         name = self._claim(name)
-        self._items[name] = ("free", None, None, type, color, None)
-        return self
+        return self._add(name, "free", None, None, type, color)
 
-    @staticmethod
-    def _check_dir(name, type, tail, ends):
-        if type not in EDGE_TYPES:
+    def _add(self, name, kind, u, v, type, color, tail=None):
+        """Record an item once its type, tail and color are checked; the
+        GraphError for a bad field names the item.  Only an edge takes a
+        tail: a directed loop or free edge has its first dart as tail."""
+        if type is not None and type not in EDGE_TYPES:
             raise GraphError(f"item {name!r}: unknown edge type {type!r}")
-        if type == DIRECTED and tail is None:
+        if kind == "edge" and type == DIRECTED and tail is None:
             raise GraphError(f"directed edge {name!r} needs a tail")
         if type != DIRECTED and tail is not None:
             raise GraphError(f"tail given for non-directed edge {name!r}")
-        if tail is not None and str(tail) not in tuple(map(str, ends)):
+        if tail is not None and str(tail) not in (u, v):
             raise GraphError(f"edge {name!r}: tail must be one of its ends")
+        try:
+            color = int(color)
+        except (TypeError, ValueError):
+            raise GraphError(f"item {name!r}: color must be an integer, "
+                             f"not {color!r}") from None
+        if color < 0:
+            raise GraphError(f"item {name!r}: negative color")
+        self._items[name] = (kind, u, v, type, color, tail)
+        return self
 
     def build(self):
         g = self._base
@@ -295,9 +279,6 @@ class GraphBuilder:
         edge_type, color = dict(g.edge_type), dict(g.color)
         for name in sorted(self._items):
             kind, u, v, typ, col, tail = self._items[name]
-            col = int(col)
-            if col < 0:
-                raise GraphError(f"item {name!r}: negative color")
             d1, d2 = f"{name}.1", f"{name}.2"
             if kind == "halfedge":
                 darts.add(d1)
@@ -421,9 +402,8 @@ def cached(g, name, build):
     it, both get the value stored first.
 
     A value cached on an object never refers back to it, directly or
-    through a view (a `SubgraphRef` of g, say, or a structure holding
-    one): it holds plain data, such as dart and vertex sets, indices and
-    graphs built from g, and a view is made when it is read.  Then g and
+    through a structure that names it: it holds plain data, such as dart
+    and vertex sets, indices and graphs built from g.  Then g and
     all that is kept on it are freed by reference counting once its last
     user drops it, and nothing is left for the cyclic collector.
     """
@@ -467,11 +447,9 @@ def point_maps(g, images):
 
 
 def connected_components(g):
-    """Components as SubgraphRefs; free items each form their own component.
-    The refs are made on each call from the (darts, vertices) pairs kept
-    on g as `_components`."""
-    return [SubgraphRef(g, darts, vertices)
-            for darts, vertices in cached(g, "_components", _components)]
+    """Components as (darts, vertices) pairs, a fresh list of the pairs
+    kept on g as `_components`; free items each form their own component."""
+    return list(cached(g, "_components", _components))
 
 
 def _components(g):

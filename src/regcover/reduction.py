@@ -23,7 +23,7 @@ from .atoms import (ASYMMETRIC_SYM, DIPOLE, HALVABLE_SYM, NONSTAR_BLOCK,
                     classify_primitive, find_atoms)
 from .errors import GraphError, InternalError
 from .graph import (DIRECTED, HALVABLE, UNDIRECTED, Graph, GraphBuilder,
-                    SubgraphRef, normalize, point_images, point_maps,
+                    normalize, point_images, point_maps,
                     require_standard_input)
 from .groups import count_automorphisms
 from .textfmt import parse
@@ -297,7 +297,7 @@ def _sidecar_class(entry):
         if not ok:
             raise GraphError(f"sidecar class entry: {name!r} must be {what}, "
                              f"not {entry[name]!r}")
-    rep = Atom(SubgraphRef(g, g.darts, g.vertices), kind, boundary)
+    rep = Atom(g, g.darts, g.vertices, kind, boundary)
     for name, want in (("symmetry", rep.symmetry),
                        ("boundary", list(rep.ordered_boundary()))):
         if entry[name] != want:

@@ -22,8 +22,7 @@ import os
 import re
 
 from .errors import GraphError, ParseError
-from .graph import (DIRECTED, EDGE_TYPES, FREE, LOOP, PENDANT, UNDIRECTED,
-                    GraphBuilder, STANDARD)
+from .graph import DIRECTED, FREE, LOOP, PENDANT, STANDARD, GraphBuilder
 
 _TOKEN = re.compile(r"^[^\s#]+$")
 
@@ -40,24 +39,6 @@ def _split_opts(parts, line, allowed):
             raise ParseError(f"duplicate option {key!r}", line)
         opts[key] = val
     return opts
-
-
-def _color(opts, line):
-    raw = opts.get("color", "0")
-    try:
-        c = int(raw)
-    except ValueError:
-        raise ParseError(f"color must be an integer, got {raw!r}", line) from None
-    if c < 0:
-        raise ParseError("color must be non-negative", line)
-    return c
-
-
-def _type(opts, line):
-    t = opts.get("type", UNDIRECTED)
-    if t not in EDGE_TYPES:
-        raise ParseError(f"unknown edge type {t!r}", line)
-    return t
 
 
 def parse(text):
@@ -77,36 +58,30 @@ def parse(text):
                 if len(args) < 3:
                     raise ParseError("edge needs name and two endpoints", lineno)
                 name, u, v = args[:3]
-                opts = _split_opts(args[3:], lineno, {"type", "color", "tail"})
-                typ = _type(opts, lineno)
-                tail = opts.get("tail")
-                if tail is not None and tail not in (u, v):
-                    raise ParseError("tail must name one of the endpoints", lineno)
-                b.edge(name, u, v, type=typ, color=_color(opts, lineno), tail=tail)
+                b.edge(name, u, v, **_split_opts(args[3:], lineno,
+                                                 {"type", "color", "tail"}))
             elif kw == "loop":
                 if len(args) < 2:
                     raise ParseError("loop needs name and vertex", lineno)
                 name, v = args[:2]
-                opts = _split_opts(args[2:], lineno, {"type", "color"})
-                b.loop(name, v, type=_type(opts, lineno), color=_color(opts, lineno))
+                b.loop(name, v, **_split_opts(args[2:], lineno,
+                                              {"type", "color"}))
             elif kw == "pendant":
                 if len(args) < 2:
                     raise ParseError("pendant needs name and vertex", lineno)
                 name, v = args[:2]
-                opts = _split_opts(args[2:], lineno, {"color"})
-                b.pendant(name, v, color=_color(opts, lineno))
+                b.pendant(name, v, **_split_opts(args[2:], lineno, {"color"}))
             elif kw == "halfedge":
                 if len(args) < 2:
                     raise ParseError("halfedge needs name and vertex (or -)", lineno)
                 name, v = args[:2]
-                opts = _split_opts(args[2:], lineno, {"color"})
-                b.halfedge(name, None if v == "-" else v, color=_color(opts, lineno))
+                b.halfedge(name, None if v == "-" else v,
+                           **_split_opts(args[2:], lineno, {"color"}))
             elif kw == "free":
                 if len(args) < 1:
                     raise ParseError("free needs a name", lineno)
-                name = args[0]
-                opts = _split_opts(args[1:], lineno, {"color", "type"})
-                b.free(name, color=_color(opts, lineno), type=_type(opts, lineno))
+                b.free(args[0], **_split_opts(args[1:], lineno,
+                                              {"color", "type"}))
             else:
                 raise ParseError(f"unknown item kind {kw!r}", lineno)
         except ParseError:

@@ -5,8 +5,8 @@ from operator import itemgetter
 
 from regcover import groups, iso
 from regcover.errors import GraphError
-from regcover.graph import (DIRECTED, HALVABLE, STANDARD, SubgraphRef,
-                            point_images, point_index, point_maps)
+from regcover.graph import (DIRECTED, HALVABLE, STANDARD, point_images,
+                            point_index, point_maps)
 from regcover.groups import Group
 from regcover.quotient import quotient
 
@@ -252,9 +252,9 @@ def union_find_components(g):
     for members in groups.values():
         dd = frozenset(x for kind, x in members if kind == "d")
         vv = frozenset(x for kind, x in members if kind == "v")
-        comps.append(SubgraphRef(g, dd, vv))
-    comps.sort(key=lambda c: (min(c.vertices) if c.vertices else "",
-                              min(c.darts) if c.darts else ""))
+        comps.append((dd, vv))
+    comps.sort(key=lambda c: (min(c[1]) if c[1] else "",
+                              min(c[0]) if c[0] else ""))
     return tuple(comps)
 
 

@@ -170,7 +170,7 @@ def test_cut_pairs_match_brute_force():
     # where removing the first vertex already disconnects the graph
     graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
     graphs += [normalize(random_instance(seed)) for seed in range(300)]
-    graphs += [block.to_graph() for g in list(graphs)
+    graphs += [g.restrict(*block) for g in list(graphs)
                for block in block_tree(g).blocks]
     scale = _scale_graphs()
     graphs += [scale["CFI(K4)"], scale["Z6-cover of K4"]]

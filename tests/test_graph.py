@@ -113,6 +113,19 @@ def test_builder_rejects_duplicates_and_bad_tails():
     b.edge("e", "u", "v")
     with pytest.raises(GraphError):
         b.edge("e", "u", "v")
+    # every item's type and color are checked when it is added, and the
+    # error names the item
+    with pytest.raises(GraphError, match="'l'.*bogus"):
+        b.loop("l", "u", type="bogus")
+    with pytest.raises(GraphError, match="'f'.*weird"):
+        b.free("f", type="weird")
+    with pytest.raises(GraphError, match="'p'.*integer"):
+        b.pendant("p", "u", color="red")
+    with pytest.raises(GraphError, match="'h'.*integer"):
+        b.halfedge("h", "u", color=None)
+    with pytest.raises(GraphError, match="'k'.*negative"):
+        b.edge("k", "u", "v", color=-1)
+    assert validate(b.build()) == []
 
 
 def test_degree():
@@ -168,7 +181,7 @@ def test_connected_components():
     assert len(connected_components(b.build())) == 2
     free = GraphBuilder().free("f").build()
     comps = connected_components(free)
-    assert len(comps) == 1 and not comps[0].vertices
+    assert len(comps) == 1 and not comps[0][1]
 
 
 def test_components_match_union_find():
@@ -185,7 +198,7 @@ def test_components_match_union_find():
     graphs += [parse(text) for text in pool.values()]
     for g in graphs:
         assert connected_components(g) == list(union_find_components(g)), g
-    assert [len(c.vertices) for c in connected_components(graphs[0])] == [
+    assert [len(vs) for _, vs in connected_components(graphs[0])] == [
         0, 0, 2, 1, 1]
 
 
@@ -203,6 +216,14 @@ def test_restrict():
     assert cut.vertices == {"u", "v"}
     assert cut.edge_kind("e.1") == "pendant" and cut.edge_kind("l.1") == "free"
     assert validate(cut) == []
+
+
+def test_restrict_refuses_a_dart_set_not_closed_under_the_pairing():
+    g = cycle(4)
+    with pytest.raises(GraphError, match="not closed under pairing"):
+        g.restrict(g.darts - {"e0.1"})
+    with pytest.raises(GraphError, match="not closed under pairing"):
+        g.restrict({"e0.1", "e1.1", "e1.2"}, {"v0", "v1"})
 
 
 names = st.integers(min_value=0, max_value=5)

@@ -2,9 +2,9 @@
 
 A value cached on an object never refers back to it, and no recursion
 keeps a frame alive (see `graph.cached`), so a call leaves nothing that
-only the cyclic collector could free.  Views that name a graph are made
-when they are read and hold it themselves, so they work after the caller
-has dropped the graph.
+only the cyclic collector could free.  Subgraphs are plain (darts,
+vertices) pairs and the block tree and atoms name no graph, so all of
+them read the same after the caller has dropped the graph.
 """
 
 import contextlib
@@ -147,8 +147,8 @@ def test_cli_commands_leave_no_cyclic_garbage(tmp_path):
 
 
 def test_views_work_after_the_caller_drops_the_graph():
-    # each graph here is built, used through its view and dropped at once:
-    # the view must hold what it reads, not a dangling back-reference
+    # each graph here is built, read and dropped at once: what was read
+    # off it must hold its own data, not a dangling back-reference
     def host():
         return normalize(with_pendants(bowtie(), ["c"]))
 
@@ -156,18 +156,24 @@ def test_views_work_after_the_caller_drops_the_graph():
         return theta(2, 2, 2, edge_type=HALVABLE)
 
     held, held_theta = host(), halvable()
-    comp = connected_components(host())[0]
-    bt = block_tree(host())
+    comps = connected_components(host())
+    g = host()
+    bt = block_tree(g)
+    block_graphs = [bt.block_graph(g, i) for i in range(len(bt.blocks))]
+    del g
     atom = find_atoms(halvable())[0]
     gc.collect()
 
-    assert comp.to_graph() == connected_components(held)[0].to_graph()
+    assert comps == connected_components(held)
     held_bt = block_tree(held)
-    assert [bt.block_graph(i) for i in range(len(bt.blocks))] == [
-        held_bt.block_graph(i) for i in range(len(held_bt.blocks))]
+    assert bt == held_bt
+    assert block_graphs == [held_bt.block_graph(held, i)
+                            for i in range(len(held_bt.blocks))]
+    assert [bt.graphs[i] for i in range(len(bt.blocks))] == block_graphs
     for node in bt.nodes:
-        assert bt.part_ref(node).to_graph() == held_bt.part_ref(
-            node).to_graph()
+        assert bt.part(node) == held_bt.part(node)
+        assert held.restrict(*bt.part(node)) == held.restrict(
+            *held_bt.part(node))
 
     held_atom = find_atoms(held_theta)[0]
     assert atom.as_graph() == held_atom.as_graph()

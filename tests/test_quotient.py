@@ -15,10 +15,9 @@ from regcover.fixtures import (complete, cube, cycle, cycle_with_triangles,
                                dipole, expansion_corpus, petersen,
                                random_instance, reduction_showcase,
                                star_pendants, theta, with_pendants)
-from regcover.graph import (Graph, GraphBuilder, HALVABLE, SubgraphRef,
-                            UNDIRECTED, is_cycle, is_path_with_two_halfedges,
-                            normalize, point_images, point_maps,
-                            with_halvable_edges)
+from regcover.graph import (Graph, GraphBuilder, HALVABLE, UNDIRECTED,
+                            is_cycle, is_path_with_two_halfedges, normalize,
+                            point_images, point_maps, with_halvable_edges)
 from regcover.groups import (Group, automorphism_group,
                              count_automorphisms, is_semiregular,
                              semiregular_class_representatives,
@@ -345,8 +344,8 @@ def test_planar_proper_atoms_have_at_most_two_half_quotients():
         drop = next((h, k) for h, k in g.edges
                     if {g.vertex_of(h), g.vertex_of(k)} == set(gap))
         keep = g.darts - set(drop)
-        gg = SubgraphRef(g, keep, g.vertices).to_graph()
-        cases.append(Atom(SubgraphRef(gg, gg.darts, gg.vertices), "proper", gap))
+        gg = g.restrict(keep, g.vertices)
+        cases.append(Atom(gg, gg.darts, gg.vertices, "proper", gap))
     counts = [len(atom_quotients(a).half_quotients) for a in cases]
     assert counts == [1, 0, 1, 2]
     assert all(c <= 2 for c in counts)
@@ -652,12 +651,12 @@ def test_block_structure_preserved_in_expansion():
             bt_next = block_tree(h_next)
             bt_exp = block_tree(h)
             site_colors = {cls.color for cls in step.classes}
-            for ref in bt_next.blocks:
-                common = {d for d in ref.darts
+            for darts, _ in bt_next.blocks:
+                common = {d for d in darts
                           if h_next.color[d] not in site_colors}
                 if not common:
                     continue
-                hosts = [b for b in bt_exp.blocks if common <= b.darts]
+                hosts = [b for b, _ in bt_exp.blocks if common <= b]
                 assert len(hosts) == 1
 
 

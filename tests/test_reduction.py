@@ -267,18 +267,18 @@ def test_preserved_center():
         assert any(not x.is_trivial
                    for x in semiregular_subgroups(s.graphs[-1]))
         for step in s.steps:
-            c_src = block_tree(step.source).central_block_ref()
-            c_tgt = block_tree(step.target).central_block_ref()
+            c_src = block_tree(step.source).central_block()
+            c_tgt = block_tree(step.target).central_block()
             assert c_src is not None and c_tgt is not None
-            expected = set(c_src.darts & step.target.darts)
+            expected = set(c_src[0] & step.target.darts)
             for rep in step.replacements:
                 # proper atoms and dipoles cut out of the central block
                 # (their decorations live in other blocks, so test the
                 # boundary, not the full dart set)
                 if (not rep.atom.is_block
-                        and set(rep.atom.boundary) <= c_src.vertices):
+                        and set(rep.atom.boundary) <= c_src[1]):
                     expected.update(rep.darts)
-            assert expected == set(c_tgt.darts)
+            assert expected == set(c_tgt[0])
 
 
 def test_termination_dart_counts_strictly_decrease():
@@ -356,8 +356,8 @@ def test_components_block_tree_and_atoms_are_built_once_per_graph(
     step = reduce_step(g)
     assert len(built) == len(atoms) == len(step.replacements) == 3
     assert {id(r.atom) for r in step.replacements} == set(map(id, atoms))
-    # each call makes a view of the one block data kept on g
-    assert block_tree(g)._data is block_tree(g)._data
+    # every call returns the one block tree kept on g
+    assert block_tree(g) is block_tree(g)
     # list results are fresh copies of the kept tuple
     assert find_atoms(g) == atoms and find_atoms(g) is not atoms
 
