@@ -262,11 +262,11 @@ class GraphBuilder:
             raise GraphError(f"tail given for non-directed edge {name!r}")
         if tail is not None and str(tail) not in (u, v):
             raise GraphError(f"edge {name!r}: tail must be one of its ends")
-        try:
-            color = int(color)
-        except (TypeError, ValueError):
+        if isinstance(color, str) and color.removeprefix("-").isdecimal():
+            color = int(color)  # as the text format sends it
+        if not isinstance(color, int) or isinstance(color, bool):
             raise GraphError(f"item {name!r}: color must be an integer, "
-                             f"not {color!r}") from None
+                             f"not {color!r}")
         if color < 0:
             raise GraphError(f"item {name!r}: negative color")
         self._items[name] = (kind, u, v, type, color, tail)

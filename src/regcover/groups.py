@@ -8,23 +8,23 @@ Tuples order elements by their vertex images first, and the orbits of
 either domain are closures over points.  `graph.point_images` and
 `graph.point_maps` convert between a tuple and a vertex map and dart map.
 
-`automorphism_group` multiplies out a stabilizer chain: one automorphism
-per coset of each point stabilizer along the canonical search's first
-path, and the automorphisms fixing every vertex.  The order, the product of the
-coset counts and the kernel's size (`iso.chain_order`), is known before
-any element is built.  `count_automorphisms`, which lives next to the item
-index in `iso`, takes its count from the same chain, so a count never
-builds a permutation either.  `iso.chain_generators` are the maps the
-chain lifted and the kernel's moves, and `orbits` closes points under any
-image tuples, so the order and the orbits of Aut(g) need no listing.
+`automorphism_group` lists t * k for each coset representative t of the
+stabilizer chain along the canonical search's first path and each
+automorphism k fixing every vertex, as `iso.chain_cosets` and
+`iso.chain_kernel` build them; no module but `iso` multiplies out a
+chain.  The order, `count_automorphisms`, is counted off the same chain
+before any element is built, so a count never builds a permutation.
+`iso.chain_generators` are the maps the chain lifted and the kernel's
+moves, and `orbits` closes points under any image tuples, so the order
+and the orbits of Aut(g) need no listing.
 
 Semiregularity is one rule, read off one point per orbit (`orbit_rows`):
 each such point has |group| images, the orbits partition the points, and
 no orbit holds a dart with its non-halvable mate (`_mate_points`), as
 stabilizers and edge reversals are conjugate along an orbit.
-`semiregular_subgroups` lists no Aut(g): it builds full image tuples only
-from the chain's vertex parts whose cycles share one length, keeps each x
-for which <x> is semiregular, read off x's cycles once per cyclic
+`semiregular_subgroups` lists no Aut(g): it builds t * k only for the
+coset representatives t whose vertex cycles share one length, keeps each
+x for which <x> is semiregular, read off x's cycles once per cyclic
 subgroup (`_shared_cycle_length`), and builds a `Group` only for each
 subgroup it returns, and `semiregular_class_representatives` only for the
 first of each class.
@@ -76,9 +76,8 @@ from operator import itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import HALVABLE, cached, point_index, point_maps
-from .iso import (chain_base, chain_generators, chain_order, chain_products,
-                  count_automorphisms, kernel_images, orbit_closure,
-                  stabilizer_chain, verify_isomorphism)
+from .iso import (chain_base, chain_cosets, chain_generators, chain_kernel,
+                  count_automorphisms, orbit_closure, verify_isomorphism)
 
 MAX_GROUP_ORDER = 200
 
@@ -335,9 +334,10 @@ class Group:
 
 
 def _capped_order(g, max_order):
-    """The order of Aut(g), read off its stabilizer chain; a size limit
-    error when it is over `max_order`."""
-    order = chain_order(stabilizer_chain(g))
+    """The order of Aut(g), counted off its stabilizer chain
+    (`count_automorphisms`); a size limit error when it is over
+    `max_order`."""
+    order = count_automorphisms(g)
     if max_order is not None and order > max_order:
         raise size_limit("automorphism_group", f"{order} automorphisms",
                          max_order, g)
@@ -345,26 +345,25 @@ def _capped_order(g, max_order):
 
 
 def _aut_images(g, max_order):
-    """The elements of Aut(g) as a set of image tuples: its stabilizer
-    chain multiplied out (see `iso.stabilizer_chain`).
+    """The elements of Aut(g) as a set of image tuples: t * k for each of
+    the chain's coset representatives t and kernel elements k
+    (`iso.chain_cosets`, `iso.chain_kernel`).
 
-    The order is the chain's `chain_order`, so a group over `max_order`
-    is refused before any element is built (see `_capped_order`).
+    The order is counted off the chain, so a group over `max_order` is
+    refused before any element is built (see `_capped_order`), and a set
+    of another size is an InternalError.
     """
     order = _capped_order(g, max_order)
-    transversals, kernel = stabilizer_chain(g)
-    return _distinct(chain_products(transversals, kernel_images(g, kernel)),
-                     order)
-
-
-def _distinct(products, expected):
-    """The set of a chain's `products`, which are distinct, one per element
-    or per vertex part; an InternalError unless it has `expected` members."""
-    distinct = set(products)
-    if len(distinct) != expected:
-        raise InternalError(f"automorphism_group: {len(distinct)} distinct "
-                            f"products, expected {expected}")
-    return distinct
+    cosets = chain_cosets(g)
+    images = set(cosets)  # times the identity, the kernel's first element
+    for k in chain_kernel(g)[1:]:
+        # t * k looks k's images up in t; k moves a dart, so there are two
+        # points and the getter returns a tuple
+        images.update(map(itemgetter(*k), cosets))
+    if len(images) != order:
+        raise InternalError(f"automorphism_group: {len(images)} distinct "
+                            f"products, expected {order}")
+    return images
 
 
 def automorphism_group(g, max_order=MAX_GROUP_ORDER):
@@ -598,11 +597,13 @@ def _semiregular_lattice(g, order):
     the subgroups returned; and their classes, as sorted lists of
     positions.
 
-    A vertex part whose cycles differ in length builds no tuple t*k, k in
-    the kernel; the identity's gives the identity alone, as other kernel
-    elements fix every vertex.  A cyclic subgroup's darts are walked once:
-    its generators, named on the chain's base (`iso.chain_base`), which
-    tells all of Aut(g) apart, share the verdict.
+    A coset representative t (`iso.chain_cosets`) whose vertex cycles
+    differ in length builds no tuple t*k, k in the kernel
+    (`iso.chain_kernel`); the identity's gives the identity alone, as
+    other kernel elements fix every vertex.  A cyclic subgroup's darts are
+    walked once: its generators, named on the chain's base
+    (`iso.chain_base`), which tells all of Aut(g) apart, share the
+    verdict.
     """
     if order is not None and not (isinstance(order, int) and order > 0
                                   and not isinstance(order, bool)):
@@ -611,26 +612,22 @@ def _semiregular_lattice(g, order):
     lattices = cached(g, "_semiregular_lattices", lambda g: {})
     if order in lattices:
         return lattices[order]
-    transversals, jobs = stabilizer_chain(g)
     base, nv = chain_base(g), len(g.vertex_list)
-    one = tuple(range(nv + len(g.dart_list)))
-    # identity first; a base of the first path alone means a trivial kernel
-    kernel = kernel_images(g, jobs) if base[len(transversals):] else [one]
-    parts = chain_products(transversals, [one[:nv]])
-    _distinct(parts, len(parts))
+    kernel = chain_kernel(g)  # the identity first
     mates = _mate_points(g)
     verdicts = {}  # base images: whether that element is kept
     members = []
-    for i, part in enumerate(parts):
-        n = _shared_cycle_length(part, range(nv), order)
+    for t in chain_cosets(g):
+        n = _shared_cycle_length(t, range(nv), order)
         if n == 1:
-            members.append(one)
+            members.append(kernel[0])
         if n is None or n == 1:
             continue
-        for x in _chain_elements(transversals, i, kernel):
+        for k in kernel:
+            x = tuple(map(t.__getitem__, k))
             name = tuple([x[b] for b in base])
             if name not in verdicts:
-                ok = _shared_cycle_length(x, range(nv, len(one)), order,
+                ok = _shared_cycle_length(x, range(nv, len(x)), order,
                                           mates, n)
                 verdicts.update(dict.fromkeys(_generator_names(x, base),
                                               ok is not None))
@@ -641,7 +638,7 @@ def _semiregular_lattice(g, order):
     maps = _conjugations(members, base, chain_generators(g))
     # the identity sorts first among image tuples
     subs, classes = _subgroup_index_sets(
-        table, 0, chain_order((transversals, jobs)), maps, divides=order)
+        table, 0, count_automorphisms(g), maps, divides=order)
     found = [s for s in subs if order is None or len(s) == order]
     position = {s: i for i, s in enumerate(found)}
     classes = sorted(sorted(map(position.get, cls)) for cls in classes
@@ -670,18 +667,6 @@ def _shared_cycle_length(x, points, order=None, mates=(), n=0):
         n = len(cycle)
         seen.update(cycle)
     return None if order and n and order % n else n
-
-
-def _chain_elements(transversals, i, kernel):
-    """t*k for k in `kernel` (identity first), where t is the i-th product
-    of `iso.chain_products`: the digits of i, in the radix of the
-    transversal sizes plus one, pick a factor of each, 0 the identity."""
-    t = kernel[0]
-    for reps in reversed(transversals):
-        i, d = divmod(i, len(reps) + 1)
-        if d:
-            t = tuple(map(reps[d - 1].__getitem__, t))
-    return [t] + [tuple(map(t.__getitem__, k)) for k in kernel[1:]]
 
 
 def _generator_names(x, base):

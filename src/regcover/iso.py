@@ -56,9 +56,12 @@ lists the darts at each vertex by their other end.  It has four readers:
   individualized, refinement is discrete, so the automorphisms fixing it
   fix every vertex.  Counts come from the chain: the product of the orbit
   sizes and, per group, of |items|! * |ways|^|items| for the identity
-  map, listing no dart map.  The group layer's one base and one
-  generating set are the chain's (`chain_base`, `chain_generators`), and
-  no other module reads a kernel job.
+  map, listing no dart map.  The chain is multiplied out here alone:
+  `chain_cosets` lists its coset representatives and `chain_kernel` the
+  automorphisms fixing every vertex, as image tuples, and the group layer
+  builds each element it needs as a product of the two.  Its one base and
+  one generating set are the chain's too (`chain_base`,
+  `chain_generators`), and no other module reads a kernel job.
   The automorphisms agreeing with a vertex map `pinned` are one coset:
   the map between the best-leaf orders with its vertices and with their
   images marked in order, times the chain of the pinned vertices, empty
@@ -87,9 +90,9 @@ depend on the index.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from operator import itemgetter
 
 from .errors import GraphError, InternalError, size_limit
 from .graph import (DIRECTED, HALF, HALVABLE, LOOP, PENDANT, STANDARD,
@@ -545,13 +548,43 @@ def _read_chain(g, fixed):
             tuple(point[v] for v in first), tuple(lifted.values()))
 
 
-def chain_products(transversals, images):
-    """t_1 * ... * t_m * x for each x in `images` and each t_i from
-    transversal i or the identity, composed as image tuples: (t * x)[p] =
-    t[x[p]].  `images` may hold vertex parts only."""
-    for reps in reversed(transversals):
-        images += [tuple(map(t.__getitem__, x)) for t in reps for x in images]
-    return images
+def chain_cosets(g, fixed=()):
+    """The coset representatives t_1 * ... * t_m of `stabilizer_chain(g,
+    fixed)`, each t_i from transversal i or the identity, as image tuples
+    composed as (t * x)[p] = t[x[p]], in the order of nested loops over
+    t_1 ... t_m, the identity first at each.  Two that share a vertex part
+    are an InternalError, as the chain names one coset of the kernel by
+    each vertex map."""
+    nv = len(g.vertex_list)
+    cosets = [tuple(range(nv + len(g.dart_list)))]
+    for reps in reversed(stabilizer_chain(g, fixed)[0]):
+        # t * x looks x's images up in t; a representative moves a vertex,
+        # so there are two points and each getter returns a tuple
+        times = [itemgetter(*x) for x in cosets]
+        cosets += [times_x(t) for t in reps for times_x in times]
+    parts = len({x[:nv] for x in cosets})
+    if parts != len(cosets):
+        raise InternalError(f"stabilizer chain: {len(cosets)} coset "
+                            f"representatives have {parts} distinct vertex "
+                            f"parts")
+    return cosets
+
+
+def chain_kernel(g):
+    """The image tuples of the automorphisms of g fixing every vertex, the
+    `dart_maps` of the kernel of `stabilizer_chain(g)`, the identity
+    first.  A job of one item with one way fixes that item's darts, so
+    only the other jobs are listed."""
+    didx = point_index(g)[1]
+    one = range(len(g.vertex_list) + len(g.dart_list))
+    kernel = []
+    for dmap in dart_maps([job for job in stabilizer_chain(g)[1]
+                           if len(job[1]) * len(job[3]) > 1]):
+        images = list(one)
+        for h, k in dmap.items():
+            images[didx[h]] = didx[k]
+        kernel.append(tuple(images))
+    return kernel
 
 
 def _close_orbit(reps, gens):
@@ -565,12 +598,6 @@ def _close_orbit(reps, gens):
             if y not in reps:
                 reps[y] = tuple(map(s.__getitem__, reps[x]))
                 todo.append(y)
-
-
-def kernel_images(g, kernel):
-    """The image tuples of a chain kernel's `dart_maps`."""
-    identity = {v: v for v in g.vertex_list}
-    return [point_images(g, identity, dmap) for dmap in dart_maps(kernel)]
 
 
 def _dart_jobs(g1, g2, vmap):
@@ -611,42 +638,16 @@ def _dart_variants(g1, g2, vmap):
 def dart_maps(jobs):
     """The dart maps of a vertex map's dart jobs: each group of g1 is
     matched with its image group, every permutation of the target items
-    is tried, and each item maps its darts along one of its ways."""
-    dmap = {}
-
-    def choices(job):
-        _, items, targets, ways = job
-        for perm in itertools.permutations(targets):
-            for combo in itertools.product(ways, repeat=len(items)):
-                for src, dst, way in zip(items, perm, combo):
-                    for h, i in zip(src, way):
-                        dmap[h] = dst[i]
-                yield
-
-    for _ in _nested([functools.partial(choices, job) for job in jobs]):
-        yield dict(dmap)
-
-
-_DONE = object()
-
-
-def _nested(levels):
-    """Yield once per way of taking one choice at each level in turn, in
-    the order of nested loops over the levels, with an explicit stack, so
-    that no level costs a stack frame.  Calling `levels[i]()` when level i
-    is entered gives an iterator that makes each of its choices in turn,
-    on state the caller keeps, and yields after each."""
-    if not levels:
-        yield
-        return
-    stack = [levels[0]()]
-    while stack:
-        if next(stack[-1], _DONE) is _DONE:
-            stack.pop()
-        elif len(stack) == len(levels):
-            yield
-        else:
-            stack.append(levels[len(stack)]())
+    is tried, and each item maps its darts along one of its ways.  They
+    follow nested loops over the jobs in order and, within a job, over the
+    permutations and then the ways."""
+    choices = [[tuple((h, dst[i]) for src, dst, way in zip(items, perm, combo)
+                      for h, i in zip(src, way))
+                for perm in itertools.permutations(targets)
+                for combo in itertools.product(ways, repeat=len(items))]
+               for _, items, targets, ways in jobs]
+    for choice in itertools.product(*choices):
+        yield dict(itertools.chain.from_iterable(choice))
 
 
 def _first_dart_map(jobs):
@@ -693,18 +694,17 @@ def count_automorphisms(g, pinned=None):
 
 def _automorphism_vmaps(g, pinned):
     """The vertex maps of the automorphisms of g that agree with `pinned`:
-    shift * h over the vertex parts h of the stabilizer chain of the
-    pinned vertices (see `_coset_shift`), each once, lexicographic in the
+    shift * h over the vertex parts h of `chain_cosets` of the pinned
+    vertices (see `_coset_shift`), each once, lexicographic in the
     point order of the images along the vertices sorted by (refined
     color, vertex)."""
     fixed, shift = _coset_shift(g, pinned)
     if shift is None:
         return []
     point, vertices = point_index(g)[0], g.vertex_list
-    parts = chain_products(stabilizer_chain(g, fixed)[0],
-                           [tuple(range(len(vertices)))])
     to = [point[shift[v]] for v in vertices]
-    maps = [[to[p] for p in x] for x in parts]
+    maps = [[to[p] for p in x[:len(vertices)]]
+            for x in chain_cosets(g, fixed)]
     colors = _refine(g, _initial_colors(g, None, None))
     along = [point[v] for v in sorted(vertices, key=lambda v: (colors[v], v))]
     maps.sort(key=lambda m: [m[p] for p in along])

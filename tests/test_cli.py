@@ -301,6 +301,28 @@ def test_kernel_jobs_are_decoded_in_iso_only():
     assert sorted(found) == ["iso.py"]
 
 
+def test_stabilizer_chains_are_multiplied_in_iso_only():
+    # a stabilizer chain is multiplied out by `iso.chain_cosets` and
+    # `iso.chain_kernel` alone, and counted by `iso.count_automorphisms`,
+    # so no other module calls `stabilizer_chain`, `chain_lifts` or
+    # `chain_order`, or names a chain's `transversals`
+    src = os.path.dirname(regcover.__file__)
+    names = {"stabilizer_chain", "chain_lifts", "chain_order",
+             "transversals"}
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if names & {getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "arg", None),
+                        isinstance(node, ast.alias) and node.name}:
+                found.add(name)
+    assert sorted(found) == ["iso.py"]
+
+
 def test_item_permutations_are_listed_by_dart_maps_only():
     # every permutation of a group's items is tried by `iso.dart_maps`
     # alone: the involution builder builds one map per class, no listing

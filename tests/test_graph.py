@@ -123,9 +123,17 @@ def test_builder_rejects_duplicates_and_bad_tails():
         b.pendant("p", "u", color="red")
     with pytest.raises(GraphError, match="'h'.*integer"):
         b.halfedge("h", "u", color=None)
+    # a float or bool color is refused, not truncated to an integer
+    with pytest.raises(GraphError, match="'p'.*integer, not 2.5"):
+        b.pendant("p", "u", color=2.5)
+    with pytest.raises(GraphError, match="'l'.*integer, not True"):
+        b.loop("l", "u", color=True)
+    b.pendant("q", "u", color="7")
     with pytest.raises(GraphError, match="'k'.*negative"):
         b.edge("k", "u", "v", color=-1)
-    assert validate(b.build()) == []
+    g = b.build()
+    assert validate(g) == []
+    assert g.color["q.1"] == 7
 
 
 def test_degree():

@@ -439,7 +439,7 @@ def test_automorphism_group_refuses_before_building(monkeypatch):
     # so a group over the limit is refused before the chain is multiplied
     # out or a group is built
     calls = []
-    products, init = groups.chain_products, Group.__init__
+    products, init = groups.chain_cosets, Group.__init__
 
     def counting_products(*args):
         calls.append("products")
@@ -449,7 +449,7 @@ def test_automorphism_group_refuses_before_building(monkeypatch):
         calls.append("group")
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "chain_products", counting_products)
+    monkeypatch.setattr(groups, "chain_cosets", counting_products)
     monkeypatch.setattr(Group, "__init__", counting_init)
     with pytest.raises(SizeLimitError) as exc:
         automorphism_group(dipole([0] * 10))
@@ -479,20 +479,31 @@ def test_automorphism_group_matches_listing():
 
 
 def test_repeated_products_are_an_internal_error(monkeypatch):
-    # a coset representative listed twice repeats its products, so fewer
-    # distinct elements than the counted order are built
+    # a coset representative listed twice repeats its vertex part, which
+    # `iso.chain_cosets` refuses for every caller
     chain = iso.stabilizer_chain
 
-    def doubled(g):
-        transversals, kernel = chain(g)
+    def doubled(g, fixed=()):
+        transversals, kernel = chain(g, fixed)
         return ((transversals[0] + transversals[0][:1],
                  *transversals[1:]), kernel)
 
-    monkeypatch.setattr(groups, "stabilizer_chain", doubled)
+    monkeypatch.setattr(iso, "stabilizer_chain", doubled)
     for call in (automorphism_group, semiregular_subgroups,
-                 lambda g: semiregular_subgroups(g, order=2)):
-        with pytest.raises(InternalError, match="automorphism_group"):
+                 lambda g: semiregular_subgroups(g, order=2),
+                 lambda g: list(iso.automorphisms_iter(g))):
+        with pytest.raises(InternalError, match="distinct vertex parts"):
             call(cube())
+
+
+def test_missing_products_are_an_internal_error(monkeypatch):
+    # a kernel element left out leaves fewer distinct products than the
+    # order counted off the chain
+    kernel = groups.chain_kernel
+    monkeypatch.setattr(groups, "chain_kernel", lambda g: kernel(g)[:-1])
+    with pytest.raises(InternalError, match="automorphism_group: 10 "
+                                            "distinct products, expected 12"):
+        automorphism_group(dipole([0] * 3))
 
 
 def test_stabilizer_chain_leaf_counts_are_pinned(monkeypatch):
@@ -915,7 +926,7 @@ def test_semiregular_members_are_closed_under_conjugation():
 
 def test_semiregular_search_matches_the_listing_it_replaced():
     # the members, subgroups and classes the search reads off the chain's
-    # vertex parts are those of the listing over all of Aut(g), its powers
+    # coset representatives are those of the listing over all of Aut(g), its powers
     # filter, greedy base and conjugation by every coset representative
     graphs = [(name, g) for name, g in expansion_corpus()]
     for seed in range(200):
@@ -940,29 +951,31 @@ def test_semiregular_search_matches_the_listing_it_replaced():
 
 
 def test_semiregular_search_work_is_pinned(monkeypatch):
-    # full image tuples built, and cyclic subgroups checked on their dart
-    # cycles, per search.  The cube's 48 vertex parts are its elements: for
-    # order 2, its 13 involutions that fix no vertex, each its own cyclic
-    # subgroup; with no order, also its 6 quarter turns and 6
-    # rotoreflections of order 4, in 3 + 3 cyclic subgroups.  Every other
-    # part, the identity's included, builds nothing.  dipole([0] * 4) has 2
-    # vertex parts and a kernel of 24: the vertex swap's part gives 24
-    # tuples in 17 cyclic subgroups, 10 of order 2, 3 of order 4 and 4 of
-    # order 6
+    # full image tuples t*k built, one per kernel element read, and cyclic
+    # subgroups checked on their dart cycles, per search.  The cube's 48
+    # coset representatives are its elements: for order 2, its 13
+    # involutions that fix no vertex, each its own cyclic subgroup; with
+    # no order, also its 6 quarter turns and 6 rotoreflections of order 4,
+    # in 3 + 3 cyclic subgroups.  Every other representative, the
+    # identity included, builds nothing.  dipole([0] * 4) has 2 coset
+    # representatives and a kernel of 24: the vertex swap gives 24 tuples
+    # in 17 cyclic subgroups, 10 of order 2, 3 of order 4 and 4 of order 6
     built, checked = [], []
-    elements, cycles = groups._chain_elements, groups._shared_cycle_length
+    kernel, cycles = groups.chain_kernel, groups._shared_cycle_length
 
-    def counting_elements(*args):
-        out = elements(*args)
-        built.append(len(out))
-        return out
+    class Counting(list):
+        def __iter__(self):
+            for k in super().__iter__():
+                built.append(1)
+                yield k
 
     def counting_cycles(x, points, order=None, mates=(), n=0):
         if mates:
             checked.append(1)
         return cycles(x, points, order, mates, n)
 
-    monkeypatch.setattr(groups, "_chain_elements", counting_elements)
+    monkeypatch.setattr(groups, "chain_kernel",
+                        lambda g: Counting(kernel(g)))
     monkeypatch.setattr(groups, "_shared_cycle_length", counting_cycles)
     counts = []
     for g, k in ((cube(), 2), (cube(), None), (dipole([0] * 4), None)):
