@@ -23,11 +23,14 @@ each such point has |group| images, the orbits partition the points, and
 no orbit holds a dart with its non-halvable mate (`_mate_points`), as
 stabilizers and edge reversals are conjugate along an orbit.
 `semiregular_subgroups` lists no Aut(g): it builds t * k only for the
-coset representatives t whose vertex cycles share one length, keeps each
-x for which <x> is semiregular, read off x's cycles once per cyclic
-subgroup (`_shared_cycle_length`), and builds a `Group` only for each
-subgroup it returns, and `semiregular_class_representatives` only for the
-first of each class.
+coset representatives t whose vertex cycles share one length, and takes
+t itself for t * 1, as the kernel lists the identity first.  It keeps
+each x for which <x> is semiregular, read off x's cycles up to the first
+that tells against it (`_shared_cycle_length`): once per cyclic subgroup
+where the vertex cycles are longer than 2, and once per x where they
+have length 2, as x then is an involution or fails its own walk.  It
+builds a `Group` only for each subgroup it returns, and
+`semiregular_class_representatives` only for the first of each class.
 
 Groups are stored extensionally.  Every group of g names its elements by
 their images on the chain's base (`iso.chain_base`), which tell all of
@@ -600,10 +603,15 @@ def _semiregular_lattice(g, order):
     A coset representative t (`iso.chain_cosets`) whose vertex cycles
     differ in length builds no tuple t*k, k in the kernel
     (`iso.chain_kernel`); the identity's gives the identity alone, as
-    other kernel elements fix every vertex.  A cyclic subgroup's darts are
-    walked once: its generators, named on the chain's base
-    (`iso.chain_base`), which tells all of Aut(g) apart, share the
-    verdict.
+    other kernel elements fix every vertex.  The kernel lists the identity
+    first, so t*1 is t itself, and only t*k for the other k are built.
+    The darts of each x = t*k are walked up to the first cycle that tells
+    against it (`_shared_cycle_length`).  Above vertex cycles of length 2,
+    a cyclic subgroup's darts are walked once: its generators, named on
+    the chain's base (`iso.chain_base`), which tells all of Aut(g) apart,
+    share the verdict.  At length 2 each x is walked alone and no verdict
+    is kept: a kept x is an involution, the one generator of <x>, and an
+    x that fails fails its own walk as well.
     """
     if order is not None and not (isinstance(order, int) and order > 0
                                   and not isinstance(order, bool)):
@@ -613,7 +621,9 @@ def _semiregular_lattice(g, order):
     if order in lattices:
         return lattices[order]
     base, nv = chain_base(g), len(g.vertex_list)
+    darts = range(nv, nv + len(g.dart_list))
     kernel = chain_kernel(g)  # the identity first
+    moves = kernel[1:]
     mates = _mate_points(g)
     verdicts = {}  # base images: whether that element is kept
     members = []
@@ -623,12 +633,15 @@ def _semiregular_lattice(g, order):
             members.append(kernel[0])
         if n is None or n == 1:
             continue
-        for k in kernel:
-            x = tuple(map(t.__getitem__, k))
+        products = [t] + [tuple(map(t.__getitem__, k)) for k in moves]
+        if n == 2:
+            members += [x for x in products if _shared_cycle_length(
+                x, darts, order, mates, n) is not None]
+            continue
+        for x in products:
             name = tuple([x[b] for b in base])
             if name not in verdicts:
-                ok = _shared_cycle_length(x, range(nv, len(x)), order,
-                                          mates, n)
+                ok = _shared_cycle_length(x, darts, order, mates, n)
                 verdicts.update(dict.fromkeys(_generator_names(x, base),
                                               ok is not None))
             if verdicts[name]:
@@ -653,6 +666,7 @@ def _shared_cycle_length(x, points, order=None, mates=(), n=0):
     with no points.  Then <x> is semiregular on them: x^j fixes no point,
     as no cycle is shorter than the order of x, and reverses no edge.  An
     automorphism maps the mates of a cycle onto a cycle, so one dart tells.
+    The walk stops at the first cycle that tells against x.
     """
     seen = set()
     for p in points:
@@ -665,6 +679,8 @@ def _shared_cycle_length(x, points, order=None, mates=(), n=0):
         if n and len(cycle) != n or mates and mates[p] in cycle:
             return None
         n = len(cycle)
+        if order and order % n:
+            return None
         seen.update(cycle)
     return None if order and n and order % n else n
 

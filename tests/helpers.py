@@ -509,6 +509,28 @@ def ref_semiregular_element(g, x):
                         and g.edge_type.get(h) != HALVABLE for h in dm))
 
 
+def ref_shared_cycle_length(x, points, order=None, mates=(), n=0):
+    """`groups._shared_cycle_length` with every cycle of x through
+    `points` walked before any is judged: the one length of those cycles
+    and of n if n is given, dividing `order` if given, when no point of
+    any cycle has its mate in that cycle; else None, and n with no cycles
+    (None if n does not divide `order`)."""
+    cycles, seen = [], set()
+    for p in points:
+        if p not in seen:
+            cycle = [p]
+            while x[cycle[-1]] != p:
+                cycle.append(x[cycle[-1]])
+            cycles.append(cycle)
+            seen.update(cycle)
+    lengths = {len(c) for c in cycles} | ({n} if n else set())
+    if len(lengths) > 1 or mates and any(
+            mates[p] in c for c in map(set, cycles) for p in c):
+        return None
+    length = lengths.pop() if lengths else 0
+    return None if order and length and order % length else length
+
+
 def ref_orbit_maps(g, gamma):
     """(vertex map, dart map) taking each item of g to the least member of
     its orbit under gamma, closed over every element (`groups.orbits`)."""

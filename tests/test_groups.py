@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import math
 import random
@@ -32,7 +33,9 @@ from helpers import (compose, dmap, inverse, inverse_indices, is_identity,
                      ref_check_closure, ref_generating_set,
                      ref_isomorphisms, ref_kernel_class_firsts,
                      ref_product_table, ref_semiregular_element,
-                     ref_semiregular_lattice, ref_swap_involutions, vmap)
+                     ref_semiregular_lattice, ref_shared_cycle_length,
+                     ref_swap_involutions, vmap)
+from test_cli import SCRIPTS
 from test_iso import _beyond_cap_graphs, _from_networkx
 
 
@@ -933,6 +936,9 @@ def test_semiregular_search_matches_the_listing_it_replaced():
         graphs += [(f"random_instance({seed})", random_instance(seed)),
                    (f"normalized({seed})", normalize(random_instance(seed)))]
     graphs += [(repr(g), g) for g in _beyond_cap_graphs()]
+    # the long cycles, the cycle of triangles, the CFI graph and the
+    # voltage cover
+    graphs += list(_scale_graphs().items())
     # no vertices: the kernel is all of Aut(g), and the identity's vertex
     # part is the only one
     for items in ([], [HALVABLE] * 2, [UNDIRECTED, UNDIRECTED, HALVABLE],
@@ -950,40 +956,77 @@ def test_semiregular_search_matches_the_listing_it_replaced():
             assert got == ref_semiregular_lattice(g, k), (name, k)
 
 
-def test_semiregular_search_work_is_pinned(monkeypatch):
-    # full image tuples t*k built, one per kernel element read, and cyclic
-    # subgroups checked on their dart cycles, per search.  The cube's 48
-    # coset representatives are its elements: for order 2, its 13
-    # involutions that fix no vertex, each its own cyclic subgroup; with
-    # no order, also its 6 quarter turns and 6 rotoreflections of order 4,
-    # in 3 + 3 cyclic subgroups.  Every other representative, the
-    # identity included, builds nothing.  dipole([0] * 4) has 2 coset
-    # representatives and a kernel of 24: the vertex swap gives 24 tuples
-    # in 17 cyclic subgroups, 10 of order 2, 3 of order 4 and 4 of order 6
-    built, checked = [], []
-    kernel, cycles = groups.chain_kernel, groups._shared_cycle_length
+@pytest.fixture
+def search_work(monkeypatch):
+    """`search_work` of `scripts/lattice_timing.py`: (tuples t*k built,
+    dart walks) of a fresh semiregular search of (g, order)."""
+    monkeypatch.syspath_prepend(SCRIPTS)
+    return importlib.import_module("lattice_timing").search_work
 
-    class Counting(list):
-        def __iter__(self):
-            for k in super().__iter__():
-                built.append(1)
-                yield k
 
-    def counting_cycles(x, points, order=None, mates=(), n=0):
-        if mates:
-            checked.append(1)
-        return cycles(x, points, order, mates, n)
+def test_semiregular_search_work_is_pinned(search_work):
+    # tuples t*k built and dart walks, per search.  The cube's 48 coset
+    # representatives are its elements and its kernel is trivial, so no
+    # tuple is built: for order 2, its 13 involutions that fix no vertex
+    # are walked one by one; with no order, also its 6 quarter turns and
+    # 6 rotoreflections of order 4, once per cyclic subgroup, 3 + 3.
+    # Every other representative, the identity included, is not walked.
+    # dipole([0] * 4) has 2 coset representatives and a kernel of 24: the
+    # vertex swap t is t*1, 23 more tuples are built, and as t's vertex
+    # cycles have length 2 each of the 24 is walked alone, the 6 of order
+    # 4 and the 8 of order 6 too, which sharing would walk once per
+    # cyclic subgroup, 3 + 4 times
+    counts = [search_work(g, k) for g, k in ((cube(), 2), (cube(), None),
+                                             (dipole([0] * 4), None))]
+    assert counts == [(0, 13), (0, 19), (23, 24)]
 
-    monkeypatch.setattr(groups, "chain_kernel",
-                        lambda g: Counting(kernel(g)))
-    monkeypatch.setattr(groups, "_shared_cycle_length", counting_cycles)
-    counts = []
-    for g, k in ((cube(), 2), (cube(), None), (dipole([0] * 4), None)):
-        built.clear()
-        checked.clear()
-        groups._semiregular_lattice(g, k)
-        counts.append((sum(built), len(checked)))
-    assert counts == [(13, 13), (25, 19), (24, 17)]
+
+@pytest.mark.parametrize("name, work", [
+    ("C200", (0, 111)), ("C6tri", (0, 80)), ("Z6-cover of K4", (0, 6)),
+    ("CFI(K4)", (0, 36))])
+def test_semiregular_search_work_at_scale(name, work, search_work):
+    # the search with no order on graphs the benchmark never runs.  Every
+    # kernel here is trivial, so no tuple is built: each x is a coset
+    # representative.  C200 walks its 100 reflections that fix no vertex
+    # one by one (each reverses 2 edges), and its 199 rotations once per
+    # cyclic subgroup: the half turn alone, and the 10 of the other orders
+    # d > 2 dividing 200.  Of the representatives whose vertex cycles share
+    # one length, C6tri walks 32 of length 2 alone, and 32 of length 3 and
+    # 64 of length 6 in 16 + 32 cyclic subgroups; the Z6 cover walks 4 of
+    # length 2 alone and 2 + 2 of lengths 3 and 6 in 1 + 1; CFI(K4) walks
+    # 12 of length 2 alone and 48 of length 4 in 24
+    assert search_work(_scale_graphs()[name]) == work
+
+
+def test_shared_cycle_length_matches_the_full_walk():
+    # the walk that stops at the first cycle telling against x gives what
+    # walking every cycle gives, on every coset representative t and every
+    # t*k, over vertices and over darts with and without the mates, for
+    # no order and orders 1-12, and for n = 0, the first cycle's length
+    # and a length that does not divide the order
+    graphs = list(expansion_corpus()) + list(_scale_graphs().items())
+    calls = 0
+    for name, g in graphs:
+        nv, mates = len(g.vertex_list), groups._mate_points(g)
+        vertices, darts = range(nv), range(nv, nv + len(g.dart_list))
+        kernel = iso.chain_kernel(g)
+        for t in iso.chain_cosets(g):
+            for x in [t] + [compose(t, k) for k in kernel[1:]]:
+                for points, m in ((vertices, ()), (darts, ()),
+                                  (darts, mates)):
+                    first = x[points[0]] if points else 0
+                    length = 1
+                    while points and first != points[0]:
+                        first, length = x[first], length + 1
+                    for order in [None] + list(range(1, 13)):
+                        for n in (0, length, (order or length) + 1):
+                            assert groups._shared_cycle_length(
+                                x, points, order, m, n) == \
+                                ref_shared_cycle_length(
+                                    x, points, order, m, n), (
+                                name, x, points, order, m, n)
+                            calls += 1
+    assert calls > 100000
 
 
 def test_semiregular_classes_are_those_of_the_full_lattice():
