@@ -23,14 +23,12 @@ each such point has |group| images, the orbits partition the points, and
 no orbit holds a dart with its non-halvable mate (`_mate_points`), as
 stabilizers and edge reversals are conjugate along an orbit.
 `semiregular_subgroups` lists no Aut(g): it builds t * k only for the
-coset representatives t whose vertex cycles share one length, and takes
-t itself for t * 1, as the kernel lists the identity first.  It keeps
-each x for which <x> is semiregular, read off x's cycles up to the first
-that tells against it (`_shared_cycle_length`): once per cyclic subgroup
-where the vertex cycles are longer than 2, and once per x where they
-have length 2, as x then is an involution or fails its own walk.  It
-builds a `Group` only for each subgroup it returns, and
-`semiregular_class_representatives` only for the first of each class.
+coset representatives t whose vertex cycles share one length, keeps each
+x for which <x> is semiregular, read off x's cycles up to the first that
+tells against it (`_shared_cycle_length`; which walks are shared is told
+in `_semiregular_lattice`), and builds a `Group` only for each subgroup
+it returns, and `semiregular_class_representatives` only for the first of
+each class.
 
 Groups are stored extensionally.  Every group of g names its elements by
 their images on the chain's base (`iso.chain_base`), which tell all of
@@ -634,7 +632,7 @@ def _semiregular_lattice(g, order):
         if n is None or n == 1:
             continue
         products = [t] + [tuple(map(t.__getitem__, k)) for k in moves]
-        if n == 2:
+        if n == 2:  # naming x for a shared verdict costs more than it saves
             members += [x for x in products if _shared_cycle_length(
                 x, darts, order, mates, n) is not None]
             continue
