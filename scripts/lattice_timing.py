@@ -22,31 +22,19 @@ which <x> is semiregular.
 """
 
 import sys
-import time
 
 from regcover import groups
 from regcover.fixtures import book, complete, petersen, prism
 from regcover.groups import (_generating_set, automorphism_group,
                              conjugacy_classes_of_subgroups)
 from regcover.iso import chain_cosets
-from zk_cover_timing import zk_cover
+from zk_cover_timing import best_ms, zk_cover
 
 # (name, graph, whether its subgroup classes are searched)
 GRAPHS = [("Petersen", petersen, True),
           ("prism(60)", lambda: prism(60), True),
           ("K6", lambda: complete(6), True),
           ("book(6)", lambda: book(6), False)]
-
-
-def best_ms(run, auts):
-    """Least milliseconds of run(aut) over `auts`, listings of one group,
-    and the last result."""
-    times = []
-    for aut in auts:
-        t0 = time.perf_counter()
-        out = run(aut)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return min(times), out
 
 
 def main(repeats):

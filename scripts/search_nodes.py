@@ -13,13 +13,18 @@ library runs, where each expanded graph's search starts from the
 automorphisms its expansion knows (`quotient._expansion_automorphisms`),
 and with that provider patched to give nothing.  Outputs are the same
 either way; only the search effort differs.
+
+Beside them it counts, over the whole pass, the boundary-marked canonical
+searches `find_atoms` runs to sort the atoms and the atom forms it takes
+from an isomorphic atom of the same level instead, through a checked map
+(`iso.transfer_form`).
 """
 
 import importlib
 import sys
 import time
 
-from regcover import iso
+from regcover import atoms, iso
 from regcover.fixtures import (book, cycle, cycle_with_triangles, dipole,
                                theta, with_pendants)
 from regcover.graph import HALVABLE, normalize
@@ -79,6 +84,43 @@ def final_level(text, count):
     return (nodes if count else None), seconds
 
 
+def atom_forms(run):
+    """(searched, transferred) while run() runs: the graph of each
+    boundary-marked search `find_atoms` runs to sort atoms, and the
+    (source, member, source boundary, member boundary) of each form
+    `iso.transfer_form` writes instead of a search."""
+    searched, transferred, inside = [], [], []
+    find, best_leaf, transfer = (atoms._find_atoms, iso._best_leaf,
+                                 atoms.transfer_form)
+
+    def finding(g):
+        inside.append(g)
+        try:
+            return find(g)
+        finally:
+            inside.pop()
+
+    def searching(g, marking, ordered_marking):
+        if inside:
+            searched.append(g)
+        return best_leaf(g, marking, ordered_marking)
+
+    def transferring(g1, g2, vmap, dmap, marking1, marking2):
+        ok = transfer(g1, g2, vmap, dmap, marking1, marking2)
+        if ok:
+            transferred.append((g1, g2, marking1, marking2))
+        return ok
+
+    atoms._find_atoms, iso._best_leaf = finding, searching
+    atoms.transfer_form = transferring
+    try:
+        run()
+    finally:
+        atoms._find_atoms, iso._best_leaf = find, best_leaf
+        atoms.transfer_form = transfer
+    return searched, transferred
+
+
 def measure(text, repeats):
     nodes = final_level(text, True)[0]
     seconds = min(final_level(text, False)[1] for _ in range(repeats))
@@ -88,9 +130,10 @@ def measure(text, repeats):
 def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     print(f"{'graph':<11} {'nodes':>7} {'unseeded':>9} "
-          f"{'ms':>7} {'unseeded':>9}")
+          f"{'ms':>7} {'unseeded':>9} {'atoms searched':>15} "
+          f"{'transferred':>12}")
     provide = quotient._expansion_automorphisms
-    totals = [0, 0]
+    totals = [0, 0, 0, 0]
     for name, g in beyond_cap_graphs():
         text = serialize(g)
         seeded = measure(text, repeats)
@@ -99,11 +142,17 @@ def main():
             unseeded = measure(text, repeats)
         finally:
             quotient._expansion_automorphisms = provide
-        totals[0] += seeded[0]
-        totals[1] += unseeded[0]
+        searched, transferred = map(len, atom_forms(
+            lambda: quotient.all_quotients(normalize(parse(text)),
+                                           via="reduction")))
+        for i, n in enumerate((seeded[0], unseeded[0], searched,
+                               transferred)):
+            totals[i] += n
         print(f"{name:<11} {seeded[0]:>7} {unseeded[0]:>9} "
-              f"{seeded[1] * 1e3:>7.2f} {unseeded[1] * 1e3:>9.2f}")
-    print(f"{'total':<11} {totals[0]:>7} {totals[1]:>9}")
+              f"{seeded[1] * 1e3:>7.2f} {unseeded[1] * 1e3:>9.2f} "
+              f"{searched:>15} {transferred:>12}")
+    print(f"{'total':<11} {totals[0]:>7} {totals[1]:>9} {'':>7} {'':>9} "
+          f"{totals[2]:>15} {totals[3]:>12}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ graph, `g.restrict(darts, vertices)`, built when it is found, and not the
 graph it is cut from, so the atoms kept on a graph do not refer back to it
 (see `graph.cached`).
 
+Atoms are sorted by their canonical forms with the boundary marked as a
+set, and isomorphic atoms share one search (`_share_forms`).
+
 An atom's symmetry type is asymmetric when its canonical forms with the
 boundary marked in the two orders differ (no automorphism exchanges the
 boundary), halvable when a boundary-exchanging automorphism is a
@@ -38,7 +41,7 @@ from .graph import (LOOP, PENDANT, STANDARD, GraphBuilder, cached,
                     is_connected, is_cycle, normalize, point_images,
                     require_standard_input)
 from .groups import _mate_points, _shared_cycle_length
-from .iso import canonical_form, semiregular_involutions_iter
+from .iso import canonical_form, semiregular_involutions_iter, transfer_form
 
 STAR_BLOCK = "star_block"
 NONSTAR_BLOCK = "nonstar_block"
@@ -243,8 +246,77 @@ def _find_atoms(g):
             kind = _classify_block_part(g, darts, boundary[0])
         atoms.append(Atom(g, darts, vertices, kind, boundary))
 
+    _share_forms(atoms)
     atoms.sort(key=lambda a: (a.form(), min(a.vertices)))
     return tuple(atoms)
+
+
+def _share_forms(atoms):
+    """Search only the first atom of each size (vertices, darts, boundary
+    vertices) and give each later one that first atom's boundary-marked
+    form, with no search of its own, where a checked map allows.
+
+    For each boundary order of the later atom, `_boundary_map` walks out
+    from the boundary and pairs the unmapped darts at each mapped vertex
+    by edge kind, type, color, tail and degree at the far end, names only
+    breaking ties.  `iso.transfer_form` writes the form only once
+    `verify_isomorphism` accepts that map as one sending boundary onto
+    boundary; when neither order gives such a map, the atom is searched
+    when its form is first asked for.  Isomorphic graphs have equal forms,
+    so atom order, classes and every output are those of one search per
+    atom.  Only a member's best-leaf order may differ from its own
+    search's, and `reduction._member_ends` reads that order for asymmetric
+    classes alone, where every marked isomorphism maps the boundary the
+    same way."""
+    first = {}
+    for a in atoms:
+        rep = first.setdefault(
+            (len(a.vertices), len(a.darts), len(a.boundary)), a)
+        if rep is a:
+            continue
+        g1, g2 = rep.as_graph(), a.as_graph()
+        # each order of the boundary once: a block atom's is one vertex
+        for ends in dict.fromkeys((a.boundary, a.boundary[::-1])):
+            maps = _boundary_map(g1, g2, rep.boundary, ends)
+            if maps is not None and transfer_form(
+                    g1, g2, *maps, rep.boundary, a.boundary):
+                break
+
+
+def _boundary_map(g1, g2, ends1, ends2):
+    """(vmap, dmap), a candidate isomorphism of g1 onto g2 sending ends1
+    onto ends2 in order, or None when the walk meets a mismatch (see
+    `_share_forms`); the caller checks the result."""
+    vmap, dmap, taken = dict(zip(ends1, ends2)), {}, set()
+    reached = list(ends1)  # in the order mapped; the loop extends it
+    for v in reached:
+        hs = sorted((_dart_key(g1, h), h) for h in g1.darts_at(v)
+                    if h not in dmap)
+        ks = sorted((_dart_key(g2, k), k) for k in g2.darts_at(vmap[v])
+                    if k not in taken)
+        if [key for key, _ in hs] != [key for key, _ in ks]:
+            return None
+        for (_, h), (_, k) in zip(hs, ks):
+            h2, k2 = g1.pairing[h], g2.pairing[k]
+            dmap.update(((h, k), (h2, k2)))
+            taken.update((k, k2))
+            x, y = g1.vertex_of(h2), g2.vertex_of(k2)
+            if x is None:
+                continue
+            if x not in vmap:
+                vmap[x] = y
+                reached.append(x)
+            elif vmap[x] != y:
+                return None
+    return vmap, dmap
+
+
+def _dart_key(g, h):
+    """What `_boundary_map` pairs darts by: edge kind, type, color, tail,
+    and the degree at the far end, -1 at a free end."""
+    far = g.vertex_of(g.pairing[h])
+    return (g.edge_kind(h), g.edge_type.get(h, ""), g.color[h],
+            h in g.tails, -1 if far is None else g.degree(far))
 
 
 def _classify_block_part(g, darts, boundary):

@@ -331,6 +331,26 @@ def _canonical(g, marking, ordered_marking):
     return cache[key]
 
 
+def transfer_form(g1, g2, vmap, dmap, marking1, marking2):
+    """Give g2 its `marking2`-marked canonical entry from g1's, searched if
+    need be, without a search of g2; returns whether it did.  Nothing is
+    written unless `verify_isomorphism` accepts (vmap, dmap) as a map of g1
+    onto g2 that sends marking1 onto marking2, so a map of the wrong size
+    or structure leaves g2 to its own search.  Isomorphic graphs share
+    form bytes, so the entry holds g1's
+    bytes with its best-leaf order, first path and automorphisms carried
+    through vmap: an order of g2 with the same encoding, possibly not the
+    one g2's own search would pick first."""
+    if not verify_isomorphism(g1, g2, vmap, dmap, marking1, marking2):
+        return False
+    form, order, first, autos = _canonical(g1, marking1, None)
+    cached(g2, "_iso_canon", lambda g: {}).setdefault(
+        (frozenset(marking2) if marking2 else None, None),
+        (form, [vmap[v] for v in order], tuple(vmap[v] for v in first),
+         [{vmap[v]: vmap[w] for v, w in a.items()} for a in autos]))
+    return True
+
+
 def _best_leaf(g, marking, ordered_marking):
     search = _Search(g, marking, ordered_marking)
     search.search(())
@@ -792,6 +812,10 @@ def _item_involutions(items, ways, halvable):
 
 def verify_isomorphism(g1, g2, vmap, dmap, marking1=None, marking2=None):
     """Direct check that (vmap, dmap) is a marking-respecting isomorphism."""
+    # onto maps between sets of equal size are bijections; without this a
+    # covering projection of a larger g1 would pass
+    if g1.n_vertices != g2.n_vertices or g1.n_darts != g2.n_darts:
+        return False
     if set(dmap) != set(g1.darts) or set(dmap.values()) != set(g2.darts):
         return False
     if set(vmap) != set(g1.vertices) or set(vmap.values()) != set(g2.vertices):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 
 import pytest
@@ -9,7 +10,8 @@ from regcover.atoms import (atom_symmetry_type, classify_primitive,
                             strip_pendant_like)
 from regcover.blocks import block_tree
 from regcover.errors import GraphError
-from regcover.fixtures import (bowtie, cube, cycle, dipole,
+from regcover.fixtures import (asymmetric_arm_theta, book, bowtie, cube,
+                               cycle, cycle_with_triangles, dipole,
                                expansion_corpus, path_graph, random_instance,
                                star_pendants, theta, with_pendants)
 from regcover.graph import (DIRECTED, STANDARD, GraphBuilder, HALVABLE,
@@ -17,13 +19,14 @@ from regcover.graph import (DIRECTED, STANDARD, GraphBuilder, HALVABLE,
 from regcover.groups import automorphism_group, semiregularity_violation
 from regcover.iso import automorphisms_iter, semiregular_involutions_iter
 from regcover.quotient import all_quotients, atom_quotients
-from regcover.reduction import reduction_series
+from regcover.reduction import reduce_step, reduction_series
 from regcover.textfmt import parse, serialize
 
 from helpers import (brute_force_cut_pairs, ref_isomorphisms,
                      ref_kernel_class_firsts, ref_swap_involutions)
+from test_cli import SCRIPTS
 from test_groups import _scale_graphs
-from test_iso import _beyond_cap_graphs, _from_networkx
+from test_iso import _beyond_cap_graphs, _from_networkx, _read
 
 
 def test_cube_has_no_atoms():
@@ -453,3 +456,129 @@ def test_reduction_classes_are_pinned():
     assert n == 318
     assert digest.hexdigest() == (
         "3300950c0bf53e6b0cd2b39866d5cde7165dd182ebf778db221a408b1c4b335c")
+
+
+@pytest.fixture
+def atom_forms(monkeypatch):
+    """`atom_forms` of `scripts/search_nodes.py`: (searched, transferred)
+    while run() runs, the graph of each boundary-marked search
+    `find_atoms` runs and the (source, member, source boundary, member
+    boundary) of each form `iso.transfer_form` writes."""
+    monkeypatch.syspath_prepend(SCRIPTS)
+    return importlib.import_module("search_nodes").atom_forms
+
+
+def _members(atom_list):
+    """The atoms after the first of their size, which `find_atoms` offers
+    the first one's form."""
+    return len(atom_list) - len({(len(a.vertices), len(a.darts),
+                                  len(a.boundary)) for a in atom_list})
+
+
+def test_shared_atom_forms_equal_their_own_search(atom_forms):
+    # an atom after the first of its size takes its boundary-marked form
+    # from that first atom through a checked map; a fresh copy's own
+    # search is the oracle for the form, the carried best-leaf order must
+    # encode to it, and the member map of `reduction._member_ends` must
+    # still verify.  Random graphs are taken as built and read back from
+    # text, two sets of graph objects with their own atoms
+    graphs = [g for _, g in expansion_corpus()] + _beyond_cap_graphs()
+    graphs += [random_instance(seed) for seed in range(200)]
+    graphs += [_read(random_instance(seed)) for seed in range(200)]
+    graphs += [theta(*[2] * 30), book(30), cycle_with_triangles(24)]
+    levels = []
+    _, transferred = atom_forms(lambda: levels.extend(
+        gi for g in graphs
+        for gi in reduction_series(normalize(g)).graphs[:-1]))
+    members = sum(_members(find_atoms(gi)) for gi in levels)
+    for g1, g2, marking1, marking2 in transferred:
+        form, order = iso._canonical(g2, marking2, None)[:2]
+        fresh = g2.restrict(g2.darts)
+        assert form == iso.canonical_form(fresh, marking=marking2,
+                                          max_vertices=None)
+        index = {v: i for i, v in enumerate(order)}
+        assert repr(iso._encode(g2, index, marking2, None)).encode(
+            "ascii") == form
+        assert iso.leaf_isomorphism(g1, g2, marking1, marking2) is not None
+    assert (len(transferred), members) == (336, 336)
+
+
+def test_beyond_cap_atom_forms_searched_and_transferred_are_pinned(
+        atom_forms):
+    # per reduction-route pass over the beyond-cap graphs, read back from
+    # text as the benchmark reads them: 68 boundary-marked atom searches
+    # fell to 18 when every atom after the first of its size took its form
+    # from that first atom, as all 50 such atoms do
+    searched, transferred = atom_forms(lambda: [
+        all_quotients(_read(g), via="reduction")
+        for g in _beyond_cap_graphs()])
+    members = sum(_members(find_atoms(gi)) for g in _beyond_cap_graphs()
+                  for gi in reduction_series(_read(g)).graphs[:-1])
+    assert (len(searched), len(transferred), members) == (18, 50, 50)
+
+
+def _colored_arm_theta():
+    """`asymmetric_arm_theta` with the third arm's pendant colored 1: three
+    atoms of one size, the third not isomorphic to the first."""
+    g = asymmetric_arm_theta()
+    b = GraphBuilder(g.restrict(g.darts - {"p2.1", "p2.2"}))
+    return b.pendant("q2", "x2", color=1).build()
+
+
+def _outputs(g):
+    """What `find_atoms`, `reduce_step` and the reduction route give on g."""
+    step = reduce_step(g)
+    return ([(a.kind, a.boundary, sorted(a.darts), a.form())
+             for a in find_atoms(g)],
+            serialize(step.target),
+            [(r.atom.boundary, r.dart_vertices) for r in step.replacements],
+            [serialize(q) for q in all_quotients(g, via="reduction")])
+
+
+def _swap_two_darts(walk):
+    def swapped(g1, g2, ends1, ends2):
+        maps = walk(g1, g2, ends1, ends2)
+        if maps is not None:
+            vmap, dmap = maps
+            h = min(dmap)
+            k = min(d for d in dmap if d not in (h, g1.pairing[h]))
+            dmap[h], dmap[k] = dmap[k], dmap[h]
+        return maps
+    return swapped
+
+
+def _by_names(g1, g2, ends1, ends2):
+    return (dict(zip(g1.vertex_list, g2.vertex_list)),
+            dict(zip(g1.dart_list, g2.dart_list)))
+
+
+@pytest.mark.parametrize("patch, builds", [
+    (_swap_two_darts,
+     [lambda: theta(*[2] * 6), asymmetric_arm_theta,
+      lambda: cycle_with_triangles(6)]),
+    (lambda walk: _by_names, [_colored_arm_theta])])
+def test_a_refused_boundary_map_writes_no_form(monkeypatch, atom_forms,
+                                               patch, builds):
+    # a walk whose map fails `verify_isomorphism`, by two darts swapped or
+    # by a map onto an atom of equal size that is not isomorphic, writes
+    # no form: the member is searched, and the outputs are those of a run
+    # that shares forms as usual
+    want = [_outputs(build()) for build in builds]
+    refused, transfer = [], atoms.transfer_form
+
+    def checking(g1, g2, vmap, dmap, marking1, marking2):
+        ok = transfer(g1, g2, vmap, dmap, marking1, marking2)
+        if not ok:
+            assert (frozenset(marking2), None) not in g2.__dict__.get(
+                "_iso_canon", {})
+            refused.append(g2)
+        return ok
+
+    monkeypatch.setattr(atoms, "_boundary_map", patch(atoms._boundary_map))
+    monkeypatch.setattr(atoms, "transfer_form", checking)
+    got = []
+    searched, _ = atom_forms(
+        lambda: got.extend(_outputs(build()) for build in builds))
+    assert got == want
+    assert refused
+    assert {id(g) for g in refused} <= {id(g) for g in searched}

@@ -301,6 +301,25 @@ def test_kernel_jobs_are_decoded_in_iso_only():
     assert sorted(found) == ["iso.py"]
 
 
+def test_canonical_entries_are_written_in_iso_only():
+    # a graph's canonical searches are kept in its `_iso_canon` slot, which
+    # only `iso` names: an atom's form taken from an isomorphic atom is
+    # written by `iso.transfer_form`, after its map is checked
+    src = os.path.dirname(regcover.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        if any("_iso_canon" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                isinstance(node, ast.Constant) and node.value)
+               for node in ast.walk(tree)):
+            found.add(name)
+    assert sorted(found) == ["iso.py"]
+
+
 def test_stabilizer_chains_are_multiplied_in_iso_only():
     # a stabilizer chain is multiplied out by `iso.chain_cosets` and
     # `iso.chain_kernel` alone, and counted by `iso.count_automorphisms`,

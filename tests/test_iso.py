@@ -93,6 +93,18 @@ def test_cube_relabelled_witness_verifies():
     assert verify_isomorphism(g, h, vmap, w)
 
 
+def test_a_covering_projection_is_no_isomorphism():
+    # C6 -> C3, i -> i mod 3, is onto and respects every dart's pairing,
+    # end and color, but is 2-to-1: it is refused, and no form is carried
+    g, h = cycle(6), cycle(3)
+    vmap = {f"v{i}": f"v{i % 3}" for i in range(6)}
+    dmap = {f"e{i}.{j}": f"e{i % 3}.{j}" for i in range(6) for j in (1, 2)}
+    assert not verify_isomorphism(g, h, vmap, dmap)
+    assert not verify_isomorphism(g, h, vmap, dmap, ["v0"], ["v0"])
+    assert not iso.transfer_form(g, h, vmap, dmap, ["v0"], ["v0"])
+    assert "_iso_canon" not in h.__dict__
+
+
 def test_directed_edges_respected():
     def dcycle(n, flip):
         b = GraphBuilder()
@@ -563,7 +575,9 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     # members took their ends from the representative's ordered forms and
     # G/1 became G itself, whose unmarked form its stabilizer chain holds,
     # and to 454 when each expanded graph's search started from the copy
-    # swaps and lifted automorphisms its expansion knows
+    # swaps and lifted automorphisms its expansion knows, and to 328 when
+    # each atom after the first of its size took its boundary-marked form
+    # from that first atom through a checked map, not from a search
     nodes = []
     refine = iso._refine
 
@@ -576,7 +590,7 @@ def test_beyond_cap_reduction_pass_search_nodes_are_pinned(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     for g in graphs:
         all_quotients(g, via="reduction")
-    assert len(nodes) == 454
+    assert len(nodes) == 328
 
 
 def test_corpus_quotients_pass_searches_are_pinned(monkeypatch):
@@ -585,7 +599,9 @@ def test_corpus_quotients_pass_searches_are_pinned(monkeypatch):
     # each route as the benchmark reads it.  635 fell to 485 when G/1
     # became G itself, whose unmarked form its stabilizer chain holds, and
     # class members took their ends from the representative's ordered
-    # forms, not from two searches of their own
+    # forms, not from two searches of their own, and to 454 when each atom
+    # after the first of its size took its boundary-marked form from that
+    # first atom through a checked map
     searches = []
     best_leaf = iso._best_leaf
 
@@ -597,7 +613,7 @@ def test_corpus_quotients_pass_searches_are_pinned(monkeypatch):
     for _, g in expansion_corpus():
         for via in ("bruteforce", "reduction"):
             all_quotients(_read(g), via=via)
-    assert len(searches) == 485
+    assert len(searches) == 454
 
 
 def test_dart_maps_take_no_stack_frame_per_job(monkeypatch):
