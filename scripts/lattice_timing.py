@@ -19,6 +19,12 @@ best of `repeats` runs, each with the search's kept result dropped, next
 to the work of one more run: the tuples t*k it built, the dart walks it
 made (`_shared_cycle_length` calls with the mates) and the members x for
 which <x> is semiregular.
+
+For K7 (S7, 5,040 automorphisms, with no cap: `_semiregular_lattice`
+takes no `max_order`), the last line gives the milliseconds of the
+semiregular search of order 7, a prime, once the stabilizer chain is
+built, the best of `repeats` runs, with its members, subgroups and
+classes.
 """
 
 import sys
@@ -63,17 +69,25 @@ def main(repeats):
     for k in (32, 128):
         g = zk_cover(k)
         chain_cosets(g)
-        search_ms, members = best_ms(semiregular_search, [g] * repeats)
+        search_ms, (members, _, _) = best_ms(semiregular_search,
+                                             [g] * repeats)
         built, walks = search_work(g)
         print(f"Z{k} cover of Petersen: {g.n_vertices} vertices, "
               f"semiregular search {search_ms:.1f} ms, {built} tuples "
               f"built, {walks} dart walks, {members} members")
+    g = complete(7)
+    chain_cosets(g)
+    search_ms, (members, subgroups, classes) = best_ms(
+        lambda g: semiregular_search(g, 7), [g] * repeats)
+    print(f"K7: semiregular search of order 7 {search_ms:.1f} ms, "
+          f"{members} members, {subgroups} subgroups, {classes} classes")
 
 
 def semiregular_search(g, order=None):
-    """The number of members of a fresh semiregular search of g."""
+    """The numbers of members, subgroups and classes of a fresh
+    semiregular search of g."""
     g.__dict__.pop("_semiregular_lattices", None)
-    return len(groups._semiregular_lattice(g, order)[0])
+    return tuple(map(len, groups._semiregular_lattice(g, order)))
 
 
 def search_work(g, order=None):

@@ -51,6 +51,8 @@ semiregular group alone, where a product outside that set is None; a
 class with a None power or product is skipped unclosed.  Asked for one
 order k, it keeps only those elements whose order divides k, and it
 extends no subgroup of order k, as no larger one has an order dividing k.
+A prime k needs neither the table nor the class search: the rule is in
+`_semiregular_lattice`.
 
 Every lattice, the full group's and the semiregular one, is searched one
 conjugacy class at a time (Neubüser's cyclic extension of class
@@ -142,6 +144,28 @@ def orbit_rows(grp):
     return rows, None
 
 
+def _images_at(points):
+    """A function reading an image tuple's images at `points`, as a
+    tuple, the form in which every element is named on a base."""
+    if len(points) == 1:
+        p, = points
+        return lambda img: (img[p],)
+    return itemgetter(*points) if points else lambda img: ()
+
+
+def _base_positions(images, base):
+    """Each image tuple's position, keyed by its images on `base` as
+    `_images_at` reads them.  `base` tells apart the elements of a group
+    that holds the tuples, so two tuples with equal base images are an
+    InternalError."""
+    key = _images_at(base)
+    position = {key(img): k for k, img in enumerate(images)}
+    if len(position) < len(images):
+        raise InternalError(f"{len(images)} listed elements have "
+                            f"{len(position)} distinct images on the base")
+    return position
+
+
 def _product_table(images, base):
     """(table, generators): the multiplication table over the image
     tuples, sorted, so the identity first, by their positions, with None
@@ -159,15 +183,10 @@ def _product_table(images, base):
     group that holds the tuples, products included; two tuples with equal
     base images are an InternalError.
     """
-    key = itemgetter(*base) if base else lambda img: ()
-    position = {key(img): k for k, img in enumerate(images)}
-    if len(position) < len(images):
-        raise InternalError(f"{len(images)} listed elements have "
-                            f"{len(position)} distinct images on the base")
+    position = _base_positions(images, base).get
     if not base:
         return [(0,)], ()
-    position = position.get
-    times = [itemgetter(*[img[p] for p in base]) for img in images]
+    times = [_images_at([img[p] for p in base]) for img in images]
     n = len(images)
     rows = [None] * n
     rows[0] = tuple(range(n))
@@ -290,10 +309,6 @@ class Group:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
-    def identity_index(self):
-        return self.elements.index(tuple(range(len(self.elements[0]))))
-
-    @cached_property
     def table(self):
         """table[i][j] = index of elements[i] * elements[j], where
         (a * b)[p] = a[b[p]]: the rows of `_generators` looked up, the
@@ -314,9 +329,11 @@ class Group:
         members.  `all_subgroups` and `conjugacy_classes_of_subgroups`
         both read this one search."""
         gens = [self.elements[i] for i in _generating_set(self)]
-        maps = _conjugations(self.elements, chain_base(self.graph), gens)
-        subs, classes = _subgroup_index_sets(
-            self.table, self.identity_index, self.order, maps)
+        base = chain_base(self.graph)
+        maps = _conjugations(_base_positions(self.elements, base), base,
+                             gens, self.elements)
+        # the identity sorts first among image tuples
+        subs, classes = _subgroup_index_sets(self.table, 0, self.order, maps)
         position = {s: i for i, s in enumerate(subs)}
         return subs, sorted(sorted(map(position.get, cls)) for cls in classes)
 
@@ -494,10 +511,7 @@ def _subgroup_index_sets(table, e, order, maps, divides=None):
             if (t is None or t in known
                     or (divides is not None and divides % len(t))):
                 continue
-            cls = orbit_closure((t,), setwise)
-            if order % len(cls):
-                raise InternalError(f"conjugacy class of {len(cls)} "
-                                    f"subgroups in a group of order {order}")
+            cls = _conjugacy_class(t, setwise, order)
             classes.append(cls)
             known |= cls
             if len(t) != divides:
@@ -505,13 +519,22 @@ def _subgroup_index_sets(table, e, order, maps, divides=None):
     return sorted(known, key=lambda s: (len(s), tuple(sorted(s)))), classes
 
 
-def _conjugations(elements, base, gens):
-    """Conjugation by each image tuple t in `gens`, as a map on positions
-    in `elements`: the position of t * x * t^-1 for each element x.  A
-    conjugate is named by its images on `base`, which tell the elements
-    apart, and one outside `elements` is an InternalError."""
-    position = {tuple([x[b] for b in base]): i
-                for i, x in enumerate(elements)}
+def _conjugacy_class(s, maps, order):
+    """The orbit of s under the conjugation `maps` (see `orbit_closure`),
+    in a group of `order` elements; a class whose size does not divide the
+    order is an InternalError."""
+    cls = orbit_closure((s,), maps)
+    if order % len(cls):
+        raise InternalError(f"conjugacy class of {len(cls)} subgroups in a "
+                            f"group of order {order}")
+    return cls
+
+
+def _conjugations(position, base, gens, elements):
+    """Conjugation by each image tuple t in `gens`, as a map from each of
+    `elements` to the position of t * x * t^-1 in the listing that
+    `position` names on `base` (see `_base_positions`).  A conjugate
+    outside the listing is an InternalError."""
     maps = []
     for t in gens:
         inverse = sorted(range(len(t)), key=t.__getitem__)
@@ -581,8 +604,8 @@ def subgroup_order_histogram(classes):
 
 def semiregular_subgroups(g, order=None, max_order=MAX_GROUP_ORDER):
     """All semiregular subgroups of Aut(g), optionally of one given order,
-    as the listed group gives them: the lattice search on the partial
-    table of `_semiregular_lattice`, kept on g per order (see
+    as the listed group gives them: the search of
+    `_semiregular_lattice`, kept on g per order (see
     `graph.cached`).  `max_order` bounds the chain's order on every call,
     though Aut(g) is never listed.  An `order` that is neither None nor a
     positive integer is a GraphError."""
@@ -610,6 +633,17 @@ def _semiregular_lattice(g, order):
     share the verdict.  At length 2 each x is walked alone and no verdict
     is kept: a kept x is an involution, the one generator of <x>, and an
     x that fails fails its own walk as well.
+
+    An `order` that is a prime p builds no table and runs no class search
+    (`_cyclic_lattice`): every member but the identity has order p and
+    generates its subgroup, so the subgroups are the powers x, x^2, ...,
+    x^(p-1) of each least member not yet in one, named on the base as the
+    table names products, and a power outside the members is an
+    InternalError.  Each class is the orbit of those least members under
+    conjugation by the chain's generators, with the table path's checks:
+    equal base images, a conjugate outside the members and a class size
+    not dividing |Aut(g)| are InternalErrors.  Other orders, and None,
+    take `_product_table` and `_subgroup_index_sets`.
     """
     if order is not None and not (isinstance(order, int) and order > 0
                                   and not isinstance(order, bool)):
@@ -645,16 +679,61 @@ def _semiregular_lattice(g, order):
             if verdicts[name]:
                 members.append(x)
     members.sort()
-    table = _product_table(members, base)[0]
-    maps = _conjugations(members, base, chain_generators(g))
-    # the identity sorts first among image tuples
-    subs, classes = _subgroup_index_sets(
-        table, 0, count_automorphisms(g), maps, divides=order)
-    found = [s for s in subs if order is None or len(s) == order]
-    position = {s: i for i, s in enumerate(found)}
-    classes = sorted(sorted(map(position.get, cls)) for cls in classes
-                     if order is None or len(next(iter(cls))) == order)
+    if order is not None and _is_prime(order):
+        found, classes = _cyclic_lattice(g, members, base, order)
+    else:
+        table = _product_table(members, base)[0]
+        maps = _conjugations(_base_positions(members, base), base,
+                             chain_generators(g), members)
+        # the identity sorts first among image tuples
+        subs, classes = _subgroup_index_sets(
+            table, 0, count_automorphisms(g), maps, divides=order)
+        found = [s for s in subs if order is None or len(s) == order]
+        position = {s: i for i, s in enumerate(found)}
+        classes = sorted(sorted(map(position.get, cls)) for cls in classes
+                         if order is None or len(next(iter(cls))) == order)
     return lattices.setdefault(order, (members, found, classes))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _cyclic_lattice(g, members, base, p):
+    """(subgroups, classes) of the semiregular search of prime order p
+    over its sorted `members`, as the class search would give them: each
+    subgroup is the powers of its least member, and each class is the
+    orbit of one generator per subgroup under conjugation by
+    `iso.chain_generators` (see `_semiregular_lattice`)."""
+    position = _base_positions(members, base)
+    of = [None] * len(members)  # the subgroup of each member
+    found, firsts = [], []
+    for x in range(1, len(members)):
+        if of[x] is not None:
+            continue
+        img = members[x]
+        at, powers = [img[b] for b in base], [0, x]
+        for _ in range(p - 2):
+            # x * x^j, named by x's images of x^j's base images
+            at = [img[q] for q in at]
+            y = position.get(tuple(at))
+            if y is None:
+                raise InternalError("a power of a listed element is "
+                                    "outside every listed one")
+            powers.append(y)
+        for y in powers[1:]:
+            of[y] = len(found)
+        found.append(frozenset(powers))
+        firsts.append(img)
+    maps = [[of[y] for y in m] for m in _conjugations(
+        position, base, chain_generators(g), firsts)]
+    order, classes, seen = count_automorphisms(g), [], set()
+    for i in range(len(found)):
+        if i not in seen:
+            cls = _conjugacy_class(i, maps, order)
+            seen |= cls
+            classes.append(sorted(cls))
+    return found, sorted(classes)
 
 
 def _shared_cycle_length(x, points, order=None, mates=(), n=0):

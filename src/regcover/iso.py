@@ -308,6 +308,8 @@ def orbit_closure(points, maps):
 
 def canonical_form(g, marking=None, ordered_marking=None, max_vertices=MAX_VERTICES):
     """Byte string determined exactly by the (marked) isomorphism class.
+    A graph is marked by a set or by a sequence of vertices, not both: a
+    GraphError.
 
     `max_vertices` caps the input size; None means no cap, which is what
     the library's own comparisons pass, as none of their graphs is larger
@@ -323,6 +325,8 @@ def _canonical(g, marking, ordered_marking):
     automorphisms seeded or found), kept on g per marking."""
     marking = frozenset(marking) if marking else None
     ordered_marking = tuple(ordered_marking) if ordered_marking else None
+    if marking and ordered_marking:
+        raise GraphError("a marking and an ordered marking were both given")
     cache = cached(g, "_iso_canon", lambda g: {})
     key = (marking, ordered_marking)
     if key not in cache:

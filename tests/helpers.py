@@ -28,8 +28,8 @@ def inverse(a):
 def inverse_indices(grp):
     """Per element of a group, the position of its inverse, read off the
     multiplication table."""
-    e = grp.identity_index
-    return tuple(row.index(e) for row in grp.table)
+    # the identity sorts first among image tuples
+    return tuple(row.index(0) for row in grp.table)
 
 
 def ref_product_table(images, base):
@@ -614,7 +614,8 @@ def ref_semiregular_lattice(g, order):
             members.append(x)
     base = greedy_base(list(images))
     table = ref_product_table(members, base)
-    maps = groups._conjugations(members, base, ref_chain_generators(g))
+    maps = groups._conjugations(groups._base_positions(members, base), base,
+                                ref_chain_generators(g), members)
     subs, classes = groups._subgroup_index_sets(table, 0, len(images), maps,
                                                 divides=order)
     found = [s for s in subs if order is None or len(s) == order]

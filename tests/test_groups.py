@@ -257,7 +257,7 @@ def test_rotation_semiregular_reflection_not():
                                 verify=False))
     refl = next(p for p in aut if vmap(g, p) == {
         "v0": "v0", "v1": "v5", "v2": "v4", "v3": "v3", "v4": "v2", "v5": "v1"})
-    grp = Group(g, [aut.elements[aut.identity_index], refl], verify=True)
+    grp = Group(g, [aut.elements[0], refl], verify=True)
     assert not is_semiregular(grp)
     assert "fixes vertex" in semiregularity_violation(g, refl)
 
@@ -309,7 +309,7 @@ def test_icosahedron_subgroup_table():
 def test_trivial_group_subgroups():
     g = path_graph(2)
     b = automorphism_group(g)
-    trivial = Group(g, [b.elements[b.identity_index]], verify=False)
+    trivial = Group(g, [b.elements[0]], verify=False)
     subs = all_subgroups(trivial)
     assert len(subs) == 1 and subs[0].order == 1
 
@@ -361,7 +361,7 @@ def test_graph_without_points_has_only_the_trivial_subgroup():
 def test_orbits():
     g = cycle(5)
     aut = automorphism_group(g)
-    trivial = Group(g, [aut.elements[aut.identity_index]], verify=False)
+    trivial = Group(g, [aut.elements[0]], verify=False)
     assert len(orbits(g, trivial.elements, "vertices")) == 5
 
     g6 = cycle(6)
@@ -376,7 +376,7 @@ def test_cube_antipodal_orbits():
     anti = next(p for p in aut if vmap(g, p) == {
         v: format(7 - int(v, 2), "03b") for v in g.vertex_list})
     assert semiregularity_violation(g, anti) is None
-    grp = Group(g, [aut.elements[aut.identity_index], anti], verify=True)
+    grp = Group(g, [aut.elements[0], anti], verify=True)
     vorbs = orbits(g, grp.elements, "vertices")
     assert len(vorbs) == 4 and all(len(o) == 2 for o in vorbs)
 
@@ -779,7 +779,7 @@ def test_all_subgroups_match_all_pairs_closure():
     cases = list(_small_corpus()) + list(_small_random())
     assert len(cases) > 200
     for name, _, aut in cases:
-        expected = _oracle_subgroups(aut.table, aut.identity_index)
+        expected = _oracle_subgroups(aut.table, 0)
         assert _index_sets(aut, all_subgroups(aut)) == expected, name
 
 
@@ -789,7 +789,7 @@ def test_semiregular_subgroups_match_all_pairs_closure():
     for name, g, aut in cases:
         allowed = frozenset(i for i, x in enumerate(aut.elements)
                             if ref_semiregular_element(g, x))
-        expected = _oracle_subgroups(aut.table, aut.identity_index, allowed)
+        expected = _oracle_subgroups(aut.table, 0, allowed)
         assert _index_sets(aut, semiregular_subgroups(g)) == expected, name
         # every order the search may keep, and 2 and 4 where they are not
         divisors = {k for k in range(1, aut.order + 1) if aut.order % k == 0}
@@ -950,10 +950,51 @@ def test_semiregular_search_matches_the_listing_it_replaced():
             else:
                 b.free(f"f{i}", type=typ)
         graphs.append((f"free items {items}", b.build()))
+    # the primes 2, 3, 5 and 7 take the powers of single members, the
+    # others the table and the class search
     for name, g in graphs:
-        for k in (None, 2, 3, 4, 6):
+        for k in (None, 2, 3, 4, 5, 6, 7):
             got = groups._semiregular_lattice(g, k)
             assert got == ref_semiregular_lattice(g, k), (name, k)
+
+
+def test_prime_orders_build_no_table(monkeypatch):
+    # a prime order reads each subgroup off the powers of one member: no
+    # product table is built and no class search runs (that the results
+    # are the listing's is checked above)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prime order built a table or searched")
+
+    monkeypatch.setattr(groups, "_product_table", refuse)
+    monkeypatch.setattr(groups, "_subgroup_index_sets", refuse)
+    for _, g in expansion_corpus():
+        for k in (2, 3, 5, 7):
+            groups._semiregular_lattice(g, k)
+    assert [len(x) for x in groups._semiregular_lattice(complete(7), 7)] == [
+        721, 120, 1]
+
+
+def test_prime_order_members_the_base_cannot_tell_apart_are_an_internal_error(
+        monkeypatch):
+    # with no base, the cube's 4 semiregular involutions and the identity
+    # share the empty name, by which the prime path would read powers and
+    # conjugates; it is refused before any subgroup is built, as the table
+    # refuses it
+    monkeypatch.setattr(groups, "chain_base", lambda g: ())
+    monkeypatch.setattr(groups, "_product_table", None)
+    with pytest.raises(InternalError, match="5 listed elements have 1 "
+                                            "distinct images on the base"):
+        groups._semiregular_lattice(cube(), 2)
+
+
+def test_power_outside_the_members_is_an_internal_error():
+    # C3's members at order 3 less the last: the rotation is kept and its
+    # square, the inverse rotation, is not
+    g = cycle(3)
+    members = groups._semiregular_lattice(g, 3)[0]
+    assert len(members) == 3
+    with pytest.raises(InternalError, match="a power of a listed element"):
+        groups._cyclic_lattice(g, members[:2], iso.chain_base(g), 3)
 
 
 @pytest.fixture
@@ -1225,7 +1266,9 @@ def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
     # a subgroup of order k is not extended, as no larger subgroup has an
     # order dividing k (the cube at order 2 took 7 when it was), and one
     # subgroup per conjugacy class is extended (extending every subgroup
-    # took 22 for the cube at order 4 and 41 for the icosahedron at 6)
+    # took 22 for the cube at order 4 and 41 for the icosahedron at 6).
+    # The cube at order 2 took 4 while a prime order ran the class search
+    # too; it now reads each subgroup off one involution and closes none
     calls = []
     close = groups._close_indices
 
@@ -1240,7 +1283,7 @@ def test_semiregular_closure_counts_of_one_order_are_pinned(monkeypatch):
         calls.clear()
         semiregular_subgroups(build(), order=k)
         counts.append(len(calls))
-    assert counts == [4, 16, 32, 12]
+    assert counts == [0, 16, 32, 12]
 
 
 def test_semiregular_subgroups_list_no_group(monkeypatch):

@@ -139,6 +139,17 @@ def test_ordered_marking():
     assert fa == fb
 
 
+def test_a_marking_and_an_ordered_marking_are_refused_together():
+    # the set marking was dropped: the form equalled the ordered marking's
+    # alone, and a second cache entry was kept under a key naming both
+    g = path_graph(4)
+    with pytest.raises(GraphError, match="both given"):
+        canonical_form(g, marking=["v0"], ordered_marking=("v1", "v0"))
+    assert g.__dict__.get("_iso_canon", {}) == {}
+    assert (canonical_form(g, marking=["v0"])
+            != canonical_form(g, ordered_marking=("v1", "v0")))
+
+
 def test_canonical_partition_matches_pairwise_iso():
     fixture_set = [cycle(4), relabel(cycle(4), 7), path_graph(4), cycle(5),
                    dipole([0, 0]), dipole([0, 1]), book(2), bowtie(),

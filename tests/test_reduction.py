@@ -141,7 +141,7 @@ def test_epimorphism_identity_and_dart_action():
     g = theta(2, 2, 2, edge_type=HALVABLE)
     step = reduce_step(g)
     aut = automorphism_group(g)
-    ident = aut.elements[aut.identity_index]
+    ident = aut.elements[0]
     assert is_identity(reduction_epimorphism(step, ident))
 
     swap = next(p for p in aut if vmap(g, p)["u"] == "v"
